@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
 
-from . import evalbench, grounder, synthdata
+from . import evalbench, synthdata
+from .evalbench import NoiseConfig
 from .grounder import (
     CheckpointCompatError,
-    GroundingModel,
     LossWeights,
     ModelConfig,
     TrainConfig,
@@ -43,19 +44,6 @@ class UsageError(RuntimeError):
     pass
 
 
-class InvariantViolation(RuntimeError):
-    pass
-
-
-def _parse_bool(text: str) -> bool:
-    low = str(text).lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_int_tuple(text) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
         return tuple(int(v) for v in text)
@@ -65,54 +53,71 @@ def _parse_int_tuple(text) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-# key -> (parser, default); the single source of truth for RunConfig keys
-SCHEMA: dict = {
-    "seed": (int, 0),
-    "dataset_dir": (str, ""),
+# key -> (config dataclass, field[, tuple index]). Config defaults live in
+# the dataclasses; this table names where each key's value goes, and
+# SCHEMA reads each default off the dataclass's default instance.
+CONFIG_FIELDS: dict = {
+    "seed": (TrainConfig, "seed"),
     # generation
-    "scene_count": (int, 200),
-    "objects_min": (int, 3),
-    "objects_max": (int, 6),
-    "extent": (float, 48.0),
-    "expressions_per_object": (int, 1),
-    "ground_points": (int, 320),
-    "density_scale": (float, 12000.0),
-    "min_points": (int, 16),
-    "max_points": (int, 160),
-    "color_noise": (float, 0.05),
-    "split_train": (float, 0.7),
-    "split_val": (float, 0.15),
-    "split_test": (float, 0.15),
+    "scene_count": (GenConfig, "scene_count"),
+    "objects_min": (GenConfig, "objects_min"),
+    "objects_max": (GenConfig, "objects_max"),
+    "extent": (GenConfig, "extent"),
+    "expressions_per_object": (GenConfig, "expressions_per_object"),
+    "ground_points": (GenConfig, "ground_points"),
+    "density_scale": (GenConfig, "density_scale"),
+    "min_points": (GenConfig, "min_points"),
+    "max_points": (GenConfig, "max_points"),
+    "color_noise": (GenConfig, "color_noise"),
+    "split_train": (GenConfig, "split_ratios", 0),
+    "split_val": (GenConfig, "split_ratios", 1),
+    "split_test": (GenConfig, "split_ratios", 2),
     # model
-    "modality": (str, "xyz+rgb+intensity"),
-    "m_candidates": (int, 64),
-    "feature_dim": (int, 128),
-    "shared_dim": (int, 128),
-    "fused_dim": (int, 128),
-    "embed_dim": (int, 64),
-    "hidden_dim": (int, 64),
-    "max_tokens": (int, 48),
-    "lambda_fps": (float, 1.0),
+    "modality": (ModelConfig, "modality"),
+    "m_candidates": (EncoderConfig, "m_candidates"),
+    "feature_dim": (EncoderConfig, "feature_dim"),
+    "shared_dim": (ModelConfig, "shared_dim"),
+    "fused_dim": (ModelConfig, "fused_dim"),
+    "embed_dim": (LangConfig, "embed_dim"),
+    "hidden_dim": (LangConfig, "hidden_dim"),
+    "max_tokens": (LangConfig, "max_len"),
+    "lambda_fps": (EncoderConfig, "lambda_fps"),
     # training
-    "epochs": (int, 60),
-    "batch_size": (int, 10),
-    "learning_rate": (float, 1e-4),
-    "weight_decay": (float, 1e-4),
-    "decay_epochs": (_parse_int_tuple, (35, 45)),
-    "decay_factor": (float, 0.1),
-    "lambda_cls": (float, 10.0),
-    "lambda_reg": (float, 10.0),
-    "lambda_shift": (float, 10.0),
-    "lambda_lang": (float, 1.0),
-    "lambda_ref": (float, 1.0),
+    "epochs": (TrainConfig, "epochs"),
+    "batch_size": (TrainConfig, "batch_size"),
+    "learning_rate": (TrainConfig, "learning_rate"),
+    "weight_decay": (TrainConfig, "weight_decay"),
+    "decay_epochs": (TrainConfig, "decay_epochs"),
+    "decay_factor": (TrainConfig, "decay_factor"),
+    "lambda_cls": (LossWeights, "cls"),
+    "lambda_reg": (LossWeights, "reg"),
+    "lambda_shift": (LossWeights, "shift"),
+    "lambda_lang": (LossWeights, "lang"),
+    "lambda_ref": (LossWeights, "ref"),
+    # baselines
+    "noise_center": (NoiseConfig, "center_sigma"),
+    "noise_size": (NoiseConfig, "size_sigma"),
+    "noise_yaw": (NoiseConfig, "yaw_sigma"),
+    "distractors": (NoiseConfig, "distractors"),
+}
+
+
+def _schema_entry(owner, name: str, *index: int) -> tuple:
+    default = getattr(owner(), name)
+    if index:
+        default = default[index[0]]
+    return (_parse_int_tuple if isinstance(default, tuple) else type(default), default)
+
+
+# key -> (parser, default) for every RunConfig key. The parser is the type
+# of the default; keys outside the config dataclasses (paths and command
+# choices) are listed here with their defaults.
+SCHEMA: dict = {
+    **{key: _schema_entry(*target) for key, target in CONFIG_FIELDS.items()},
+    "dataset_dir": (str, ""),
     "run_dir": (str, "runs/default"),
-    # evaluation / baselines
     "split": (str, "val"),
     "which": (str, "catrandgt"),
-    "noise_center": (float, 0.3),
-    "noise_size": (float, 0.05),
-    "noise_yaw": (float, 0.05),
-    "distractors": (int, 2),
     "report_out": (str, ""),
 }
 
@@ -165,21 +170,23 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
     return RunConfig(values)
 
 
+def _fields_of(owner, cfg: RunConfig) -> dict:
+    """Constructor keyword arguments of `owner` taken from cfg.
+
+    Keys that share a tuple field (the split ratios) are collected in
+    table order.
+    """
+    kwargs: dict = {}
+    for key, (target, name, *index) in CONFIG_FIELDS.items():
+        if target is owner:
+            value = cfg.values[key]
+            kwargs[name] = (kwargs.get(name, ()) + (value,)) if index else value
+    return kwargs
+
+
 def gen_config(cfg: RunConfig) -> GenConfig:
     try:
-        config = GenConfig(
-            scene_count=cfg.scene_count,
-            objects_min=cfg.objects_min,
-            objects_max=cfg.objects_max,
-            extent=cfg.extent,
-            expressions_per_object=cfg.expressions_per_object,
-            ground_points=cfg.ground_points,
-            density_scale=cfg.density_scale,
-            min_points=cfg.min_points,
-            max_points=cfg.max_points,
-            color_noise=cfg.color_noise,
-            split_ratios=(cfg.split_train, cfg.split_val, cfg.split_test),
-        )
+        config = GenConfig(**_fields_of(GenConfig, cfg))
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -187,35 +194,24 @@ def gen_config(cfg: RunConfig) -> GenConfig:
 
 
 def model_config(cfg: RunConfig) -> ModelConfig:
-    encoder = EncoderConfig(
-        m_candidates=cfg.m_candidates,
-        feature_dim=cfg.feature_dim,
-        lambda_fps=cfg.lambda_fps,
+    return ModelConfig(
+        encoder=EncoderConfig(**_fields_of(EncoderConfig, cfg)),
+        lang=LangConfig(**_fields_of(LangConfig, cfg)),
+        **_fields_of(ModelConfig, cfg),
     )
-    lang = LangConfig(embed_dim=cfg.embed_dim, hidden_dim=cfg.hidden_dim, max_len=cfg.max_tokens)
-    return ModelConfig(encoder, lang, cfg.shared_dim, cfg.fused_dim, cfg.modality)
 
 
 def train_config(cfg: RunConfig) -> TrainConfig:
     try:
-        return TrainConfig(
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            learning_rate=cfg.learning_rate,
-            weight_decay=cfg.weight_decay,
-            decay_epochs=cfg.decay_epochs,
-            decay_factor=cfg.decay_factor,
-            loss_weights=LossWeights(cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_shift,
-                                     cfg.lambda_lang, cfg.lambda_ref),
-            seed=cfg.seed,
-        )
+        weights = LossWeights(**_fields_of(LossWeights, cfg))
+        return TrainConfig(loss_weights=weights, **_fields_of(TrainConfig, cfg))
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def noise_config(cfg: RunConfig) -> evalbench.NoiseConfig:
+def noise_config(cfg: RunConfig) -> NoiseConfig:
     try:
-        return evalbench.NoiseConfig(cfg.noise_center, cfg.noise_size, cfg.noise_yaw, cfg.distractors)
+        return NoiseConfig(**_fields_of(NoiseConfig, cfg))
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -228,10 +224,6 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_dataset(cfg: RunConfig) -> synthdata.Dataset:
-    return synthdata.read_dataset(cfg.dataset_dir)
-
-
 def _split_samples(dataset: synthdata.Dataset, split_name: str):
     if split_name not in synthdata.SPLIT_NAMES:
         raise UsageError(f"unknown split {split_name!r}, expected one of {synthdata.SPLIT_NAMES}")
@@ -241,14 +233,24 @@ def _split_samples(dataset: synthdata.Dataset, split_name: str):
     return samples
 
 
-def _write_report(report: evalbench.EvalReport, path: str) -> None:
-    doc = evalbench.report_to_json(report)
-    tmp = path + ".tmp"
+def _evaluate_and_report(cfg: RunConfig, dataset: synthdata.Dataset, samples, predictor,
+                         predictor_id: str, checkpoint_hash: str, default_path: str, out) -> int:
+    """Evaluate, check, write and print a report: the shared tail of eval and baseline."""
+    meta = {
+        "split": cfg.split,
+        "seed": cfg.seed,
+        "predictor-id": predictor_id,
+        "checkpoint-hash": checkpoint_hash,
+        "config": cfg.echo(),
+    }
+    report = evalbench.evaluate(predictor, dataset.scenes, samples, cfg.seed, meta)
+    evalbench.check_report_invariants(report)
+    path = cfg.report_out or default_path
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
-    os.replace(tmp, path)
+    synthdata.atomic_write(path, json.dumps(evalbench.report_to_json(report), sort_keys=True, indent=1) + "\n")
+    print(evalbench.render_report(report), file=out)
+    print(f"report: {path}", file=out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +273,7 @@ def cmd_gen(cfg: RunConfig, out) -> int:
 
 
 def cmd_train(cfg: RunConfig, out) -> int:
-    dataset = _load_dataset(cfg)
+    dataset = synthdata.read_dataset(cfg.dataset_dir)
     samples = _split_samples(dataset, "train")
     result = train_model(
         dataset.scenes, samples, model_config(cfg), train_config(cfg),
@@ -281,14 +283,12 @@ def cmd_train(cfg: RunConfig, out) -> int:
     )
     run_dir = cfg.run_dir
     ckpt = save_model(run_dir, result.model, result.vocab, {"run_config": cfg.echo()})
-    curve_path = os.path.join(run_dir, "loss_curve.csv")
-    tmp = curve_path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "lr", "total", "cls", "reg", "shift", "lang", "ref"])
-        for row in result.curve:
-            writer.writerow([row.epoch, row.lr, row.total, row.cls, row.reg, row.shift, row.lang, row.ref])
-    os.replace(tmp, curve_path)
+    curve = io.StringIO()
+    writer = csv.writer(curve)
+    writer.writerow(["epoch", "lr", "total", "cls", "reg", "shift", "lang", "ref"])
+    for row in result.curve:
+        writer.writerow([row.epoch, row.lr, row.total, row.cls, row.reg, row.shift, row.lang, row.ref])
+    synthdata.atomic_write(os.path.join(run_dir, "loss_curve.csv"), curve.getvalue())
     final = result.curve[-1]
     print(
         f"trained {len(samples)} samples for {final.epoch} epochs in {result.wall_seconds:.1f}s; "
@@ -301,48 +301,23 @@ def cmd_train(cfg: RunConfig, out) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out) -> int:
-    dataset = _load_dataset(cfg)
+    dataset = synthdata.read_dataset(cfg.dataset_dir)
     samples = _split_samples(dataset, cfg.split)
     model, vocab = load_model(cfg.run_dir)
     ckpt_hash = _sha256_file(os.path.join(cfg.run_dir, "checkpoint.bin"))
-    meta = {
-        "split": cfg.split,
-        "seed": cfg.seed,
-        "predictor-id": f"model:{model.config.modality}",
-        "checkpoint-hash": ckpt_hash,
-        "config": cfg.echo(),
-    }
-    report = evalbench.evaluate(
-        evalbench.model_predictor(model, vocab), dataset.scenes, samples, cfg.seed, meta
-    )
-    _check_invariants(report)
-    path = cfg.report_out or os.path.join(cfg.run_dir, f"report_{cfg.split}.json")
-    _write_report(report, path)
-    print(evalbench.render_report(report), file=out)
-    print(f"report: {path}", file=out)
-    return EXIT_OK
+    return _evaluate_and_report(cfg, dataset, samples, evalbench.model_predictor(model, vocab),
+                                f"model:{model.config.modality}", ckpt_hash,
+                                os.path.join(cfg.run_dir, f"report_{cfg.split}.json"), out)
 
 
 def cmd_baseline(cfg: RunConfig, out) -> int:
-    dataset = _load_dataset(cfg)
+    dataset = synthdata.read_dataset(cfg.dataset_dir)
     samples = _split_samples(dataset, cfg.split)
     if cfg.which not in ("catrandgt", "detrand", "detbest"):
         raise UsageError(f"unknown baseline {cfg.which!r} (catrandgt, detrand, detbest)")
     predictor = evalbench.baseline_predictor(cfg.which, noise_config(cfg), cfg.seed)
-    meta = {
-        "split": cfg.split,
-        "seed": cfg.seed,
-        "predictor-id": f"baseline:{cfg.which}",
-        "checkpoint-hash": "none",
-        "config": cfg.echo(),
-    }
-    report = evalbench.evaluate(predictor, dataset.scenes, samples, cfg.seed, meta)
-    _check_invariants(report)
-    path = cfg.report_out or os.path.join(cfg.dataset_dir, f"baseline_{cfg.which}_{cfg.split}.json")
-    _write_report(report, path)
-    print(evalbench.render_report(report), file=out)
-    print(f"report: {path}", file=out)
-    return EXIT_OK
+    return _evaluate_and_report(cfg, dataset, samples, predictor, f"baseline:{cfg.which}", "none",
+                                os.path.join(cfg.dataset_dir, f"baseline_{cfg.which}_{cfg.split}.json"), out)
 
 
 def cmd_report(cfg: RunConfig, report_path: str, out) -> int:
@@ -363,13 +338,6 @@ def cmd_report(cfg: RunConfig, report_path: str, out) -> int:
     return EXIT_OK
 
 
-def _check_invariants(report: evalbench.EvalReport) -> None:
-    try:
-        evalbench.check_report_invariants(report)
-    except AssertionError as exc:
-        raise InvariantViolation(str(exc))
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -379,15 +347,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file; flags override it")
     parser.add_argument("--seed", type=int, dest="seed")
     parser.add_argument("--data", dest="dataset_dir", help=f"dataset dir (default ${ENV_DATA_DIR} or ./data)")
-
-
-_FLAG_KEYS = {
-    "gen": ["scene_count", "objects_min", "objects_max", "extent", "expressions_per_object"],
-    "train": ["run_dir", "epochs", "batch_size", "learning_rate", "weight_decay", "modality"],
-    "eval": ["run_dir", "split", "report_out"],
-    "baseline": ["which", "split", "noise_center", "noise_size", "noise_yaw", "distractors", "report_out"],
-    "report": [],
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,25 +410,18 @@ def main(argv=None, out=None) -> int:
             if key in SCHEMA and value is not None
         }
         cfg = build_config(file_values, flag_values)
-        if args.command == "gen":
-            return cmd_gen(cfg, out)
-        if args.command == "train":
-            return cmd_train(cfg, out)
-        if args.command == "eval":
-            return cmd_eval(cfg, out)
-        if args.command == "baseline":
-            return cmd_baseline(cfg, out)
         if args.command == "report":
             return cmd_report(cfg, args.report, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        commands = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "baseline": cmd_baseline}
+        return commands[args.command](cfg, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DatasetIOError, CheckpointCompatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except (InvariantViolation, synthdata.GenerationError) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
+    except (evalbench.ReportInvariantError, synthdata.GenerationError) as exc:
+        print(f"error: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -23,6 +23,10 @@ SUBSET_ORDER = ("Unique", "Multiple", "Near", "Medium", "Far", "Overall")
 THRESHOLDS = (0.25, 0.5)
 
 
+class ReportInvariantError(RuntimeError):
+    """A report whose subset counts or accuracies contradict each other."""
+
+
 @dataclass
 class EvalSample:
     sample: GroundingSample
@@ -261,9 +265,13 @@ def report_to_json(report: EvalReport) -> dict:
 
 
 def check_report_invariants(report: EvalReport) -> None:
-    """Raise AssertionError when partition sums or accuracy ordering break."""
+    """Raise ReportInvariantError when partition sums or accuracy ordering break."""
     subs = report.subsets
     for name, s in subs.items():
-        assert s.acc25 >= s.acc50 - 1e-9, f"Acc@0.25 < Acc@0.5 in subset {name}"
-    assert subs["Unique"].count + subs["Multiple"].count == subs["Overall"].count
-    assert subs["Near"].count + subs["Medium"].count + subs["Far"].count == subs["Overall"].count
+        if s.acc25 < s.acc50 - 1e-9:
+            raise ReportInvariantError(f"Acc@0.25 < Acc@0.5 in subset {name}")
+    overall = subs["Overall"].count
+    for parts in (("Unique", "Multiple"), ("Near", "Medium", "Far")):
+        total = sum(subs[p].count for p in parts)
+        if total != overall:
+            raise ReportInvariantError(f"{' + '.join(parts)} counts sum to {total}, Overall has {overall}")

@@ -1,15 +1,15 @@
 """Exact geometry for yaw-only 7-DoF boxes.
 
-Rigid transforms, pinhole projection, containment tests, and rotated 3D IoU
-computed by Sutherland-Hodgman clipping of the two bird's-eye-view
-rectangles. All math is float64; boxes are closed (boundary points count as
-inside). Everything here is a pure function on immutable inputs.
+Containment tests and rotated 3D IoU computed by Sutherland-Hodgman
+clipping of the two bird's-eye-view rectangles. All math is float64;
+boxes are closed (boundary points count as inside). Everything here is a
+pure function on immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,67 +62,6 @@ class Box7:
         return self.l * self.w * self.h
 
 
-@dataclass(frozen=True)
-class SE3Pose:
-    """Rigid transform: x -> R @ x + t, with R a proper rotation."""
-
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9:
-            raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ValueError("rotation determinant is not +1 within 1e-9")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity() -> "SE3Pose":
-        return SE3Pose()
-
-    @staticmethod
-    def from_yaw(theta: float, translation=(0.0, 0.0, 0.0)) -> "SE3Pose":
-        return SE3Pose(yaw_matrix(theta), np.asarray(translation, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class CameraModel:
-    """Pinhole camera: intrinsics in pixels plus a world->camera extrinsic."""
-
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    width: int
-    height: int
-    extrinsic: SE3Pose = field(default_factory=SE3Pose.identity)
-
-    def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("image size must be positive")
-
-
-def se3_apply(pose: SE3Pose, points: np.ndarray) -> np.ndarray:
-    """Apply a rigid transform to an (N, 3) array of points."""
-    pts = np.asarray(points, dtype=np.float64)
-    return pts @ pose.rotation.T + pose.translation
-
-
-def se3_compose(a: SE3Pose, b: SE3Pose) -> SE3Pose:
-    """Transform applying b first, then a."""
-    return SE3Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
-def se3_inverse(a: SE3Pose) -> SE3Pose:
-    rt = a.rotation.T
-    return SE3Pose(rt, -rt @ a.translation)
-
-
 # Local corner offsets: bottom face counter-clockwise starting in the
 # +x+y octant, then the top face in the same order.
 _CORNER_SIGNS = np.array(
@@ -160,10 +99,6 @@ def points_in_box(box: Box7, points: np.ndarray) -> np.ndarray:
     local = _to_box_frame(box, points)
     half = 0.5 * np.array([box.l, box.w, box.h])
     return np.all(np.abs(local) <= half, axis=1)
-
-
-def point_in_box(box: Box7, point: np.ndarray) -> bool:
-    return bool(points_in_box(box, np.asarray(point, dtype=np.float64).reshape(1, 3))[0])
 
 
 def bev_rectangle(box: Box7) -> np.ndarray:
@@ -252,45 +187,6 @@ def iou_3d(a: Box7, b: Box7) -> float:
     inter = inter_area * overlap
     union = a.volume + b.volume - inter
     return min(max(inter / union, 0.0), 1.0)
-
-
-def project_points(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pinhole projection of (N, 3) world points.
-
-    Returns (uvd, valid): uvd[i] = (u, v, depth) where valid[i]; points with
-    camera-frame depth <= 1e-6 or pixels outside [0, width) x [0, height)
-    are culled (valid[i] False, row zeroed).
-    """
-    cam_pts = se3_apply(cam.extrinsic, points)
-    z = cam_pts[:, 2]
-    valid = z > 1e-6
-    uvd = np.zeros((len(cam_pts), 3))
-    safe_z = np.where(valid, z, 1.0)
-    u = cam.fx * cam_pts[:, 0] / safe_z + cam.cx
-    v = cam.fy * cam_pts[:, 1] / safe_z + cam.cy
-    valid &= (u >= 0.0) & (u < cam.width) & (v >= 0.0) & (v < cam.height)
-    uvd[valid, 0] = u[valid]
-    uvd[valid, 1] = v[valid]
-    uvd[valid, 2] = z[valid]
-    return uvd, valid
-
-
-def project_box_to_2d(cam: CameraModel, box: Box7) -> tuple[float, float, float, float] | None:
-    """Axis-aligned image bounds of the projected box corners.
-
-    Returns (umin, vmin, umax, vmax) over the non-culled corners, clamped to
-    the image, or None when every corner is culled.
-    """
-    uvd, valid = project_points(cam, box_corners(box))
-    if not np.any(valid):
-        return None
-    u, v = uvd[valid, 0], uvd[valid, 1]
-    return (
-        float(np.clip(u.min(), 0.0, cam.width)),
-        float(np.clip(v.min(), 0.0, cam.height)),
-        float(np.clip(u.max(), 0.0, cam.width)),
-        float(np.clip(v.max(), 0.0, cam.height)),
-    )
 
 
 def in_annotation_range(box: Box7, limit: float) -> bool:

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -26,11 +26,12 @@ from .pointenc import (
     CandidateSet,
     EncoderConfig,
     PointEncoder,
+    SALayerSpec,
     assemble_features,
     modality_feature_dim,
 )
 from .seeding import substream
-from .synthdata import CATEGORIES, CATEGORY_INDEX, SIZE_PRIORS, Scene
+from .synthdata import CATEGORIES, CATEGORY_INDEX, SIZE_PRIORS, Scene, atomic_write
 
 RESIDUAL_DIM = 8  # dx, dy, dz, 3 log size ratios, sin yaw, cos yaw
 
@@ -397,25 +398,26 @@ def model_config_to_dict(config: ModelConfig) -> dict:
     return json.loads(json.dumps(asdict(config)))
 
 
-def model_config_from_dict(d: dict) -> ModelConfig:
-    enc = d["encoder"]
-    from .pointenc import SALayerSpec
+def _exact(cls, d: dict, **converted):
+    """cls(**d), where d must name every field of cls and nothing else."""
+    expected = {f.name for f in fields(cls)}
+    if set(d) != expected:
+        raise ValueError(f"{cls.__name__} fields differ: {sorted(set(d) ^ expected)}")
+    return cls(**{**d, **converted})
 
-    layers = tuple(
-        SALayerSpec(tuple(spec["branches"]), spec["out_points"], spec["radius"], spec["cap"], tuple(spec["mlp"]))
-        for spec in enc["sa_layers"]
-    )
-    encoder = EncoderConfig(
-        sa_layers=layers,
-        m_candidates=enc["m_candidates"],
-        feature_dim=enc["feature_dim"],
-        cg_radius=enc["cg_radius"],
-        cg_cap=enc["cg_cap"],
-        shift_hidden=enc["shift_hidden"],
-        lambda_fps=enc["lambda_fps"],
-    )
-    lang = LangConfig(**d["lang"])
-    return ModelConfig(encoder, lang, d["shared_dim"], d["fused_dim"], d["modality"])
+
+def model_config_from_dict(d: dict) -> ModelConfig:
+    """Inverse of model_config_to_dict; a malformed dict raises CheckpointCompatError."""
+    try:
+        enc = d["encoder"]
+        layers = tuple(
+            _exact(SALayerSpec, spec, branches=tuple(spec["branches"]), mlp=tuple(spec["mlp"]))
+            for spec in enc["sa_layers"]
+        )
+        encoder = _exact(EncoderConfig, enc, sa_layers=layers)
+        return _exact(ModelConfig, d, encoder=encoder, lang=_exact(LangConfig, d["lang"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointCompatError(f"config.json does not describe a model ({type(exc).__name__}: {exc})") from exc
 
 
 def save_model(directory: str, model: GroundingModel, vocab: Vocabulary, extra_meta: dict | None = None) -> str:
@@ -424,13 +426,12 @@ def save_model(directory: str, model: GroundingModel, vocab: Vocabulary, extra_m
     Returns the checkpoint path.
     """
     os.makedirs(directory, exist_ok=True)
-    blob = T.checkpoint_save(model.parameters())
     ckpt_path = os.path.join(directory, "checkpoint.bin")
-    _atomic_write_bytes(ckpt_path, blob)
-    _atomic_write_text(os.path.join(directory, "vocab.json"), vocab.to_json())
+    atomic_write(ckpt_path, T.checkpoint_save(model.parameters()))
+    atomic_write(os.path.join(directory, "vocab.json"), vocab.to_json())
     meta = {"model": model_config_to_dict(model.config), "vocab_size": len(vocab)}
     meta.update(extra_meta or {})
-    _atomic_write_text(os.path.join(directory, "config.json"), json.dumps(meta, sort_keys=True, indent=1))
+    atomic_write(os.path.join(directory, "config.json"), json.dumps(meta, sort_keys=True, indent=1))
     return ckpt_path
 
 
@@ -448,7 +449,10 @@ def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
         )
     config = model_config_from_dict(meta["model"])
     with open(os.path.join(directory, "checkpoint.bin"), "rb") as f:
-        arrays = T.checkpoint_load(f.read())
+        try:
+            arrays = T.checkpoint_load(f.read())
+        except T.CheckpointError as exc:
+            raise CheckpointCompatError(f"checkpoint.bin under {directory!r}: {exc}") from exc
     reference = GroundingModel(config, len(vocab), seed=0)
     expected = {k: p.data.shape for k, p in reference.parameters().items()}
     got = {k: v.shape for k, v in arrays.items()}
@@ -463,24 +467,8 @@ def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
     return GroundingModel(config, len(vocab), params=params), vocab
 
 
-def _atomic_write_bytes(path: str, blob: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def tiny_model_config(modality: str = "xyz+rgb+intensity") -> ModelConfig:
     """Small dimensions for fast gradient checks and unit tests."""
-    from .pointenc import SALayerSpec
-
     encoder = EncoderConfig(
         sa_layers=(
             SALayerSpec(("distance",), 8, 3.0, 4, (6, 8)),

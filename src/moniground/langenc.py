@@ -46,9 +46,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_id) + 2
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def encode(self, tokens: list[str], max_len: int) -> tuple[np.ndarray, int]:
         """Pad/truncate to max_len; returns (ids, true length)."""
         ids = [self.token_to_id.get(t, UNK_ID) for t in tokens[:max_len]]
@@ -137,15 +134,3 @@ def bigru_encode(
         h_bwd = _gru_cell(x, h_bwd, params, "lang.gru.bwd")
     return T.concat([h_fwd, h_bwd])
 
-
-def encode_text(
-    tokens: list[str],
-    vocab: Vocabulary,
-    params: dict[str, T.Tensor],
-    cfg: LangConfig,
-) -> T.Tensor:
-    """Tokens -> sentence feature (1, 2*hidden)."""
-    ids, length = vocab.encode(tokens, cfg.max_len)
-    if length < 1:
-        raise ValueError("cannot encode an empty expression")
-    return bigru_encode(embed(ids, params), length, params, cfg)

@@ -58,37 +58,34 @@ class CandidateSet:
     shifts: T.Tensor               # (M, 3) predicted shifts
     features: T.Tensor             # (M, C_v)
     seeds: np.ndarray              # (M, 3) pre-shift seed positions
-    seed_indices: np.ndarray       # (M,) indices into the last SA layer output
-
-    @property
-    def positions_value(self) -> np.ndarray:
-        return self.positions.data
 
 
-def fps_distance(points: np.ndarray, k: int) -> np.ndarray:
-    """Greedy farthest-point indices, starting at index 0.
+def _greedy_fps(dist_to, n: int, k: int) -> np.ndarray:
+    """Greedy farthest-point loop from index 0 under any metric.
 
-    Returns k distinct indices; when k >= n every index appears once and the
-    result is padded with index 0. Ties pick the lowest index.
+    `dist_to(i)` returns the (n,) distances from point i to every point.
+    Returns min(k, n) distinct indices, padded with index 0 up to k. Ties
+    pick the lowest index.
     """
-    n = len(points)
-    if n == 0:
-        raise ValueError("fps_distance on empty input")
-    take = min(k, n)
-    chosen = np.empty(take, dtype=np.intp)
-    chosen[0] = 0
-    min_d = np.sum((points - points[0]) ** 2, axis=1)
-    for i in range(1, take):
+    chosen = np.zeros(k, dtype=np.intp)
+    min_d = dist_to(0)
+    for i in range(1, min(k, n)):
         nxt = int(np.argmax(min_d))
         chosen[i] = nxt
-        np.minimum(min_d, np.sum((points - points[nxt]) ** 2, axis=1), out=min_d)
-    if k > n:
-        chosen = np.concatenate([chosen, np.zeros(k - n, dtype=np.intp)])
+        np.minimum(min_d, dist_to(nxt), out=min_d)
     return chosen
 
 
+def fps_distance(points: np.ndarray, k: int) -> np.ndarray:
+    """D-FPS: k farthest-point indices under euclidean distance (see _greedy_fps)."""
+    n = len(points)
+    if n == 0:
+        raise ValueError("fps_distance on empty input")
+    return _greedy_fps(lambda i: np.sum((points - points[i]) ** 2, axis=1), n, k)
+
+
 def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: float = 1.0) -> np.ndarray:
-    """Farthest-point sampling under d = feature-L2 + lambda * euclidean-L2."""
+    """F-FPS: k farthest-point indices under d = feature-L2 + lambda * euclidean-L2."""
     n = len(points)
     if n == 0:
         raise ValueError("fps_feature on empty input")
@@ -101,17 +98,7 @@ def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: fl
         dp = np.sqrt(np.sum((points - points[idx]) ** 2, axis=1))
         return df + lambda_fps * dp
 
-    take = min(k, n)
-    chosen = np.empty(take, dtype=np.intp)
-    chosen[0] = 0
-    min_d = dist_to(0)
-    for i in range(1, take):
-        nxt = int(np.argmax(min_d))
-        chosen[i] = nxt
-        np.minimum(min_d, dist_to(nxt), out=min_d)
-    if k > n:
-        chosen = np.concatenate([chosen, np.zeros(k - n, dtype=np.intp)])
-    return chosen
+    return _greedy_fps(dist_to, n, k)
 
 
 def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int) -> np.ndarray:
@@ -181,9 +168,6 @@ class PointEncoder:
             params.update(_mlp_params("enc.shift", (config.shift_hidden, 3), prev, rng))
             params.update(_mlp_params("enc.cg", (config.feature_dim, config.feature_dim), prev + 3, rng))
         self.params = params
-
-    def parameters(self) -> dict[str, T.Tensor]:
-        return self.params
 
     def precompute_plan(self, positions: np.ndarray) -> list[LayerPlan]:
         """Geometry-only sampling decisions, reusable across forward passes.
@@ -265,7 +249,7 @@ class PointEncoder:
         grouped = T.concat([rel, T.gather_rows(seed_features, flat)])
         encoded = _mlp_forward(grouped, self.params, "enc.cg", 2)
         f_v = T.max_pool_rows(encoded, cfg.cg_cap)
-        return CandidateSet(candidates, shifts, f_v, seeds, pick)
+        return CandidateSet(candidates, shifts, f_v, seeds)
 
 
 def _interleave(branch_indices: list[np.ndarray]) -> np.ndarray:

@@ -625,15 +625,6 @@ def split_scene_ids(scene_ids: list[str], ratios: tuple[float, float, float], se
     return out
 
 
-def split(samples: list[GroundingSample], ratios: tuple[float, float, float], seed: int):
-    """Scene-grouped (train, val, test) sample lists."""
-    assignment = split_scene_ids(sorted({s.scene_id for s in samples}), ratios, seed)
-    buckets = {name: [] for name in SPLIT_NAMES}
-    for s in samples:
-        buckets[assignment[s.scene_id]].append(s)
-    return buckets["train"], buckets["val"], buckets["test"]
-
-
 def gen_dataset(seed: int, config: GenConfig) -> Dataset:
     """Full deterministic dataset: scenes, points, expressions, manifest."""
     config.validate()
@@ -675,12 +666,17 @@ def _box_from_json(d: dict) -> Box7:
     return Box7(np.array([d["x"], d["y"], d["z"]]), d["l"], d["w"], d["h"], d["yaw"])
 
 
-def _dump_json(path: str, obj) -> None:
+def atomic_write(path: str, data: bytes | str) -> None:
+    """Write to a sibling .tmp file, then rename it over `path`, so readers
+    never see a partial file. Text is encoded as UTF-8."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=1)
-        f.write("\n")
+    with open(tmp, "wb") as f:
+        f.write(data.encode("utf-8") if isinstance(data, str) else data)
     os.replace(tmp, path)
+
+
+def _dump_json(path: str, obj) -> None:
+    atomic_write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def write_dataset(root: str, dataset: Dataset) -> None:
@@ -706,15 +702,9 @@ def write_dataset(root: str, dataset: Dataset) -> None:
         if pc is None:
             raise DatasetIOError(f"scene {sid} has no point cloud to write")
         flat = np.concatenate([pc.xyz, pc.rgb, pc.intensity[:, None]], axis=1).astype("<f4")
-        tmp = os.path.join(root, "points", f"{sid}.bin.tmp")
-        with open(tmp, "wb") as f:
-            f.write(flat.tobytes(order="C"))
-        os.replace(tmp, os.path.join(root, "points", f"{sid}.bin"))
-    tmp = os.path.join(root, "expressions.jsonl.tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        for s in dataset.samples:
-            f.write(json.dumps(asdict(s), sort_keys=True) + "\n")
-    os.replace(tmp, os.path.join(root, "expressions.jsonl"))
+        atomic_write(os.path.join(root, "points", f"{sid}.bin"), flat.tobytes(order="C"))
+    lines = "".join(json.dumps(asdict(s), sort_keys=True) + "\n" for s in dataset.samples)
+    atomic_write(os.path.join(root, "expressions.jsonl"), lines)
     _dump_json(os.path.join(root, "manifest.json"), dataset.manifest)
 
 

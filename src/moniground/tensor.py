@@ -210,12 +210,18 @@ def relu(a: Tensor) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ez = np.exp(a.data[~pos])
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that only exponentiates non-positive values."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
     out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _stable_sigmoid(a.data)
 
     def bwd(grad):
         a._accumulate(grad * out * (1.0 - out))
@@ -242,20 +248,6 @@ def row_softmax(a: Tensor) -> Tensor:
     def bwd(grad):
         dot = (grad * out).sum(axis=1, keepdims=True)
         a._accumulate(out * (grad - dot))
-
-    return _node(out, (a,), bwd)
-
-
-def row_log_softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"row_log_softmax needs a matrix, got {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
-
-    def bwd(grad):
-        a._accumulate(grad - soft * grad.sum(axis=1, keepdims=True))
 
     return _node(out, (a,), bwd)
 
@@ -327,12 +319,7 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     out = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
 
     def bwd(grad):
-        sig = np.empty_like(x)
-        pos = x >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ez = np.exp(x[~pos])
-        sig[~pos] = ez / (1.0 + ez)
-        logits._accumulate(grad * (sig - t))
+        logits._accumulate(grad * (_stable_sigmoid(x) - t))
 
     return _node(out, (logits,), bwd)
 
@@ -512,4 +499,6 @@ def checkpoint_load(buf: bytes) -> dict[str, np.ndarray]:
         size = int(np.prod(dims)) if rank else 1
         values = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(dims)
         out[name] = values.astype(np.float64).copy()
+    if r.pos != len(buf):
+        raise CheckpointError(f"checkpoint has {len(buf) - r.pos} trailing bytes after {count} entries")
     return out

@@ -1,7 +1,9 @@
 import filecmp
+import hashlib
 import io
 import json
 import os
+import shutil
 
 import pytest
 
@@ -15,6 +17,42 @@ def run_cli(*argv):
 
 
 GEN_ARGS = ["--scenes", "6", "--objects-min", "2", "--objects-max", "4", "--seed", "5"]
+# sha256 over the tree `gen GEN_ARGS` writes (see tree_sha256); recorded
+# before the writers were merged into synthdata.atomic_write
+GEN_TREE_SHA256 = "c21a34df01a07545a77486a854cb712308058e48f58187e4c851804735b03979"
+
+# build_config({}, {}).echo() with MONIGROUND_DATA unset: every user-facing
+# key name and default
+DEFAULT_ECHO = {
+    "batch_size": 10, "color_noise": 0.05, "dataset_dir": "data", "decay_epochs": [35, 45],
+    "decay_factor": 0.1, "density_scale": 12000.0, "distractors": 2, "embed_dim": 64, "epochs": 60,
+    "expressions_per_object": 1, "extent": 48.0, "feature_dim": 128, "fused_dim": 128,
+    "ground_points": 320, "hidden_dim": 64, "lambda_cls": 10.0, "lambda_fps": 1.0, "lambda_lang": 1.0,
+    "lambda_ref": 1.0, "lambda_reg": 10.0, "lambda_shift": 10.0, "learning_rate": 0.0001,
+    "m_candidates": 64, "max_points": 160, "max_tokens": 48, "min_points": 16,
+    "modality": "xyz+rgb+intensity", "noise_center": 0.3, "noise_size": 0.05, "noise_yaw": 0.05,
+    "objects_max": 6, "objects_min": 3, "report_out": "", "run_dir": "runs/default",
+    "scene_count": 200, "seed": 0, "shared_dim": 128, "split": "val", "split_test": 0.15,
+    "split_train": 0.7, "split_val": 0.15, "weight_decay": 0.0001, "which": "catrandgt",
+}
+
+
+def tree_sha256(root):
+    """One digest over every file's relative path and content, in sorted order."""
+    digest = hashlib.sha256()
+    for dirpath, dirnames, names in os.walk(root):
+        dirnames.sort()
+        for n in sorted(names):
+            path = os.path.join(dirpath, n)
+            digest.update(os.path.relpath(path, root).replace(os.sep, "/").encode() + b"\0")
+            with open(path, "rb") as f:
+                digest.update(hashlib.sha256(f.read()).digest())
+    return digest.hexdigest()
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +87,7 @@ class TestGen:
                 files.append(os.path.relpath(os.path.join(dirpath, n), dirs[0]))
         match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], files, shallow=False)
         assert not mismatch and not errors and match
+        assert tree_sha256(dirs[0]) == GEN_TREE_SHA256
 
     def test_zero_scenes_usage_error(self, tmp_path):
         code, _ = run_cli("gen", "--out", str(tmp_path / "x"), "--scenes", "0")
@@ -66,6 +105,10 @@ class TestGen:
         cfg.write_text("not_a_key = 1\n")
         code, _ = run_cli("gen", "--out", str(tmp_path / "x"), "--config", str(cfg))
         assert code == 2
+
+    def test_default_config_echo_pinned(self, monkeypatch):
+        monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
+        assert cli.build_config({}, {}).echo() == DEFAULT_ECHO
 
     def test_env_var_sets_default_dataset_dir(self, tmp_path, monkeypatch):
         target = str(tmp_path / "envds")
@@ -134,17 +177,59 @@ class TestEval:
             assert counts[split] == expected
         assert counts["val"] != counts["test"] or counts["val"] > 0
 
-    def test_incompatible_checkpoint_is_exit_3(self, dataset_dir, trained_run, tmp_path):
-        import shutil
+    def test_incompatible_checkpoint_is_exit_3(self, dataset_dir, trained_run, tmp_path, capsys):
+        def reshaped_config(meta):
+            meta["model"]["fused_dim"] = 3
 
-        broken = str(tmp_path / "broken")
-        shutil.copytree(trained_run, broken)
-        meta = json.load(open(os.path.join(broken, "config.json")))
-        meta["model"]["fused_dim"] = 3
-        with open(os.path.join(broken, "config.json"), "w") as f:
-            json.dump(meta, f)
-        code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", broken, "--split", "val")
-        assert code == 3
+        def dropped_config_field(meta):
+            del meta["model"]["shared_dim"]
+
+        def truncated_checkpoint(blob):
+            return blob[: len(blob) // 2]
+
+        def padded_checkpoint(blob):
+            return blob + b"\0" * 8
+
+        corruptions = [
+            ("config.json", reshaped_config),
+            ("config.json", dropped_config_field),
+            ("checkpoint.bin", truncated_checkpoint),
+            ("checkpoint.bin", padded_checkpoint),
+        ]
+        for name, corrupt in corruptions:
+            broken = str(tmp_path / corrupt.__name__)
+            shutil.copytree(trained_run, broken)
+            path = os.path.join(broken, name)
+            if name == "config.json":
+                meta = json.load(open(path))
+                corrupt(meta)
+                with open(path, "w") as f:
+                    json.dump(meta, f)
+            else:
+                with open(path, "rb") as f:
+                    blob = f.read()
+                with open(path, "wb") as f:
+                    f.write(corrupt(blob))
+            capsys.readouterr()
+            code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", broken, "--split", "val")
+            assert code == 3, corrupt.__name__
+            assert_one_line_error(capsys)
+
+    def test_broken_report_is_exit_4(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        evaluate = cli.evalbench.evaluate
+
+        def inverted(*args, **kwargs):
+            report = evaluate(*args, **kwargs)
+            report.subsets["Overall"].acc25 = report.subsets["Overall"].acc50 - 1.0
+            return report
+
+        monkeypatch.setattr(cli.evalbench, "evaluate", inverted)
+        code, _ = run_cli("baseline", "--data", dataset_dir, "--which", "detbest", "--split", "val",
+                          "--report-out", str(tmp_path / "r.json"))
+        assert code == 4
+        assert not os.path.exists(tmp_path / "r.json")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Acc@0.25 < Acc@0.5" in err and err.count("\n") == 1, err
 
 
 class TestBaseline:

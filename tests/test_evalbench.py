@@ -1,5 +1,9 @@
+import copy
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +234,30 @@ class TestEvaluateAndReport:
         predictor = E.baseline_predictor("catrandgt", E.NoiseConfig(), 5)
         report = E.evaluate(predictor, scenes, samples, seed=5)
         E.check_report_invariants(report)
+
+        inverted = copy.deepcopy(report)
+        inverted.subsets["Near"].acc25 = inverted.subsets["Near"].acc50 - 1.0
+        with pytest.raises(E.ReportInvariantError, match="Acc@0.25 < Acc@0.5"):
+            E.check_report_invariants(inverted)
+        for part in ("Multiple", "Far"):
+            miscounted = copy.deepcopy(report)
+            miscounted.subsets[part].count += 1
+            with pytest.raises(E.ReportInvariantError, match="Overall"):
+                E.check_report_invariants(miscounted)
+
+    def test_invariants_hold_under_optimize(self):
+        # python -O strips assert statements; the check must not rely on them
+        code = (
+            "from moniground import evalbench as E\n"
+            "r = E.EvalReport({n: E.SubsetStats(1, 10.0, 50.0) for n in E.SUBSET_ORDER}, [], {})\n"
+            "try:\n"
+            "    E.check_report_invariants(r)\n"
+            "except E.ReportInvariantError:\n"
+            "    raise SystemExit(7)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(E.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 7
 
     def test_reports_bit_identical_across_runs(self):
         scene = make_scene(["car", "car", "bus"], [5.0, 20.0, 40.0])

@@ -7,76 +7,28 @@ from hypothesis import strategies as st
 
 from moniground.geom3d import (
     Box7,
-    CameraModel,
-    SE3Pose,
     bev_intersection_area,
     box_corners,
     in_annotation_range,
     iou_3d,
     normalize_angle,
-    point_in_box,
     points_in_box,
-    project_box_to_2d,
-    project_points,
-    se3_apply,
-    se3_compose,
-    se3_inverse,
+    yaw_matrix,
 )
 from oracles import contains_fraction, mc_iou, random_box, random_box_pair
 
 finite_angle = st.floats(-50.0, 50.0, allow_nan=False)
 
 
-def random_pose(rng):
-    # Random proper rotation via QR of a Gaussian matrix.
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return SE3Pose(q, rng.normal(size=3))
-
-
-class TestSE3:
-    def test_identity_apply(self):
-        p = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(se3_apply(SE3Pose.identity(), p), p)
-
-    def test_pure_translation(self):
-        pose = SE3Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(se3_apply(pose, np.zeros((1, 3))), [[1.0, 0.0, 0.0]])
-
+class TestYawMatrix:
     def test_yaw_90(self):
-        pose = SE3Pose.from_yaw(math.pi / 2)
-        out = se3_apply(pose, np.array([[1.0, 0.0, 0.0]]))
+        out = np.array([[1.0, 0.0, 0.0]]) @ yaw_matrix(math.pi / 2).T
         np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-12)
-
-    def test_compose_identity(self):
-        b = SE3Pose.from_yaw(0.7, (1.0, 2.0, 3.0))
-        c = se3_compose(SE3Pose.identity(), b)
-        np.testing.assert_array_equal(c.rotation, b.rotation)
-        np.testing.assert_array_equal(c.translation, b.translation)
-
-    def test_inverse_identity(self):
-        inv = se3_inverse(SE3Pose.identity())
-        np.testing.assert_array_equal(inv.rotation, np.eye(3))
-        np.testing.assert_array_equal(inv.translation, np.zeros(3))
-
-    def test_compose_with_inverse_is_identity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = random_pose(rng)
-            ident = se3_compose(a, se3_inverse(a))
-            np.testing.assert_allclose(ident.rotation, np.eye(3), atol=1e-9)
-            np.testing.assert_allclose(ident.translation, np.zeros(3), atol=1e-9)
-
-    def test_invalid_rotation_rejected(self):
-        with pytest.raises(ValueError):
-            SE3Pose(np.eye(3) * 2.0, np.zeros(3))
 
 
 class TestBox7:
     def test_yaw_normalized_at_construction(self):
-        assert Box7(np.zeros(3), 1, 1, 1, 3 * math.pi).yaw == pytest.approx(math.pi, abs=0) or True
+        assert Box7(np.zeros(3), 1, 1, 1, 3 * math.pi).yaw == -math.pi
         b = Box7(np.zeros(3), 1, 1, 1, 3 * math.pi)
         assert -math.pi <= b.yaw < math.pi
         assert b.yaw == pytest.approx(normalize_angle(3 * math.pi))
@@ -128,17 +80,17 @@ class TestBox7:
 class TestPointInBox:
     def test_center_inside(self):
         box = Box7(np.array([1.0, 2.0, 3.0]), 2, 1, 1, 0.3)
-        assert point_in_box(box, box.center)
+        assert points_in_box(box, box.center)[0]
 
     def test_far_point_outside(self):
         box = Box7(np.zeros(3), 2, 1, 1, 0.0)
         diag = math.sqrt(box.l**2 + box.w**2 + box.h**2)
-        assert not point_in_box(box, np.array([2 * diag, 0.0, 0.0]))
+        assert not points_in_box(box, np.array([2 * diag, 0.0, 0.0]))[0]
 
     def test_boundary_inclusive(self):
         box = Box7(np.zeros(3), 2, 1, 1, 0.0)
-        assert point_in_box(box, np.array([1.0, 0.0, 0.0]))
-        assert point_in_box(box, np.array([1.0, 0.5, 0.5]))
+        assert points_in_box(box, np.array([1.0, 0.0, 0.0]))[0]
+        assert points_in_box(box, np.array([1.0, 0.5, 0.5]))[0]
 
     def test_agrees_with_frame_inversion_oracle(self):
         rng = np.random.default_rng(11)
@@ -192,10 +144,10 @@ class TestIoU3D:
         rng = np.random.default_rng(seed)
         a, b = random_box_pair(rng)
         shift = rng.uniform(-20, 20, size=3)
-        g = SE3Pose.from_yaw(theta, shift)
+        rot = yaw_matrix(theta)
 
         def moved(box):
-            return Box7(se3_apply(g, box.center[None, :])[0], box.l, box.w, box.h, box.yaw + theta)
+            return Box7(rot @ box.center + shift, box.l, box.w, box.h, box.yaw + theta)
 
         assert abs(iou_3d(moved(a), moved(b)) - iou_3d(a, b)) <= 1e-9
 
@@ -206,74 +158,6 @@ class TestIoU3D:
         a, b = random_box_pair(rng)
         inter = bev_intersection_area(a, b)
         assert inter <= min(a.l * a.w, b.l * b.w) + 1e-9
-
-
-class TestProjection:
-    CAM = CameraModel(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0, width=1000, height=1000)
-
-    def test_optical_axis_point(self):
-        uvd, valid = project_points(self.CAM, np.array([[0.0, 0.0, 7.5]]))
-        assert valid[0]
-        np.testing.assert_allclose(uvd[0], [500.0, 500.0, 7.5], atol=1e-12)
-
-    def test_behind_camera_culled(self):
-        _, valid = project_points(self.CAM, np.array([[0.0, 0.0, -1.0]]))
-        assert not valid[0]
-
-    def test_closed_form_pinhole(self):
-        uvd, valid = project_points(self.CAM, np.array([[0.1, 0.0, 1.0]]))
-        assert valid[0]
-        np.testing.assert_allclose(uvd[0], [600.0, 500.0, 1.0], atol=1e-9)
-
-    def test_outside_image_culled(self):
-        _, valid = project_points(self.CAM, np.array([[10.0, 0.0, 1.0]]))
-        assert not valid[0]
-
-    def test_project_unproject_roundtrip(self):
-        rng = np.random.default_rng(3)
-        extr = SE3Pose.from_yaw(0.4, (0.5, -1.0, 2.0))
-        cam = CameraModel(800.0, 820.0, 640.0, 360.0, 1280, 720, extr)
-        pts = np.stack(
-            [rng.uniform(-0.5, 0.5, 50), rng.uniform(-0.3, 0.3, 50), rng.uniform(2.0, 30.0, 50)],
-            axis=1,
-        )
-        world = se3_apply(se3_inverse(extr), pts)
-        uvd, valid = project_points(cam, world)
-        assert np.all(valid)
-        # independent unprojection through the inverse extrinsic
-        x = (uvd[:, 0] - cam.cx) * uvd[:, 2] / cam.fx
-        y = (uvd[:, 1] - cam.cy) * uvd[:, 2] / cam.fy
-        rebuilt = se3_apply(se3_inverse(extr), np.stack([x, y, uvd[:, 2]], axis=1))
-        np.testing.assert_allclose(rebuilt, world, atol=1e-9)
-
-    def test_box_behind_camera_is_none(self):
-        box = Box7(np.array([0.0, 0.0, -10.0]), 1, 1, 1, 0.0)
-        assert project_box_to_2d(self.CAM, box) is None
-
-    def test_box_on_axis_symmetric(self):
-        box = Box7(np.array([0.0, 0.0, 10.0]), 2, 2, 2, 0.3)
-        aabb = project_box_to_2d(self.CAM, box)
-        assert aabb is not None
-        umin, vmin, umax, vmax = aabb
-        assert (umin + umax) / 2 == pytest.approx(500.0, abs=1e-9)
-        assert (vmin + vmax) / 2 == pytest.approx(500.0, abs=1e-9)
-
-    def test_aabb_contains_interior_point_projections(self):
-        rng = np.random.default_rng(5)
-        box = Box7(np.array([1.0, 0.5, 12.0]), 3, 2, 2, 0.9)
-        aabb = project_box_to_2d(self.CAM, box)
-        assert aabb is not None
-        umin, vmin, umax, vmax = aabb
-        local = rng.uniform(-0.5, 0.5, size=(1000, 3)) * np.array([box.l, box.w, box.h])
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        world = np.stack(
-            [c * local[:, 0] - s * local[:, 1], s * local[:, 0] + c * local[:, 1], local[:, 2]],
-            axis=1,
-        ) + box.center
-        uvd, valid = project_points(self.CAM, world)
-        assert np.all(valid)
-        assert np.all(uvd[:, 0] >= umin - 1e-9) and np.all(uvd[:, 0] <= umax + 1e-9)
-        assert np.all(uvd[:, 1] >= vmin - 1e-9) and np.all(uvd[:, 1] <= vmax + 1e-9)
 
 
 class TestAnnotationRange:

@@ -7,7 +7,7 @@ from gradcheck import finite_diff_check
 from moniground import grounder as G
 from moniground import synthdata as S
 from moniground import tensor as T
-from moniground.geom3d import Box7, iou_3d, point_in_box
+from moniground.geom3d import Box7, iou_3d
 from moniground.pointenc import CandidateSet
 
 
@@ -34,7 +34,6 @@ def manual_output(raw, cls_logits, residuals, shifts, lang_logits, cand_pos, see
         shifts=mk(shifts),
         features=mk(np.zeros((m, 4))),
         seeds=np.asarray(seeds if seeds is not None else cand_pos, dtype=float),
-        seed_indices=np.arange(m),
     )
     raw_t = mk(np.asarray(raw, dtype=float).reshape(1, m))
     return G.ModelOutput(

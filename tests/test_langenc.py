@@ -10,7 +10,6 @@ from moniground.langenc import (
     Vocabulary,
     bigru_encode,
     embed,
-    encode_text,
     init_lang_params,
     tokenize,
 )
@@ -168,11 +167,18 @@ class TestBiGRU:
 
 
 class TestEncodeText:
+    """Tokens -> ids -> embeddings -> BiGRU, the path the model takes."""
+
+    @staticmethod
+    def encode(tokens, vocab, params):
+        ids, length = vocab.encode(tokens, CFG.max_len)
+        return bigru_encode(embed(ids, params), length, params, CFG)
+
     def test_shape_and_determinism(self):
         params = make_params()
         vocab = Vocabulary.build([["the", "red", "car"]])
-        a = encode_text(["the", "red", "car"], vocab, params, CFG)
-        b = encode_text(["the", "red", "car"], vocab, params, CFG)
+        a = self.encode(["the", "red", "car"], vocab, params)
+        b = self.encode(["the", "red", "car"], vocab, params)
         assert a.shape == (1, 2 * CFG.hidden_dim)
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -180,4 +186,4 @@ class TestEncodeText:
         params = make_params()
         vocab = Vocabulary.build([["a"]])
         with pytest.raises(ValueError):
-            encode_text([], vocab, params, CFG)
+            self.encode([], vocab, params)

@@ -57,11 +57,11 @@ class TestFPSDistance:
         np.testing.assert_array_equal(fps_distance(pts, k), brute_force_fps(pts, k, metric))
 
     def test_rigid_transform_invariance(self):
-        from moniground.geom3d import SE3Pose, se3_apply
+        from moniground.geom3d import yaw_matrix
 
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(40, 3))
-        moved = se3_apply(SE3Pose.from_yaw(0.9, (4.0, -2.0, 1.0)), pts)
+        moved = pts @ yaw_matrix(0.9).T + np.array([4.0, -2.0, 1.0])
         np.testing.assert_array_equal(fps_distance(pts, 12), fps_distance(moved, 12))
 
     def test_empty_rejected(self):

@@ -205,7 +205,9 @@ class TestSplits:
             sid = f"scene_{i:05d}"
             for j in range(int(rng.integers(1, 4))):
                 samples.append(S.GroundingSample(sid, f"obj_{j:02d}", "t", ["t"], "Unique", "Near"))
-        train, val, test = S.split(samples, (0.6, 0.2, 0.2), seed)
+        assignment = S.split_scene_ids(sorted({s.scene_id for s in samples}), (0.6, 0.2, 0.2), seed)
+        dataset = S.Dataset({}, samples, {"splits": assignment})
+        train, val, test = (dataset.split_samples(name) for name in S.SPLIT_NAMES)
         assert len(train) + len(val) + len(test) == len(samples)
         per_split_scenes = [{s.scene_id for s in part} for part in (train, val, test)]
         for i in range(3):
