@@ -323,15 +323,23 @@ def cmd_baseline(cfg: RunConfig, out) -> int:
 def cmd_report(cfg: RunConfig, report_path: str, out) -> int:
     if not os.path.isfile(report_path):
         raise DatasetIOError(f"report file not found: {report_path}")
-    with open(report_path, encoding="utf-8") as f:
-        doc = json.load(f)
-    subsets = {
-        name: evalbench.SubsetStats(v["count"], v["acc25"], v["acc50"])
-        for name, v in doc["subsets"].items()
-    }
+    try:
+        with open(report_path, encoding="utf-8") as f:
+            doc = json.load(f)
+        rows = doc["subsets"]
+        subsets = {
+            name: evalbench.SubsetStats(int(rows[name]["count"]), float(rows[name]["acc25"]),
+                                        float(rows[name]["acc50"]))
+            for name in evalbench.SUBSET_ORDER
+        }
+        warnings = doc.get("warnings", [])
+        if not isinstance(warnings, list):
+            raise TypeError(f"warnings is a {type(warnings).__name__}, not a list")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DatasetIOError(f"malformed report {report_path!r} ({type(exc).__name__}: {exc})") from exc
     report = evalbench.EvalReport(
         subsets,
-        doc.get("warnings", []),
+        warnings,
         {"split": doc.get("split"), "predictor-id": doc.get("predictor-id")},
     )
     print(evalbench.render_report(report), file=out)

@@ -7,6 +7,13 @@ candidate nearest the referred object's center, and a small head decodes a
 7-DoF box from that candidate's residuals. Training optimizes the weighted
 sum of candidate classification, box regression, center-shift, language
 category, and reference losses.
+
+The visual half (`encode_scene`) never reads the text, so inference is
+scene-major: `evalbench.model_predictor` encodes a scene once and grounds
+each of its expressions (`ground_text`) against the cached candidates, and
+`train_model` computes one sampling plan per scene. A model from
+`load_model` holds parameters that do not require gradients, so inference
+builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -221,9 +228,12 @@ class GroundingModel:
         row = T.reshape(raw, (1, f_m.shape[0]))
         return row, T.row_softmax(row)
 
-    def forward(self, xyz: np.ndarray, feats: np.ndarray, token_ids: np.ndarray, length: int,
-                plan=None) -> ModelOutput:
-        cand = self.encoder.forward(xyz, T.constant(feats), plan)
+    def encode_scene(self, xyz: np.ndarray, feats: np.ndarray, plan=None) -> CandidateSet:
+        """Visual half: candidates of one scene, independent of any expression."""
+        return self.encoder.forward(xyz, T.constant(feats), plan)
+
+    def ground_text(self, cand: CandidateSet, token_ids: np.ndarray, length: int) -> ModelOutput:
+        """Text half: encode one expression and score it against a scene's candidates."""
         f_w = langenc.embed(token_ids, self.params)
         f_l = langenc.bigru_encode(f_w, length, self.params, self.config.lang)
         f_m = self.fuse(cand.features, f_l)
@@ -232,6 +242,10 @@ class GroundingModel:
         residuals = T.add(T.matmul(f_m, self.params["head.reg.w"]), self.params["head.reg.b"])
         lang_logits = T.add(T.matmul(f_l, self.params["head.lang.w"]), self.params["head.lang.b"])
         return ModelOutput(cand, raw, conf, cls_logits, residuals, lang_logits, f_l)
+
+    def forward(self, xyz: np.ndarray, feats: np.ndarray, token_ids: np.ndarray, length: int,
+                plan=None) -> ModelOutput:
+        return self.ground_text(self.encode_scene(xyz, feats, plan), token_ids, length)
 
 
 def ground(output: ModelOutput) -> tuple[int, Box7]:
@@ -316,14 +330,14 @@ class _SampleBatchItem:
 
     __slots__ = ("scene", "target_id", "xyz", "feats", "token_ids", "length", "plan")
 
-    def __init__(self, scene: Scene, sample, model: GroundingModel, vocab: Vocabulary):
+    def __init__(self, scene: Scene, sample, model: GroundingModel, vocab: Vocabulary, plan):
         pc = scene.points
         self.scene = scene
         self.target_id = sample.target_id
         self.xyz = pc.xyz
         self.feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
         self.token_ids, self.length = vocab.encode(sample.tokens, model.config.lang.max_len)
-        self.plan = model.encoder.precompute_plan(pc.xyz)
+        self.plan = plan
 
 
 def train_model(
@@ -339,7 +353,14 @@ def train_model(
     started = time.perf_counter()
     vocab = Vocabulary.build(s.tokens for s in samples)
     model = GroundingModel(model_config, len(vocab), seed=train_config.seed)
-    items = [_SampleBatchItem(scenes[s.scene_id], s, model, vocab) for s in samples]
+    # a plan depends only on point positions: one per scene, shared by its samples
+    plans: dict[str, list] = {}
+    items = []
+    for s in samples:
+        scene = scenes[s.scene_id]
+        if s.scene_id not in plans:
+            plans[s.scene_id] = model.encoder.precompute_plan(scene.points.xyz)
+        items.append(_SampleBatchItem(scene, s, model, vocab, plans[s.scene_id]))
     state = T.AdamState(
         learning_rate=train_config.learning_rate, weight_decay=train_config.weight_decay
     )
@@ -375,16 +396,29 @@ def train_model(
     return TrainResult(model, vocab, curve, time.perf_counter() - started)
 
 
-def predict(model: GroundingModel, vocab: Vocabulary, scene: Scene, text: str) -> tuple[Box7, np.ndarray, int]:
-    """Full forward pass on one scene + expression; deterministic."""
+def scene_candidates(model: GroundingModel, scene: Scene) -> CandidateSet:
+    """`encode_scene` on a scene's point cloud with the model's input modality."""
     pc = scene.points
     if pc is None:
         raise ValueError(f"scene {scene.scene_id} has no point cloud")
-    feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
+    return model.encode_scene(pc.xyz, assemble_features(pc.rgb, pc.intensity, model.config.modality))
+
+
+def predict(model: GroundingModel, vocab: Vocabulary, scene: Scene, text: str,
+            candidates: CandidateSet | None = None) -> tuple[Box7, np.ndarray, int]:
+    """Ground one expression in one scene; deterministic.
+
+    `candidates` is the scene's `scene_candidates` output. A caller that
+    grounds several expressions of one scene passes it in, so the scene is
+    encoded once (see `evalbench.model_predictor`); without it the scene is
+    encoded here. Either way the result equals `ground(model.forward(...))`.
+    """
     token_ids, length = vocab.encode(langenc.tokenize(text), model.config.lang.max_len)
     if length < 1:
         raise ValueError("expression has no usable tokens")
-    out = model.forward(pc.xyz, feats, token_ids, length)
+    if candidates is None:
+        candidates = scene_candidates(model, scene)
+    out = model.ground_text(candidates, token_ids, length)
     idx, box = ground(out)
     return box, out.confidences.data[0].copy(), idx
 
@@ -436,18 +470,28 @@ def save_model(directory: str, model: GroundingModel, vocab: Vocabulary, extra_m
 
 
 def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
+    """Read a bundle written by save_model, for inference.
+
+    A missing, malformed or mutually inconsistent file raises
+    CheckpointCompatError. The parameters do not require gradients, so a
+    loaded model builds no autodiff graph and cannot be trained further.
+    """
     for name in ("checkpoint.bin", "vocab.json", "config.json"):
         if not os.path.isfile(os.path.join(directory, name)):
             raise CheckpointCompatError(f"checkpoint bundle is missing {name} under {directory!r}")
-    with open(os.path.join(directory, "config.json"), encoding="utf-8") as f:
-        meta = json.load(f)
-    with open(os.path.join(directory, "vocab.json"), encoding="utf-8") as f:
-        vocab = Vocabulary.from_json(f.read())
-    if len(vocab) != meta["vocab_size"]:
+    try:
+        with open(os.path.join(directory, "config.json"), encoding="utf-8") as f:
+            meta = json.load(f)
+        with open(os.path.join(directory, "vocab.json"), encoding="utf-8") as f:
+            vocab = Vocabulary.from_json(f.read())
+        vocab_size, model_dict = meta["vocab_size"], meta["model"]
+    except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointCompatError(
-            f"vocabulary size {len(vocab)} does not match config echo {meta['vocab_size']}"
-        )
-    config = model_config_from_dict(meta["model"])
+            f"malformed checkpoint bundle under {directory!r} ({type(exc).__name__}: {exc})"
+        ) from exc
+    if len(vocab) != vocab_size:
+        raise CheckpointCompatError(f"vocabulary size {len(vocab)} does not match config echo {vocab_size}")
+    config = model_config_from_dict(model_dict)
     with open(os.path.join(directory, "checkpoint.bin"), "rb") as f:
         try:
             arrays = T.checkpoint_load(f.read())
@@ -463,7 +507,7 @@ def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
         raise CheckpointCompatError(
             f"checkpoint does not fit configuration (missing={missing}, unexpected={extra}, reshaped={shapes})"
         )
-    params = {k: T.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    params = {k: T.Tensor(v) for k, v in arrays.items()}
     return GroundingModel(config, len(vocab), params=params), vocab
 
 

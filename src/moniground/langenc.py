@@ -58,7 +58,15 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
-        return cls(json.loads(text))
+        """Inverse of to_json. The ids must be exactly 2 .. len + 1, each once,
+        so every id indexes a row of the embedding table; ValueError otherwise."""
+        token_to_id = json.loads(text)
+        if not isinstance(token_to_id, dict):
+            raise ValueError("vocabulary must map tokens to ids")
+        ids = list(token_to_id.values())
+        if not all(type(i) is int for i in ids) or sorted(ids) != list(range(2, len(ids) + 2)):
+            raise ValueError("vocabulary ids must be the distinct integers 2 .. size + 1")
+        return cls(token_to_id)
 
 
 @dataclass(frozen=True)

@@ -735,10 +735,20 @@ def read_dataset(root: str) -> Dataset:
         flat = raw.reshape(-1, 7).astype(np.float64)
         pc = PointCloud(flat[:, :3], flat[:, 3:6], flat[:, 6])
         scenes[sid] = Scene(payload["scene_id"], payload["metadata"], objects, pc)
+    expressions_path = os.path.join(root, "expressions.jsonl")
+    if not os.path.isfile(expressions_path):
+        raise DatasetIOError(f"no expressions.jsonl under {root!r}")
     samples = []
-    with open(os.path.join(root, "expressions.jsonl"), encoding="utf-8") as f:
+    with open(expressions_path, encoding="utf-8") as f:
         for line in f:
             if line.strip():
                 d = json.loads(line)
                 samples.append(GroundingSample(**d))
+    # every later stage looks scenes and targets up by these keys
+    for s in samples:
+        scene = scenes.get(s.scene_id)
+        if scene is None:
+            raise DatasetIOError(f"expression names unknown scene {s.scene_id!r}")
+        if all(o.object_id != s.target_id for o in scene.objects):
+            raise DatasetIOError(f"expression names unknown target {s.target_id!r} in scene {s.scene_id!r}")
     return Dataset(scenes, samples, manifest)

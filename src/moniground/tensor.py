@@ -493,7 +493,10 @@ def checkpoint_load(buf: bytes) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", r.take(2))
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"checkpoint entry name is not UTF-8 ({exc})") from exc
         (rank,) = struct.unpack("<B", r.take(1))
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
         size = int(np.prod(dims)) if rank else 1

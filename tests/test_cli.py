@@ -5,9 +5,10 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
-from moniground import cli
+from moniground import cli, grounder
 
 
 def run_cli(*argv):
@@ -37,6 +38,15 @@ DEFAULT_ECHO = {
 }
 
 
+# sha256 of the trained_run fixture's checkpoint.bin, recorded before the
+# model was split into encode_scene and ground_text
+TRAINED_CHECKPOINT_SHA256 = "e49e4ebb53692ac08368ae680e3fff919750fbe8fd5b01e80a8b0ea4ce63c491"
+# sha256 over every (box, confidences) that `eval --split val` predicts on
+# the trained_run fixture (see predictions_sha256); recorded before
+# model_predictor reused a scene's candidates across its expressions
+VAL_PREDICTIONS_SHA256 = "0d8bc2627d46d8c7a1b66d33dc53096b25fbd2e7804b71b2d76d242c8bdb4ed1"
+
+
 def tree_sha256(root):
     """One digest over every file's relative path and content, in sorted order."""
     digest = hashlib.sha256()
@@ -47,6 +57,24 @@ def tree_sha256(root):
             digest.update(os.path.relpath(path, root).replace(os.sep, "/").encode() + b"\0")
             with open(path, "rb") as f:
                 digest.update(hashlib.sha256(f.read()).digest())
+    return digest.hexdigest()
+
+
+def predictions_sha256(monkeypatch, *argv):
+    """Run the CLI and digest, in call order, every box and confidence vector
+    grounder.predict returns."""
+    digest = hashlib.sha256()
+    predict = grounder.predict
+
+    def recording(*args, **kwargs):
+        box, confidences, idx = predict(*args, **kwargs)
+        digest.update(np.array([*box.center, box.l, box.w, box.h, box.yaw], dtype="<f8").tobytes())
+        digest.update(np.asarray(confidences, dtype="<f8").tobytes())
+        return box, confidences, idx
+
+    monkeypatch.setattr(grounder, "predict", recording)
+    code, out = run_cli(*argv)
+    assert code == 0, out
     return digest.hexdigest()
 
 
@@ -129,6 +157,8 @@ class TestTrain:
         with open(os.path.join(trained_run, "loss_curve.csv")) as f:
             header = f.readline().strip().split(",")
         assert header == ["epoch", "lr", "total", "cls", "reg", "shift", "lang", "ref"]
+        with open(os.path.join(trained_run, "checkpoint.bin"), "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == TRAINED_CHECKPOINT_SHA256
 
     def test_config_echo_embedded(self, trained_run):
         meta = json.load(open(os.path.join(trained_run, "config.json")))
@@ -177,12 +207,39 @@ class TestEval:
             assert counts[split] == expected
         assert counts["val"] != counts["test"] or counts["val"] > 0
 
+    def test_predictions_pinned(self, dataset_dir, trained_run, tmp_path, monkeypatch):
+        digest = predictions_sha256(monkeypatch, "eval", "--data", dataset_dir, "--checkpoint", trained_run,
+                                    "--split", "val", "--report-out", str(tmp_path / "r.json"), "--seed", "5")
+        assert digest == VAL_PREDICTIONS_SHA256
+
     def test_incompatible_checkpoint_is_exit_3(self, dataset_dir, trained_run, tmp_path, capsys):
+        def json_edit(edit):
+            def corrupt(blob):
+                doc = json.loads(blob)
+                edit(doc)
+                return json.dumps(doc).encode()
+
+            corrupt.__name__ = edit.__name__
+            return corrupt
+
+        @json_edit
         def reshaped_config(meta):
             meta["model"]["fused_dim"] = 3
 
+        @json_edit
         def dropped_config_field(meta):
             del meta["model"]["shared_dim"]
+
+        @json_edit
+        def dropped_vocab_size(meta):
+            del meta["vocab_size"]
+
+        @json_edit
+        def non_integer_vocab_id(vocab):
+            vocab[min(vocab)] = "x"
+
+        def garbled_json(blob):
+            return blob[: len(blob) // 2]
 
         def truncated_checkpoint(blob):
             return blob[: len(blob) // 2]
@@ -190,29 +247,32 @@ class TestEval:
         def padded_checkpoint(blob):
             return blob + b"\0" * 8
 
+        def non_utf8_entry_name(blob):
+            # bytes 12-13 hold the first entry's name length; its name starts at 14
+            return blob[:14] + b"\xff" + blob[15:]
+
         corruptions = [
             ("config.json", reshaped_config),
             ("config.json", dropped_config_field),
+            ("config.json", dropped_vocab_size),
+            ("config.json", garbled_json),
+            ("vocab.json", garbled_json),
+            ("vocab.json", non_integer_vocab_id),
             ("checkpoint.bin", truncated_checkpoint),
             ("checkpoint.bin", padded_checkpoint),
+            ("checkpoint.bin", non_utf8_entry_name),
         ]
         for name, corrupt in corruptions:
-            broken = str(tmp_path / corrupt.__name__)
+            broken = str(tmp_path / f"{corrupt.__name__}-{name}")
             shutil.copytree(trained_run, broken)
             path = os.path.join(broken, name)
-            if name == "config.json":
-                meta = json.load(open(path))
-                corrupt(meta)
-                with open(path, "w") as f:
-                    json.dump(meta, f)
-            else:
-                with open(path, "rb") as f:
-                    blob = f.read()
-                with open(path, "wb") as f:
-                    f.write(corrupt(blob))
+            with open(path, "rb") as f:
+                blob = f.read()
+            with open(path, "wb") as f:
+                f.write(corrupt(blob))
             capsys.readouterr()
             code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", broken, "--split", "val")
-            assert code == 3, corrupt.__name__
+            assert code == 3, (name, corrupt.__name__)
             assert_one_line_error(capsys)
 
     def test_broken_report_is_exit_4(self, dataset_dir, tmp_path, monkeypatch, capsys):
@@ -230,6 +290,48 @@ class TestEval:
         assert not os.path.exists(tmp_path / "r.json")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Acc@0.25 < Acc@0.5" in err and err.count("\n") == 1, err
+
+
+class TestDatasetFaults:
+    def test_dataset_faults_are_exit_3(self, dataset_dir, trained_run, tmp_path, capsys):
+        splits = json.load(open(os.path.join(dataset_dir, "manifest.json")))["splits"]
+
+        def edit_sample(split, key, value):
+            def corrupt(path):
+                with open(path) as f:
+                    lines = f.read().splitlines()
+                i = next(i for i, line in enumerate(lines) if splits[json.loads(line)["scene_id"]] == split)
+                sample = json.loads(lines[i])
+                sample[key] = value
+                lines[i] = json.dumps(sample)
+                with open(path, "w") as f:
+                    f.write("\n".join(lines) + "\n")
+
+            return corrupt
+
+        report = str(tmp_path / "r.json")
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text("decay_epochs =\nepochs = 1\n")
+        commands = {
+            "eval": ("--checkpoint", trained_run, "--split", "val", "--report-out", report),
+            "baseline": ("--which", "detbest", "--split", "val", "--report-out", report),
+            "train": ("--config", str(train_cfg), "--out", str(tmp_path / "run")),
+        }
+        cases = [
+            ("eval", "unknown_scene", edit_sample("val", "scene_id", "scene_99999")),
+            ("baseline", "unknown_scene", edit_sample("val", "scene_id", "scene_99999")),
+            ("eval", "unknown_target", edit_sample("val", "target_id", "obj_99")),
+            ("train", "unknown_target", edit_sample("train", "target_id", "obj_99")),
+            ("train", "missing_expressions", os.remove),
+        ]
+        for command, label, corrupt in cases:
+            broken = str(tmp_path / f"{command}-{label}")
+            shutil.copytree(dataset_dir, broken)
+            corrupt(os.path.join(broken, "expressions.jsonl"))
+            capsys.readouterr()
+            code, _ = run_cli(command, "--data", broken, *commands[command])
+            assert code == 3, (command, label)
+            assert_one_line_error(capsys)
 
 
 class TestBaseline:
@@ -275,6 +377,24 @@ class TestReport:
     def test_missing_report_is_exit_3(self, tmp_path):
         code, _ = run_cli("report", "--report", str(tmp_path / "none.json"))
         assert code == 3
+
+    def test_malformed_report_is_exit_3(self, tmp_path, capsys):
+        documents = {
+            "garbled": '{"subsets": {"Overall": ',
+            "no_subsets": '{"split": "val"}',
+            "subsets_list": '{"subsets": [1, 2, 3]}',
+            "warnings_number": json.dumps({
+                "subsets": {name: {"count": 1, "acc25": 0.0, "acc50": 0.0} for name in cli.evalbench.SUBSET_ORDER},
+                "warnings": 5,
+            }),
+        }
+        for label, text in documents.items():
+            path = tmp_path / f"{label}.json"
+            path.write_text(text)
+            capsys.readouterr()
+            code, _ = run_cli("report", "--report", str(path))
+            assert code == 3, label
+            assert_one_line_error(capsys)
 
     def test_no_command_is_exit_2(self):
         code, _ = run_cli()

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from moniground import evalbench as E
+from moniground import grounder as G
 from moniground import synthdata as S
 from moniground.geom3d import Box7, iou_3d
+from moniground.langenc import Vocabulary, tokenize
+from moniground.pointenc import assemble_features
 from moniground.seeding import substream
 
 
@@ -289,3 +292,53 @@ class TestEvaluateAndReport:
                 assert int(parts[1]) == doc["subsets"][name]["count"]
                 assert float(parts[2]) == pytest.approx(doc["subsets"][name]["acc25"], abs=0.005)
                 assert float(parts[3]) == pytest.approx(doc["subsets"][name]["acc50"], abs=0.005)
+
+
+class TestModelPredictor:
+    @staticmethod
+    def full_forward(model, vocab, scene, text):
+        """The per-sample reference: encode the scene and the text together."""
+        pc = scene.points
+        feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
+        token_ids, length = vocab.encode(tokenize(text), model.config.lang.max_len)
+        out = model.forward(pc.xyz, feats, token_ids, length)
+        idx, box = G.ground(out)
+        return box, out.confidences.data[0], idx
+
+    def test_scene_cache_matches_full_forward(self, monkeypatch):
+        config = S.GenConfig(scene_count=3, objects_min=2, objects_max=3, expressions_per_object=3)
+        # same scene ids, other objects and points
+        first, second = S.gen_dataset(4, config), S.gen_dataset(5, config)
+        vocab = Vocabulary.build(s.tokens for s in first.samples + second.samples)
+        model = G.GroundingModel(G.tiny_model_config(), len(vocab), seed=1)
+
+        calls = []
+        predict = G.predict
+
+        def recording(m, v, scene, text, *rest):
+            result = predict(m, v, scene, text, *rest)
+            calls.append((scene, text, result))
+            return result
+
+        encodes = []
+        encode = model.encoder.forward
+        monkeypatch.setattr(G, "predict", recording)
+        monkeypatch.setattr(model.encoder, "forward", lambda *a: encodes.append(1) or encode(*a))
+
+        predictor = E.model_predictor(model, vocab)
+        E.evaluate(predictor, first.scenes, first.samples)
+        # the cache now holds the first dataset's last scene; start the second
+        # dataset at the scene with that id
+        last_id = max(first.scenes)
+        E.evaluate(predictor, second.scenes, [s for s in second.samples if s.scene_id == last_id])
+        E.evaluate(predictor, second.scenes, second.samples)
+
+        assert len(encodes) == 3 + 1 + 3
+        assert len(calls) == len(first.samples) + len(second.samples) + sum(
+            s.scene_id == last_id for s in second.samples)
+        for scene, text, (box, confidences, idx) in calls:
+            ref_box, ref_confidences, ref_idx = self.full_forward(model, vocab, scene, text)
+            assert idx == ref_idx
+            assert np.array_equal(confidences, ref_confidences)
+            assert np.array_equal(box.center, ref_box.center)
+            assert (box.l, box.w, box.h, box.yaw) == (ref_box.l, ref_box.w, ref_box.h, ref_box.yaw)

@@ -8,7 +8,7 @@ from moniground import grounder as G
 from moniground import synthdata as S
 from moniground import tensor as T
 from moniground.geom3d import Box7, iou_3d
-from moniground.pointenc import CandidateSet
+from moniground.pointenc import CandidateSet, PointEncoder, assemble_features
 
 
 def tiny_model(seed=0, modality="xyz+rgb+intensity", vocab_size=12):
@@ -400,6 +400,16 @@ class TestTraining:
         gt = scene.object_by_id(sample.target_id).box
         assert iou_3d(box, gt) > 0.5
 
+    def test_one_plan_per_scene(self, monkeypatch):
+        dataset = S.gen_dataset(6, S.GenConfig(scene_count=2, objects_min=2, objects_max=3,
+                                               expressions_per_object=2))
+        calls = []
+        plan = PointEncoder.precompute_plan
+        monkeypatch.setattr(PointEncoder, "precompute_plan", lambda self, xyz: calls.append(1) or plan(self, xyz))
+        cfg = G.TrainConfig(epochs=1, batch_size=4, decay_epochs=(), seed=1)
+        G.train_model(dataset.scenes, dataset.samples, G.tiny_model_config(), cfg)
+        assert len(calls) == len({s.scene_id for s in dataset.samples}) == 2 < len(dataset.samples)
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             G.train_model({}, [], G.tiny_model_config(), G.TrainConfig())
@@ -442,6 +452,22 @@ class TestPredictAndCheckpoint:
         a = G.predict(result.model, result.vocab, scene, samples[0].text)
         b = G.predict(model2, vocab2, scene, samples[0].text)
         np.testing.assert_array_equal(a[1], b[1])
+
+    def test_loaded_model_builds_no_graph(self, tmp_path):
+        scene, samples = tiny_scene(18)
+        cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=8)
+        result = G.train_model({scene.scene_id: scene}, samples, G.tiny_model_config(), cfg)
+        G.save_model(str(tmp_path), result.model, result.vocab)
+        model, vocab = G.load_model(str(tmp_path))
+        pc = scene.points
+        feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
+        token_ids, length = vocab.encode(samples[0].tokens, model.config.lang.max_len)
+        out = model.forward(pc.xyz, feats, token_ids, length)
+        values = [*vars(out).values(), *vars(out.candidates).values()]
+        tensors = [v for v in values if isinstance(v, T.Tensor)]
+        assert len(tensors) == 9
+        for t in tensors:
+            assert not t.requires_grad and t._parents == ()
 
     def test_load_missing_bundle(self, tmp_path):
         with pytest.raises(G.CheckpointCompatError):

@@ -60,6 +60,11 @@ class TestVocabulary:
         again = Vocabulary.from_json(vocab.to_json())
         assert again.token_to_id == vocab.token_to_id
 
+    def test_from_json_rejects_ids_outside_the_embedding_table(self):
+        for text in ('["a"]', '{"a": "2"}', '{"a": true}', '{"a": 1}', '{"a": 2, "b": 2}', '{"a": 2, "b": 9}'):
+            with pytest.raises(ValueError):
+                Vocabulary.from_json(text)
+
     def test_build_deterministic_order(self):
         v1 = Vocabulary.build([["x", "m"], ["a"]])
         v2 = Vocabulary.build([["a"], ["m", "x"]])
