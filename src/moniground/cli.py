@@ -4,7 +4,7 @@ One flat key=value config schema drives every command; a config file can
 set any key and CLI flags win over the file. All randomness flows from the
 single --seed through named sub-streams, so every command is reproducible.
 Exit codes: 0 success, 2 usage or config error, 3 data or checkpoint
-incompatibility, 4 internal invariant violation.
+incompatibility, 4 internal invariant violation or diverged training.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .grounder import (
     LossWeights,
     ModelConfig,
     TrainConfig,
+    TrainingDivergedError,
     load_model,
     save_model,
     train_model,
@@ -430,6 +431,9 @@ def main(argv=None, out=None) -> int:
         return EXIT_INCOMPATIBLE
     except (evalbench.ReportInvariantError, synthdata.GenerationError) as exc:
         print(f"error: invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except TrainingDivergedError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

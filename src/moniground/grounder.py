@@ -47,6 +47,10 @@ class CheckpointCompatError(RuntimeError):
     """Checkpoint, vocabulary, and model configuration disagree."""
 
 
+class TrainingDivergedError(RuntimeError):
+    """A training loss or gradient is NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class LossWeights:
     cls: float = 10.0
@@ -105,13 +109,11 @@ class ModelOutput:
     cls_logits: T.Tensor      # (M, 1) candidate objectness
     residuals: T.Tensor       # (M, 8) box residuals per candidate
     lang_logits: T.Tensor     # (1, 12) category prediction from text
-    sentence: T.Tensor        # (1, C_l)
 
 
 @dataclass
 class Targets:
-    cls: np.ndarray           # (M,) binary
-    pos_mask: np.ndarray      # (M,) candidates inside any box
+    cls: np.ndarray           # (M,) binary: candidate inside any box
     reg: np.ndarray           # (M, 8) residual targets, zero where not positive
     shift: np.ndarray         # (M, 3) seed-to-center targets, zero where unmasked
     shift_mask: np.ndarray    # (M,) seeds inside any box
@@ -172,7 +174,6 @@ def assign_targets(candidates: np.ndarray, seeds: np.ndarray, scene: Scene, targ
     dists = np.linalg.norm(candidates - target.box.center, axis=1)
     return Targets(
         cls=cls,
-        pos_mask=cls.copy(),
         reg=reg,
         shift=shift,
         shift_mask=shift_mask,
@@ -241,7 +242,7 @@ class GroundingModel:
         cls_logits = T.add(T.matmul(f_m, self.params["head.cls.w"]), self.params["head.cls.b"])
         residuals = T.add(T.matmul(f_m, self.params["head.reg.w"]), self.params["head.reg.b"])
         lang_logits = T.add(T.matmul(f_l, self.params["head.lang.w"]), self.params["head.lang.b"])
-        return ModelOutput(cand, raw, conf, cls_logits, residuals, lang_logits, f_l)
+        return ModelOutput(cand, raw, conf, cls_logits, residuals, lang_logits)
 
     def forward(self, xyz: np.ndarray, feats: np.ndarray, token_ids: np.ndarray, length: int,
                 plan=None) -> ModelOutput:
@@ -265,9 +266,9 @@ def compute_loss(output: ModelOutput, targets: Targets, weights: LossWeights) ->
     m = output.cls_logits.shape[0]
     l_cls = T.mean(T.bce_with_logits(output.cls_logits, T.constant(targets.cls.reshape(m, 1))))
 
-    n_pos = int(targets.pos_mask.sum())
+    n_pos = int(targets.cls.sum())
     if n_pos:
-        mask = np.repeat(targets.pos_mask.reshape(m, 1), RESIDUAL_DIM, axis=1)
+        mask = np.repeat(targets.cls.reshape(m, 1), RESIDUAL_DIM, axis=1)
         per_elem = T.smooth_l1(output.residuals, T.constant(targets.reg))
         l_reg = T.scale(T.tensor_sum(T.mul(per_elem, T.constant(mask))), 1.0 / (RESIDUAL_DIM * n_pos))
     else:
@@ -347,7 +348,11 @@ def train_model(
     train_config: TrainConfig,
     log=None,
 ) -> TrainResult:
-    """Seeded, bit-deterministic training loop over grounding samples."""
+    """Seeded, bit-deterministic training loop over grounding samples.
+
+    A NaN or infinite loss, or a gradient with such an entry before an Adam
+    step, raises TrainingDivergedError, so a diverged run returns no model.
+    """
     if not samples:
         raise ValueError("cannot train on an empty sample list")
     started = time.perf_counter()
@@ -384,11 +389,20 @@ def train_model(
                     out.candidates.positions.data, out.candidates.seeds, item.scene, item.target_id
                 )
                 loss, comps = compute_loss(out, targets, weights)
+                if not np.isfinite(loss.data):
+                    raise TrainingDivergedError(
+                        f"loss {float(loss.data)} at epoch {epoch} "
+                        f"(scene {item.scene.scene_id!r}, target {item.target_id!r})"
+                    )
                 T.backward(T.scale(loss, inv))
                 sums += [comps["total"], comps["cls"], comps["reg"], comps["shift"], comps["lang"], comps["ref"]]
             if emb.grad is not None:
                 emb.grad[langenc.PAD_ID, :] = 0.0  # keep the padding row frozen at zero
-            T.adam_step(params, {k: p.grad for k, p in params.items() if p.grad is not None}, state)
+            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
+            for name, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise TrainingDivergedError(f"non-finite gradient of {name} at epoch {epoch}")
+            T.adam_step(params, grads, state)
         avg = sums / len(order)
         curve.append(EpochStats(epoch, lr, *avg))
         if log is not None:
@@ -510,19 +524,3 @@ def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
     params = {k: T.Tensor(v) for k, v in arrays.items()}
     return GroundingModel(config, len(vocab), params=params), vocab
 
-
-def tiny_model_config(modality: str = "xyz+rgb+intensity") -> ModelConfig:
-    """Small dimensions for fast gradient checks and unit tests."""
-    encoder = EncoderConfig(
-        sa_layers=(
-            SALayerSpec(("distance",), 8, 3.0, 4, (6, 8)),
-            SALayerSpec(("distance", "feature"), 6, 6.0, 4, (8, 10)),
-        ),
-        m_candidates=4,
-        feature_dim=12,
-        cg_radius=6.0,
-        cg_cap=4,
-        shift_hidden=6,
-    )
-    lang = LangConfig(embed_dim=6, hidden_dim=5, max_len=8)
-    return ModelConfig(encoder, lang, shared_dim=10, fused_dim=12, modality=modality)

@@ -63,40 +63,77 @@ class CandidateSet:
 def _greedy_fps(dist_to, n: int, k: int) -> np.ndarray:
     """Greedy farthest-point loop from index 0 under any metric.
 
-    `dist_to(i)` returns the (n,) distances from point i to every point.
-    Returns min(k, n) distinct indices, padded with index 0 up to k. Ties
-    pick the lowest index.
+    `dist_to(i)` returns the (n,) distances from point i to every point; it
+    may return the same buffer on every call, so the first vector is copied.
+    Returns k indices: min(k, n) greedy picks, padded with index 0 up to k.
+    Ties pick the lowest index, so once every point is at distance 0 from
+    the chosen ones (duplicate points) each further pick is index 0. The
+    picks depend only on the values `dist_to` returns: a kernel whose values
+    are bit-identical to another's selects the same indices.
     """
     chosen = np.zeros(k, dtype=np.intp)
-    min_d = dist_to(0)
+    min_d = dist_to(0).copy()
     for i in range(1, min(k, n)):
-        nxt = int(np.argmax(min_d))
+        nxt = int(min_d.argmax())
         chosen[i] = nxt
         np.minimum(min_d, dist_to(nxt), out=min_d)
     return chosen
 
 
+def _sq_distance_to(points: np.ndarray):
+    """`dist_to(i)` for squared euclidean distance, writing into one buffer.
+
+    Each call returns the same (n,) buffer, holding
+    `(dx*dx + dy*dy) + dz*dz` from per-column contiguous copies: the same
+    operations in the same summation order as
+    `np.sum((points - points[i]) ** 2, axis=1)`, so the values are
+    bit-identical to it, without the slow reduction over 3-wide rows.
+    """
+    cols = [np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])]
+    out = np.empty_like(cols[0])
+    tmp = np.empty_like(cols[0])
+
+    def dist_to(i: int) -> np.ndarray:
+        np.subtract(cols[0], cols[0][i], out=out)
+        np.multiply(out, out, out=out)
+        for col in cols[1:]:
+            np.subtract(col, col[i], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(out, tmp, out=out)
+        return out
+
+    return dist_to
+
+
 def fps_distance(points: np.ndarray, k: int) -> np.ndarray:
-    """D-FPS: k farthest-point indices under euclidean distance (see _greedy_fps)."""
+    """D-FPS: k farthest-point indices under euclidean distance (see _greedy_fps).
+
+    Distances are squared and bit-identical to
+    `np.sum((points - points[i]) ** 2, axis=1)` (see _sq_distance_to).
+    """
     n = len(points)
     if n == 0:
         raise ValueError("fps_distance on empty input")
-    return _greedy_fps(lambda i: np.sum((points - points[i]) ** 2, axis=1), n, k)
+    return _greedy_fps(_sq_distance_to(points), n, k)
 
 
 def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: float = 1.0) -> np.ndarray:
-    """F-FPS: k farthest-point indices under d = feature-L2 + lambda * euclidean-L2."""
+    """F-FPS: k farthest-point indices under d = feature-L2 + lambda * euclidean-L2.
+
+    The euclidean term is the square root of _sq_distance_to's squared
+    distance, bit-identical to `np.sum((points - points[i]) ** 2, axis=1)`.
+    """
     n = len(points)
     if n == 0:
         raise ValueError("fps_feature on empty input")
     if len(features) != n:
         raise ValueError(f"points/features length mismatch: {n} vs {len(features)}")
     feat_sq = np.sum(features**2, axis=1)
+    sq_dist_to = _sq_distance_to(points)
 
     def dist_to(idx: int) -> np.ndarray:
         df = np.sqrt(np.maximum(feat_sq + feat_sq[idx] - 2.0 * (features @ features[idx]), 0.0))
-        dp = np.sqrt(np.sum((points - points[idx]) ** 2, axis=1))
-        return df + lambda_fps * dp
+        return df + lambda_fps * np.sqrt(sq_dist_to(idx))
 
     return _greedy_fps(dist_to, n, k)
 
@@ -107,6 +144,12 @@ def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int)
 
     Centers with fewer in-radius points repeat their first found index; a
     center with none uses its single nearest point (lowest index on ties).
+
+    `d2` must stay this exact expression: every mask comparison depends on
+    its last bits, and the groups equal those of the `cumsum(mask)`-ranked
+    reference in tests/oracles.py bit for bit. Each in-radius pair is
+    ranked within its row from `np.nonzero`, so the ranking work scales
+    with the number of in-radius pairs, not with M x N.
     """
     if radius <= 0:
         raise ValueError("ball radius must be positive")
@@ -115,11 +158,12 @@ def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int)
         + np.sum(points**2, axis=1)[None, :]
         - 2.0 * centers @ points.T
     )
-    mask = d2 <= radius * radius
-    order = np.cumsum(mask, axis=1)
+    rows, cols = np.nonzero(d2 <= radius * radius)
+    counts = np.bincount(rows, minlength=len(centers))
+    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    keep = rank < cap
     groups = np.full((len(centers), cap), -1, dtype=np.intp)
-    rows, cols = np.nonzero(mask & (order <= cap))
-    groups[rows, order[rows, cols] - 1] = cols
+    groups[rows[keep], rank[keep]] = cols[keep]
     first = groups[:, 0].copy()
     empty = first < 0
     if np.any(empty):

@@ -708,42 +708,64 @@ def write_dataset(root: str, dataset: Dataset) -> None:
     _dump_json(os.path.join(root, "manifest.json"), dataset.manifest)
 
 
+def _malformed(path: str, exc: Exception) -> DatasetIOError:
+    return DatasetIOError(f"malformed {path!r} ({type(exc).__name__}: {exc})")
+
+
 def read_dataset(root: str) -> Dataset:
+    """Read a directory written by write_dataset.
+
+    A missing file, unparsable JSON, or a record without a field it needs
+    raises DatasetIOError.
+    """
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise DatasetIOError(f"no manifest.json under {root!r}")
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    version = manifest.get("schema_version")
+    try:
+        with open(manifest_path, encoding="utf-8") as f:
+            manifest = json.load(f)
+        version = manifest.get("schema_version")
+    except (ValueError, AttributeError) as exc:
+        raise _malformed(manifest_path, exc) from exc
     if version != SCHEMA_VERSION:
         raise DatasetSchemaError(f"dataset schema version {version}, expected {SCHEMA_VERSION}")
+    try:
+        scene_ids = sorted(manifest["splits"])
+    except (KeyError, TypeError) as exc:
+        raise _malformed(manifest_path, exc) from exc
     scenes: dict[str, Scene] = {}
-    for sid in sorted(manifest["splits"]):
+    for sid in scene_ids:
         scene_path = os.path.join(root, "scenes", f"{sid}.json")
         points_path = os.path.join(root, "points", f"{sid}.bin")
         if not os.path.isfile(scene_path) or not os.path.isfile(points_path):
             raise DatasetIOError(f"scene {sid} listed in manifest but files are missing")
-        with open(scene_path, encoding="utf-8") as f:
-            payload = json.load(f)
-        objects = [
-            ObjectSpec(o["object_id"], o["category"], _box_from_json(o["box"]), o["attributes"])
-            for o in payload["objects"]
-        ]
+        try:
+            with open(scene_path, encoding="utf-8") as f:
+                payload = json.load(f)
+            objects = [
+                ObjectSpec(o["object_id"], o["category"], _box_from_json(o["box"]), o["attributes"])
+                for o in payload["objects"]
+            ]
+            scene_id, metadata = payload["scene_id"], payload["metadata"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _malformed(scene_path, exc) from exc
         raw = np.fromfile(points_path, dtype="<f4")
         if raw.size % 7 != 0:
             raise DatasetIOError(f"corrupt point file for {sid}: {raw.size} floats not divisible by 7")
         flat = raw.reshape(-1, 7).astype(np.float64)
         pc = PointCloud(flat[:, :3], flat[:, 3:6], flat[:, 6])
-        scenes[sid] = Scene(payload["scene_id"], payload["metadata"], objects, pc)
+        scenes[sid] = Scene(scene_id, metadata, objects, pc)
     expressions_path = os.path.join(root, "expressions.jsonl")
     if not os.path.isfile(expressions_path):
         raise DatasetIOError(f"no expressions.jsonl under {root!r}")
     samples = []
-    with open(expressions_path, encoding="utf-8") as f:
-        for line in f:
+    with open(expressions_path, "rb") as f:  # json.loads decodes each line's UTF-8 itself
+        for lineno, line in enumerate(f, 1):
             if line.strip():
-                d = json.loads(line)
-                samples.append(GroundingSample(**d))
+                try:
+                    samples.append(GroundingSample(**json.loads(line)))
+                except (ValueError, TypeError) as exc:
+                    raise _malformed(f"{expressions_path}:{lineno}", exc) from exc
     # every later stage looks scenes and targets up by these keys
     for s in samples:
         scene = scenes.get(s.scene_id)

@@ -1,4 +1,5 @@
-"""Central finite-difference gradient checking shared by the test suite."""
+"""Central finite-difference gradient checking shared by the test suite,
+and the small model configuration those checks and unit tests run on."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from moniground import tensor as T
+from moniground.grounder import ModelConfig
+from moniground.langenc import LangConfig
+from moniground.pointenc import EncoderConfig, SALayerSpec
 
 
 def finite_diff_check(
@@ -54,3 +58,20 @@ def finite_diff_check(
                 f"numeric {numeric!r}, rel err {err:.3e}"
             )
     return worst
+
+
+def tiny_model_config(modality: str = "xyz+rgb+intensity") -> ModelConfig:
+    """Small dimensions for fast gradient checks and unit tests."""
+    encoder = EncoderConfig(
+        sa_layers=(
+            SALayerSpec(("distance",), 8, 3.0, 4, (6, 8)),
+            SALayerSpec(("distance", "feature"), 6, 6.0, 4, (8, 10)),
+        ),
+        m_candidates=4,
+        feature_dim=12,
+        cg_radius=6.0,
+        cg_cap=4,
+        shift_hidden=6,
+    )
+    lang = LangConfig(embed_dim=6, hidden_dim=5, max_len=8)
+    return ModelConfig(encoder, lang, shared_dim=10, fused_dim=12, modality=modality)

@@ -64,3 +64,53 @@ def random_box_pair(rng: np.random.Generator) -> tuple[Box7, Box7]:
     l, w, h = rng.uniform(0.5, 4.0, size=3)
     yaw = rng.uniform(-math.pi, math.pi)
     return a, Box7(a.center + offset, l, w, h, yaw)
+
+
+def sq_distances(points: np.ndarray, i: int) -> np.ndarray:
+    """Squared euclidean distances from point i, as one row-wise reduction."""
+    return np.sum((points - points[i]) ** 2, axis=1)
+
+
+def greedy_fps(dist_to, n: int, k: int) -> np.ndarray:
+    """Max-min greedy selection from index 0, lowest index on ties, padded with 0."""
+    chosen = [0]
+    min_d = dist_to(0)
+    while len(chosen) < min(k, n):
+        nxt = int(np.argmax(min_d))
+        chosen.append(nxt)
+        min_d = np.minimum(min_d, dist_to(nxt))
+    return np.array(chosen + [0] * (k - len(chosen)), dtype=np.intp)
+
+
+def fps_distance(points: np.ndarray, k: int) -> np.ndarray:
+    return greedy_fps(lambda i: sq_distances(points, i), len(points), k)
+
+
+def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: float) -> np.ndarray:
+    feat_sq = np.sum(features**2, axis=1)
+
+    def dist_to(i: int) -> np.ndarray:
+        df = np.sqrt(np.maximum(feat_sq + feat_sq[i] - 2.0 * (features @ features[i]), 0.0))
+        return df + lambda_fps * np.sqrt(sq_distances(points, i))
+
+    return greedy_fps(dist_to, len(points), k)
+
+
+def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int) -> np.ndarray:
+    """Ball query ranking each center's in-radius points by a running count
+    over its whole row of the M x N mask."""
+    d2 = (
+        np.sum(centers**2, axis=1)[:, None]
+        + np.sum(points**2, axis=1)[None, :]
+        - 2.0 * centers @ points.T
+    )
+    mask = d2 <= radius * radius
+    order = np.cumsum(mask, axis=1)
+    groups = np.full((len(centers), cap), -1, dtype=np.intp)
+    rows, cols = np.nonzero(mask & (order <= cap))
+    groups[rows, order[rows, cols] - 1] = cols
+    first = groups[:, 0].copy()
+    empty = first < 0
+    if np.any(empty):
+        first[empty] = np.argmin(d2[empty], axis=1)
+    return np.where(groups < 0, first[:, None], groups)

@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 
@@ -175,6 +176,38 @@ class TestTrain:
         meta = json.load(open(os.path.join(run_dir, "config.json")))
         assert meta["run_config"]["epochs"] == 1
 
+    def test_divergence_is_exit_4(self, tmp_path, dataset_dir, monkeypatch, capsys):
+        """A NaN or infinite loss or gradient stops training before any bundle file is written."""
+        compute_loss, zero_grads = grounder.compute_loss, grounder.T.zero_grads
+
+        def nan_loss(*args, **kwargs):
+            loss, comps = compute_loss(*args, **kwargs)
+            return grounder.T.scale(loss, math.nan), comps
+
+        def nan_gradient(params):
+            zero_grads(params)
+            params["head.loc.b"].grad = np.full(params["head.loc.b"].shape, np.nan)
+
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("decay_epochs =\nepochs = 2\nbatch_size = 4\n")
+        cases = [
+            ("nan_loss", (), (grounder, "compute_loss", nan_loss), "training diverged: loss nan"),
+            ("nan_gradient", (), (grounder.T, "zero_grads", nan_gradient),
+             "training diverged: non-finite gradient of head.loc.b"),
+            ("huge_lr", ("--lr", "1e30"), None, "training diverged: loss nan"),
+        ]
+        for label, flags, patch, message in cases:
+            run_dir = tmp_path / label
+            with monkeypatch.context() as m, np.errstate(all="ignore"):
+                if patch is not None:
+                    m.setattr(*patch)
+                code, _ = run_cli("train", "--config", str(cfg), "--data", dataset_dir,
+                                  "--out", str(run_dir), "--seed", "5", *flags)
+            assert code == 4, label
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1, (label, err)
+            assert not run_dir.exists(), label
+
 
 class TestEval:
     def test_eval_writes_report_and_is_deterministic(self, dataset_dir, trained_run, tmp_path):
@@ -309,6 +342,34 @@ class TestDatasetFaults:
 
             return corrupt
 
+        def truncate(path):
+            with open(path, "rb") as f:
+                blob = f.read()
+            with open(path, "wb") as f:
+                f.write(blob[: len(blob) // 2])
+
+        def edit_line(index, edit):
+            def corrupt(path):
+                with open(path) as f:
+                    lines = f.read().splitlines()
+                lines[index] = edit(lines[index])
+                with open(path, "w") as f:
+                    f.write("\n".join(lines) + "\n")
+
+            return corrupt
+
+        truncate_line = edit_line(1, lambda line: line[: len(line) // 2])
+        drop_line_key = edit_line(0, lambda line: json.dumps(
+            {k: v for k, v in json.loads(line).items() if k != "tokens"}))
+
+        def drop_object_key(path):
+            with open(path) as f:
+                scene = json.load(f)
+            del scene["objects"][0]["category"]
+            with open(path, "w") as f:
+                json.dump(scene, f)
+
+        first_scene = os.path.join("scenes", f"{sorted(splits)[0]}.json")
         report = str(tmp_path / "r.json")
         train_cfg = tmp_path / "train.cfg"
         train_cfg.write_text("decay_epochs =\nepochs = 1\n")
@@ -317,17 +378,23 @@ class TestDatasetFaults:
             "baseline": ("--which", "detbest", "--split", "val", "--report-out", report),
             "train": ("--config", str(train_cfg), "--out", str(tmp_path / "run")),
         }
+        expressions = "expressions.jsonl"
         cases = [
-            ("eval", "unknown_scene", edit_sample("val", "scene_id", "scene_99999")),
-            ("baseline", "unknown_scene", edit_sample("val", "scene_id", "scene_99999")),
-            ("eval", "unknown_target", edit_sample("val", "target_id", "obj_99")),
-            ("train", "unknown_target", edit_sample("train", "target_id", "obj_99")),
-            ("train", "missing_expressions", os.remove),
+            ("eval", "unknown_scene", expressions, edit_sample("val", "scene_id", "scene_99999")),
+            ("baseline", "unknown_scene", expressions, edit_sample("val", "scene_id", "scene_99999")),
+            ("eval", "unknown_target", expressions, edit_sample("val", "target_id", "obj_99")),
+            ("train", "unknown_target", expressions, edit_sample("train", "target_id", "obj_99")),
+            ("train", "missing_expressions", expressions, os.remove),
+            ("baseline", "truncated_manifest", "manifest.json", truncate),
+            ("eval", "truncated_scene", first_scene, truncate),
+            ("train", "truncated_expression_line", expressions, truncate_line),
+            ("baseline", "expression_without_key", expressions, drop_line_key),
+            ("baseline", "object_without_key", first_scene, drop_object_key),
         ]
-        for command, label, corrupt in cases:
+        for command, label, name, corrupt in cases:
             broken = str(tmp_path / f"{command}-{label}")
             shutil.copytree(dataset_dir, broken)
-            corrupt(os.path.join(broken, "expressions.jsonl"))
+            corrupt(os.path.join(broken, name))
             capsys.readouterr()
             code, _ = run_cli(command, "--data", broken, *commands[command])
             assert code == 3, (command, label)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from gradcheck import tiny_model_config
 from moniground import evalbench as E
 from moniground import grounder as G
 from moniground import synthdata as S
@@ -310,7 +311,7 @@ class TestModelPredictor:
         # same scene ids, other objects and points
         first, second = S.gen_dataset(4, config), S.gen_dataset(5, config)
         vocab = Vocabulary.build(s.tokens for s in first.samples + second.samples)
-        model = G.GroundingModel(G.tiny_model_config(), len(vocab), seed=1)
+        model = G.GroundingModel(tiny_model_config(), len(vocab), seed=1)
 
         calls = []
         predict = G.predict

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, tiny_model_config
 from moniground import grounder as G
 from moniground import synthdata as S
 from moniground import tensor as T
@@ -12,7 +12,7 @@ from moniground.pointenc import CandidateSet, PointEncoder, assemble_features
 
 
 def tiny_model(seed=0, modality="xyz+rgb+intensity", vocab_size=12):
-    return G.GroundingModel(G.tiny_model_config(modality), vocab_size, seed=seed)
+    return G.GroundingModel(tiny_model_config(modality), vocab_size, seed=seed)
 
 
 def tiny_scene(seed=0):
@@ -43,7 +43,6 @@ def manual_output(raw, cls_logits, residuals, shifts, lang_logits, cand_pos, see
         cls_logits=mk(np.asarray(cls_logits, dtype=float).reshape(m, 1)),
         residuals=mk(residuals),
         lang_logits=mk(np.asarray(lang_logits, dtype=float).reshape(1, len(S.CATEGORIES))),
-        sentence=mk(np.zeros((1, 4))),
     )
 
 
@@ -226,7 +225,6 @@ class TestComputeLoss:
         cands = np.zeros((3, 3))
         tg = G.Targets(
             cls=np.array([1.0, 0.0, 1.0]),
-            pos_mask=np.array([1.0, 0.0, 1.0]),
             reg=np.full((3, 8), 0.5) * np.array([1.0, 0.0, 1.0])[:, None],
             shift=np.array([[0.0, 0.1, 0.2], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
             shift_mask=np.array([1.0, 0.0, 0.0]),
@@ -242,7 +240,7 @@ class TestComputeLoss:
             tg.cls * np.log(sig(cls_logits)) + (1 - tg.cls) * np.log(1 - sig(cls_logits))
         )
         sl1 = lambda d: np.where(np.abs(d) < 1.0, 0.5 * d * d, np.abs(d) - 0.5)
-        ref_reg = np.sum(sl1(residuals - tg.reg) * tg.pos_mask[:, None]) / (8 * 2)
+        ref_reg = np.sum(sl1(residuals - tg.reg) * tg.cls[:, None]) / (8 * 2)
         ref_shift = np.sum(sl1(shifts - tg.shift) * tg.shift_mask[:, None]) / (3 * 1)
         lse = lambda v: np.log(np.sum(np.exp(v - v.max()))) + v.max()
         ref_lang = lse(lang) - lang[4]
@@ -340,7 +338,7 @@ class TestGradientFlow:
         ids = np.array([2, 3] + [0] * (model.config.lang.max_len - 2))
         out0 = model.forward(scene.points.xyz, feats, ids, 2)
         tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene, "obj_00")
-        assert tg.pos_mask.sum() >= 1 and tg.shift_mask.sum() >= 1
+        assert tg.cls.sum() >= 1 and tg.shift_mask.sum() >= 1
         weights = G.LossWeights()
 
         def loss():
@@ -374,7 +372,7 @@ class TestTraining:
         cfg = G.TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3, decay_epochs=(), seed=11)
         blobs = []
         for _ in range(2):
-            result = G.train_model(scenes, samples, G.tiny_model_config(), cfg)
+            result = G.train_model(scenes, samples, tiny_model_config(), cfg)
             blobs.append(T.checkpoint_save(result.model.parameters()))
         assert blobs[0] == blobs[1]
 
@@ -382,7 +380,7 @@ class TestTraining:
         scene, samples = tiny_scene(10)
         cfg = G.TrainConfig(epochs=4, batch_size=4, learning_rate=1e-3, decay_epochs=(1, 3),
                             decay_factor=0.1, seed=3)
-        result = G.train_model({scene.scene_id: scene}, samples, G.tiny_model_config(), cfg)
+        result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
         assert [row.epoch for row in result.curve] == [1, 2, 3, 4]
         assert [row.lr for row in result.curve] == pytest.approx([1e-3, 1e-4, 1e-4, 1e-5])
         for row in result.curve:
@@ -393,7 +391,7 @@ class TestTraining:
         sample = samples[0]
         cfg = G.TrainConfig(epochs=200, batch_size=1, learning_rate=5e-3, weight_decay=0.0,
                             decay_epochs=(), seed=7)
-        result = G.train_model({scene.scene_id: scene}, [sample], G.tiny_model_config(), cfg)
+        result = G.train_model({scene.scene_id: scene}, [sample], tiny_model_config(), cfg)
         initial, final = result.curve[0].total, result.curve[-1].total
         assert final < 0.1 * initial
         box, _, _ = G.predict(result.model, result.vocab, scene, sample.text)
@@ -407,17 +405,17 @@ class TestTraining:
         plan = PointEncoder.precompute_plan
         monkeypatch.setattr(PointEncoder, "precompute_plan", lambda self, xyz: calls.append(1) or plan(self, xyz))
         cfg = G.TrainConfig(epochs=1, batch_size=4, decay_epochs=(), seed=1)
-        G.train_model(dataset.scenes, dataset.samples, G.tiny_model_config(), cfg)
+        G.train_model(dataset.scenes, dataset.samples, tiny_model_config(), cfg)
         assert len(calls) == len({s.scene_id for s in dataset.samples}) == 2 < len(dataset.samples)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            G.train_model({}, [], G.tiny_model_config(), G.TrainConfig())
+            G.train_model({}, [], tiny_model_config(), G.TrainConfig())
 
     def test_padding_row_stays_zero(self):
         scene, samples = tiny_scene(13)
         cfg = G.TrainConfig(epochs=3, batch_size=2, learning_rate=1e-2, decay_epochs=(), seed=5)
-        result = G.train_model({scene.scene_id: scene}, samples, G.tiny_model_config(), cfg)
+        result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
         np.testing.assert_array_equal(result.model.params["lang.embed"].data[0], 0.0)
 
 
@@ -425,7 +423,7 @@ class TestPredictAndCheckpoint:
     def test_predict_deterministic(self):
         scene, samples = tiny_scene(14)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
-        result = G.train_model({scene.scene_id: scene}, samples, G.tiny_model_config(), cfg)
+        result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
         a = G.predict(result.model, result.vocab, scene, samples[0].text)
         b = G.predict(result.model, result.vocab, scene, samples[0].text)
         np.testing.assert_array_equal(a[0].center, b[0].center)
@@ -435,7 +433,7 @@ class TestPredictAndCheckpoint:
     def test_confidences_sum_to_one_and_box_valid(self):
         scene, samples = tiny_scene(15)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
-        result = G.train_model({scene.scene_id: scene}, samples, G.tiny_model_config(), cfg)
+        result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
         box, conf, idx = G.predict(result.model, result.vocab, scene, samples[0].text)
         assert abs(conf.sum() - 1.0) <= 1e-9
         assert 0 <= idx < len(conf)
@@ -444,7 +442,7 @@ class TestPredictAndCheckpoint:
     def test_save_load_roundtrip(self, tmp_path):
         scene, samples = tiny_scene(16)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=8)
-        result = G.train_model({scene.scene_id: scene}, samples, G.tiny_model_config(), cfg)
+        result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
         G.save_model(str(tmp_path), result.model, result.vocab, {"note": "test"})
         model2, vocab2 = G.load_model(str(tmp_path))
         for k, p in result.model.parameters().items():
@@ -456,7 +454,7 @@ class TestPredictAndCheckpoint:
     def test_loaded_model_builds_no_graph(self, tmp_path):
         scene, samples = tiny_scene(18)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=8)
-        result = G.train_model({scene.scene_id: scene}, samples, G.tiny_model_config(), cfg)
+        result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
         G.save_model(str(tmp_path), result.model, result.vocab)
         model, vocab = G.load_model(str(tmp_path))
         pc = scene.points
@@ -465,7 +463,7 @@ class TestPredictAndCheckpoint:
         out = model.forward(pc.xyz, feats, token_ids, length)
         values = [*vars(out).values(), *vars(out.candidates).values()]
         tensors = [v for v in values if isinstance(v, T.Tensor)]
-        assert len(tensors) == 9
+        assert len(tensors) == 8
         for t in tensors:
             assert not t.requires_grad and t._parents == ()
 
@@ -476,7 +474,7 @@ class TestPredictAndCheckpoint:
     def test_load_mismatched_config(self, tmp_path):
         scene, samples = tiny_scene(17)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=8)
-        result = G.train_model({scene.scene_id: scene}, samples, G.tiny_model_config(), cfg)
+        result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
         G.save_model(str(tmp_path), result.model, result.vocab)
         import json
 

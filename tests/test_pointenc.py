@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gradcheck import finite_diff_check
+from moniground import synthdata as S
 from moniground import tensor as T
 from moniground.pointenc import (
     CandidateSet,
     EncoderConfig,
     PointEncoder,
     SALayerSpec,
+    _sq_distance_to,
     assemble_features,
     ball_group,
     fps_distance,
@@ -140,6 +143,79 @@ class TestBallGroup:
                 nearest = int(np.argmin([np.linalg.norm(p - center) for p in pts]))
                 expected = [nearest] * cap
             np.testing.assert_array_equal(groups[ci], expected)
+
+
+@pytest.fixture(scope="module")
+def generated_clouds():
+    """Point clouds of generated scenes: default density and ground_points = 1400."""
+    default = S.gen_dataset(21, S.GenConfig(scene_count=2))
+    dense = S.gen_dataset(22, S.GenConfig(scene_count=2, objects_min=1, objects_max=1, ground_points=1400))
+    return [scene.points.xyz for ds in (default, dense) for scene in ds.scenes.values()]
+
+
+class TestKernelsMatchReferences:
+    """The sampling kernels equal the plain-numpy references in
+    tests/oracles.py bit for bit (np.array_equal, no tolerance)."""
+
+    def test_every_distance_vector(self, generated_clouds):
+        for pts in generated_clouds:
+            dist_to = _sq_distance_to(pts)
+            for i in range(len(pts)):
+                assert np.array_equal(dist_to(i), oracles.sq_distances(pts, i)), i
+
+    def test_generated_scenes(self, generated_clouds):
+        rng = np.random.default_rng(23)
+        sa0, sa1 = EncoderConfig().sa_layers
+        for pts in generated_clouds:
+            idx = fps_distance(pts, sa0.out_points)
+            assert np.array_equal(idx, oracles.fps_distance(pts, sa0.out_points))
+            centers = pts[idx]
+            for radius, cap in ((sa0.radius, sa0.cap), (sa1.radius, sa1.cap), (8.0, 8)):
+                assert np.array_equal(ball_group(centers, pts, radius, cap),
+                                      oracles.ball_group(centers, pts, radius, cap))
+            feats = np.maximum(rng.normal(size=(len(centers), 64)), 0.0)
+            half = sa1.out_points // 2
+            assert np.array_equal(fps_distance(centers, half), oracles.fps_distance(centers, half))
+            assert np.array_equal(fps_feature(centers, feats, half, 1.0),
+                                  oracles.fps_feature(centers, feats, half, 1.0))
+
+    def test_k_above_n_pads_with_zero(self):
+        pts = np.random.default_rng(24).normal(size=(5, 3))
+        feats = np.random.default_rng(25).normal(size=(5, 4))
+        got = fps_distance(pts, 9)
+        assert np.array_equal(got, oracles.fps_distance(pts, 9))
+        assert sorted(got[:5]) == list(range(5)) and list(got[5:]) == [0] * 4
+        assert np.array_equal(fps_feature(pts, feats, 9, 0.5), oracles.fps_feature(pts, feats, 9, 0.5))
+
+    def test_duplicate_points_tie_to_lowest_index(self):
+        pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [2.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+        got = fps_distance(pts, 5)
+        # 1 beats its copies 2 and 5; once every point is at distance 0, index 0 repeats
+        np.testing.assert_array_equal(got, [0, 1, 4, 0, 0])
+        assert np.array_equal(got, oracles.fps_distance(pts, 5))
+        feats = np.ones((6, 2))
+        assert np.array_equal(fps_feature(pts, feats, 5, 1.0), oracles.fps_feature(pts, feats, 5, 1.0))
+        groups = ball_group(pts[[1, 4]], pts, 0.5, 3)
+        np.testing.assert_array_equal(groups, [[1, 2, 5], [4, 4, 4]])
+        assert np.array_equal(groups, oracles.ball_group(pts[[1, 4]], pts, 0.5, 3))
+
+    def test_center_with_no_point_in_radius(self):
+        pts = np.array([[0.0, 0, 0], [3.0, 0, 0], [7.0, 0, 0], [3.0, 0, 0]])
+        centers = np.array([[5.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        groups = ball_group(centers, pts, 1.0, 3)
+        np.testing.assert_array_equal(groups, [[1, 1, 1], [0, 0, 0]])
+        assert np.array_equal(groups, oracles.ball_group(centers, pts, 1.0, 3))
+
+    def test_cap_above_in_radius_count(self):
+        rng = np.random.default_rng(26)
+        pts = rng.uniform(-3, 3, size=(60, 3))
+        centers = rng.uniform(-3, 3, size=(12, 3))
+        groups = ball_group(centers, pts, 1.5, 40)
+        assert np.array_equal(groups, oracles.ball_group(centers, pts, 1.5, 40))
+        in_radius = (np.linalg.norm(centers[:, None] - pts[None], axis=2) <= 1.5).sum(axis=1)
+        assert in_radius.max() < 40 and (in_radius > 0).all()
+        for row, count in zip(groups, in_radius):
+            assert (row[count:] == row[0]).all()
 
 
 def tiny_encoder(rng, in_dim=2):
