@@ -10,7 +10,8 @@ over detector-style proposals synthesized by perturbing the ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,10 @@ class EvalSample:
     sample: GroundingSample
     predicted: Box7
     ground_truth: Box7
+    iou: float = field(init=False)  # IoU(predicted, ground truth), computed once
+
+    def __post_init__(self):
+        self.iou = iou_3d(self.predicted, self.ground_truth)
 
 
 @dataclass
@@ -80,7 +85,7 @@ def acc_at_k(samples: list[EvalSample], k: float) -> float:
         raise ValueError("threshold must lie in (0, 1)")
     if not samples:
         return 0.0
-    hits = sum(1 for s in samples if iou_3d(s.predicted, s.ground_truth) > k)
+    hits = sum(1 for s in samples if s.iou > k)
     return hits / len(samples)
 
 
@@ -136,29 +141,32 @@ def baseline_detbest(sample: GroundingSample, scene: Scene, proposals: list[Prop
     return proposals[int(np.argmax(ious))].box
 
 
-Predictor = Callable[[Scene, GroundingSample, np.random.Generator], Box7]
+# A box for each sample of one scene, given one random stream per sample;
+# `evaluate` calls a predictor once per scene.
+Predictor = Callable[[Scene, list[GroundingSample], list[np.random.Generator]], list[Box7]]
+
+
+def per_sample(predict_one: Callable[[Scene, GroundingSample, np.random.Generator], Box7]) -> Predictor:
+    """A Predictor that calls `predict_one` on each sample in turn, with its own stream."""
+
+    def run(scene: Scene, samples: list[GroundingSample], rngs: list[np.random.Generator]) -> list[Box7]:
+        return [predict_one(scene, sample, rng) for sample, rng in zip(samples, rngs)]
+
+    return run
 
 
 def model_predictor(model, vocab) -> Predictor:
     """The grounding model as a predictor, scene-major.
 
-    The visual encoder does not read the expression, so the predictor keeps
-    the candidates of the last scene it saw and encodes again only when the
-    scene changes. One entry suffices because `evaluate` visits samples
-    sorted by scene id, so each scene is encoded once per call. The entry is
-    keyed on the Scene object itself, not its id: a predictor reused on
-    another dataset whose scene ids repeat never serves stale candidates.
-    Results equal a full forward pass per sample.
+    The visual encoder does not read the expression, so each call encodes
+    its scene once and grounds all of the scene's expressions in one batch
+    (`grounder.predict`). Nothing is kept between calls. Results equal a
+    full forward pass per sample, bit for bit.
     """
-    from .grounder import predict, scene_candidates
+    from .grounder import predict
 
-    cached_scene, candidates = None, None
-
-    def run(scene: Scene, sample: GroundingSample, rng: np.random.Generator) -> Box7:
-        nonlocal cached_scene, candidates
-        if scene is not cached_scene:
-            cached_scene, candidates = scene, scene_candidates(model, scene)
-        return predict(model, vocab, scene, sample.text, candidates)[0]
+    def run(scene: Scene, samples: list[GroundingSample], rngs: list[np.random.Generator]) -> list[Box7]:
+        return [box for box, _, _ in predict(model, vocab, scene, [s.text for s in samples])]
 
     return run
 
@@ -187,7 +195,7 @@ def baseline_predictor(kind: str, noise: NoiseConfig, seed: int) -> Predictor:
             return baseline_detrand(sample, scene, proposals_for(scene), rng)
         return baseline_detbest(sample, scene, proposals_for(scene))
 
-    return run
+    return per_sample(run)
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +214,28 @@ def evaluate(
 
     Samples are processed in a deterministic order (sorted by scene id,
     target id, then position) with one named random sub-stream each, so
-    reports are bit-identical across runs with the same seed.
+    reports are bit-identical across runs with the same seed. The predictor
+    is called once per scene, with that scene's samples in this order.
     """
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
     warnings: list[str] = []
     evaluated: list[EvalSample] = []
     indexed = sorted(enumerate(samples), key=lambda pair: (pair[1].scene_id, pair[1].target_id, pair[0]))
-    for position, sample in indexed:
-        scene = scenes[sample.scene_id]
-        expected = tag_subsets(scene, sample.target_id)
-        if (sample.uniqueness, sample.distance_bin) != expected:
-            warnings.append(
-                f"tag mismatch for {sample.scene_id}/{sample.target_id}: "
-                f"stored {(sample.uniqueness, sample.distance_bin)}, derived {expected}"
-            )
-        rng = substream(seed, "eval", sample.scene_id, sample.target_id, position)
-        predicted = predictor(scene, sample, rng)
-        evaluated.append(EvalSample(sample, predicted, scene.object_by_id(sample.target_id).box))
+    for scene_id, group in itertools.groupby(indexed, key=lambda pair: pair[1].scene_id):
+        group = list(group)
+        scene = scenes[scene_id]
+        scene_samples = [sample for _, sample in group]
+        for sample in scene_samples:
+            expected = tag_subsets(scene, sample.target_id)
+            if (sample.uniqueness, sample.distance_bin) != expected:
+                warnings.append(
+                    f"tag mismatch for {sample.scene_id}/{sample.target_id}: "
+                    f"stored {(sample.uniqueness, sample.distance_bin)}, derived {expected}"
+                )
+        rngs = [substream(seed, "eval", s.scene_id, s.target_id, position) for position, s in group]
+        for sample, box in zip(scene_samples, predictor(scene, scene_samples, rngs), strict=True):
+            evaluated.append(EvalSample(sample, box, scene.object_by_id(sample.target_id).box))
 
     def members(name: str) -> list[EvalSample]:
         if name == "Overall":

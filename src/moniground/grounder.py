@@ -9,11 +9,16 @@ sum of candidate classification, box regression, center-shift, language
 category, and reference losses.
 
 The visual half (`encode_scene`) never reads the text, so inference is
-scene-major: `evalbench.model_predictor` encodes a scene once and grounds
-each of its expressions (`ground_text`) against the cached candidates, and
-`train_model` computes one sampling plan per scene. A model from
-`load_model` holds parameters that do not require gradients, so inference
-builds no autodiff graph.
+scene-major: `predict` encodes a scene once and grounds all of its
+expressions in one pass of the text half (`ground_text`), which takes a
+padded (B, L) id matrix and gives every text tensor a leading batch axis B.
+Each row is bit-identical to that expression grounded alone: a row keeps a
+singleton axis where a lone expression has one row, so numpy makes the same
+BLAS call per row (see `tensor.matmul`), and the BiGRU masks rows past their
+length (see `langenc.bigru_encode`). Training takes the same path with
+B = 1 and computes one sampling plan per scene. A model from `load_model`
+holds parameters that do not require gradients, so inference builds no
+autodiff graph.
 """
 
 from __future__ import annotations
@@ -103,12 +108,14 @@ class TrainConfig:
 
 @dataclass
 class ModelOutput:
+    """B expressions grounded against one scene's candidates."""
+
     candidates: CandidateSet
-    raw_scores: T.Tensor      # (1, M) pre-softmax localization scores
-    confidences: T.Tensor     # (1, M) softmax, sums to 1
-    cls_logits: T.Tensor      # (M, 1) candidate objectness
-    residuals: T.Tensor       # (M, 8) box residuals per candidate
-    lang_logits: T.Tensor     # (1, 12) category prediction from text
+    raw_scores: T.Tensor      # (B, M) pre-softmax localization scores
+    confidences: T.Tensor     # (B, M) softmax, each row sums to 1
+    cls_logits: T.Tensor      # (B, M, 1) candidate objectness
+    residuals: T.Tensor       # (B, M, 8) box residuals per candidate
+    lang_logits: T.Tensor     # (B, 1, 12) category prediction from text
 
 
 @dataclass
@@ -217,6 +224,9 @@ class GroundingModel:
         return self.params
 
     def fuse(self, f_v: T.Tensor, f_l: T.Tensor) -> T.Tensor:
+        """(M, C_v) candidates with (1, C_l) or (B, 1, C_l) sentences -> (M, C_m) or (B, M, C_m).
+
+        The visual projection runs once and is shared by every sentence."""
         m = f_v.shape[0]
         proj_v = T.matmul(f_v, self.params["fuse.wv"])
         proj_l = T.repeat_rows(T.matmul(f_l, self.params["fuse.wl"]), m)
@@ -225,18 +235,26 @@ class GroundingModel:
         return T.relu(T.add(T.matmul(x, self.params["fuse.mlp.w1"]), self.params["fuse.mlp.b1"]))
 
     def localize(self, f_m: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
+        """Scores and softmax confidences, one row of M per sentence in f_m."""
+        m = f_m.shape[-2]
         raw = T.add(T.matmul(f_m, self.params["head.loc.w"]), self.params["head.loc.b"])
-        row = T.reshape(raw, (1, f_m.shape[0]))
+        row = T.reshape(raw, (raw.data.size // m, m))
         return row, T.row_softmax(row)
 
     def encode_scene(self, xyz: np.ndarray, feats: np.ndarray, plan=None) -> CandidateSet:
         """Visual half: candidates of one scene, independent of any expression."""
         return self.encoder.forward(xyz, T.constant(feats), plan)
 
-    def ground_text(self, cand: CandidateSet, token_ids: np.ndarray, length: int) -> ModelOutput:
-        """Text half: encode one expression and score it against a scene's candidates."""
+    def ground_text(self, cand: CandidateSet, token_ids: np.ndarray, lengths) -> ModelOutput:
+        """Text half: encode B expressions and score each against one scene's candidates.
+
+        `token_ids` is a padded (B, L) id matrix with B lengths, or one
+        expression's (L,) ids with its length (then B = 1). Row b of the
+        output equals expression b grounded alone, bit for bit.
+        """
+        token_ids = np.atleast_2d(token_ids)
         f_w = langenc.embed(token_ids, self.params)
-        f_l = langenc.bigru_encode(f_w, length, self.params, self.config.lang)
+        f_l = langenc.bigru_encode(f_w, lengths, self.params, self.config.lang)
         f_m = self.fuse(cand.features, f_l)
         raw, conf = self.localize(f_m)
         cls_logits = T.add(T.matmul(f_m, self.params["head.cls.w"]), self.params["head.cls.b"])
@@ -244,32 +262,37 @@ class GroundingModel:
         lang_logits = T.add(T.matmul(f_l, self.params["head.lang.w"]), self.params["head.lang.b"])
         return ModelOutput(cand, raw, conf, cls_logits, residuals, lang_logits)
 
-    def forward(self, xyz: np.ndarray, feats: np.ndarray, token_ids: np.ndarray, length: int,
+    def forward(self, xyz: np.ndarray, feats: np.ndarray, token_ids: np.ndarray, lengths,
                 plan=None) -> ModelOutput:
-        return self.ground_text(self.encode_scene(xyz, feats, plan), token_ids, length)
+        return self.ground_text(self.encode_scene(xyz, feats, plan), token_ids, lengths)
 
 
-def ground(output: ModelOutput) -> tuple[int, Box7]:
-    """Pick the highest-confidence candidate and decode its box.
+def ground(output: ModelOutput, row: int = 0) -> tuple[int, Box7]:
+    """Pick expression `row`'s highest-confidence candidate and decode its box.
 
     Ties break to the lowest index. Sizes decode against the prior of the
     category predicted from the expression.
     """
-    idx = int(np.argmax(output.confidences.data[0]))
-    category = CATEGORIES[int(np.argmax(output.lang_logits.data[0]))]
+    confidences = output.confidences.data[row]
+    m = confidences.size
+    idx = int(np.argmax(confidences))
+    category = CATEGORIES[int(np.argmax(output.lang_logits.data[row]))]
     anchor = output.candidates.positions.data[idx]
-    return idx, decode_box_residual(output.residuals.data[idx], anchor, category)
+    residual = output.residuals.data.reshape(-1, m, RESIDUAL_DIM)[row, idx]
+    return idx, decode_box_residual(residual, anchor, category)
 
 
 def compute_loss(output: ModelOutput, targets: Targets, weights: LossWeights) -> tuple[T.Tensor, dict[str, float]]:
-    """Weighted five-term training loss; also returns per-term values."""
-    m = output.cls_logits.shape[0]
-    l_cls = T.mean(T.bce_with_logits(output.cls_logits, T.constant(targets.cls.reshape(m, 1))))
+    """Weighted five-term training loss of one expression (B = 1); also
+    returns per-term values."""
+    m = len(targets.cls)
+    l_cls = T.mean(T.bce_with_logits(output.cls_logits, T.constant(targets.cls.reshape(output.cls_logits.shape))))
 
     n_pos = int(targets.cls.sum())
     if n_pos:
-        mask = np.repeat(targets.cls.reshape(m, 1), RESIDUAL_DIM, axis=1)
-        per_elem = T.smooth_l1(output.residuals, T.constant(targets.reg))
+        shape = output.residuals.shape
+        mask = np.repeat(targets.cls.reshape(m, 1), RESIDUAL_DIM, axis=1).reshape(shape)
+        per_elem = T.smooth_l1(output.residuals, T.constant(targets.reg.reshape(shape)))
         l_reg = T.scale(T.tensor_sum(T.mul(per_elem, T.constant(mask))), 1.0 / (RESIDUAL_DIM * n_pos))
     else:
         l_reg = T.constant(0.0)
@@ -341,6 +364,7 @@ class _SampleBatchItem:
         self.plan = plan
 
 
+@np.errstate(all="ignore")
 def train_model(
     scenes: dict[str, Scene],
     samples: list,
@@ -352,6 +376,8 @@ def train_model(
 
     A NaN or infinite loss, or a gradient with such an entry before an Adam
     step, raises TrainingDivergedError, so a diverged run returns no model.
+    numpy's floating-point warnings are off while it runs, so that check
+    alone reports a diverging run.
     """
     if not samples:
         raise ValueError("cannot train on an empty sample list")
@@ -418,23 +444,27 @@ def scene_candidates(model: GroundingModel, scene: Scene) -> CandidateSet:
     return model.encode_scene(pc.xyz, assemble_features(pc.rgb, pc.intensity, model.config.modality))
 
 
-def predict(model: GroundingModel, vocab: Vocabulary, scene: Scene, text: str,
-            candidates: CandidateSet | None = None) -> tuple[Box7, np.ndarray, int]:
-    """Ground one expression in one scene; deterministic.
+def predict(model: GroundingModel, vocab: Vocabulary, scene: Scene,
+            texts: list[str]) -> list[tuple[Box7, np.ndarray, int]]:
+    """Ground expressions of one scene; deterministic.
 
-    `candidates` is the scene's `scene_candidates` output. A caller that
-    grounds several expressions of one scene passes it in, so the scene is
-    encoded once (see `evalbench.model_predictor`); without it the scene is
-    encoded here. Either way the result equals `ground(model.forward(...))`.
+    The scene is encoded once and all its texts go through the text half in
+    one batch. Returns (box, confidences, candidate index) per text, in
+    order; each equals `ground(model.forward(...))` of that text alone.
     """
-    token_ids, length = vocab.encode(langenc.tokenize(text), model.config.lang.max_len)
-    if length < 1:
-        raise ValueError("expression has no usable tokens")
-    if candidates is None:
-        candidates = scene_candidates(model, scene)
-    out = model.ground_text(candidates, token_ids, length)
-    idx, box = ground(out)
-    return box, out.confidences.data[0].copy(), idx
+    if isinstance(texts, str):
+        raise TypeError("predict takes a list of expressions, not one string")
+    max_len = model.config.lang.max_len
+    encoded = [vocab.encode(langenc.tokenize(text), max_len) for text in texts]
+    if not encoded or min(length for _, length in encoded) < 1:
+        raise ValueError("predict needs one or more expressions, each with a usable token")
+    token_ids = np.stack([ids for ids, _ in encoded])
+    out = model.ground_text(scene_candidates(model, scene), token_ids, [length for _, length in encoded])
+    results = []
+    for row in range(len(encoded)):
+        idx, box = ground(out, row)
+        results.append((box, out.confidences.data[row].copy(), idx))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -105,40 +105,70 @@ def init_lang_params(vocab_size: int, cfg: LangConfig, rng: np.random.Generator)
 
 
 def embed(token_ids: np.ndarray, params: dict[str, T.Tensor]) -> T.Tensor:
-    """Word embedding lookup: (L,) ids -> (L, embed_dim)."""
-    return T.gather_rows(params["lang.embed"], token_ids)
+    """Word embedding lookup: (L,) ids -> (L, embed_dim), or a padded batch
+    (B, L) -> (B, L, embed_dim)."""
+    emb = params["lang.embed"]
+    return T.reshape(T.gather_rows(emb, token_ids), (*np.shape(token_ids), emb.shape[1]))
 
 
-def _gru_cell(x: T.Tensor, h: T.Tensor, p: dict[str, T.Tensor], prefix: str) -> T.Tensor:
+def _gru_cell(x: T.Tensor, h: T.Tensor, p: dict[str, T.Tensor], prefix: str,
+              mask: np.ndarray | None) -> T.Tensor:
     """One GRU step: h' = (1 - z) * h + z * n, reset applied to the hidden
-    state before the candidate projection. Computed as h + z * (n - h)."""
+    state before the candidate projection. Computed as h + z * (n - h), or as
+    h + mask * (z * (n - h)) when some rows are past their length (mask 0):
+    those rows keep h, and a factor of 1.0 leaves the other rows' bits as
+    they are."""
     z = T.sigmoid(T.add(T.add(T.matmul(x, p[f"{prefix}.wz"]), T.matmul(h, p[f"{prefix}.uz"])), p[f"{prefix}.bz"]))
     r = T.sigmoid(T.add(T.add(T.matmul(x, p[f"{prefix}.wr"]), T.matmul(h, p[f"{prefix}.ur"])), p[f"{prefix}.br"]))
     n = T.tanh(T.add(T.add(T.matmul(x, p[f"{prefix}.wn"]), T.matmul(T.mul(r, h), p[f"{prefix}.un"])), p[f"{prefix}.bn"]))
-    return T.add(h, T.mul(z, T.sub(n, h)))
+    step = T.mul(z, T.sub(n, h))
+    if mask is not None:
+        step = T.mul(T.constant(mask), step)
+    return T.add(h, step)
 
 
 def bigru_encode(
     token_embeddings: T.Tensor,
-    length: int,
+    lengths,
     params: dict[str, T.Tensor],
     cfg: LangConfig,
 ) -> T.Tensor:
-    """Run both GRU directions over the first `length` rows.
+    """Run both GRU directions over each expression's first `length` rows.
 
-    Returns the (1, 2*hidden) concatenation of the forward state after the
-    last real token and the backward state after the first. Padding rows
-    beyond `length` are never read, so they cannot influence the output.
+    `token_embeddings` is one expression, (L, E) with an int length, or a
+    padded batch, (B, L, E) with B lengths. Returns (1, 2*hidden), or
+    (B, 1, 2*hidden): the forward state after the last real token
+    concatenated with the backward state after the first. Rows beyond a
+    length are never read, so padding cannot influence the output.
+
+    Every row keeps its own (1, hidden) state, so each GRU product is one
+    gemv per row, the same BLAS call as for that expression alone. Steps run
+    to the longest length; on a step where some row is past its length, a
+    0/1 mask keeps that row's state (the backward direction starts a short
+    row from zero at its own last token). The output of each row is
+    bit-identical to the row encoded alone.
     """
-    if length < 1:
-        raise ValueError("bigru_encode needs at least one real token")
-    h_fwd = T.zeros((1, cfg.hidden_dim))
-    for t in range(length):
-        x = T.gather_rows(token_embeddings, np.array([t]))
-        h_fwd = _gru_cell(x, h_fwd, params, "lang.gru.fwd")
-    h_bwd = T.zeros((1, cfg.hidden_dim))
-    for t in range(length - 1, -1, -1):
-        x = T.gather_rows(token_embeddings, np.array([t]))
-        h_bwd = _gru_cell(x, h_bwd, params, "lang.gru.bwd")
-    return T.concat([h_fwd, h_bwd])
+    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
+    *lead, max_len, _ = token_embeddings.shape
+    if lengths.shape != (int(np.prod(lead)),):
+        raise ValueError(f"bigru_encode got {lengths.size} lengths for a batch of shape {tuple(lead)}")
+    if lengths.min() < 1 or lengths.max() > max_len:
+        raise ValueError(f"bigru_encode needs lengths in 1 .. {max_len}, got {lengths.tolist()}")
+    state = (*lead, 1, cfg.hidden_dim)
+    steps = int(lengths.max())
 
+    def mask(t: int) -> np.ndarray | None:
+        active = lengths > t
+        if active.all():
+            return None
+        return np.broadcast_to(active.astype(np.float64).reshape(*lead, 1, 1), state)
+
+    h_fwd = T.zeros(state)
+    for t in range(steps):
+        x = T.gather_rows(token_embeddings, np.array([t]))
+        h_fwd = _gru_cell(x, h_fwd, params, "lang.gru.fwd", mask(t))
+    h_bwd = T.zeros(state)
+    for t in range(steps - 1, -1, -1):
+        x = T.gather_rows(token_embeddings, np.array([t]))
+        h_bwd = _gru_cell(x, h_bwd, params, "lang.gru.bwd", mask(t))
+    return T.concat([h_fwd, h_bwd])

@@ -715,8 +715,9 @@ def _malformed(path: str, exc: Exception) -> DatasetIOError:
 def read_dataset(root: str) -> Dataset:
     """Read a directory written by write_dataset.
 
-    A missing file, unparsable JSON, or a record without a field it needs
-    raises DatasetIOError.
+    A missing file, unparsable JSON, a record without a field it needs, or a
+    point file that is empty or ends in a partial point raises
+    DatasetIOError.
     """
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -749,10 +750,11 @@ def read_dataset(root: str) -> Dataset:
             scene_id, metadata = payload["scene_id"], payload["metadata"]
         except (ValueError, KeyError, TypeError) as exc:
             raise _malformed(scene_path, exc) from exc
-        raw = np.fromfile(points_path, dtype="<f4")
-        if raw.size % 7 != 0:
-            raise DatasetIOError(f"corrupt point file for {sid}: {raw.size} floats not divisible by 7")
-        flat = raw.reshape(-1, 7).astype(np.float64)
+        with open(points_path, "rb") as f:
+            blob = f.read()
+        if not blob or len(blob) % 28:  # 7 float32 values per point
+            raise DatasetIOError(f"corrupt point file for {sid}: {len(blob)} bytes is not a positive multiple of 28")
+        flat = np.frombuffer(blob, dtype="<f4").reshape(-1, 7).astype(np.float64)
         pc = PointCloud(flat[:, :3], flat[:, 3:6], flat[:, 6])
         scenes[sid] = Scene(scene_id, metadata, objects, pc)
     expressions_path = os.path.join(root, "expressions.jsonl")

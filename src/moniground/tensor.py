@@ -117,25 +117,40 @@ def uniform_init(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """(..., M, K) @ (K, N) -> (..., M, N); the leading axes of a are a batch.
+
+    numpy makes one BLAS call per batch entry, the same call it makes for
+    that entry alone, so a batched product is bit-identical to its entries'
+    products. Keep a singleton row axis, (B, 1, K), where one entry has one
+    row: flattening to (B, K) would turn B gemv calls into one gemm, whose
+    sums round differently.
+    """
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.data.shape} @ {b.data.shape}")
 
     def bwd(grad):
         if a.requires_grad:
             a._accumulate(grad @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ grad)
+            # all batch rows stacked: for an unbatched a this is exactly a.T @ grad
+            k, n = b.data.shape
+            b._accumulate(a.data.reshape(-1, k).T @ grad.reshape(-1, n))
 
     return _node(a.data @ b.data, (a, b), bwd)
 
 
 def _check_addlike(a: Tensor, b: Tensor, op: str) -> bool:
-    """Returns True when b is a row vector broadcast over a's rows."""
+    """Returns True when b is a (1, C) row broadcast over every row of a (..., C)."""
     if a.data.shape == b.data.shape:
         return False
-    if a.data.ndim == 2 and b.data.ndim == 2 and b.data.shape == (1, a.data.shape[1]):
+    if a.data.ndim >= 2 and b.data.shape == (1, a.data.shape[-1]):
         return True
     raise ShapeError(f"{op} mismatch: {a.data.shape} vs {b.data.shape}")
+
+
+def _row_sum(grad: np.ndarray) -> np.ndarray:
+    """Gradient of a broadcast (1, C) row: the sum over every row of grad."""
+    return grad.reshape(-1, grad.shape[-1]).sum(axis=0, keepdims=True)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -145,7 +160,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(grad)
         if b.requires_grad:
-            b._accumulate(grad.sum(axis=0, keepdims=True) if row_broadcast else grad)
+            b._accumulate(_row_sum(grad) if row_broadcast else grad)
 
     return _node(a.data + b.data, (a, b), bwd)
 
@@ -157,7 +172,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(grad)
         if b.requires_grad:
-            b._accumulate(-(grad.sum(axis=0, keepdims=True) if row_broadcast else grad))
+            b._accumulate(-(_row_sum(grad) if row_broadcast else grad))
 
     return _node(a.data - b.data, (a, b), bwd)
 
@@ -183,12 +198,17 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
-    """Concatenate along the last axis."""
+    """Concatenate along the last axis.
+
+    An input with fewer leading axes than the widest one is broadcast over
+    the extra leading axes, e.g. (M, C1) with (B, M, C2) -> (B, M, C1 + C2).
+    """
     if not tensors:
         raise ShapeError("concat of empty list")
-    lead = tensors[0].data.shape[:-1]
+    lead = max((t.data.shape[:-1] for t in tensors), key=len)
     for t in tensors:
-        if t.data.shape[:-1] != lead:
+        own = t.data.shape[:-1]
+        if lead[len(lead) - len(own):] != own:
             raise ShapeError(f"concat mismatch: {[t.data.shape for t in tensors]}")
     widths = [t.data.shape[-1] for t in tensors]
     offsets = np.cumsum([0] + widths)
@@ -196,9 +216,13 @@ def concat(tensors: list[Tensor]) -> Tensor:
     def bwd(grad):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                t._accumulate(grad[..., lo:hi])
+                g = grad[..., lo:hi]
+                if g.ndim > t.data.ndim:
+                    g = g.reshape(-1, *t.data.shape).sum(axis=0)
+                t._accumulate(g)
 
-    return _node(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors), bwd)
+    parts = [np.broadcast_to(t.data, lead + t.data.shape[-1:]) for t in tensors]
+    return _node(np.concatenate(parts, axis=-1), tuple(tensors), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -325,53 +349,60 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of a matrix by integer index (repeats allowed)."""
+    """Select rows, the second-to-last axis, by integer index (repeats allowed):
+    (..., R, C) -> (..., K, C). Leading axes are a batch; every entry takes
+    the same rows."""
     idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-    if a.data.ndim != 2:
+    if a.data.ndim < 2:
         raise ShapeError(f"gather_rows needs a matrix, got {a.data.shape}")
 
     def bwd(grad):
-        # per-column bincount is ~3x faster than np.add.at for these shapes
-        rows, cols = a.data.shape
-        acc = np.empty((rows, cols))
-        for j in range(cols):
-            acc[:, j] = np.bincount(idx, weights=grad[:, j], minlength=rows)
-        a._accumulate(acc)
+        # one bincount over the flat (entry, row, column) positions; it adds
+        # each position's weights in index order, as a bincount per column does
+        rows, cols = a.data.shape[-2:]
+        entries = a.data.size // (rows * cols)
+        pos = (np.arange(entries)[:, None, None] * rows + idx[:, None]) * cols + np.arange(cols)
+        flat = np.bincount(pos.reshape(-1), weights=grad.reshape(-1), minlength=a.data.size)
+        a._accumulate(flat.reshape(a.data.shape))
 
-    return _node(a.data[idx], (a,), bwd)
+    return _node(a.data[..., idx, :], (a,), bwd)
 
 
 def repeat_rows(a: Tensor, k: int) -> Tensor:
-    """Repeat each row k times consecutively: (M, C) -> (M*k, C)."""
-    if a.data.ndim != 2:
+    """Repeat each row k times consecutively: (..., R, C) -> (..., R*k, C)."""
+    if a.data.ndim < 2:
         raise ShapeError(f"repeat_rows needs a matrix, got {a.data.shape}")
-    m, c = a.data.shape
+    *lead, r, c = a.data.shape
 
     def bwd(grad):
-        a._accumulate(grad.reshape(m, k, c).sum(axis=1))
+        a._accumulate(grad.reshape(*lead, r, k, c).sum(axis=-2))
 
-    return _node(np.repeat(a.data, k, axis=0), (a,), bwd)
+    return _node(np.repeat(a.data, k, axis=-2), (a,), bwd)
 
 
 def max_pool_rows(a: Tensor, group: int) -> Tensor:
     """Max over consecutive row blocks: (G*group, C) -> (G, C).
 
     Ties route the gradient to the first row of the block, so duplicated
-    rows (e.g. a repeated fallback neighbor) are not double-counted.
+    rows (e.g. a repeated fallback neighbor) are not double-counted. The
+    block argmax is computed only for an input that requires grad.
     """
     if a.data.ndim != 2 or a.data.shape[0] % group != 0:
         raise ShapeError(f"max_pool_rows: shape {a.data.shape} not divisible into groups of {group}")
     g = a.data.shape[0] // group
     c = a.data.shape[1]
     blocks = a.data.reshape(g, group, c)
-    arg = blocks.argmax(axis=1)
+    out = blocks[:, 0].copy()
+    for i in range(1, group):
+        np.maximum(out, blocks[:, i], out=out)
+    arg = blocks.argmax(axis=1) if a.requires_grad else None
 
     def bwd(grad):
         acc = np.zeros((g, group, c))
         np.put_along_axis(acc, arg[:, None, :], grad[:, None, :], axis=1)
         a._accumulate(acc.reshape(g * group, c))
 
-    return _node(blocks.max(axis=1), (a,), bwd)
+    return _node(out, (a,), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,16 +64,17 @@ def tree_sha256(root):
 
 
 def predictions_sha256(monkeypatch, *argv):
-    """Run the CLI and digest, in call order, every box and confidence vector
-    grounder.predict returns."""
+    """Run the CLI and digest, in call order and per call in result order,
+    every box and confidence vector grounder.predict returns."""
     digest = hashlib.sha256()
     predict = grounder.predict
 
     def recording(*args, **kwargs):
-        box, confidences, idx = predict(*args, **kwargs)
-        digest.update(np.array([*box.center, box.l, box.w, box.h, box.yaw], dtype="<f8").tobytes())
-        digest.update(np.asarray(confidences, dtype="<f8").tobytes())
-        return box, confidences, idx
+        results = predict(*args, **kwargs)
+        for box, confidences, _ in results:
+            digest.update(np.array([*box.center, box.l, box.w, box.h, box.yaw], dtype="<f8").tobytes())
+            digest.update(np.asarray(confidences, dtype="<f8").tobytes())
+        return results
 
     monkeypatch.setattr(grounder, "predict", recording)
     code, out = run_cli(*argv)
@@ -207,6 +210,22 @@ class TestTrain:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {message}") and err.count("\n") == 1, (label, err)
             assert not run_dir.exists(), label
+
+    def test_divergence_stderr_is_one_line(self, tmp_path, dataset_dir):
+        """Run as a user would, where numpy's warnings reach stderr: a diverging
+        run prints its one-line error and nothing else."""
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("decay_epochs =\nepochs = 2\nbatch_size = 4\n")
+        run_dir = tmp_path / "run"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "moniground.cli", "train", "--config", str(cfg), "--data", dataset_dir,
+             "--out", str(run_dir), "--seed", "5", "--lr", "1e10"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: training diverged") and proc.stderr.count("\n") == 1, proc.stderr
+        assert not run_dir.exists()
 
 
 class TestEval:
@@ -370,6 +389,17 @@ class TestDatasetFaults:
                 json.dump(scene, f)
 
         first_scene = os.path.join("scenes", f"{sorted(splits)[0]}.json")
+        first_points = os.path.join("points", f"{sorted(splits)[0]}.bin")
+
+        def empty(path):
+            open(path, "wb").close()
+
+        def cut_5_bytes(path):
+            with open(path, "rb") as f:
+                blob = f.read()
+            with open(path, "wb") as f:
+                f.write(blob[:-5])
+
         report = str(tmp_path / "r.json")
         train_cfg = tmp_path / "train.cfg"
         train_cfg.write_text("decay_epochs =\nepochs = 1\n")
@@ -390,6 +420,10 @@ class TestDatasetFaults:
             ("train", "truncated_expression_line", expressions, truncate_line),
             ("baseline", "expression_without_key", expressions, drop_line_key),
             ("baseline", "object_without_key", first_scene, drop_object_key),
+            ("train", "empty_point_file", first_points, empty),
+            ("eval", "empty_point_file", first_points, empty),
+            ("train", "point_file_5_bytes_short", first_points, cut_5_bytes),
+            ("eval", "point_file_5_bytes_short", first_points, cut_5_bytes),
         ]
         for command, label, name, corrupt in cases:
             broken = str(tmp_path / f"{command}-{label}")

@@ -211,7 +211,7 @@ class TestEvaluateAndReport:
     def _tiny_eval(self):
         scene = make_scene(["car"], [5.0])
         sample = make_sample(scene, "obj_00")
-        predictor = lambda sc, sm, rng: sc.object_by_id(sm.target_id).box
+        predictor = E.per_sample(lambda sc, sm, rng: sc.object_by_id(sm.target_id).box)
         return E.evaluate(
             predictor, {scene.scene_id: scene}, [sample], seed=3,
             meta={"split": "val", "seed": 3, "predictor-id": "oracle", "checkpoint-hash": "none"},
@@ -274,7 +274,7 @@ class TestEvaluateAndReport:
     def test_tag_mismatch_reported(self):
         scene = make_scene(["car"], [5.0])
         bad = S.GroundingSample(scene.scene_id, "obj_00", "t", ["t"], "Multiple", "Far")
-        predictor = lambda sc, sm, rng: sc.objects[0].box
+        predictor = E.per_sample(lambda sc, sm, rng: sc.objects[0].box)
         report = E.evaluate(predictor, {scene.scene_id: scene}, [bad], seed=1)
         assert any("tag mismatch" in w for w in report.warnings)
 
@@ -316,10 +316,10 @@ class TestModelPredictor:
         calls = []
         predict = G.predict
 
-        def recording(m, v, scene, text, *rest):
-            result = predict(m, v, scene, text, *rest)
-            calls.append((scene, text, result))
-            return result
+        def recording(m, v, scene, texts):
+            results = predict(m, v, scene, texts)
+            calls.extend((scene, text, result) for text, result in zip(texts, results))
+            return results
 
         encodes = []
         encode = model.encoder.forward
@@ -328,8 +328,8 @@ class TestModelPredictor:
 
         predictor = E.model_predictor(model, vocab)
         E.evaluate(predictor, first.scenes, first.samples)
-        # the cache now holds the first dataset's last scene; start the second
-        # dataset at the scene with that id
+        # a predictor reused on another dataset with the same scene ids must
+        # encode that dataset's scenes: start it at the last scene seen
         last_id = max(first.scenes)
         E.evaluate(predictor, second.scenes, [s for s in second.samples if s.scene_id == last_id])
         E.evaluate(predictor, second.scenes, second.samples)
@@ -343,3 +343,38 @@ class TestModelPredictor:
             assert np.array_equal(confidences, ref_confidences)
             assert np.array_equal(box.center, ref_box.center)
             assert (box.l, box.w, box.h, box.yaw) == (ref_box.l, ref_box.w, ref_box.h, ref_box.yaw)
+
+    def test_one_predictor_call_and_one_encode_per_scene(self, monkeypatch):
+        dataset = S.gen_dataset(6, S.GenConfig(scene_count=3, objects_min=2, objects_max=3,
+                                               expressions_per_object=2))
+        vocab = Vocabulary.build(s.tokens for s in dataset.samples)
+        model = G.GroundingModel(tiny_model_config(), len(vocab), seed=1)
+        encodes = []
+        encode = model.encoder.forward
+        monkeypatch.setattr(model.encoder, "forward", lambda *a: encodes.append(1) or encode(*a))
+        model_run = E.model_predictor(model, vocab)
+        scene_calls = []
+
+        def predictor(scene, samples, rngs):
+            scene_calls.append((scene.scene_id, [(s.target_id, s.text) for s in samples]))
+            return model_run(scene, samples, rngs)
+
+        shuffled = [dataset.samples[i] for i in np.random.default_rng(0).permutation(len(dataset.samples))]
+        E.evaluate(predictor, dataset.scenes, shuffled)
+        ordered = sorted(shuffled, key=lambda s: (s.scene_id, s.target_id))  # stable: ties keep position
+        assert [scene_id for scene_id, _ in scene_calls] == sorted(dataset.scenes)
+        assert [pair for _, group in scene_calls for pair in group] == [(s.target_id, s.text) for s in ordered]
+        assert len(encodes) == len(dataset.scenes) < len(dataset.samples)
+
+
+class TestEvaluateCost:
+    def test_iou_once_per_sample(self, monkeypatch):
+        scenes, samples = {}, []
+        for i in range(4):
+            scene = make_scene(["car", "car", "bus"], [5.0 + i, 20.0, 40.0], scene_id=f"s{i}")
+            scenes[scene.scene_id] = scene
+            samples.extend(make_sample(scene, o.object_id) for o in scene.objects)
+        calls = []
+        monkeypatch.setattr(E, "iou_3d", lambda a, b: calls.append(1) or iou_3d(a, b))
+        E.evaluate(E.baseline_predictor("catrandgt", E.NoiseConfig(), 3), scenes, samples, seed=3)
+        assert len(calls) == len(samples)

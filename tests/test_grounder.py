@@ -350,6 +350,50 @@ class TestGradientFlow:
         assert worst <= 1e-5
 
 
+class TestBatchedTextHalf:
+    """ground_text on a padded (B, L) batch against one expression at a time."""
+
+    def test_batch_bit_identical_to_each_alone(self):
+        # the default dimensions, so every BLAS call is the one eval makes
+        dataset = S.gen_dataset(3, S.GenConfig(scene_count=1, objects_min=3, objects_max=3))
+        scene = next(iter(dataset.scenes.values()))
+        config = G.ModelConfig()
+        model = G.GroundingModel(config, 60, seed=2)
+        cand = G.scene_candidates(model, scene)
+        max_len = config.lang.max_len
+        lengths = np.array([1, 9, max_len, 4, 1, 17])
+        ids = np.random.default_rng(5).integers(2, 60, size=(len(lengths), max_len))
+        for row, length in enumerate(lengths):
+            ids[row, length:] = 0
+        batch = model.ground_text(cand, ids, lengths)
+        for row, length in enumerate(lengths):
+            alone = model.ground_text(cand, ids[row], length)
+            for name in ("raw_scores", "confidences", "cls_logits", "residuals", "lang_logits"):
+                assert np.array_equal(getattr(batch, name).data[row], getattr(alone, name).data[0]), (row, name)
+            assert G.ground(batch, row)[0] == G.ground(alone)[0]
+
+    def test_batch_gradients_mixed_lengths(self):
+        rng = np.random.default_rng(7)
+        model = tiny_model(seed=3, vocab_size=20)
+        f_v = T.Tensor(rng.normal(size=(4, model.config.encoder.feature_dim)))
+        cand = CandidateSet(T.constant(rng.normal(size=(4, 3))), T.constant(np.zeros((4, 3))), f_v,
+                            np.zeros((4, 3)))
+        ids = np.array([[2, 5, 0, 0, 0, 0, 0, 0], [7, 3, 9, 4, 11, 0, 0, 0]])
+        shapes = {"confidences": (2, 4), "residuals": (2, 4, G.RESIDUAL_DIM),
+                  "lang_logits": (2, 1, len(S.CATEGORIES))}
+        weights = {name: T.constant(rng.normal(size=shape)) for name, shape in shapes.items()}
+
+        def loss():
+            out = model.ground_text(cand, ids, [2, 5])
+            total = T.mean(out.cls_logits)
+            for name, w in weights.items():
+                total = T.add(total, T.tensor_sum(T.mul(getattr(out, name), w)))
+            return total
+
+        text_params = [p for name, p in model.params.items() if not name.startswith("enc.")]
+        finite_diff_check(loss, text_params, max_coords=3, rng=np.random.default_rng(8))
+
+
 class TestTraining:
     def test_lr_schedule_paper_defaults(self):
         cfg = G.TrainConfig()
@@ -394,7 +438,7 @@ class TestTraining:
         result = G.train_model({scene.scene_id: scene}, [sample], tiny_model_config(), cfg)
         initial, final = result.curve[0].total, result.curve[-1].total
         assert final < 0.1 * initial
-        box, _, _ = G.predict(result.model, result.vocab, scene, sample.text)
+        box, _, _ = G.predict(result.model, result.vocab, scene, [sample.text])[0]
         gt = scene.object_by_id(sample.target_id).box
         assert iou_3d(box, gt) > 0.5
 
@@ -424,8 +468,8 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(14)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        a = G.predict(result.model, result.vocab, scene, samples[0].text)
-        b = G.predict(result.model, result.vocab, scene, samples[0].text)
+        a = G.predict(result.model, result.vocab, scene, [samples[0].text])[0]
+        b = G.predict(result.model, result.vocab, scene, [samples[0].text])[0]
         np.testing.assert_array_equal(a[0].center, b[0].center)
         np.testing.assert_array_equal(a[1], b[1])
         assert a[2] == b[2]
@@ -434,7 +478,7 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(15)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        box, conf, idx = G.predict(result.model, result.vocab, scene, samples[0].text)
+        box, conf, idx = G.predict(result.model, result.vocab, scene, [samples[0].text])[0]
         assert abs(conf.sum() - 1.0) <= 1e-9
         assert 0 <= idx < len(conf)
         assert box.l > 0 and -math.pi <= box.yaw < math.pi
@@ -447,8 +491,8 @@ class TestPredictAndCheckpoint:
         model2, vocab2 = G.load_model(str(tmp_path))
         for k, p in result.model.parameters().items():
             np.testing.assert_array_equal(model2.parameters()[k].data, p.data)
-        a = G.predict(result.model, result.vocab, scene, samples[0].text)
-        b = G.predict(model2, vocab2, scene, samples[0].text)
+        a = G.predict(result.model, result.vocab, scene, [samples[0].text])[0]
+        b = G.predict(model2, vocab2, scene, [samples[0].text])[0]
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_loaded_model_builds_no_graph(self, tmp_path):

@@ -171,6 +171,45 @@ class TestBiGRU:
         finite_diff_check(loss, params.values(), max_coords=5, rng=rng)
 
 
+class TestBatchedBiGRU:
+    """A padded (B, L) batch against each expression encoded alone."""
+
+    @staticmethod
+    def batch(seed, lengths, cfg):
+        rng = np.random.default_rng(seed)
+        params = init_lang_params(40, cfg, rng)
+        ids = rng.integers(2, 40, size=(len(lengths), cfg.max_len))
+        for row, length in enumerate(lengths):
+            ids[row, length:] = PAD_ID
+        return params, ids
+
+    def test_rows_bit_identical_to_each_alone(self):
+        cfg = LangConfig()  # the model's dimensions, so the BLAS calls are the real ones
+        lengths = [1, 7, cfg.max_len, 3, 1, 12]
+        params, ids = self.batch(11, lengths, cfg)
+        out = bigru_encode(embed(ids, params), lengths, params, cfg)
+        assert out.shape == (len(lengths), 1, 2 * cfg.hidden_dim)
+        for row, length in enumerate(lengths):
+            alone = bigru_encode(embed(ids[row], params), length, params, cfg)
+            assert np.array_equal(out.data[row], alone.data), row
+
+    def test_bad_lengths_rejected(self):
+        params, ids = self.batch(13, [2, 3], CFG)
+        f_w = embed(ids, params)
+        for lengths in ([2], [2, 3, 4], [0, 3], [2, CFG.max_len + 1]):
+            with pytest.raises(ValueError):
+                bigru_encode(f_w, lengths, params, CFG)
+
+    def test_gradients_mixed_lengths(self):
+        params, ids = self.batch(14, [2, 5], CFG)
+        w = T.constant(np.random.default_rng(15).normal(size=(2, 1, 2 * CFG.hidden_dim)))
+
+        def loss():
+            return T.tensor_sum(T.mul(bigru_encode(embed(ids, params), [2, 5], params, CFG), w))
+
+        finite_diff_check(loss, params.values(), max_coords=5, rng=np.random.default_rng(16))
+
+
 class TestEncodeText:
     """Tokens -> ids -> embeddings -> BiGRU, the path the model takes."""
 

@@ -72,6 +72,35 @@ class TestForwardValues:
         np.testing.assert_array_equal(T.repeat_rows(a, 2).data, [[1.0], [1.0], [2.0], [2.0], [3.0], [3.0]])
 
 
+class TestBatchedBits:
+    """A batched op gives each batch entry the bits of that entry alone."""
+
+    def test_matmul_rows_match_unbatched(self):
+        rng = np.random.default_rng(30)
+        w = T.constant(rng.normal(size=(64, 64)))
+        for rows in (1, 48):
+            x = rng.normal(size=(5, rows, 64))
+            batched = T.matmul(T.constant(x), w).data
+            for b in range(5):
+                assert np.array_equal(batched[b], T.matmul(T.constant(x[b]), w).data)
+
+    def test_gather_rows_gradient_matches_per_column_bincount(self):
+        rng = np.random.default_rng(31)
+        a = T.Tensor(rng.normal(size=(48, 64)), requires_grad=True)
+        idx = rng.integers(0, 48, size=300)
+        grad = rng.normal(size=(300, 64))
+        T.backward(T.tensor_sum(T.mul(T.gather_rows(a, idx), T.constant(grad))))
+        reference = np.stack([np.bincount(idx, weights=grad[:, j], minlength=48) for j in range(64)], axis=1)
+        assert np.array_equal(a.grad, reference)
+
+    def test_max_pool_rows_matches_block_max(self):
+        rng = np.random.default_rng(32)
+        x = np.round(rng.normal(size=(40, 6)), 1)  # rounding makes ties
+        for requires_grad in (False, True):
+            out = T.max_pool_rows(T.Tensor(x, requires_grad=requires_grad), 8)
+            assert np.array_equal(out.data, x.reshape(5, 8, 6).max(axis=1))
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = T.Tensor([[3.0]], requires_grad=True)
@@ -209,6 +238,26 @@ class TestFiniteDifferences:
         a = param(rng, 2, 6)
         w = T.constant(rng.normal(size=(3, 4)))
         finite_diff_check(lambda: T.tensor_sum(T.mul(T.reshape(a, (3, 4)), w)), [a])
+
+    def test_batched_matmul_add_and_concat(self):
+        # a (B, M, K) batch times a shared (K, N) weight plus a (1, N) bias,
+        # concatenated with an unbatched (M, C) input broadcast over B
+        rng = np.random.default_rng(28)
+        a, b, row, shared = param(rng, 2, 3, 4), param(rng, 4, 5), param(rng, 1, 5), param(rng, 3, 2)
+        w = T.constant(rng.normal(size=(2, 3, 7)))
+
+        def loss():
+            out = T.concat([shared, T.sub(T.add(T.matmul(a, b), row), row)])
+            return T.tensor_sum(T.mul(out, w))
+
+        finite_diff_check(loss, [a, b, row, shared])
+
+    def test_batched_gather_and_repeat(self):
+        rng = np.random.default_rng(29)
+        a = param(rng, 2, 4, 3)
+        w = T.constant(rng.normal(size=(2, 6, 3)))
+        finite_diff_check(lambda: T.tensor_sum(T.mul(T.gather_rows(a, [3, 0, 0, 1, 3, 3]), w)), [a])
+        finite_diff_check(lambda: T.tensor_sum(T.mul(T.repeat_rows(T.gather_rows(a, [2]), 6), w)), [a])
 
     def test_two_layer_mlp_end_to_end(self):
         rng = np.random.default_rng(27)
