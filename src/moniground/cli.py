@@ -195,11 +195,14 @@ def gen_config(cfg: RunConfig) -> GenConfig:
 
 
 def model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        encoder=EncoderConfig(**_fields_of(EncoderConfig, cfg)),
-        lang=LangConfig(**_fields_of(LangConfig, cfg)),
-        **_fields_of(ModelConfig, cfg),
-    )
+    try:
+        return ModelConfig(
+            encoder=EncoderConfig(**_fields_of(EncoderConfig, cfg)),
+            lang=LangConfig(**_fields_of(LangConfig, cfg)),
+            **_fields_of(ModelConfig, cfg),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def train_config(cfg: RunConfig) -> TrainConfig:

@@ -15,10 +15,11 @@ padded (B, L) id matrix and gives every text tensor a leading batch axis B.
 Each row is bit-identical to that expression grounded alone: a row keeps a
 singleton axis where a lone expression has one row, so numpy makes the same
 BLAS call per row (see `tensor.matmul`), and the BiGRU masks rows past their
-length (see `langenc.bigru_encode`). Training takes the same path with
-B = 1 and computes one sampling plan per scene. A model from `load_model`
-holds parameters that do not require gradients, so inference builds no
-autodiff graph.
+length (see `langenc.bigru_encode`). Training takes the same path: each
+minibatch is split into one group per scene, each group is one `forward`
+with B rows, and each row gets its own B = 1 loss. Training computes one
+sampling plan per scene. A model from `load_model` holds parameters that
+do not require gradients, so inference builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +82,11 @@ class ModelConfig:
     fused_dim: int = 128    # per-candidate fused feature width
     modality: str = "xyz+rgb+intensity"
 
+    def __post_init__(self):
+        if min(self.shared_dim, self.fused_dim) < 1:
+            raise ValueError("shared_dim and fused_dim must be positive")
+        modality_feature_dim(self.modality)  # rejects an unknown modality
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -95,8 +102,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValueError("bad optimizer settings")
+        if self.learning_rate <= 0 or self.weight_decay < 0 or self.decay_factor <= 0:
+            raise ValueError("need learning_rate > 0, weight_decay >= 0 and decay_factor > 0")
         if any(d >= self.epochs for d in self.decay_epochs):
             raise ValueError("decay epochs must precede the final epoch")
 
@@ -158,8 +165,9 @@ def assign_targets(candidates: np.ndarray, seeds: np.ndarray, scene: Scene, targ
     A candidate is positive when its shifted position lies inside any
     ground-truth box; its regression target encodes the containing box. A
     seed inside an object is supervised to shift to that object's center.
-    The reference target is the candidate nearest the referred center
-    (lowest index on ties).
+    These depend only on the scene. The reference target is the candidate
+    nearest the referred center (lowest index on ties); it and the language
+    category are the only per-expression fields (see `_expression_targets`).
     """
     m = len(candidates)
     cls = np.zeros(m)
@@ -177,16 +185,15 @@ def assign_targets(candidates: np.ndarray, seeds: np.ndarray, scene: Scene, targ
         if np.any(inside_s):
             shift_mask[inside_s] = 1.0
             shift[inside_s] = obj.box.center - seeds[inside_s]
+    return Targets(cls=cls, reg=reg, shift=shift, shift_mask=shift_mask,
+                   **_expression_targets(candidates, scene, target_id))
+
+
+def _expression_targets(candidates: np.ndarray, scene: Scene, target_id: str) -> dict:
+    """The per-expression fields of Targets: `ref_index` and `lang_index`."""
     target = scene.object_by_id(target_id)
     dists = np.linalg.norm(candidates - target.box.center, axis=1)
-    return Targets(
-        cls=cls,
-        reg=reg,
-        shift=shift,
-        shift_mask=shift_mask,
-        ref_index=int(np.argmin(dists)),
-        lang_index=CATEGORY_INDEX[target.category],
-    )
+    return {"ref_index": int(np.argmin(dists)), "lang_index": CATEGORY_INDEX[target.category]}
 
 
 class GroundingModel:
@@ -349,19 +356,101 @@ class TrainResult:
     wall_seconds: float
 
 
-class _SampleBatchItem:
-    """Per-sample constants hoisted out of the epoch loop."""
+class _SceneInputs(NamedTuple):
+    """Constants of one training scene, shared by all of its samples."""
 
-    __slots__ = ("scene", "target_id", "xyz", "feats", "token_ids", "length", "plan")
+    scene: Scene
+    feats: np.ndarray
+    plan: list
 
-    def __init__(self, scene: Scene, sample, model: GroundingModel, vocab: Vocabulary, plan):
-        pc = scene.points
-        self.scene = scene
-        self.target_id = sample.target_id
-        self.xyz = pc.xyz
-        self.feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
-        self.token_ids, self.length = vocab.encode(sample.tokens, model.config.lang.max_len)
-        self.plan = plan
+
+class _SampleInputs(NamedTuple):
+    """Constants of one training sample."""
+
+    scene_id: str
+    target_id: str
+    token_ids: np.ndarray     # (L,) padded ids
+    length: int
+
+
+def _training_inputs(model: GroundingModel, vocab: Vocabulary, scenes: dict[str, Scene],
+                     samples: list) -> tuple[dict[str, _SceneInputs], list[_SampleInputs]]:
+    """Hoist everything the epoch loop does not change: features and a
+    sampling plan per scene (a plan depends only on point positions), ids
+    and a length per sample."""
+    scene_inputs: dict[str, _SceneInputs] = {}
+    items = []
+    for s in samples:
+        if s.scene_id not in scene_inputs:
+            scene = scenes[s.scene_id]
+            pc = scene.points
+            feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
+            scene_inputs[s.scene_id] = _SceneInputs(scene, feats, model.encoder.precompute_plan(pc.xyz))
+        token_ids, length = vocab.encode(s.tokens, model.config.lang.max_len)
+        items.append(_SampleInputs(s.scene_id, s.target_id, token_ids, length))
+    return scene_inputs, items
+
+
+def _output_row(out: ModelOutput, row: int) -> ModelOutput:
+    """Expression `row` of a batched output as a B = 1 output with the same
+    values; its gradients flow back into the batch through `gather_rows`.
+    A B = 1 output is returned as it is."""
+    b = out.raw_scores.shape[0]
+    if b == 1:
+        return out
+    pick = np.array([row])
+
+    def take(t: T.Tensor) -> T.Tensor:
+        one = T.gather_rows(T.reshape(t, (b, t.data.size // b)), pick)
+        return T.reshape(one, (1, *t.shape[1:]))
+
+    return ModelOutput(out.candidates, take(out.raw_scores), take(out.confidences),
+                       take(out.cls_logits), take(out.residuals), take(out.lang_logits))
+
+
+def _minibatch_gradients(model: GroundingModel, scene_inputs: dict[str, _SceneInputs],
+                         batch: list[_SampleInputs], weights: LossWeights, epoch: int) -> list[dict[str, float]]:
+    """Zero the gradients, then accumulate those of the mean loss of `batch`.
+
+    The batch is split into one group per scene, in order of first
+    appearance. A group encodes its scene once, computes the scene-level
+    targets once, and grounds all of its expressions in one batched
+    `forward`. Each expression gets its own B = 1 loss, whose values equal
+    those of that sample run alone, bit for bit. One backward per group
+    runs on the sum of its losses scaled by 1 / len(batch), so a group of
+    one builds the graph of a sample run alone. Several rows share one
+    encoder backward and sum their gradients before its products, which
+    rounds differently in the last bits. Returns each sample's loss
+    components, in batch order.
+    """
+    T.zero_grads(model.parameters())
+    groups: dict[str, list[int]] = {}
+    for pos, item in enumerate(batch):
+        groups.setdefault(item.scene_id, []).append(pos)
+    inv = 1.0 / len(batch)
+    comps: list = [None] * len(batch)
+    for scene_id, positions in groups.items():
+        sc = scene_inputs[scene_id]
+        members = [batch[pos] for pos in positions]
+        token_ids = np.stack([m.token_ids for m in members])
+        out = model.forward(sc.scene.points.xyz, sc.feats, token_ids, [m.length for m in members], sc.plan)
+        cand_xyz = out.candidates.positions.data
+        targets = assign_targets(cand_xyz, out.candidates.seeds, sc.scene, members[0].target_id)
+        total = None
+        for row, (pos, member) in enumerate(zip(positions, members)):
+            if row:
+                targets = replace(targets, **_expression_targets(cand_xyz, sc.scene, member.target_id))
+            loss, comps[pos] = compute_loss(_output_row(out, row), targets, weights)
+            if not np.isfinite(loss.data):
+                raise TrainingDivergedError(
+                    f"loss {float(loss.data)} at epoch {epoch} "
+                    f"(scene {scene_id!r}, target {member.target_id!r})"
+                )
+            piece = T.scale(loss, inv)
+            total = piece if total is None else T.add(total, piece)
+        T.backward(total)
+        del out, loss, piece, total  # free this graph before the next group builds one
+    return comps
 
 
 @np.errstate(all="ignore")
@@ -374,6 +463,11 @@ def train_model(
 ) -> TrainResult:
     """Seeded, bit-deterministic training loop over grounding samples.
 
+    Each epoch shuffles the samples with a seeded permutation and cuts it
+    into minibatches of `batch_size`. A minibatch makes one batched
+    `forward` per distinct scene in it (see `_minibatch_gradients`), then
+    one Adam step.
+
     A NaN or infinite loss, or a gradient with such an entry before an Adam
     step, raises TrainingDivergedError, so a diverged run returns no model.
     numpy's floating-point warnings are off while it runs, so that check
@@ -384,14 +478,7 @@ def train_model(
     started = time.perf_counter()
     vocab = Vocabulary.build(s.tokens for s in samples)
     model = GroundingModel(model_config, len(vocab), seed=train_config.seed)
-    # a plan depends only on point positions: one per scene, shared by its samples
-    plans: dict[str, list] = {}
-    items = []
-    for s in samples:
-        scene = scenes[s.scene_id]
-        if s.scene_id not in plans:
-            plans[s.scene_id] = model.encoder.precompute_plan(scene.points.xyz)
-        items.append(_SampleBatchItem(scene, s, model, vocab, plans[s.scene_id]))
+    scene_inputs, items = _training_inputs(model, vocab, scenes, samples)
     state = T.AdamState(
         learning_rate=train_config.learning_rate, weight_decay=train_config.weight_decay
     )
@@ -405,22 +492,8 @@ def train_model(
         order = substream(train_config.seed, "train", "shuffle", epoch).permutation(len(items))
         sums = np.zeros(6)
         for start in range(0, len(order), train_config.batch_size):
-            batch = order[start : start + train_config.batch_size]
-            T.zero_grads(params)
-            inv = 1.0 / len(batch)
-            for idx in batch:
-                item = items[idx]
-                out = model.forward(item.xyz, item.feats, item.token_ids, item.length, item.plan)
-                targets = assign_targets(
-                    out.candidates.positions.data, out.candidates.seeds, item.scene, item.target_id
-                )
-                loss, comps = compute_loss(out, targets, weights)
-                if not np.isfinite(loss.data):
-                    raise TrainingDivergedError(
-                        f"loss {float(loss.data)} at epoch {epoch} "
-                        f"(scene {item.scene.scene_id!r}, target {item.target_id!r})"
-                    )
-                T.backward(T.scale(loss, inv))
+            batch = [items[i] for i in order[start : start + train_config.batch_size]]
+            for comps in _minibatch_gradients(model, scene_inputs, batch, weights, epoch):
                 sums += [comps["total"], comps["cls"], comps["reg"], comps["shift"], comps["lang"], comps["ref"]]
             if emb.grad is not None:
                 emb.grad[langenc.PAD_ID, :] = 0.0  # keep the padding row frozen at zero

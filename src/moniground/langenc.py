@@ -75,6 +75,10 @@ class LangConfig:
     hidden_dim: int = 64     # per-direction GRU width
     max_len: int = 48
 
+    def __post_init__(self):
+        if min(self.embed_dim, self.hidden_dim, self.max_len) < 1:
+            raise ValueError("embed_dim, hidden_dim and max_len (max_tokens) must be positive")
+
     @property
     def out_dim(self) -> int:
         return 2 * self.hidden_dim

@@ -51,6 +51,12 @@ class EncoderConfig:
     shift_hidden: int = 64
     lambda_fps: float = 1.0
 
+    def __post_init__(self):
+        if min(self.m_candidates, self.feature_dim, self.cg_cap, self.shift_hidden) < 1:
+            raise ValueError("m_candidates, feature_dim, cg_cap and shift_hidden must be positive")
+        if self.cg_radius <= 0 or self.lambda_fps < 0:
+            raise ValueError("need cg_radius > 0 and lambda_fps >= 0")
+
 
 @dataclass
 class CandidateSet:
@@ -308,13 +314,11 @@ def assemble_features(rgb: np.ndarray, intensity: np.ndarray, modality: str) -> 
 
     'xyz' alone yields a constant-1 feature column.
     """
-    parts = modality.split("+")
-    if parts[0] != "xyz" or any(p not in ("rgb", "intensity") for p in parts[1:]):
-        raise ValueError(f"unknown modality {modality!r}")
+    parts = _modality_channels(modality)
     cols = []
-    if "rgb" in parts[1:]:
+    if "rgb" in parts:
         cols.append(rgb)
-    if "intensity" in parts[1:]:
+    if "intensity" in parts:
         cols.append(intensity[:, None])
     if not cols:
         cols.append(np.ones((len(rgb), 1)))
@@ -322,6 +326,15 @@ def assemble_features(rgb: np.ndarray, intensity: np.ndarray, modality: str) -> 
 
 
 def modality_feature_dim(modality: str) -> int:
-    parts = modality.split("+")
-    dim = (3 if "rgb" in parts[1:] else 0) + (1 if "intensity" in parts[1:] else 0)
+    """Width of `assemble_features`' output; ValueError for an unknown modality."""
+    parts = _modality_channels(modality)
+    dim = (3 if "rgb" in parts else 0) + (1 if "intensity" in parts else 0)
     return dim if dim else 1
+
+
+def _modality_channels(modality: str) -> list[str]:
+    """The channels after 'xyz' in a modality tag; ValueError for an unknown tag."""
+    parts = modality.split("+") if isinstance(modality, str) else []
+    if parts[:1] != ["xyz"] or any(p not in ("rgb", "intensity") for p in parts[1:]):
+        raise ValueError(f"unknown modality {modality!r}")
+    return parts[1:]

@@ -715,9 +715,10 @@ def _malformed(path: str, exc: Exception) -> DatasetIOError:
 def read_dataset(root: str) -> Dataset:
     """Read a directory written by write_dataset.
 
-    A missing file, unparsable JSON, a record without a field it needs, or a
-    point file that is empty or ends in a partial point raises
-    DatasetIOError.
+    A missing file, unparsable JSON, a record without a field it needs, an
+    expression whose ids, text or tokens are not strings, one with no token
+    or whose text tokenizes to nothing, or a point file that is empty or
+    ends in a partial point raises DatasetIOError.
     """
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -765,9 +766,17 @@ def read_dataset(root: str) -> Dataset:
         for lineno, line in enumerate(f, 1):
             if line.strip():
                 try:
-                    samples.append(GroundingSample(**json.loads(line)))
+                    sample = GroundingSample(**json.loads(line))
                 except (ValueError, TypeError) as exc:
                     raise _malformed(f"{expressions_path}:{lineno}", exc) from exc
+                where = f"expression at {expressions_path!r}:{lineno}"
+                if not (all(isinstance(v, str) for v in (sample.scene_id, sample.target_id, sample.text))
+                        and isinstance(sample.tokens, list) and all(isinstance(t, str) for t in sample.tokens)):
+                    raise DatasetIOError(f"{where} has an id, text or token that is not a string")
+                # training reads the tokens, inference tokenizes the text
+                if not sample.tokens or not tokenize(sample.text):
+                    raise DatasetIOError(f"{where} has no usable token")
+                samples.append(sample)
     # every later stage looks scenes and targets up by these keys
     for s in samples:
         scene = scenes.get(s.scene_id)

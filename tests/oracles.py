@@ -1,7 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately written from scratch with plain numpy so it
-shares no code path with the implementations under test.
+shares no code path with the implementations under test, except
+`per_sample_gradients`: the training step one sample at a time, built from
+the model's own forward and loss.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ import math
 
 import numpy as np
 
+from moniground import grounder as G
+from moniground import tensor as T
 from moniground.geom3d import Box7
 
 
@@ -114,3 +118,21 @@ def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int)
     if np.any(empty):
         first[empty] = np.argmin(d2[empty], axis=1)
     return np.where(groups < 0, first[:, None], groups)
+
+
+def per_sample_gradients(model, scene_inputs, batch, weights) -> list[dict[str, float]]:
+    """Gradients of a minibatch's mean loss, one forward, loss and backward
+    per sample in batch order, each sample encoding its scene anew.
+    Returns each sample's loss components."""
+    T.zero_grads(model.parameters())
+    inv = 1.0 / len(batch)
+    comps = []
+    for item in batch:
+        sc = scene_inputs[item.scene_id]
+        out = model.forward(sc.scene.points.xyz, sc.feats, item.token_ids, item.length, sc.plan)
+        cand = out.candidates
+        targets = G.assign_targets(cand.positions.data, cand.seeds, sc.scene, item.target_id)
+        loss, sample_comps = G.compute_loss(out, targets, weights)
+        T.backward(T.scale(loss, inv))
+        comps.append(sample_comps)
+    return comps

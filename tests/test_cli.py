@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,13 +42,14 @@ DEFAULT_ECHO = {
 }
 
 
-# sha256 of the trained_run fixture's checkpoint.bin, recorded before the
-# model was split into encode_scene and ground_text
-TRAINED_CHECKPOINT_SHA256 = "e49e4ebb53692ac08368ae680e3fff919750fbe8fd5b01e80a8b0ea4ce63c491"
+# sha256 of the trained_run fixture's checkpoint.bin, recorded when training
+# started to ground a minibatch's expressions of one scene in one forward
+# (their gradients sum before the encoder's products, so the last bits moved)
+TRAINED_CHECKPOINT_SHA256 = "0fc2499510dd76dfb18fbbb19231ae819025150aeb22ca1557df3a17b2a48254"
 # sha256 over every (box, confidences) that `eval --split val` predicts on
-# the trained_run fixture (see predictions_sha256); recorded before
-# model_predictor reused a scene's candidates across its expressions
-VAL_PREDICTIONS_SHA256 = "0d8bc2627d46d8c7a1b66d33dc53096b25fbd2e7804b71b2d76d242c8bdb4ed1"
+# the trained_run fixture (see predictions_sha256); recorded with the
+# checkpoint pin above
+VAL_PREDICTIONS_SHA256 = "1120dc0ed9449ecc89219538d691a32d3e5856077c7130ed78d1978b9598f9ee"
 
 
 def tree_sha256(root):
@@ -165,7 +167,7 @@ class TestTrain:
             assert hashlib.sha256(f.read()).hexdigest() == TRAINED_CHECKPOINT_SHA256
 
     def test_config_echo_embedded(self, trained_run):
-        meta = json.load(open(os.path.join(trained_run, "config.json")))
+        meta = json.loads(Path(trained_run, "config.json").read_text())
         assert meta["run_config"]["epochs"] == 2
         assert meta["run_config"]["learning_rate"] == pytest.approx(1e-3)
 
@@ -176,7 +178,7 @@ class TestTrain:
         code, _ = run_cli("train", "--config", str(cfg), "--data", dataset_dir,
                           "--out", run_dir, "--epochs", "1")
         assert code == 0
-        meta = json.load(open(os.path.join(run_dir, "config.json")))
+        meta = json.loads(Path(run_dir, "config.json").read_text())
         assert meta["run_config"]["epochs"] == 1
 
     def test_divergence_is_exit_4(self, tmp_path, dataset_dir, monkeypatch, capsys):
@@ -211,6 +213,20 @@ class TestTrain:
             assert err.startswith(f"error: {message}") and err.count("\n") == 1, (label, err)
             assert not run_dir.exists(), label
 
+    def test_bad_model_config_is_exit_2(self, tmp_path, dataset_dir, capsys):
+        settings = ["m_candidates = 0", "max_tokens = 0", "embed_dim = 0", "hidden_dim = -1",
+                    "feature_dim = 0", "shared_dim = 0", "fused_dim = -3", "modality = xyz+depth",
+                    "lambda_fps = -0.5", "decay_factor = 0"]
+        run_dir = tmp_path / "run"
+        for setting in settings:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"decay_epochs =\nepochs = 1\n{setting}\n")
+            capsys.readouterr()
+            code, _ = run_cli("train", "--config", str(cfg), "--data", dataset_dir, "--out", str(run_dir))
+            assert code == 2, setting
+            assert_one_line_error(capsys)
+            assert not run_dir.exists(), setting
+
     def test_divergence_stderr_is_one_line(self, tmp_path, dataset_dir):
         """Run as a user would, where numpy's warnings reach stderr: a diverging
         run prints its one-line error and nothing else."""
@@ -237,24 +253,24 @@ class TestEval:
                                 "--split", "val", "--report-out", path, "--seed", "5")
             assert code == 0, out
             assert "Overall" in out
-            contents.append(open(path).read())
+            contents.append(Path(path).read_text())
         assert contents[0] == contents[1]
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         assert doc["split"] == "val"
         assert doc["predictor-id"].startswith("model:")
         assert len(doc["checkpoint-hash"]) == 64
         assert "config" in doc
 
     def test_split_counts_match_manifest(self, dataset_dir, trained_run, tmp_path):
-        manifest = json.load(open(os.path.join(dataset_dir, "manifest.json")))
-        expressions = [json.loads(line) for line in open(os.path.join(dataset_dir, "expressions.jsonl"))]
+        manifest = json.loads(Path(dataset_dir, "manifest.json").read_text())
+        expressions = [json.loads(line) for line in Path(dataset_dir, "expressions.jsonl").read_text().splitlines()]
         counts = {}
         for split in ("val", "test"):
             p = str(tmp_path / f"{split}.json")
             code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", trained_run,
                               "--split", split, "--report-out", p, "--seed", "5")
             assert code == 0
-            counts[split] = json.load(open(p))["subsets"]["Overall"]["count"]
+            counts[split] = json.loads(Path(p).read_text())["subsets"]["Overall"]["count"]
             expected = sum(1 for e in expressions if manifest["splits"][e["scene_id"]] == split)
             assert counts[split] == expected
         assert counts["val"] != counts["test"] or counts["val"] > 0
@@ -287,6 +303,14 @@ class TestEval:
             del meta["vocab_size"]
 
         @json_edit
+        def zero_candidates(meta):
+            meta["model"]["encoder"]["m_candidates"] = 0
+
+        @json_edit
+        def unknown_modality(meta):
+            meta["model"]["modality"] = "xyz+depth"
+
+        @json_edit
         def non_integer_vocab_id(vocab):
             vocab[min(vocab)] = "x"
 
@@ -307,6 +331,8 @@ class TestEval:
             ("config.json", reshaped_config),
             ("config.json", dropped_config_field),
             ("config.json", dropped_vocab_size),
+            ("config.json", zero_candidates),
+            ("config.json", unknown_modality),
             ("config.json", garbled_json),
             ("vocab.json", garbled_json),
             ("vocab.json", non_integer_vocab_id),
@@ -346,7 +372,7 @@ class TestEval:
 
 class TestDatasetFaults:
     def test_dataset_faults_are_exit_3(self, dataset_dir, trained_run, tmp_path, capsys):
-        splits = json.load(open(os.path.join(dataset_dir, "manifest.json")))["splits"]
+        splits = json.loads(Path(dataset_dir, "manifest.json").read_text())["splits"]
 
         def edit_sample(split, key, value):
             def corrupt(path):
@@ -420,6 +446,11 @@ class TestDatasetFaults:
             ("train", "truncated_expression_line", expressions, truncate_line),
             ("baseline", "expression_without_key", expressions, drop_line_key),
             ("baseline", "object_without_key", first_scene, drop_object_key),
+            ("train", "no_tokens", expressions, edit_sample("train", "tokens", [])),
+            ("eval", "text_without_token", expressions, edit_sample("val", "text", "... !")),
+            ("baseline", "text_not_a_string", expressions, edit_sample("val", "text", 5)),
+            ("train", "tokens_not_a_list", expressions, edit_sample("train", "tokens", "car")),
+            ("baseline", "scene_id_not_a_string", expressions, edit_sample("val", "scene_id", ["x"])),
             ("train", "empty_point_file", first_points, empty),
             ("eval", "empty_point_file", first_points, empty),
             ("train", "point_file_5_bytes_short", first_points, cut_5_bytes),
@@ -445,7 +476,7 @@ class TestBaseline:
         code, out = run_cli("baseline", "--data", root, "--which", "catrandgt",
                             "--split", "val", "--report-out", report, "--seed", "3")
         assert code == 0
-        doc = json.load(open(report))
+        doc = json.loads(Path(report).read_text())
         assert doc["subsets"]["Unique"]["acc25"] == 100.0
         assert doc["subsets"]["Unique"]["acc50"] == 100.0
         assert doc["subsets"]["Multiple"]["count"] == 0
@@ -460,7 +491,7 @@ class TestBaseline:
         code, _ = run_cli("baseline", "--data", dataset_dir, "--which", "detbest",
                           "--split", "val", "--report-out", report, "--seed", "4")
         assert code == 0
-        doc = json.load(open(report))
+        doc = json.loads(Path(report).read_text())
         assert doc["predictor-id"] == "baseline:detbest"
         assert doc["checkpoint-hash"] == "none"
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,9 +283,9 @@ class TestEvaluateAndReport:
         report = self._tiny_eval()
         doc = E.report_to_json(report)
         table = E.render_report(report)
-        golden = json.loads(open("tests/data/golden_report.json").read())
+        golden = json.loads(Path("tests/data/golden_report.json").read_text())
         assert doc == golden
-        assert table == open("tests/data/golden_report.txt").read().rstrip("\n")
+        assert table == Path("tests/data/golden_report.txt").read_text().rstrip("\n")
         # field-for-field: every subset row in the table matches the JSON
         for line in table.splitlines():
             parts = line.split()

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gradcheck import finite_diff_check, tiny_model_config
 from moniground import grounder as G
 from moniground import synthdata as S
 from moniground import tensor as T
 from moniground.geom3d import Box7, iou_3d
+from moniground.langenc import Vocabulary
 from moniground.pointenc import CandidateSet, PointEncoder, assemble_features
+from moniground.seeding import substream
 
 
 def tiny_model(seed=0, modality="xyz+rgb+intensity", vocab_size=12):
@@ -394,6 +397,58 @@ class TestBatchedTextHalf:
         finite_diff_check(loss, text_params, max_coords=3, rng=np.random.default_rng(8))
 
 
+class TestSceneGroupedStep:
+    """`_minibatch_gradients` against the per-sample step in tests/oracles.py."""
+
+    @staticmethod
+    def both_steps(pick):
+        # the default dimensions, so every BLAS call is the one training makes
+        dataset = S.gen_dataset(4, S.GenConfig(scene_count=3, objects_min=3, objects_max=3))
+        vocab = Vocabulary.build(s.tokens for s in dataset.samples)
+        models = [G.GroundingModel(G.ModelConfig(), len(vocab), seed=6) for _ in range(2)]
+        scene_inputs, items = G._training_inputs(models[0], vocab, dataset.scenes, dataset.samples)
+        by_scene = {}
+        for item in items:
+            by_scene.setdefault(item.scene_id, []).append(item)
+        batch = pick(list(by_scene.values()))
+        weights = G.LossWeights()
+        grouped = G._minibatch_gradients(models[0], scene_inputs, batch, weights, epoch=1)
+        reference = oracles.per_sample_gradients(models[1], scene_inputs, batch, weights)
+        return batch, models, grouped, reference
+
+    @staticmethod
+    def grads(model):
+        return {k: p.grad for k, p in model.parameters().items() if p.grad is not None}
+
+    def test_distinct_scenes_bit_identical_to_per_sample_step(self):
+        batch, models, grouped, reference = self.both_steps(lambda scenes: [s[1] for s in reversed(scenes)])
+        assert len({item.scene_id for item in batch}) == len(batch) == 3
+        assert grouped == reference
+        grads = [self.grads(m) for m in models]
+        assert grads[0].keys() == grads[1].keys()
+        for name, g in grads[0].items():
+            assert np.array_equal(g, grads[1][name]), name
+        for model, g in zip(models, grads):
+            T.adam_step(model.parameters(), g, T.AdamState(learning_rate=1e-3, weight_decay=1e-4))
+        for name, p in models[0].parameters().items():
+            assert np.array_equal(p.data, models[1].parameters()[name].data), name
+
+    def test_repeated_scenes_match_per_sample_step(self):
+        # scene a three times and scene b twice, interleaved with scene c
+        batch, models, grouped, reference = self.both_steps(
+            lambda s: [s[0][0], s[1][0], s[0][1], s[2][0], s[0][2], s[1][1]])
+        assert len({item.scene_id for item in batch}) == 3 < len(batch)
+        assert grouped == reference  # every loss component, bit for bit
+        grads = [self.grads(m) for m in models]
+        assert grads[0].keys() == grads[1].keys()
+        # an entry that cancels to rounding noise, such as the loc bias's (0 up
+        # to rounding, as softmax ignores a shared shift), is held to 1e-12 of
+        # the largest gradient entry instead of its own size
+        scale = max(np.abs(g).max() for g in grads[1].values())
+        for name, g in grads[0].items():
+            np.testing.assert_allclose(g, grads[1][name], rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
 class TestTraining:
     def test_lr_schedule_paper_defaults(self):
         cfg = G.TrainConfig()
@@ -445,12 +500,23 @@ class TestTraining:
     def test_one_plan_per_scene(self, monkeypatch):
         dataset = S.gen_dataset(6, S.GenConfig(scene_count=2, objects_min=2, objects_max=3,
                                                expressions_per_object=2))
-        calls = []
+        calls, encodes = [], []
         plan = PointEncoder.precompute_plan
         monkeypatch.setattr(PointEncoder, "precompute_plan", lambda self, xyz: calls.append(1) or plan(self, xyz))
-        cfg = G.TrainConfig(epochs=1, batch_size=4, decay_epochs=(), seed=1)
+        encode = G.GroundingModel.encode_scene
+        monkeypatch.setattr(G.GroundingModel, "encode_scene",
+                            lambda self, *args: encodes.append(1) or encode(self, *args))
+        cfg = G.TrainConfig(epochs=2, batch_size=4, decay_epochs=(), seed=1)
         G.train_model(dataset.scenes, dataset.samples, tiny_model_config(), cfg)
         assert len(calls) == len({s.scene_id for s in dataset.samples}) == 2 < len(dataset.samples)
+        # one encoding per distinct scene per minibatch
+        scene_of = [s.scene_id for s in dataset.samples]
+        distinct = 0
+        for epoch in range(1, cfg.epochs + 1):
+            order = substream(cfg.seed, "train", "shuffle", epoch).permutation(len(scene_of))
+            for start in range(0, len(order), cfg.batch_size):
+                distinct += len({scene_of[i] for i in order[start : start + cfg.batch_size]})
+        assert len(encodes) == distinct < cfg.epochs * len(dataset.samples)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
