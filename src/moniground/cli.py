@@ -187,11 +187,9 @@ def _fields_of(owner, cfg: RunConfig) -> dict:
 
 def gen_config(cfg: RunConfig) -> GenConfig:
     try:
-        config = GenConfig(**_fields_of(GenConfig, cfg))
-        config.validate()
+        return GenConfig(**_fields_of(GenConfig, cfg))
     except ValueError as exc:
         raise UsageError(str(exc))
-    return config
 
 
 def model_config(cfg: RunConfig) -> ModelConfig:

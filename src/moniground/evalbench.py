@@ -18,9 +18,9 @@ import numpy as np
 
 from .geom3d import Box7, iou_3d, normalize_angle
 from .seeding import substream
-from .synthdata import CATEGORIES, GroundingSample, Scene, tag_subsets
+from .synthdata import CATEGORIES, DISTANCE_BINS, UNIQUENESS_TAGS, GroundingSample, Scene, tag_subsets
 
-SUBSET_ORDER = ("Unique", "Multiple", "Near", "Medium", "Far", "Overall")
+SUBSET_ORDER = (*UNIQUENESS_TAGS, *DISTANCE_BINS, "Overall")
 THRESHOLDS = (0.25, 0.5)
 
 
@@ -146,22 +146,13 @@ def baseline_detbest(sample: GroundingSample, scene: Scene, proposals: list[Prop
 Predictor = Callable[[Scene, list[GroundingSample], list[np.random.Generator]], list[Box7]]
 
 
-def per_sample(predict_one: Callable[[Scene, GroundingSample, np.random.Generator], Box7]) -> Predictor:
-    """A Predictor that calls `predict_one` on each sample in turn, with its own stream."""
-
-    def run(scene: Scene, samples: list[GroundingSample], rngs: list[np.random.Generator]) -> list[Box7]:
-        return [predict_one(scene, sample, rng) for sample, rng in zip(samples, rngs)]
-
-    return run
-
-
 def model_predictor(model, vocab) -> Predictor:
-    """The grounding model as a predictor, scene-major.
+    """The grounding model as a predictor.
 
-    The visual encoder does not read the expression, so each call encodes
-    its scene once and grounds all of the scene's expressions in one batch
-    (`grounder.predict`). Nothing is kept between calls. Results equal a
-    full forward pass per sample, bit for bit.
+    Each call is one `grounder.predict`: one `forward` that encodes the
+    scene once and grounds all of the scene's expressions in one batch.
+    Nothing is kept between calls. Each box equals that of the sample's
+    expression grounded alone, bit for bit.
     """
     from .grounder import predict
 
@@ -174,28 +165,23 @@ def model_predictor(model, vocab) -> Predictor:
 def baseline_predictor(kind: str, noise: NoiseConfig, seed: int) -> Predictor:
     """catrandgt / detrand / detbest as predictors.
 
-    Proposal sets are derived per scene from (seed, scene id), so every
-    baseline sees the same proposals for a given scene.
+    detrand and detbest draw the scene's proposals in each call, from the
+    stream named by (seed, scene id), so every baseline sees the same
+    proposals for a given scene. `evaluate` visits each scene once, so they
+    are drawn once per scene.
     """
     if kind not in ("catrandgt", "detrand", "detbest"):
         raise ValueError(f"unknown baseline {kind!r}")
 
-    proposal_cache: dict[str, list[Proposal]] = {}
-
-    def proposals_for(scene: Scene) -> list[Proposal]:
-        if scene.scene_id not in proposal_cache:
-            rng = substream(seed, "proposals", scene.scene_id)
-            proposal_cache[scene.scene_id] = make_oracle_proposals(scene, rng, noise)
-        return proposal_cache[scene.scene_id]
-
-    def run(scene: Scene, sample: GroundingSample, rng: np.random.Generator) -> Box7:
+    def run(scene: Scene, samples: list[GroundingSample], rngs: list[np.random.Generator]) -> list[Box7]:
         if kind == "catrandgt":
-            return baseline_catrandgt(sample, scene, rng)
+            return [baseline_catrandgt(sample, scene, rng) for sample, rng in zip(samples, rngs)]
+        proposals = make_oracle_proposals(scene, substream(seed, "proposals", scene.scene_id), noise)
         if kind == "detrand":
-            return baseline_detrand(sample, scene, proposals_for(scene), rng)
-        return baseline_detbest(sample, scene, proposals_for(scene))
+            return [baseline_detrand(sample, scene, proposals, rng) for sample, rng in zip(samples, rngs)]
+        return [baseline_detbest(sample, scene, proposals) for sample in samples]
 
-    return per_sample(run)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +226,7 @@ def evaluate(
     def members(name: str) -> list[EvalSample]:
         if name == "Overall":
             return evaluated
-        if name in ("Unique", "Multiple"):
+        if name in UNIQUENESS_TAGS:
             return [e for e in evaluated if e.sample.uniqueness == name]
         return [e for e in evaluated if e.sample.distance_bin == name]
 
@@ -298,7 +284,7 @@ def check_report_invariants(report: EvalReport) -> None:
         if s.acc25 < s.acc50 - 1e-9:
             raise ReportInvariantError(f"Acc@0.25 < Acc@0.5 in subset {name}")
     overall = subs["Overall"].count
-    for parts in (("Unique", "Multiple"), ("Near", "Medium", "Far")):
+    for parts in (UNIQUENESS_TAGS, DISTANCE_BINS):
         total = sum(subs[p].count for p in parts)
         if total != overall:
             raise ReportInvariantError(f"{' + '.join(parts)} counts sum to {total}, Overall has {overall}")

@@ -8,18 +8,20 @@ candidate nearest the referred object's center, and a small head decodes a
 sum of candidate classification, box regression, center-shift, language
 category, and reference losses.
 
-The visual half (`encode_scene`) never reads the text, so inference is
-scene-major: `predict` encodes a scene once and grounds all of its
-expressions in one pass of the text half (`ground_text`), which takes a
-padded (B, L) id matrix and gives every text tensor a leading batch axis B.
-Each row is bit-identical to that expression grounded alone: a row keeps a
-singleton axis where a lone expression has one row, so numpy makes the same
-BLAS call per row (see `tensor.matmul`), and the BiGRU masks rows past their
-length (see `langenc.bigru_encode`). Training takes the same path: each
-minibatch is split into one group per scene, each group is one `forward`
-with B rows, and each row gets its own B = 1 loss. Training computes one
-sampling plan per scene. A model from `load_model` holds parameters that
-do not require gradients, so inference builds no autodiff graph.
+Training and inference take one path. `scene_inputs` builds what the
+model reads from a scene (its features and sampling plan), and
+`encode_expressions` turns B expressions into a padded (B, L) id matrix.
+`GroundingModel.forward` takes both: it encodes the scene once, since the
+visual half never reads the text, and grounds all B expressions in one pass
+of the text half (`ground_text`), which gives every text tensor a leading
+batch axis B. Each row is bit-identical to that expression grounded alone:
+a row keeps a singleton axis where a lone expression has one row, so numpy
+makes the same BLAS call per row (see `tensor.matmul`), and the BiGRU masks
+rows past their length (see `langenc.bigru_encode`). Training builds each
+scene's inputs once, makes one `forward` per scene in a minibatch and gives
+each row its own B = 1 loss; `predict` makes one `forward` per call and
+decodes each row with `ground`. A model from `load_model` holds parameters
+that do not require gradients, so inference builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -35,17 +37,18 @@ import numpy as np
 
 from . import langenc, tensor as T
 from .geom3d import Box7, points_in_box
-from .langenc import LangConfig, Vocabulary
+from .langenc import LangConfig, Vocabulary, encode_expressions
 from .pointenc import (
     CandidateSet,
     EncoderConfig,
+    LayerPlan,
     PointEncoder,
     SALayerSpec,
     assemble_features,
     modality_feature_dim,
 )
 from .seeding import substream
-from .synthdata import CATEGORIES, CATEGORY_INDEX, SIZE_PRIORS, Scene, atomic_write
+from .synthdata import CATEGORIES, CATEGORY_INDEX, GroundingSample, SIZE_PRIORS, Scene, atomic_write
 
 RESIDUAL_DIM = 8  # dx, dy, dz, 3 log size ratios, sin yaw, cos yaw
 
@@ -104,13 +107,21 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate <= 0 or self.weight_decay < 0 or self.decay_factor <= 0:
             raise ValueError("need learning_rate > 0, weight_decay >= 0 and decay_factor > 0")
-        if any(d >= self.epochs for d in self.decay_epochs):
-            raise ValueError("decay epochs must precede the final epoch")
+        if any(not 1 <= d < self.epochs for d in self.decay_epochs):
+            raise ValueError("decay epochs must lie in 1 .. epochs - 1")
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-indexed epoch; decays apply after each decay epoch."""
         drops = sum(1 for d in self.decay_epochs if epoch > d)
         return self.learning_rate * self.decay_factor**drops
+
+
+class SceneInputs(NamedTuple):
+    """What the model reads from one scene; built by `scene_inputs`."""
+
+    scene: Scene
+    feats: np.ndarray         # (N, in_dim) per-point features for the model's modality
+    plan: list[LayerPlan]     # the encoder's sampling plan for the scene's points
 
 
 @dataclass
@@ -248,18 +259,12 @@ class GroundingModel:
         row = T.reshape(raw, (raw.data.size // m, m))
         return row, T.row_softmax(row)
 
-    def encode_scene(self, xyz: np.ndarray, feats: np.ndarray, plan=None) -> CandidateSet:
-        """Visual half: candidates of one scene, independent of any expression."""
-        return self.encoder.forward(xyz, T.constant(feats), plan)
-
     def ground_text(self, cand: CandidateSet, token_ids: np.ndarray, lengths) -> ModelOutput:
         """Text half: encode B expressions and score each against one scene's candidates.
 
-        `token_ids` is a padded (B, L) id matrix with B lengths, or one
-        expression's (L,) ids with its length (then B = 1). Row b of the
+        `token_ids` is a padded (B, L) id matrix with B lengths. Row b of the
         output equals expression b grounded alone, bit for bit.
         """
-        token_ids = np.atleast_2d(token_ids)
         f_w = langenc.embed(token_ids, self.params)
         f_l = langenc.bigru_encode(f_w, lengths, self.params, self.config.lang)
         f_m = self.fuse(cand.features, f_l)
@@ -269,9 +274,25 @@ class GroundingModel:
         lang_logits = T.add(T.matmul(f_l, self.params["head.lang.w"]), self.params["head.lang.b"])
         return ModelOutput(cand, raw, conf, cls_logits, residuals, lang_logits)
 
-    def forward(self, xyz: np.ndarray, feats: np.ndarray, token_ids: np.ndarray, lengths,
-                plan=None) -> ModelOutput:
-        return self.ground_text(self.encode_scene(xyz, feats, plan), token_ids, lengths)
+    def forward(self, inputs: SceneInputs, token_ids: np.ndarray, lengths) -> ModelOutput:
+        """B expressions, as `encode_expressions` gives them, grounded in one scene.
+
+        The visual half (the encoder) runs once and never reads the text."""
+        cand = self.encoder.forward(inputs.scene.points.xyz, T.constant(inputs.feats), inputs.plan)
+        return self.ground_text(cand, token_ids, lengths)
+
+
+def scene_inputs(model: GroundingModel, scene: Scene) -> SceneInputs:
+    """A scene's features for the model's input modality and its sampling plan.
+
+    The plan depends only on point positions, so one SceneInputs serves
+    every forward pass over the scene.
+    """
+    pc = scene.points
+    if pc is None:
+        raise ValueError(f"scene {scene.scene_id} has no point cloud")
+    feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
+    return SceneInputs(scene, feats, model.encoder.precompute_plan(pc.xyz))
 
 
 def ground(output: ModelOutput, row: int = 0) -> tuple[int, Box7]:
@@ -356,41 +377,6 @@ class TrainResult:
     wall_seconds: float
 
 
-class _SceneInputs(NamedTuple):
-    """Constants of one training scene, shared by all of its samples."""
-
-    scene: Scene
-    feats: np.ndarray
-    plan: list
-
-
-class _SampleInputs(NamedTuple):
-    """Constants of one training sample."""
-
-    scene_id: str
-    target_id: str
-    token_ids: np.ndarray     # (L,) padded ids
-    length: int
-
-
-def _training_inputs(model: GroundingModel, vocab: Vocabulary, scenes: dict[str, Scene],
-                     samples: list) -> tuple[dict[str, _SceneInputs], list[_SampleInputs]]:
-    """Hoist everything the epoch loop does not change: features and a
-    sampling plan per scene (a plan depends only on point positions), ids
-    and a length per sample."""
-    scene_inputs: dict[str, _SceneInputs] = {}
-    items = []
-    for s in samples:
-        if s.scene_id not in scene_inputs:
-            scene = scenes[s.scene_id]
-            pc = scene.points
-            feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
-            scene_inputs[s.scene_id] = _SceneInputs(scene, feats, model.encoder.precompute_plan(pc.xyz))
-        token_ids, length = vocab.encode(s.tokens, model.config.lang.max_len)
-        items.append(_SampleInputs(s.scene_id, s.target_id, token_ids, length))
-    return scene_inputs, items
-
-
 def _output_row(out: ModelOutput, row: int) -> ModelOutput:
     """Expression `row` of a batched output as a B = 1 output with the same
     values; its gradients flow back into the batch through `gather_rows`.
@@ -408,32 +394,32 @@ def _output_row(out: ModelOutput, row: int) -> ModelOutput:
                        take(out.cls_logits), take(out.residuals), take(out.lang_logits))
 
 
-def _minibatch_gradients(model: GroundingModel, scene_inputs: dict[str, _SceneInputs],
-                         batch: list[_SampleInputs], weights: LossWeights, epoch: int) -> list[dict[str, float]]:
+def _minibatch_gradients(model: GroundingModel, vocab: Vocabulary, inputs: dict[str, SceneInputs],
+                         batch: list[GroundingSample], weights: LossWeights, epoch: int) -> list[dict[str, float]]:
     """Zero the gradients, then accumulate those of the mean loss of `batch`.
 
     The batch is split into one group per scene, in order of first
-    appearance. A group encodes its scene once, computes the scene-level
-    targets once, and grounds all of its expressions in one batched
-    `forward`. Each expression gets its own B = 1 loss, whose values equal
-    those of that sample run alone, bit for bit. One backward per group
-    runs on the sum of its losses scaled by 1 / len(batch), so a group of
-    one builds the graph of a sample run alone. Several rows share one
+    appearance. A group makes one `forward` with its scene's inputs and all
+    of its expressions, and computes the scene-level targets once. Each
+    expression gets its own B = 1 loss, whose values equal those of that
+    sample run alone, bit for bit. One backward per group runs on the sum
+    of its losses scaled by 1 / len(batch), so a group of one builds the
+    graph of a sample run alone. Several rows share one
     encoder backward and sum their gradients before its products, which
     rounds differently in the last bits. Returns each sample's loss
     components, in batch order.
     """
     T.zero_grads(model.parameters())
     groups: dict[str, list[int]] = {}
-    for pos, item in enumerate(batch):
-        groups.setdefault(item.scene_id, []).append(pos)
+    for pos, sample in enumerate(batch):
+        groups.setdefault(sample.scene_id, []).append(pos)
     inv = 1.0 / len(batch)
     comps: list = [None] * len(batch)
     for scene_id, positions in groups.items():
-        sc = scene_inputs[scene_id]
+        sc = inputs[scene_id]
         members = [batch[pos] for pos in positions]
-        token_ids = np.stack([m.token_ids for m in members])
-        out = model.forward(sc.scene.points.xyz, sc.feats, token_ids, [m.length for m in members], sc.plan)
+        token_ids, lengths = encode_expressions(vocab, [m.tokens for m in members], model.config.lang.max_len)
+        out = model.forward(sc, token_ids, lengths)
         cand_xyz = out.candidates.positions.data
         targets = assign_targets(cand_xyz, out.candidates.seeds, sc.scene, members[0].target_id)
         total = None
@@ -456,17 +442,18 @@ def _minibatch_gradients(model: GroundingModel, scene_inputs: dict[str, _SceneIn
 @np.errstate(all="ignore")
 def train_model(
     scenes: dict[str, Scene],
-    samples: list,
+    samples: list[GroundingSample],
     model_config: ModelConfig,
     train_config: TrainConfig,
     log=None,
 ) -> TrainResult:
     """Seeded, bit-deterministic training loop over grounding samples.
 
-    Each epoch shuffles the samples with a seeded permutation and cuts it
-    into minibatches of `batch_size`. A minibatch makes one batched
-    `forward` per distinct scene in it (see `_minibatch_gradients`), then
-    one Adam step.
+    Each scene's inputs are built once, before the first epoch. Each epoch
+    shuffles the samples with a seeded permutation and cuts it into
+    minibatches of `batch_size`. A minibatch makes one batched `forward`
+    per distinct scene in it (see `_minibatch_gradients`), then one Adam
+    step.
 
     A NaN or infinite loss, or a gradient with such an entry before an Adam
     step, raises TrainingDivergedError, so a diverged run returns no model.
@@ -478,7 +465,7 @@ def train_model(
     started = time.perf_counter()
     vocab = Vocabulary.build(s.tokens for s in samples)
     model = GroundingModel(model_config, len(vocab), seed=train_config.seed)
-    scene_inputs, items = _training_inputs(model, vocab, scenes, samples)
+    inputs = {sid: scene_inputs(model, scenes[sid]) for sid in dict.fromkeys(s.scene_id for s in samples)}
     state = T.AdamState(
         learning_rate=train_config.learning_rate, weight_decay=train_config.weight_decay
     )
@@ -489,11 +476,11 @@ def train_model(
     for epoch in range(1, train_config.epochs + 1):
         lr = train_config.lr_at(epoch)
         state.learning_rate = lr
-        order = substream(train_config.seed, "train", "shuffle", epoch).permutation(len(items))
+        order = substream(train_config.seed, "train", "shuffle", epoch).permutation(len(samples))
         sums = np.zeros(6)
         for start in range(0, len(order), train_config.batch_size):
-            batch = [items[i] for i in order[start : start + train_config.batch_size]]
-            for comps in _minibatch_gradients(model, scene_inputs, batch, weights, epoch):
+            batch = [samples[i] for i in order[start : start + train_config.batch_size]]
+            for comps in _minibatch_gradients(model, vocab, inputs, batch, weights, epoch):
                 sums += [comps["total"], comps["cls"], comps["reg"], comps["shift"], comps["lang"], comps["ref"]]
             if emb.grad is not None:
                 emb.grad[langenc.PAD_ID, :] = 0.0  # keep the padding row frozen at zero
@@ -509,32 +496,22 @@ def train_model(
     return TrainResult(model, vocab, curve, time.perf_counter() - started)
 
 
-def scene_candidates(model: GroundingModel, scene: Scene) -> CandidateSet:
-    """`encode_scene` on a scene's point cloud with the model's input modality."""
-    pc = scene.points
-    if pc is None:
-        raise ValueError(f"scene {scene.scene_id} has no point cloud")
-    return model.encode_scene(pc.xyz, assemble_features(pc.rgb, pc.intensity, model.config.modality))
-
-
 def predict(model: GroundingModel, vocab: Vocabulary, scene: Scene,
             texts: list[str]) -> list[tuple[Box7, np.ndarray, int]]:
     """Ground expressions of one scene; deterministic.
 
-    The scene is encoded once and all its texts go through the text half in
-    one batch. Returns (box, confidences, candidate index) per text, in
-    order; each equals `ground(model.forward(...))` of that text alone.
+    One `forward` encodes the scene once and grounds all its texts in one
+    batch. Returns (box, confidences, candidate index) per text, in order;
+    each equals `ground` of that text's `forward` alone.
     """
     if isinstance(texts, str):
         raise TypeError("predict takes a list of expressions, not one string")
-    max_len = model.config.lang.max_len
-    encoded = [vocab.encode(langenc.tokenize(text), max_len) for text in texts]
-    if not encoded or min(length for _, length in encoded) < 1:
+    token_ids, lengths = encode_expressions(vocab, [langenc.tokenize(t) for t in texts], model.config.lang.max_len)
+    if not len(lengths) or lengths.min() < 1:
         raise ValueError("predict needs one or more expressions, each with a usable token")
-    token_ids = np.stack([ids for ids, _ in encoded])
-    out = model.ground_text(scene_candidates(model, scene), token_ids, [length for _, length in encoded])
+    out = model.forward(scene_inputs(model, scene), token_ids, lengths)
     results = []
-    for row in range(len(encoded)):
+    for row in range(len(lengths)):
         idx, box = ground(out, row)
         results.append((box, out.confidences.data[row].copy(), idx))
     return results

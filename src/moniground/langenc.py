@@ -46,13 +46,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_id) + 2
 
-    def encode(self, tokens: list[str], max_len: int) -> tuple[np.ndarray, int]:
-        """Pad/truncate to max_len; returns (ids, true length)."""
-        ids = [self.token_to_id.get(t, UNK_ID) for t in tokens[:max_len]]
-        length = len(ids)
-        ids.extend([PAD_ID] * (max_len - length))
-        return np.asarray(ids, dtype=np.intp), length
-
     def to_json(self) -> str:
         return json.dumps(self.token_to_id, sort_keys=True)
 
@@ -67,6 +60,22 @@ class Vocabulary:
         if not all(type(i) is int for i in ids) or sorted(ids) != list(range(2, len(ids) + 2)):
             raise ValueError("vocabulary ids must be the distinct integers 2 .. size + 1")
         return cls(token_to_id)
+
+
+def encode_expressions(vocab: Vocabulary, token_lists: list[list[str]],
+                       max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """B token lists as a (B, max_len) id matrix and their (B,) true lengths.
+
+    Each list is truncated to max_len and padded with PAD_ID; a token
+    outside the vocabulary maps to UNK_ID.
+    """
+    ids = np.full((len(token_lists), max_len), PAD_ID, dtype=np.intp)
+    lengths = np.zeros(len(token_lists), dtype=np.intp)
+    for row, tokens in enumerate(token_lists):
+        kept = [vocab.token_to_id.get(t, UNK_ID) for t in tokens[:max_len]]
+        ids[row, : len(kept)] = kept
+        lengths[row] = len(kept)
+    return ids, lengths
 
 
 @dataclass(frozen=True)

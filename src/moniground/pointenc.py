@@ -220,11 +220,13 @@ class PointEncoder:
         self.params = params
 
     def precompute_plan(self, positions: np.ndarray) -> list[LayerPlan]:
-        """Geometry-only sampling decisions, reusable across forward passes.
+        """Geometry-only sampling decisions, the plan `forward` follows.
 
         Distance-FPS indices (and layer groups, when every branch so far is
-        geometric) depend only on point positions, not on parameters.
-        Feature branches invalidate position knowledge for later layers.
+        geometric) depend only on point positions, not on parameters, so
+        one plan serves every forward pass over the same points. Feature
+        branches invalidate position knowledge for later layers: their
+        entries are `None`, and `forward` computes them.
         """
         plans: list[LayerPlan] = []
         known = positions
@@ -246,33 +248,33 @@ class PointEncoder:
                 known = None
         return plans
 
-    def forward(self, positions: np.ndarray, features: T.Tensor,
-                plan: list[LayerPlan] | None = None) -> CandidateSet:
-        cfg = self.config
+    def forward(self, positions: np.ndarray, features: T.Tensor, plan: list[LayerPlan]) -> CandidateSet:
+        """Candidates of one point cloud, given its `precompute_plan(positions)`."""
         pos = positions
         feats = features
-        for li, layer in enumerate(cfg.sa_layers):
-            layer_plan = plan[li] if plan is not None else None
-            pos, feats = self._sa_forward(li, layer, pos, feats, layer_plan)
+        for li, layer in enumerate(self.config.sa_layers):
+            pos, feats = self._sa_forward(li, layer, pos, feats, plan[li])
         return self._candidate_generate(pos, feats)
 
     def _sa_forward(self, li: int, layer: SALayerSpec, positions: np.ndarray, features: T.Tensor,
-                    layer_plan: LayerPlan | None) -> tuple[np.ndarray, T.Tensor]:
+                    layer_plan: LayerPlan) -> tuple[np.ndarray, T.Tensor]:
+        """One set-abstraction layer. A `None` in the plan is computed here:
+        F-FPS indices, and the indices and groups of any layer whose
+        positions an F-FPS branch chose."""
         per_branch = layer.out_points // len(layer.branches)
         branch_indices = []
-        for bi, kind in enumerate(layer.branches):
-            cached = layer_plan.branch_indices[bi] if layer_plan is not None else None
-            if cached is not None:
-                branch_indices.append(cached)
+        for kind, planned in zip(layer.branches, layer_plan.branch_indices):
+            if planned is not None:
+                branch_indices.append(planned)
             elif kind == DISTANCE:
                 branch_indices.append(fps_distance(positions, per_branch))
             else:
                 branch_indices.append(fps_feature(positions, features.data, per_branch, self.config.lambda_fps))
         sampled = _interleave(branch_indices)
         centers = positions[sampled]
-        groups = layer_plan.groups if layer_plan is not None and layer_plan.groups is not None else (
-            ball_group(centers, positions, layer.radius, layer.cap)
-        )
+        groups = layer_plan.groups
+        if groups is None:
+            groups = ball_group(centers, positions, layer.radius, layer.cap)
         flat = groups.reshape(-1)
         rel = T.constant(positions[flat] - np.repeat(centers, layer.cap, axis=0))
         neighbor_feats = T.gather_rows(features, flat)

@@ -209,7 +209,7 @@ class GenConfig:
     split_ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
     category_weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_CATEGORY_WEIGHTS))
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.scene_count < 1:
             raise ValueError("scene_count must be >= 1")
         if not 1 <= self.objects_min <= self.objects_max:
@@ -229,6 +229,10 @@ class GenConfig:
 
 def horizontal_distance(box: Box7) -> float:
     return math.hypot(box.center[0], box.center[1])
+
+
+UNIQUENESS_TAGS = ("Unique", "Multiple")
+DISTANCE_BINS = ("Near", "Medium", "Far")
 
 
 def distance_bin(d: float) -> str:
@@ -286,7 +290,6 @@ def gen_scene(seed: int, config: GenConfig, index: int = 0) -> Scene:
     Boxes are pairwise disjoint in bird's-eye view with a 0.5 m inflation
     margin, sit on the ground plane, and stay within the annotation range.
     """
-    config.validate()
     rng = substream(seed, "scene", index)
     scene_id = f"scene_{index:05d}"
     metadata = {
@@ -340,7 +343,7 @@ def gen_scene(seed: int, config: GenConfig, index: int = 0) -> Scene:
             "surrounding": ATTRIBUTE_VALUES["surrounding"][rng.integers(6)],
             "size": _size_bucket(jm),
             "distance": ATTRIBUTE_VALUES["distance"][
-                ["Near", "Medium", "Far"].index(distance_bin(horizontal_distance(box)))
+                DISTANCE_BINS.index(distance_bin(horizontal_distance(box)))
             ],
         }
         objects.append(ObjectSpec(f"obj_{i:02d}", cat, box, attrs))
@@ -627,7 +630,6 @@ def split_scene_ids(scene_ids: list[str], ratios: tuple[float, float, float], se
 
 def gen_dataset(seed: int, config: GenConfig) -> Dataset:
     """Full deterministic dataset: scenes, points, expressions, manifest."""
-    config.validate()
     scenes: dict[str, Scene] = {}
     samples: list[GroundingSample] = []
     for index in range(config.scene_count):
@@ -717,8 +719,9 @@ def read_dataset(root: str) -> Dataset:
 
     A missing file, unparsable JSON, a record without a field it needs, an
     expression whose ids, text or tokens are not strings, one with no token
-    or whose text tokenizes to nothing, or a point file that is empty or
-    ends in a partial point raises DatasetIOError.
+    or whose text tokenizes to nothing, one whose uniqueness or distance
+    bin is not a subset tag, or a point file that is empty or ends in a
+    partial point raises DatasetIOError.
     """
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -776,6 +779,10 @@ def read_dataset(root: str) -> Dataset:
                 # training reads the tokens, inference tokenizes the text
                 if not sample.tokens or not tokenize(sample.text):
                     raise DatasetIOError(f"{where} has no usable token")
+                # reports count each sample in one subset of each partition
+                if sample.uniqueness not in UNIQUENESS_TAGS or sample.distance_bin not in DISTANCE_BINS:
+                    raise DatasetIOError(f"{where} has uniqueness {sample.uniqueness!r} or distance bin "
+                                         f"{sample.distance_bin!r} outside {UNIQUENESS_TAGS} and {DISTANCE_BINS}")
                 samples.append(sample)
     # every later stage looks scenes and targets up by these keys
     for s in samples:

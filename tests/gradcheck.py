@@ -45,9 +45,9 @@ def finite_diff_check(
         for i in coords:
             orig = flat[i]
             flat[i] = orig + step
-            up = build_loss().item()
+            up = build_loss().data.item()
             flat[i] = orig - step
-            down = build_loss().item()
+            down = build_loss().data.item()
             flat[i] = orig
             numeric = (up - down) / (2.0 * step)
             analytic = gflat[i]

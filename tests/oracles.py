@@ -15,6 +15,7 @@ import numpy as np
 from moniground import grounder as G
 from moniground import tensor as T
 from moniground.geom3d import Box7
+from moniground.langenc import encode_expressions
 
 
 def sample_inside_box(box: Box7, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -120,7 +121,7 @@ def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int)
     return np.where(groups < 0, first[:, None], groups)
 
 
-def per_sample_gradients(model, scene_inputs, batch, weights) -> list[dict[str, float]]:
+def per_sample_gradients(model, vocab, inputs, batch, weights) -> list[dict[str, float]]:
     """Gradients of a minibatch's mean loss, one forward, loss and backward
     per sample in batch order, each sample encoding its scene anew.
     Returns each sample's loss components."""
@@ -128,8 +129,8 @@ def per_sample_gradients(model, scene_inputs, batch, weights) -> list[dict[str, 
     inv = 1.0 / len(batch)
     comps = []
     for item in batch:
-        sc = scene_inputs[item.scene_id]
-        out = model.forward(sc.scene.points.xyz, sc.feats, item.token_ids, item.length, sc.plan)
+        sc = inputs[item.scene_id]
+        out = model.forward(sc, *encode_expressions(vocab, [item.tokens], model.config.lang.max_len))
         cand = out.candidates
         targets = G.assign_targets(cand.positions.data, cand.seeds, sc.scene, item.target_id)
         loss, sample_comps = G.compute_loss(out, targets, weights)

@@ -216,7 +216,7 @@ class TestTrain:
     def test_bad_model_config_is_exit_2(self, tmp_path, dataset_dir, capsys):
         settings = ["m_candidates = 0", "max_tokens = 0", "embed_dim = 0", "hidden_dim = -1",
                     "feature_dim = 0", "shared_dim = 0", "fused_dim = -3", "modality = xyz+depth",
-                    "lambda_fps = -0.5", "decay_factor = 0"]
+                    "lambda_fps = -0.5", "decay_factor = 0", "decay_epochs = -5,0"]
         run_dir = tmp_path / "run"
         for setting in settings:
             cfg = tmp_path / "bad.cfg"
@@ -455,6 +455,9 @@ class TestDatasetFaults:
             ("eval", "empty_point_file", first_points, empty),
             ("train", "point_file_5_bytes_short", first_points, cut_5_bytes),
             ("eval", "point_file_5_bytes_short", first_points, cut_5_bytes),
+            ("baseline", "unknown_uniqueness", expressions, edit_sample("val", "uniqueness", "Sometimes")),
+            ("eval", "null_uniqueness", expressions, edit_sample("val", "uniqueness", None)),
+            ("baseline", "integer_distance_bin", expressions, edit_sample("val", "distance_bin", 3)),
         ]
         for command, label, name, corrupt in cases:
             broken = str(tmp_path / f"{command}-{label}")

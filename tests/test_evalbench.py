@@ -14,8 +14,8 @@ from moniground import evalbench as E
 from moniground import grounder as G
 from moniground import synthdata as S
 from moniground.geom3d import Box7, iou_3d
-from moniground.langenc import Vocabulary, tokenize
-from moniground.pointenc import assemble_features
+from moniground.langenc import Vocabulary, encode_expressions, tokenize
+from moniground.pointenc import PointEncoder
 from moniground.seeding import substream
 
 
@@ -212,7 +212,7 @@ class TestEvaluateAndReport:
     def _tiny_eval(self):
         scene = make_scene(["car"], [5.0])
         sample = make_sample(scene, "obj_00")
-        predictor = E.per_sample(lambda sc, sm, rng: sc.object_by_id(sm.target_id).box)
+        predictor = lambda sc, sms, rngs: [sc.object_by_id(sm.target_id).box for sm in sms]
         return E.evaluate(
             predictor, {scene.scene_id: scene}, [sample], seed=3,
             meta={"split": "val", "seed": 3, "predictor-id": "oracle", "checkpoint-hash": "none"},
@@ -275,7 +275,7 @@ class TestEvaluateAndReport:
     def test_tag_mismatch_reported(self):
         scene = make_scene(["car"], [5.0])
         bad = S.GroundingSample(scene.scene_id, "obj_00", "t", ["t"], "Multiple", "Far")
-        predictor = E.per_sample(lambda sc, sm, rng: sc.objects[0].box)
+        predictor = lambda sc, sms, rngs: [sc.objects[0].box for _ in sms]
         report = E.evaluate(predictor, {scene.scene_id: scene}, [bad], seed=1)
         assert any("tag mismatch" in w for w in report.warnings)
 
@@ -300,14 +300,12 @@ class TestModelPredictor:
     @staticmethod
     def full_forward(model, vocab, scene, text):
         """The per-sample reference: encode the scene and the text together."""
-        pc = scene.points
-        feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
-        token_ids, length = vocab.encode(tokenize(text), model.config.lang.max_len)
-        out = model.forward(pc.xyz, feats, token_ids, length)
+        token_ids, lengths = encode_expressions(vocab, [tokenize(text)], model.config.lang.max_len)
+        out = model.forward(G.scene_inputs(model, scene), token_ids, lengths)
         idx, box = G.ground(out)
         return box, out.confidences.data[0], idx
 
-    def test_scene_cache_matches_full_forward(self, monkeypatch):
+    def test_batched_predictions_match_each_text_alone(self, monkeypatch):
         config = S.GenConfig(scene_count=3, objects_min=2, objects_max=3, expressions_per_object=3)
         # same scene ids, other objects and points
         first, second = S.gen_dataset(4, config), S.gen_dataset(5, config)
@@ -350,9 +348,11 @@ class TestModelPredictor:
                                                expressions_per_object=2))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         model = G.GroundingModel(tiny_model_config(), len(vocab), seed=1)
-        encodes = []
+        encodes, plans = [], []
         encode = model.encoder.forward
         monkeypatch.setattr(model.encoder, "forward", lambda *a: encodes.append(1) or encode(*a))
+        plan = PointEncoder.precompute_plan
+        monkeypatch.setattr(PointEncoder, "precompute_plan", lambda self, xyz: plans.append(1) or plan(self, xyz))
         model_run = E.model_predictor(model, vocab)
         scene_calls = []
 
@@ -365,7 +365,7 @@ class TestModelPredictor:
         ordered = sorted(shuffled, key=lambda s: (s.scene_id, s.target_id))  # stable: ties keep position
         assert [scene_id for scene_id, _ in scene_calls] == sorted(dataset.scenes)
         assert [pair for _, group in scene_calls for pair in group] == [(s.target_id, s.text) for s in ordered]
-        assert len(encodes) == len(dataset.scenes) < len(dataset.samples)
+        assert len(encodes) == len(plans) == len(dataset.scenes) < len(dataset.samples)
 
 
 class TestEvaluateCost:

@@ -9,8 +9,8 @@ from moniground import grounder as G
 from moniground import synthdata as S
 from moniground import tensor as T
 from moniground.geom3d import Box7, iou_3d
-from moniground.langenc import Vocabulary
-from moniground.pointenc import CandidateSet, PointEncoder, assemble_features
+from moniground.langenc import Vocabulary, encode_expressions
+from moniground.pointenc import CandidateSet, PointEncoder
 from moniground.seeding import substream
 
 
@@ -280,11 +280,8 @@ def _vocab_for(samples):
 
 
 def _forward_sample(model, vocab, scene, sample):
-    from moniground.pointenc import assemble_features
-
-    feats = assemble_features(scene.points.rgb, scene.points.intensity, model.config.modality)
-    ids, length = vocab.encode(sample.tokens, model.config.lang.max_len)
-    return model.forward(scene.points.xyz, feats, ids, length)
+    ids, lengths = encode_expressions(vocab, [sample.tokens], model.config.lang.max_len)
+    return model.forward(G.scene_inputs(model, scene), ids, lengths)
 
 
 class TestGradientFlow:
@@ -337,15 +334,15 @@ class TestGradientFlow:
             S.PointCloud(xyz, np.full((20, 3), 0.5), np.full(20, 0.5)),
         )
         model = tiny_model(seed=4, vocab_size=40)
-        feats = np.concatenate([np.full((20, 3), 0.5), np.full((20, 1), 0.5)], axis=1)
-        ids = np.array([2, 3] + [0] * (model.config.lang.max_len - 2))
-        out0 = model.forward(scene.points.xyz, feats, ids, 2)
+        inputs = G.scene_inputs(model, scene)
+        ids = np.array([[2, 3] + [0] * (model.config.lang.max_len - 2)])
+        out0 = model.forward(inputs, ids, [2])
         tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene, "obj_00")
         assert tg.cls.sum() >= 1 and tg.shift_mask.sum() >= 1
         weights = G.LossWeights()
 
         def loss():
-            out = model.forward(scene.points.xyz, feats, ids, 2)
+            out = model.forward(inputs, ids, [2])
             return G.compute_loss(out, tg, weights)[0]
 
         worst = finite_diff_check(loss, model.params.values(), max_coords=3,
@@ -362,7 +359,8 @@ class TestBatchedTextHalf:
         scene = next(iter(dataset.scenes.values()))
         config = G.ModelConfig()
         model = G.GroundingModel(config, 60, seed=2)
-        cand = G.scene_candidates(model, scene)
+        inputs = G.scene_inputs(model, scene)
+        cand = model.encoder.forward(scene.points.xyz, T.constant(inputs.feats), inputs.plan)
         max_len = config.lang.max_len
         lengths = np.array([1, 9, max_len, 4, 1, 17])
         ids = np.random.default_rng(5).integers(2, 60, size=(len(lengths), max_len))
@@ -370,7 +368,7 @@ class TestBatchedTextHalf:
             ids[row, length:] = 0
         batch = model.ground_text(cand, ids, lengths)
         for row, length in enumerate(lengths):
-            alone = model.ground_text(cand, ids[row], length)
+            alone = model.ground_text(cand, ids[row : row + 1], [length])
             for name in ("raw_scores", "confidences", "cls_logits", "residuals", "lang_logits"):
                 assert np.array_equal(getattr(batch, name).data[row], getattr(alone, name).data[0]), (row, name)
             assert G.ground(batch, row)[0] == G.ground(alone)[0]
@@ -406,14 +404,14 @@ class TestSceneGroupedStep:
         dataset = S.gen_dataset(4, S.GenConfig(scene_count=3, objects_min=3, objects_max=3))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         models = [G.GroundingModel(G.ModelConfig(), len(vocab), seed=6) for _ in range(2)]
-        scene_inputs, items = G._training_inputs(models[0], vocab, dataset.scenes, dataset.samples)
+        inputs = {sid: G.scene_inputs(models[0], scene) for sid, scene in dataset.scenes.items()}
         by_scene = {}
-        for item in items:
-            by_scene.setdefault(item.scene_id, []).append(item)
+        for sample in dataset.samples:
+            by_scene.setdefault(sample.scene_id, []).append(sample)
         batch = pick(list(by_scene.values()))
         weights = G.LossWeights()
-        grouped = G._minibatch_gradients(models[0], scene_inputs, batch, weights, epoch=1)
-        reference = oracles.per_sample_gradients(models[1], scene_inputs, batch, weights)
+        grouped = G._minibatch_gradients(models[0], vocab, inputs, batch, weights, epoch=1)
+        reference = oracles.per_sample_gradients(models[1], vocab, inputs, batch, weights)
         return batch, models, grouped, reference
 
     @staticmethod
@@ -422,7 +420,7 @@ class TestSceneGroupedStep:
 
     def test_distinct_scenes_bit_identical_to_per_sample_step(self):
         batch, models, grouped, reference = self.both_steps(lambda scenes: [s[1] for s in reversed(scenes)])
-        assert len({item.scene_id for item in batch}) == len(batch) == 3
+        assert len({sample.scene_id for sample in batch}) == len(batch) == 3
         assert grouped == reference
         grads = [self.grads(m) for m in models]
         assert grads[0].keys() == grads[1].keys()
@@ -437,7 +435,7 @@ class TestSceneGroupedStep:
         # scene a three times and scene b twice, interleaved with scene c
         batch, models, grouped, reference = self.both_steps(
             lambda s: [s[0][0], s[1][0], s[0][1], s[2][0], s[0][2], s[1][1]])
-        assert len({item.scene_id for item in batch}) == 3 < len(batch)
+        assert len({sample.scene_id for sample in batch}) == 3 < len(batch)
         assert grouped == reference  # every loss component, bit for bit
         grads = [self.grads(m) for m in models]
         assert grads[0].keys() == grads[1].keys()
@@ -464,6 +462,9 @@ class TestTraining:
             G.TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             G.TrainConfig(epochs=10, decay_epochs=(10,))
+        for decay_epochs in ((-5, 0), (0,), (3, -1)):
+            with pytest.raises(ValueError):
+                G.TrainConfig(epochs=3, decay_epochs=decay_epochs)
 
     def test_bit_identical_checkpoints_same_seed(self):
         scene, samples = tiny_scene(9)
@@ -503,9 +504,8 @@ class TestTraining:
         calls, encodes = [], []
         plan = PointEncoder.precompute_plan
         monkeypatch.setattr(PointEncoder, "precompute_plan", lambda self, xyz: calls.append(1) or plan(self, xyz))
-        encode = G.GroundingModel.encode_scene
-        monkeypatch.setattr(G.GroundingModel, "encode_scene",
-                            lambda self, *args: encodes.append(1) or encode(self, *args))
+        encode = PointEncoder.forward
+        monkeypatch.setattr(PointEncoder, "forward", lambda self, *args: encodes.append(1) or encode(self, *args))
         cfg = G.TrainConfig(epochs=2, batch_size=4, decay_epochs=(), seed=1)
         G.train_model(dataset.scenes, dataset.samples, tiny_model_config(), cfg)
         assert len(calls) == len({s.scene_id for s in dataset.samples}) == 2 < len(dataset.samples)
@@ -567,10 +567,7 @@ class TestPredictAndCheckpoint:
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
         G.save_model(str(tmp_path), result.model, result.vocab)
         model, vocab = G.load_model(str(tmp_path))
-        pc = scene.points
-        feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
-        token_ids, length = vocab.encode(samples[0].tokens, model.config.lang.max_len)
-        out = model.forward(pc.xyz, feats, token_ids, length)
+        out = _forward_sample(model, vocab, scene, samples[0])
         values = [*vars(out).values(), *vars(out.candidates).values()]
         tensors = [v for v in values if isinstance(v, T.Tensor)]
         assert len(tensors) == 8

@@ -10,6 +10,7 @@ from moniground.langenc import (
     Vocabulary,
     bigru_encode,
     embed,
+    encode_expressions,
     init_lang_params,
     tokenize,
 )
@@ -49,10 +50,10 @@ class TestTokenize:
 class TestVocabulary:
     def test_reserved_ids(self):
         vocab = Vocabulary.build([["car", "red"], ["van"]])
-        ids, length = vocab.encode(["car", "zebra"], 4)
-        assert length == 2
-        assert ids[1] == UNK_ID
-        assert list(ids[2:]) == [PAD_ID, PAD_ID]
+        ids, lengths = encode_expressions(vocab, [["car", "zebra"]], 4)
+        assert ids.shape == (1, 4) and list(lengths) == [2]
+        assert ids[0, 1] == UNK_ID
+        assert list(ids[0, 2:]) == [PAD_ID, PAD_ID]
         assert all(i >= 2 for i in vocab.token_to_id.values())
 
     def test_serialization_stable(self):
@@ -115,8 +116,8 @@ class TestBiGRU:
     def test_appending_padding_tokens_identical(self):
         params = make_params(vocab_size=9)
         vocab = Vocabulary({"car": 2, "red": 3, "the": 4})
-        short, l_short = vocab.encode(["the", "red", "car"], 5)
-        long, l_long = vocab.encode(["the", "red", "car"], 10)
+        (short,), (l_short,) = encode_expressions(vocab, [["the", "red", "car"]], 5)
+        (long,), (l_long,) = encode_expressions(vocab, [["the", "red", "car"]], 10)
         cfg_short = LangConfig(CFG.embed_dim, CFG.hidden_dim, 5)
         out_a = bigru_encode(embed(short, params), l_short, params, cfg_short)
         out_b = bigru_encode(embed(long, params), l_long, params, CFG)
@@ -215,7 +216,7 @@ class TestEncodeText:
 
     @staticmethod
     def encode(tokens, vocab, params):
-        ids, length = vocab.encode(tokens, CFG.max_len)
+        (ids,), (length,) = encode_expressions(vocab, [tokens], CFG.max_len)
         return bigru_encode(embed(ids, params), length, params, CFG)
 
     def test_shape_and_determinism(self):

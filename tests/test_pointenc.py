@@ -10,6 +10,7 @@ from moniground import tensor as T
 from moniground.pointenc import (
     CandidateSet,
     EncoderConfig,
+    LayerPlan,
     PointEncoder,
     SALayerSpec,
     _sq_distance_to,
@@ -233,6 +234,11 @@ def tiny_encoder(rng, in_dim=2):
     return PointEncoder(cfg, in_dim, rng=rng)
 
 
+def unplanned(layer):
+    """A layer plan that leaves every sampling decision to `_sa_forward`."""
+    return LayerPlan([None] * len(layer.branches), None)
+
+
 class TestSetAbstraction:
     def test_single_point_single_neighbor_identity_pool(self):
         rng = np.random.default_rng(8)
@@ -241,7 +247,7 @@ class TestSetAbstraction:
                                          cg_radius=1.0, cg_cap=1, shift_hidden=3), 2, rng=rng)
         pos = np.zeros((1, 3))
         feats = T.constant(np.array([[0.3, -0.7]]))
-        centers, out = enc._sa_forward(0, spec, pos, feats, None)
+        centers, out = enc._sa_forward(0, spec, pos, feats, unplanned(spec))
         assert out.shape == (1, 5)
         raw = T.relu(
             T.add(T.matmul(T.constant([[0.0, 0.0, 0.0, 0.3, -0.7]]), enc.params["enc.sa0.w0"]),
@@ -255,14 +261,12 @@ class TestSetAbstraction:
         spec = enc.config.sa_layers[0]
         pts = rng.uniform(-1, 1, size=(10, 3))
         feats_np = rng.normal(size=(10, 2))
-        centers, out = enc._sa_forward(0, spec, pts, T.constant(feats_np), None)
+        centers, out = enc._sa_forward(0, spec, pts, T.constant(feats_np), unplanned(spec))
         perm = rng.permutation(10)
         inv = np.empty(10, dtype=int)
         inv[perm] = np.arange(10)
         # permute input points; cached plan keeps the same centers via remapped groups
         groups = ball_group(centers, pts, spec.radius, spec.cap)
-        from moniground.pointenc import LayerPlan
-
         plan = LayerPlan([inv[fps_distance(pts, 8)]], inv[groups])
         centers2, out2 = enc._sa_forward(0, spec, pts[perm], T.constant(feats_np[perm]), plan)
         np.testing.assert_allclose(out2.data, out.data, atol=1e-12)
@@ -277,7 +281,7 @@ class TestSetAbstraction:
         def loss():
             pos, feats = pts, T.constant(feats_np)
             for li, layer in enumerate(enc.config.sa_layers):
-                pos, feats = enc._sa_forward(li, layer, pos, feats, None)
+                pos, feats = enc._sa_forward(li, layer, pos, feats, unplanned(layer))
             return T.mean(feats)
 
         finite_diff_check(loss, weights.values(), max_coords=6, rng=rng)
@@ -290,7 +294,7 @@ class TestCandidateGeneration:
         enc.params["enc.shift.w1"].data[:] = 0.0
         enc.params["enc.shift.b1"].data[:] = 0.0
         pts = rng.uniform(-2, 2, size=(20, 3))
-        out = enc.forward(pts, T.constant(rng.normal(size=(20, 2))))
+        out = enc.forward(pts, T.constant(rng.normal(size=(20, 2))), enc.precompute_plan(pts))
         np.testing.assert_array_equal(out.positions.data, out.seeds)
         np.testing.assert_array_equal(out.shifts.data, 0.0)
 
@@ -299,7 +303,7 @@ class TestCandidateGeneration:
         rng = np.random.default_rng(12)
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(n_points, 3))
-        out = enc.forward(pts, T.constant(rng.normal(size=(n_points, 2))))
+        out = enc.forward(pts, T.constant(rng.normal(size=(n_points, 2))), enc.precompute_plan(pts))
         m = enc.config.m_candidates
         assert out.positions.shape == (m, 3)
         assert out.features.shape == (m, enc.config.feature_dim)
@@ -312,9 +316,10 @@ class TestCandidateGeneration:
         pts = rng.uniform(-2, 2, size=(16, 3))
         feats_np = rng.normal(size=(16, 2))
         shift_params = [enc.params[k] for k in enc.params if k.startswith("enc.shift")]
+        plan = enc.precompute_plan(pts)
 
         def loss():
-            out = enc.forward(pts, T.constant(feats_np))
+            out = enc.forward(pts, T.constant(feats_np), plan)
             return T.mean(out.features)
 
         finite_diff_check(loss, shift_params, max_coords=6, rng=rng)
@@ -324,20 +329,10 @@ class TestCandidateGeneration:
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(25, 3))
         feats_np = rng.normal(size=(25, 2))
-        a = enc.forward(pts, T.constant(feats_np))
-        b = enc.forward(pts, T.constant(feats_np))
+        a = enc.forward(pts, T.constant(feats_np), enc.precompute_plan(pts))
+        b = enc.forward(pts, T.constant(feats_np), enc.precompute_plan(pts))
         np.testing.assert_array_equal(a.features.data, b.features.data)
         np.testing.assert_array_equal(a.positions.data, b.positions.data)
-
-    def test_plan_matches_unplanned_forward(self):
-        rng = np.random.default_rng(15)
-        enc = tiny_encoder(rng)
-        pts = rng.uniform(-2, 2, size=(30, 3))
-        feats_np = rng.normal(size=(30, 2))
-        plan = enc.precompute_plan(pts)
-        a = enc.forward(pts, T.constant(feats_np))
-        b = enc.forward(pts, T.constant(feats_np), plan)
-        np.testing.assert_array_equal(a.features.data, b.features.data)
 
 
 class TestModalities:

@@ -1,0 +1,46 @@
+"""Checks on the package source itself, read with `ast`."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moniground"
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, is a method) for each public module-level function
+    or class and each public method of such a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, False
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", True
+
+
+def test_every_public_name_has_a_caller_in_src():
+    """A public name that only the tests use is dead code: delete it, or
+    make it private next to the code that needs it.
+
+    References are counted by name: a method by attribute access
+    (`x.name`), a module-level function or class also by a bare name or an
+    import. A definition is not a reference to itself.
+    """
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    attributes, names = Counter(), Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes[node.attr] += 1
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names[node.id] += 1
+            elif isinstance(node, ast.alias):
+                names[node.name] += 1
+    unused = [
+        f"{module}:{qualified}"
+        for module, tree in trees.items()
+        for qualified, is_method in public_definitions(tree)
+        if attributes[qualified.rsplit(".", 1)[-1]] + (0 if is_method else names[qualified]) == 0
+    ]
+    assert len(trees) > 1 and not unused, f"public names with no caller in src: {unused}"

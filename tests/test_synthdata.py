@@ -267,11 +267,11 @@ class TestDatasetIO:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            S.GenConfig(scene_count=0).validate()
+            S.GenConfig(scene_count=0)
         with pytest.raises(ValueError):
-            S.GenConfig(min_points=2).validate()
+            S.GenConfig(min_points=2)
         with pytest.raises(ValueError):
-            S.GenConfig(extent=60.0).validate()
+            S.GenConfig(extent=60.0)
 
 
 def _walk_files(root):

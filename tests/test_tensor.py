@@ -37,8 +37,8 @@ class TestForwardValues:
     def test_cross_entropy_closed_form(self):
         # -log softmax([1,2,3])[2] = log(1 + e^-1 + e^-2)
         loss = T.cross_entropy(T.constant([[1.0, 2.0, 3.0]]), 2)
-        assert loss.item() == pytest.approx(0.40760596, abs=1e-6)
-        assert loss.item() >= 0.0
+        assert loss.data.item() == pytest.approx(0.40760596, abs=1e-6)
+        assert loss.data.item() >= 0.0
 
     def test_cross_entropy_out_of_range(self):
         with pytest.raises(T.ShapeError):
