@@ -45,10 +45,8 @@ class UsageError(RuntimeError):
     pass
 
 
-def _parse_int_tuple(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    text = str(text).strip()
+def _parse_int_tuple(text: str) -> tuple[int, ...]:
+    text = text.strip()
     if not text:
         return ()
     return tuple(int(part) for part in text.split(","))
@@ -142,16 +140,20 @@ class RunConfig:
 def load_config_file(path: str) -> dict:
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 ({exc})")
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        out[key] = value
     return out
 
 
@@ -163,7 +165,7 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
                 raise UsageError(f"unknown config key {key!r}")
             parser, _ = SCHEMA[key]
             try:
-                values[key] = parser(raw) if not isinstance(raw, tuple) else raw
+                values[key] = parser(raw)
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad value for {key!r}: {raw!r} ({exc})")
     if not values["dataset_dir"]:
@@ -171,49 +173,20 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
     return RunConfig(values)
 
 
-def _fields_of(owner, cfg: RunConfig) -> dict:
-    """Constructor keyword arguments of `owner` taken from cfg.
+def _build(owner, cfg: RunConfig, **nested):
+    """`owner` constructed from cfg's keys for its fields (see CONFIG_FIELDS)
+    plus the `nested` config objects; an invalid value is a UsageError.
 
     Keys that share a tuple field (the split ratios) are collected in
     table order.
     """
-    kwargs: dict = {}
+    kwargs: dict = dict(nested)
     for key, (target, name, *index) in CONFIG_FIELDS.items():
         if target is owner:
             value = cfg.values[key]
             kwargs[name] = (kwargs.get(name, ()) + (value,)) if index else value
-    return kwargs
-
-
-def gen_config(cfg: RunConfig) -> GenConfig:
     try:
-        return GenConfig(**_fields_of(GenConfig, cfg))
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def model_config(cfg: RunConfig) -> ModelConfig:
-    try:
-        return ModelConfig(
-            encoder=EncoderConfig(**_fields_of(EncoderConfig, cfg)),
-            lang=LangConfig(**_fields_of(LangConfig, cfg)),
-            **_fields_of(ModelConfig, cfg),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def train_config(cfg: RunConfig) -> TrainConfig:
-    try:
-        weights = LossWeights(**_fields_of(LossWeights, cfg))
-        return TrainConfig(loss_weights=weights, **_fields_of(TrainConfig, cfg))
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def noise_config(cfg: RunConfig) -> NoiseConfig:
-    try:
-        return NoiseConfig(**_fields_of(NoiseConfig, cfg))
+        return owner(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -261,7 +234,7 @@ def _evaluate_and_report(cfg: RunConfig, dataset: synthdata.Dataset, samples, pr
 
 
 def cmd_gen(cfg: RunConfig, out) -> int:
-    config = gen_config(cfg)
+    config = _build(GenConfig, cfg)
     dataset = synthdata.gen_dataset(cfg.seed, config)
     synthdata.write_dataset(cfg.dataset_dir, dataset)
     splits = dataset.manifest["splits"]
@@ -278,7 +251,9 @@ def cmd_train(cfg: RunConfig, out) -> int:
     dataset = synthdata.read_dataset(cfg.dataset_dir)
     samples = _split_samples(dataset, "train")
     result = train_model(
-        dataset.scenes, samples, model_config(cfg), train_config(cfg),
+        dataset.scenes, samples,
+        _build(ModelConfig, cfg, encoder=_build(EncoderConfig, cfg), lang=_build(LangConfig, cfg)),
+        _build(TrainConfig, cfg, loss_weights=_build(LossWeights, cfg)),
         log=lambda row: print(
             f"epoch {row.epoch:3d} lr {row.lr:.1e} total {row.total:.4f}", file=out
         ),
@@ -315,9 +290,9 @@ def cmd_eval(cfg: RunConfig, out) -> int:
 def cmd_baseline(cfg: RunConfig, out) -> int:
     dataset = synthdata.read_dataset(cfg.dataset_dir)
     samples = _split_samples(dataset, cfg.split)
-    if cfg.which not in ("catrandgt", "detrand", "detbest"):
-        raise UsageError(f"unknown baseline {cfg.which!r} (catrandgt, detrand, detbest)")
-    predictor = evalbench.baseline_predictor(cfg.which, noise_config(cfg), cfg.seed)
+    if cfg.which not in evalbench.BASELINES:
+        raise UsageError(f"unknown baseline {cfg.which!r} ({', '.join(evalbench.BASELINES)})")
+    predictor = evalbench.baseline_predictor(cfg.which, _build(NoiseConfig, cfg), cfg.seed)
     return _evaluate_and_report(cfg, dataset, samples, predictor, f"baseline:{cfg.which}", "none",
                                 os.path.join(cfg.dataset_dir, f"baseline_{cfg.which}_{cfg.split}.json"), out)
 
@@ -390,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_base = sub.add_parser("baseline", help="evaluate a constructive baseline")
     _add_common(p_base)
-    p_base.add_argument("--which", dest="which", choices=["catrandgt", "detrand", "detbest"])
+    p_base.add_argument("--which", dest="which", choices=list(evalbench.BASELINES))
     p_base.add_argument("--split", dest="split", choices=list(synthdata.SPLIT_NAMES))
     p_base.add_argument("--noise-center", type=float, dest="noise_center")
     p_base.add_argument("--noise-size", type=float, dest="noise_size")

@@ -21,7 +21,7 @@ from .seeding import substream
 from .synthdata import CATEGORIES, DISTANCE_BINS, UNIQUENESS_TAGS, GroundingSample, Scene, tag_subsets
 
 SUBSET_ORDER = (*UNIQUENESS_TAGS, *DISTANCE_BINS, "Overall")
-THRESHOLDS = (0.25, 0.5)
+BASELINES = ("catrandgt", "detrand", "detbest")
 
 
 class ReportInvariantError(RuntimeError):
@@ -170,7 +170,7 @@ def baseline_predictor(kind: str, noise: NoiseConfig, seed: int) -> Predictor:
     proposals for a given scene. `evaluate` visits each scene once, so they
     are drawn once per scene.
     """
-    if kind not in ("catrandgt", "detrand", "detbest"):
+    if kind not in BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
 
     def run(scene: Scene, samples: list[GroundingSample], rngs: list[np.random.Generator]) -> list[Box7]:
@@ -193,7 +193,7 @@ def evaluate(
     predictor: Predictor,
     scenes: dict[str, Scene],
     samples: list[GroundingSample],
-    seed: int = 0,
+    seed: int,
     meta: dict | None = None,
 ) -> EvalReport:
     """Run the predictor over samples and aggregate Acc@0.25 / Acc@0.5 per subset.

@@ -2,11 +2,14 @@
 
 Visual candidate features and the sentence feature are projected into a
 shared space, concatenated per candidate, and fused by an MLP. A
-localization head scores each candidate; softmax confidences select the
-candidate nearest the referred object's center, and a small head decodes a
-7-DoF box from that candidate's residuals. Training optimizes the weighted
-sum of candidate classification, box regression, center-shift, language
-category, and reference losses.
+localization head scores each candidate, and a small head decodes a 7-DoF
+box from each candidate's residuals. Training optimizes the weighted sum of
+candidate classification, box regression, center-shift, language category,
+and reference losses; the reference loss is a cross-entropy over the raw
+scores that favours the candidate nearest the referred object's center.
+Only inference reads confidences: `predict` takes a numpy softmax of the
+scores, outside the autodiff graph, and `ground` picks the most confident
+candidate.
 
 Training and inference take one path. `scene_inputs` builds what the
 model reads from a scene (its features and sampling plan), and
@@ -45,6 +48,7 @@ from .pointenc import (
     PointEncoder,
     SALayerSpec,
     assemble_features,
+    init_encoder_params,
     modality_feature_dim,
 )
 from .seeding import substream
@@ -129,8 +133,7 @@ class ModelOutput:
     """B expressions grounded against one scene's candidates."""
 
     candidates: CandidateSet
-    raw_scores: T.Tensor      # (B, M) pre-softmax localization scores
-    confidences: T.Tensor     # (B, M) softmax, each row sums to 1
+    raw_scores: T.Tensor      # (B, M) localization scores; `softmax` gives confidences
     cls_logits: T.Tensor      # (B, M, 1) candidate objectness
     residuals: T.Tensor       # (B, M, 8) box residuals per candidate
     lang_logits: T.Tensor     # (B, 1, 12) category prediction from text
@@ -213,13 +216,9 @@ class GroundingModel:
     def __init__(self, config: ModelConfig, vocab_size: int,
                  params: dict[str, T.Tensor] | None = None, seed: int = 0):
         self.config = config
-        self.vocab_size = vocab_size
-        in_dim = modality_feature_dim(config.modality)
         if params is None:
             rng = substream(seed, "model-init")
-            params = {}
-            self.encoder = PointEncoder(config.encoder, in_dim, rng=rng)
-            params.update(self.encoder.params)
+            params = init_encoder_params(config.encoder, modality_feature_dim(config.modality), rng)
             params.update(langenc.init_lang_params(vocab_size, config.lang, rng))
             c_v, c_l = config.encoder.feature_dim, config.lang.out_dim
             c_s, c_m = config.shared_dim, config.fused_dim
@@ -234,8 +233,7 @@ class GroundingModel:
                 params[f"head.{head}.b"] = T.uniform_init((1, width), c_m, rng)
             params["head.lang.w"] = T.uniform_init((c_l, len(CATEGORIES)), c_l, rng)
             params["head.lang.b"] = T.uniform_init((1, len(CATEGORIES)), c_l, rng)
-        else:
-            self.encoder = PointEncoder(config.encoder, in_dim, params=params)
+        self.encoder = PointEncoder(config.encoder, params)
         self.params = params
 
     def parameters(self) -> dict[str, T.Tensor]:
@@ -252,12 +250,11 @@ class GroundingModel:
         x = T.relu(T.add(T.matmul(x, self.params["fuse.mlp.w0"]), self.params["fuse.mlp.b0"]))
         return T.relu(T.add(T.matmul(x, self.params["fuse.mlp.w1"]), self.params["fuse.mlp.b1"]))
 
-    def localize(self, f_m: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
-        """Scores and softmax confidences, one row of M per sentence in f_m."""
+    def localize(self, f_m: T.Tensor) -> T.Tensor:
+        """(B, M) candidate scores, one row of M per sentence in f_m."""
         m = f_m.shape[-2]
         raw = T.add(T.matmul(f_m, self.params["head.loc.w"]), self.params["head.loc.b"])
-        row = T.reshape(raw, (raw.data.size // m, m))
-        return row, T.row_softmax(row)
+        return T.reshape(raw, (raw.data.size // m, m))
 
     def ground_text(self, cand: CandidateSet, token_ids: np.ndarray, lengths) -> ModelOutput:
         """Text half: encode B expressions and score each against one scene's candidates.
@@ -268,11 +265,11 @@ class GroundingModel:
         f_w = langenc.embed(token_ids, self.params)
         f_l = langenc.bigru_encode(f_w, lengths, self.params, self.config.lang)
         f_m = self.fuse(cand.features, f_l)
-        raw, conf = self.localize(f_m)
+        raw = self.localize(f_m)
         cls_logits = T.add(T.matmul(f_m, self.params["head.cls.w"]), self.params["head.cls.b"])
         residuals = T.add(T.matmul(f_m, self.params["head.reg.w"]), self.params["head.reg.b"])
         lang_logits = T.add(T.matmul(f_l, self.params["head.lang.w"]), self.params["head.lang.b"])
-        return ModelOutput(cand, raw, conf, cls_logits, residuals, lang_logits)
+        return ModelOutput(cand, raw, cls_logits, residuals, lang_logits)
 
     def forward(self, inputs: SceneInputs, token_ids: np.ndarray, lengths) -> ModelOutput:
         """B expressions, as `encode_expressions` gives them, grounded in one scene.
@@ -295,51 +292,54 @@ def scene_inputs(model: GroundingModel, scene: Scene) -> SceneInputs:
     return SceneInputs(scene, feats, model.encoder.precompute_plan(pc.xyz))
 
 
-def ground(output: ModelOutput, row: int = 0) -> tuple[int, Box7]:
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Confidences: the softmax of each row of a (B, M) score matrix."""
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ground(output: ModelOutput, confidences: np.ndarray, row: int = 0) -> tuple[int, Box7]:
     """Pick expression `row`'s highest-confidence candidate and decode its box.
 
-    Ties break to the lowest index. Sizes decode against the prior of the
-    category predicted from the expression.
+    `confidences` is `softmax` of the output's scores. The argmax is taken
+    over it rather than over the scores, since two scores can round to the
+    same confidence; ties break to the lowest index. Sizes decode against
+    the prior of the category predicted from the expression.
     """
-    confidences = output.confidences.data[row]
-    m = confidences.size
-    idx = int(np.argmax(confidences))
+    m = confidences.shape[1]
+    idx = int(np.argmax(confidences[row]))
     category = CATEGORIES[int(np.argmax(output.lang_logits.data[row]))]
     anchor = output.candidates.positions.data[idx]
     residual = output.residuals.data.reshape(-1, m, RESIDUAL_DIM)[row, idx]
     return idx, decode_box_residual(residual, anchor, category)
 
 
+def _masked_smooth_l1(pred: T.Tensor, target: np.ndarray, row_mask: np.ndarray) -> T.Tensor:
+    """Mean smooth L1 over the rows whose 0/1 `row_mask` entry is 1, or a
+    constant 0 when none is. `target` is (M, C); `pred` holds M x C values
+    in any shape, such as (1, M, C)."""
+    n = int(row_mask.sum())
+    if not n:
+        return T.constant(0.0)
+    width = target.shape[1]
+    mask = np.repeat(row_mask.reshape(-1, 1), width, axis=1).reshape(pred.shape)
+    per_elem = T.smooth_l1(pred, target.reshape(pred.shape))
+    return T.scale(T.tensor_sum(T.mul(per_elem, T.constant(mask))), 1.0 / (width * n))
+
+
 def compute_loss(output: ModelOutput, targets: Targets, weights: LossWeights) -> tuple[T.Tensor, dict[str, float]]:
     """Weighted five-term training loss of one expression (B = 1); also
     returns per-term values."""
-    m = len(targets.cls)
     l_cls = T.mean(T.bce_with_logits(output.cls_logits, T.constant(targets.cls.reshape(output.cls_logits.shape))))
-
-    n_pos = int(targets.cls.sum())
-    if n_pos:
-        shape = output.residuals.shape
-        mask = np.repeat(targets.cls.reshape(m, 1), RESIDUAL_DIM, axis=1).reshape(shape)
-        per_elem = T.smooth_l1(output.residuals, T.constant(targets.reg.reshape(shape)))
-        l_reg = T.scale(T.tensor_sum(T.mul(per_elem, T.constant(mask))), 1.0 / (RESIDUAL_DIM * n_pos))
-    else:
-        l_reg = T.constant(0.0)
-
-    n_shift = int(targets.shift_mask.sum())
-    if n_shift:
-        mask = np.repeat(targets.shift_mask.reshape(m, 1), 3, axis=1)
-        per_elem = T.smooth_l1(output.candidates.shifts, T.constant(targets.shift))
-        l_shift = T.scale(T.tensor_sum(T.mul(per_elem, T.constant(mask))), 1.0 / (3 * n_shift))
-    else:
-        l_shift = T.constant(0.0)
-
+    l_reg = _masked_smooth_l1(output.residuals, targets.reg, targets.cls)
+    l_shift = _masked_smooth_l1(output.candidates.shifts, targets.shift, targets.shift_mask)
     l_lang = T.cross_entropy(output.lang_logits, targets.lang_index)
     l_ref = T.cross_entropy(output.raw_scores, targets.ref_index)
 
     terms = (l_cls, l_reg, l_shift, l_lang, l_ref)
     total = None
     for weight, term in zip(weights.as_tuple(), terms):
-        piece = T.scale(term, weight) if term.requires_grad else T.constant(term.data * weight)
+        piece = T.scale(term, weight)
         total = piece if total is None else T.add(total, piece)
     components = {
         "cls": float(l_cls.data),
@@ -390,8 +390,8 @@ def _output_row(out: ModelOutput, row: int) -> ModelOutput:
         one = T.gather_rows(T.reshape(t, (b, t.data.size // b)), pick)
         return T.reshape(one, (1, *t.shape[1:]))
 
-    return ModelOutput(out.candidates, take(out.raw_scores), take(out.confidences),
-                       take(out.cls_logits), take(out.residuals), take(out.lang_logits))
+    return ModelOutput(out.candidates, take(out.raw_scores), take(out.cls_logits),
+                       take(out.residuals), take(out.lang_logits))
 
 
 def _minibatch_gradients(model: GroundingModel, vocab: Vocabulary, inputs: dict[str, SceneInputs],
@@ -510,10 +510,11 @@ def predict(model: GroundingModel, vocab: Vocabulary, scene: Scene,
     if not len(lengths) or lengths.min() < 1:
         raise ValueError("predict needs one or more expressions, each with a usable token")
     out = model.forward(scene_inputs(model, scene), token_ids, lengths)
+    confidences = softmax(out.raw_scores.data)
     results = []
     for row in range(len(lengths)):
-        idx, box = ground(out, row)
-        results.append((box, out.confidences.data[row].copy(), idx))
+        idx, box = ground(out, confidences, row)
+        results.append((box, confidences[row], idx))
     return results
 
 

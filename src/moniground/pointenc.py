@@ -123,7 +123,7 @@ def fps_distance(points: np.ndarray, k: int) -> np.ndarray:
     return _greedy_fps(_sq_distance_to(points), n, k)
 
 
-def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: float = 1.0) -> np.ndarray:
+def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: float) -> np.ndarray:
     """F-FPS: k farthest-point indices under d = feature-L2 + lambda * euclidean-L2.
 
     The euclidean term is the square root of _sq_distance_to's squared
@@ -201,22 +201,25 @@ class LayerPlan:
     groups: np.ndarray | None
 
 
-class PointEncoder:
-    """Stacked set-abstraction layers plus the candidate generation stage."""
+def init_encoder_params(config: EncoderConfig, in_dim: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
+    """Set-abstraction MLPs, then the shift and candidate-feature MLPs, for
+    `in_dim` input features per point."""
+    params: dict[str, T.Tensor] = {}
+    prev = in_dim
+    for li, layer in enumerate(config.sa_layers):
+        params.update(_mlp_params(f"enc.sa{li}", layer.mlp, prev + 3, rng))
+        prev = layer.mlp[-1]
+    params.update(_mlp_params("enc.shift", (config.shift_hidden, 3), prev, rng))
+    params.update(_mlp_params("enc.cg", (config.feature_dim, config.feature_dim), prev + 3, rng))
+    return params
 
-    def __init__(self, config: EncoderConfig, in_dim: int, params: dict[str, T.Tensor] | None = None,
-                 rng: np.random.Generator | None = None):
+
+class PointEncoder:
+    """Stacked set-abstraction layers plus the candidate generation stage;
+    reads its weights by name from `params`."""
+
+    def __init__(self, config: EncoderConfig, params: dict[str, T.Tensor]):
         self.config = config
-        self.in_dim = in_dim
-        if params is None:
-            assert rng is not None, "need an rng to initialize parameters"
-            params = {}
-            prev = in_dim
-            for li, layer in enumerate(config.sa_layers):
-                params.update(_mlp_params(f"enc.sa{li}", layer.mlp, prev + 3, rng))
-                prev = layer.mlp[-1]
-            params.update(_mlp_params("enc.shift", (config.shift_hidden, 3), prev, rng))
-            params.update(_mlp_params("enc.cg", (config.feature_dim, config.feature_dim), prev + 3, rng))
         self.params = params
 
     def precompute_plan(self, positions: np.ndarray) -> list[LayerPlan]:

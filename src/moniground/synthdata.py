@@ -220,8 +220,16 @@ class GenConfig:
             raise ValueError("expressions_per_object must be >= 1")
         if self.min_points < 5:
             raise ValueError("min_points must be >= 5 so every object holds candidate points")
-        if abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1")
+        if self.max_points < self.min_points:
+            raise ValueError("need max_points >= min_points")
+        if self.ground_points < 0:
+            raise ValueError("ground_points must be >= 0")
+        if not self.density_scale > 0:
+            raise ValueError("density_scale must be > 0")
+        if not self.color_noise >= 0:
+            raise ValueError("color_noise must be >= 0")
+        if not all(r >= 0 for r in self.split_ratios) or abs(sum(self.split_ratios) - 1.0) > 1e-9:
+            raise ValueError("split ratios must be non-negative and sum to 1")
         unknown = set(self.category_weights) - set(CATEGORIES)
         if unknown:
             raise ValueError(f"unknown categories in weights: {sorted(unknown)}")
@@ -537,19 +545,7 @@ def _match_category_phrase(tokens: list[str], start: int) -> tuple[str, int] | N
     return best
 
 
-def match_expression(scene: Scene, tokens: list[str]) -> list[str]:
-    """Brute-force audit: ids of all objects consistent with the expression."""
-    category, constraints = parse_expression(tokens)
-    out = []
-    for obj in scene.objects:
-        if category is not None and obj.category != category:
-            continue
-        if all(obj.attributes.get(a) == v for a, v in constraints.items()):
-            out.append(obj.object_id)
-    return out
-
-
-def gen_expressions(scene: Scene, seed: int, k: int = 1) -> list[GroundingSample]:
+def gen_expressions(scene: Scene, seed: int, k: int) -> list[GroundingSample]:
     """k uniquely-matching expressions per object.
 
     Attributes are added greedily (in a seeded random order) until exhaustive
@@ -586,7 +582,7 @@ def gen_expressions(scene: Scene, seed: int, k: int = 1) -> list[GroundingSample
                 chosen.append(extras[0])
             text = render_expression(obj.category, obj.attributes, chosen, int(rng.integers(len(_TEMPLATES))))
             tokens = tokenize(text)
-            matched = match_expression(scene, tokens)
+            matched = _matches(scene, *parse_expression(tokens))
             if matched != [obj.object_id]:
                 raise UndiscriminableObjectError(
                     f"rendered expression for {obj.object_id} matches {matched}: {text!r}"
@@ -596,11 +592,13 @@ def gen_expressions(scene: Scene, seed: int, k: int = 1) -> list[GroundingSample
     return samples
 
 
-def _matches(scene: Scene, category: str, constraints: dict[str, str]) -> list[str]:
+def _matches(scene: Scene, category: str | None, constraints: dict[str, str]) -> list[str]:
+    """Ids of the objects of `category` (any, if None) whose attributes meet
+    every constraint: the brute-force audit of an expression."""
     return [
         o.object_id
         for o in scene.objects
-        if o.category == category and all(o.attributes.get(a) == v for a, v in constraints.items())
+        if (category is None or o.category == category) and all(o.attributes.get(a) == v for a, v in constraints.items())
     ]
 
 

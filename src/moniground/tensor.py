@@ -4,8 +4,10 @@ Tensors hold float64 numpy arrays. Every op builds a node in an implicit
 graph (parent links + a backward closure); `backward` walks the graph once
 in reverse topological order and accumulates gradients additively into the
 `grad` buffers of tensors that require them. The op set is exactly what the
-grounding model needs, nothing more; each op's gradient is checked against
-central finite differences in the test suite.
+grounding model's training loss needs, nothing more; each op's gradient is
+checked against central finite differences in the test suite. Values that
+only inference reads, such as the softmax confidences over candidate
+scores, are plain numpy outside the graph (see `grounder.softmax`).
 """
 
 from __future__ import annotations
@@ -259,20 +261,6 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def row_softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"row_softmax needs a matrix, got {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(grad):
-        dot = (grad * out).sum(axis=1, keepdims=True)
-        a._accumulate(out * (grad - dot))
-
-    return _node(out, (a,), bwd)
-
-
 def mean(a: Tensor) -> Tensor:
     n = a.data.size
 
@@ -289,25 +277,19 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _node(np.asarray(a.data.sum()), (a,), bwd)
 
 
-def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
-    """Elementwise smooth L1: 0.5 d^2 / beta for |d| < beta, else |d| - beta/2."""
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"smooth_l1 mismatch: {pred.data.shape} vs {target.data.shape}")
-    if beta <= 0:
-        raise ValueError("smooth_l1 beta must be positive")
-    d = pred.data - target.data
+def smooth_l1(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Elementwise smooth L1 against a constant target: 0.5 d^2 for |d| < 1, else |d| - 0.5."""
+    if pred.data.shape != target.shape:
+        raise ShapeError(f"smooth_l1 mismatch: {pred.data.shape} vs {target.shape}")
+    d = pred.data - target
     absd = np.abs(d)
-    quad = absd < beta
-    out = np.where(quad, 0.5 * d * d / beta, absd - 0.5 * beta)
+    quad = absd < 1.0
+    out = np.where(quad, 0.5 * d * d, absd - 0.5)
 
     def bwd(grad):
-        g = grad * np.where(quad, d / beta, np.sign(d))
-        if pred.requires_grad:
-            pred._accumulate(g)
-        if target.requires_grad:
-            target._accumulate(-g)
+        pred._accumulate(grad * np.where(quad, d, np.sign(d)))
 
-    return _node(out, (pred, target), bwd)
+    return _node(out, (pred,), bwd)
 
 
 def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
@@ -419,17 +401,17 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 @dataclass
 class AdamState:
-    learning_rate: float = 1e-4
+    learning_rate: float
+    weight_decay: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState) -> dict[str, Tensor]:
+def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState) -> None:
     """One Adam update (bias-corrected, decoupled weight decay), in place."""
     state.step += 1
     t = state.step
@@ -450,7 +432,6 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         if state.weight_decay:
             p.data -= state.learning_rate * state.weight_decay * p.data
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +443,8 @@ CHECKPOINT_VERSION = 1
 
 
 class CheckpointError(Exception):
-    pass
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class VersionMismatchError(CheckpointError):
-    pass
-
-
-class TruncatedCheckpointError(CheckpointError):
-    pass
+    """A checkpoint that is not one `checkpoint_save` wrote: bad magic, other
+    version, truncated, trailing bytes or a non-UTF-8 entry name."""
 
 
 def checkpoint_save(named: dict[str, Tensor | np.ndarray]) -> bytes:
@@ -496,40 +466,32 @@ def checkpoint_save(named: dict[str, Tensor | np.ndarray]) -> bytes:
     return b"".join(chunks)
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise TruncatedCheckpointError(
-                f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, have {len(self.buf) - self.pos}"
-            )
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-
 def checkpoint_load(buf: bytes) -> dict[str, np.ndarray]:
-    r = _Reader(buf)
-    if r.take(4) != CHECKPOINT_MAGIC:
-        raise BadMagicError("bad checkpoint magic")
-    version, count = struct.unpack("<II", r.take(8))
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise CheckpointError(f"checkpoint truncated: wanted {n} bytes at offset {pos}, have {len(buf) - pos}")
+        pos += n
+        return buf[pos - n : pos]
+
+    if take(4) != CHECKPOINT_MAGIC:
+        raise CheckpointError("bad checkpoint magic")
+    version, count = struct.unpack("<II", take(8))
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        raise CheckpointError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", r.take(2))
+        (name_len,) = struct.unpack("<H", take(2))
         try:
-            name = r.take(name_len).decode("utf-8")
+            name = take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"checkpoint entry name is not UTF-8 ({exc})") from exc
-        (rank,) = struct.unpack("<B", r.take(1))
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        size = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(dims)
+        (rank,) = struct.unpack("<B", take(1))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        values = np.frombuffer(take(8 * int(np.prod(dims))), dtype="<f8").reshape(dims)
         out[name] = values.astype(np.float64).copy()
-    if r.pos != len(buf):
-        raise CheckpointError(f"checkpoint has {len(buf) - r.pos} trailing bytes after {count} entries")
+    if pos != len(buf):
+        raise CheckpointError(f"checkpoint has {len(buf) - pos} trailing bytes after {count} entries")
     return out

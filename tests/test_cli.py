@@ -140,6 +140,20 @@ class TestGen:
         code, _ = run_cli("gen", "--out", str(tmp_path / "x"), "--config", str(cfg))
         assert code == 2
 
+    def test_bad_gen_config_is_exit_2(self, tmp_path, capsys):
+        settings = [b"ground_points = -1", b"color_noise = -1", b"color_noise = nan", b"density_scale = nan",
+                    b"density_scale = -5", b"max_points = 2", b"split_train = -0.5\nsplit_test = 1.35",
+                    b"# not UTF-8: caf\xff"]
+        out_dir = tmp_path / "x"
+        for setting in settings:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_bytes(b"scene_count = 3\n" + setting + b"\n")
+            capsys.readouterr()
+            code, _ = run_cli("gen", "--out", str(out_dir), "--config", str(cfg))
+            assert code == 2, setting
+            assert_one_line_error(capsys)
+            assert not out_dir.exists(), setting
+
     def test_default_config_echo_pinned(self, monkeypatch):
         monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
         assert cli.build_config({}, {}).echo() == DEFAULT_ECHO

@@ -38,11 +38,9 @@ def manual_output(raw, cls_logits, residuals, shifts, lang_logits, cand_pos, see
         features=mk(np.zeros((m, 4))),
         seeds=np.asarray(seeds if seeds is not None else cand_pos, dtype=float),
     )
-    raw_t = mk(np.asarray(raw, dtype=float).reshape(1, m))
     return G.ModelOutput(
         candidates=cand,
-        raw_scores=raw_t,
-        confidences=T.row_softmax(raw_t),
+        raw_scores=mk(np.asarray(raw, dtype=float).reshape(1, m)),
         cls_logits=mk(np.asarray(cls_logits, dtype=float).reshape(m, 1)),
         residuals=mk(residuals),
         lang_logits=mk(np.asarray(lang_logits, dtype=float).reshape(1, len(S.CATEGORIES))),
@@ -80,23 +78,29 @@ class TestFuse:
 
 
 class TestLocalize:
+    """`localize` scores and their confidences, `G.softmax`."""
+
     def test_identical_rows_uniform(self):
         model = tiny_model()
         f_m = T.constant(np.ones((5, model.config.fused_dim)) * 0.3)
-        _, conf = model.localize(f_m)
-        np.testing.assert_allclose(conf.data, np.full((1, 5), 0.2), atol=1e-12)
+        conf = G.softmax(model.localize(f_m).data)
+        np.testing.assert_allclose(conf, np.full((1, 5), 0.2), atol=1e-12)
 
     def test_sums_to_one(self):
         model = tiny_model()
         rng = np.random.default_rng(4)
-        _, conf = model.localize(T.constant(rng.normal(size=(7, model.config.fused_dim))))
-        assert abs(conf.data.sum() - 1.0) <= 1e-12
+        f_m = T.constant(rng.normal(size=(3, 7, model.config.fused_dim)))
+        conf = G.softmax(model.localize(f_m).data)
+        assert conf.shape == (3, 7)
+        np.testing.assert_allclose(conf.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(conf > 0)
+        # large scores do not overflow
+        conf = G.softmax(rng.normal(size=(7, 11)) * 800)
+        np.testing.assert_allclose(conf.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shift_invariance_of_softmax(self):
         raw = np.array([[0.3, -1.2, 2.0]])
-        a = T.row_softmax(T.constant(raw))
-        b = T.row_softmax(T.constant(raw + 17.5))
-        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+        np.testing.assert_allclose(G.softmax(raw), G.softmax(raw + 17.5), atol=1e-12)
 
 
 class TestGround:
@@ -106,8 +110,9 @@ class TestGround:
             shifts=np.zeros((2, 3)), lang_logits=np.zeros(12),
             cand_pos=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
         )
-        np.testing.assert_allclose(out.confidences.data, [[0.5, 0.5]])
-        idx, _ = G.ground(out)
+        conf = G.softmax(out.raw_scores.data)
+        np.testing.assert_allclose(conf, [[0.5, 0.5]])
+        idx, _ = G.ground(out, conf)
         assert idx == 0
 
     def test_zero_residuals_decode_prior_box(self):
@@ -115,7 +120,7 @@ class TestGround:
         lang[S.CATEGORY_INDEX["bus"]] = 9.0
         pos = np.array([[3.0, -2.0, 1.0]])
         out = manual_output([1.0], [0.0], np.zeros((1, 8)), np.zeros((1, 3)), lang, pos)
-        _, box = G.ground(out)
+        _, box = G.ground(out, G.softmax(out.raw_scores.data))
         np.testing.assert_allclose(box.center, pos[0])
         assert (box.l, box.w, box.h) == S.SIZE_PRIORS["bus"]
         assert box.yaw == 0.0
@@ -369,9 +374,11 @@ class TestBatchedTextHalf:
         batch = model.ground_text(cand, ids, lengths)
         for row, length in enumerate(lengths):
             alone = model.ground_text(cand, ids[row : row + 1], [length])
-            for name in ("raw_scores", "confidences", "cls_logits", "residuals", "lang_logits"):
+            for name in ("raw_scores", "cls_logits", "residuals", "lang_logits"):
                 assert np.array_equal(getattr(batch, name).data[row], getattr(alone, name).data[0]), (row, name)
-            assert G.ground(batch, row)[0] == G.ground(alone)[0]
+            conf, conf_alone = G.softmax(batch.raw_scores.data), G.softmax(alone.raw_scores.data)
+            assert np.array_equal(conf[row], conf_alone[0])
+            assert G.ground(batch, conf, row)[0] == G.ground(alone, conf_alone)[0]
 
     def test_batch_gradients_mixed_lengths(self):
         rng = np.random.default_rng(7)
@@ -380,7 +387,7 @@ class TestBatchedTextHalf:
         cand = CandidateSet(T.constant(rng.normal(size=(4, 3))), T.constant(np.zeros((4, 3))), f_v,
                             np.zeros((4, 3)))
         ids = np.array([[2, 5, 0, 0, 0, 0, 0, 0], [7, 3, 9, 4, 11, 0, 0, 0]])
-        shapes = {"confidences": (2, 4), "residuals": (2, 4, G.RESIDUAL_DIM),
+        shapes = {"raw_scores": (2, 4), "residuals": (2, 4, G.RESIDUAL_DIM),
                   "lang_logits": (2, 1, len(S.CATEGORIES))}
         weights = {name: T.constant(rng.normal(size=shape)) for name, shape in shapes.items()}
 
@@ -570,7 +577,7 @@ class TestPredictAndCheckpoint:
         out = _forward_sample(model, vocab, scene, samples[0])
         values = [*vars(out).values(), *vars(out.candidates).values()]
         tensors = [v for v in values if isinstance(v, T.Tensor)]
-        assert len(tensors) == 8
+        assert len(tensors) == 7
         for t in tensors:
             assert not t.requires_grad and t._parents == ()
 

@@ -8,7 +8,6 @@ from gradcheck import finite_diff_check
 from moniground import synthdata as S
 from moniground import tensor as T
 from moniground.pointenc import (
-    CandidateSet,
     EncoderConfig,
     LayerPlan,
     PointEncoder,
@@ -18,6 +17,7 @@ from moniground.pointenc import (
     ball_group,
     fps_distance,
     fps_feature,
+    init_encoder_params,
     modality_feature_dim,
 )
 
@@ -107,7 +107,7 @@ class TestFPSFeature:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            fps_feature(np.zeros((4, 3)), np.zeros((3, 2)), 2)
+            fps_feature(np.zeros((4, 3)), np.zeros((3, 2)), 2, 1.0)
 
 
 class TestBallGroup:
@@ -231,7 +231,7 @@ def tiny_encoder(rng, in_dim=2):
         cg_cap=4,
         shift_hidden=6,
     )
-    return PointEncoder(cfg, in_dim, rng=rng)
+    return PointEncoder(cfg, init_encoder_params(cfg, in_dim, rng))
 
 
 def unplanned(layer):
@@ -243,8 +243,9 @@ class TestSetAbstraction:
     def test_single_point_single_neighbor_identity_pool(self):
         rng = np.random.default_rng(8)
         spec = SALayerSpec(("distance",), 1, 1.0, 1, (5,))
-        enc = PointEncoder(EncoderConfig(sa_layers=(spec,), m_candidates=1, feature_dim=4,
-                                         cg_radius=1.0, cg_cap=1, shift_hidden=3), 2, rng=rng)
+        cfg = EncoderConfig(sa_layers=(spec,), m_candidates=1, feature_dim=4, cg_radius=1.0, cg_cap=1,
+                            shift_hidden=3)
+        enc = PointEncoder(cfg, init_encoder_params(cfg, 2, rng))
         pos = np.zeros((1, 3))
         feats = T.constant(np.array([[0.3, -0.7]]))
         centers, out = enc._sa_forward(0, spec, pos, feats, unplanned(spec))

@@ -7,6 +7,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moniground"
 
 
+def source_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def public_definitions(tree: ast.Module):
     """(qualified name, is a method) for each public module-level function
     or class and each public method of such a class."""
@@ -27,7 +31,7 @@ def test_every_public_name_has_a_caller_in_src():
     (`x.name`), a module-level function or class also by a bare name or an
     import. A definition is not a reference to itself.
     """
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = source_trees()
     attributes, names = Counter(), Counter()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -44,3 +48,29 @@ def test_every_public_name_has_a_caller_in_src():
         if attributes[qualified.rsplit(".", 1)[-1]] + (0 if is_method else names[qualified]) == 0
     ]
     assert len(trees) > 1 and not unused, f"public names with no caller in src: {unused}"
+
+
+def test_every_attribute_set_on_self_is_read_in_src():
+    """An attribute that a method sets with `self.<name> = ...` and nothing
+    in src reads (`x.<name>` in a load) is dead state: delete it.
+
+    Reads are counted by attribute name, not by the object they are read
+    from, as in the test above.
+    """
+    trees = source_trees()
+    reads = Counter()
+    assigned = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads[node.attr] += 1
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                assigned += [
+                    (f"{module}:{cls.name}.{node.attr}", node.attr)
+                    for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                ]
+    unread = sorted({qualified for qualified, attr in assigned if reads[attr] == 0})
+    assert assigned and not unread, f"attributes set on self that nothing in src reads: {unread}"

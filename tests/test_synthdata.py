@@ -17,6 +17,11 @@ def small_config(**overrides):
     return S.GenConfig(**base)
 
 
+def matched(scene, tokens):
+    """Brute-force audit: ids of every object the expression's tokens fit."""
+    return S._matches(scene, *S.parse_expression(tokens))
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return S.gen_dataset(11, small_config(scene_count=8))
@@ -106,7 +111,7 @@ class TestExpressions:
         samples = S.gen_expressions(scene, 41, k=1)
         assert len(samples) == 1
         assert samples[0].uniqueness == "Unique"
-        assert S.match_expression(scene, samples[0].tokens) == [samples[0].target_id]
+        assert matched(scene, samples[0].tokens) == [samples[0].target_id]
 
     def test_two_cars_differing_only_in_color_get_color_slot(self):
         base_attrs = {
@@ -121,12 +126,12 @@ class TestExpressions:
         for sample in S.gen_expressions(scene, 1, k=3):
             target_color = base_attrs["color"] if sample.target_id == "obj_00" else "blue"
             assert target_color in sample.tokens
-            assert S.match_expression(scene, sample.tokens) == [sample.target_id]
+            assert matched(scene, sample.tokens) == [sample.target_id]
 
     def test_full_dataset_sweep_matches_exactly_one(self, dataset):
         for sample in dataset.samples:
             scene = dataset.scenes[sample.scene_id]
-            assert S.match_expression(scene, sample.tokens) == [sample.target_id]
+            assert matched(scene, sample.tokens) == [sample.target_id]
 
     def test_grammar_round_trip(self):
         attrs = {
@@ -150,7 +155,7 @@ class TestExpressions:
         b = S.ObjectSpec("obj_01", "car", Box7(np.array([-5.0, 0, 0.75]), 4.5, 1.8, 1.5, 0), dict(attrs))
         scene = S.Scene("s0", {"time_of_day": "dusk"}, [a, b])
         with pytest.raises(S.UndiscriminableObjectError, match="obj_00"):
-            S.gen_expressions(scene, 1)
+            S.gen_expressions(scene, 1, k=1)
 
     def test_attribute_value_words_globally_unique(self):
         seen = {}
@@ -272,6 +277,15 @@ class TestDatasetIO:
             S.GenConfig(min_points=2)
         with pytest.raises(ValueError):
             S.GenConfig(extent=60.0)
+        bad = [
+            {"ground_points": -1}, {"color_noise": -1.0}, {"color_noise": math.nan},
+            {"density_scale": 0.0}, {"density_scale": -5.0}, {"density_scale": math.nan},
+            {"max_points": 2}, {"split_ratios": (-0.5, 0.15, 1.35)}, {"split_ratios": (math.nan, 0.5, 0.5)},
+        ]
+        for overrides in bad:
+            with pytest.raises(ValueError):
+                S.GenConfig(**overrides)
+        S.GenConfig(ground_points=0, color_noise=0.0, min_points=16, max_points=16, split_ratios=(1.0, 0.0, 0.0))
 
 
 def _walk_files(root):

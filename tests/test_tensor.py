@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import finite_diff_check
+from moniground import grounder as G
 from moniground import tensor as T
 
 
@@ -15,23 +16,21 @@ def param(rng, *shape):
 
 class TestForwardValues:
     def test_row_softmax_uniform(self):
-        out = T.row_softmax(T.constant([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
+        np.testing.assert_allclose(G.softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
     def test_row_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        out = T.row_softmax(T.constant(rng.normal(size=(7, 11)) * 10))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(out.data > 0)
+        out = G.softmax(rng.normal(size=(7, 11)) * 10)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(out > 0)
 
     def test_smooth_l1_zero_at_equal(self):
         x = T.constant([[1.0, -2.0, 3.0]])
-        assert T.smooth_l1(x, x, 1.0).data.max() == 0.0
+        assert T.smooth_l1(x, x.data).data.max() == 0.0
 
     def test_smooth_l1_branches(self):
         pred = T.constant([[0.5, 3.0]])
-        target = T.constant([[0.0, 0.0]])
-        out = T.smooth_l1(pred, target, 1.0)
+        out = T.smooth_l1(pred, np.zeros((1, 2)))
         np.testing.assert_allclose(out.data, [[0.125, 2.5]])
 
     def test_cross_entropy_closed_form(self):
@@ -176,23 +175,20 @@ class TestFiniteDifferences:
         finite_diff_check(lambda: T.mean(T.sigmoid(a)), [a])
         finite_diff_check(lambda: T.mean(T.tanh(a)), [a])
 
-    def test_row_softmax(self):
-        rng = np.random.default_rng(17)
-        a = param(rng, 3, 6)
-        w = T.constant(np.arange(18.0).reshape(3, 6))
-        finite_diff_check(lambda: T.tensor_sum(T.mul(T.row_softmax(a), w)), [a])
-
     def test_sum(self):
         rng = np.random.default_rng(19)
         a = param(rng, 2, 7)
         finite_diff_check(lambda: T.tensor_sum(a), [a])
 
     def test_smooth_l1_both_sides(self):
+        # both sides of the quadratic/linear switch at |d| = 1
         rng = np.random.default_rng(20)
-        pred, target = param(rng, 5, 2), param(rng, 5, 2)
-        d = np.abs(pred.data - target.data)
-        pred.data[np.abs(d - 1.0) < 1e-3] += 0.1  # keep clear of the quadratic/linear switch
-        finite_diff_check(lambda: T.mean(T.smooth_l1(pred, target, 1.0)), [pred, target])
+        pred, target = param(rng, 5, 2), rng.normal(size=(5, 2))
+        d = np.abs(pred.data - target)
+        pred.data[np.abs(d - 1.0) < 1e-3] += 0.1  # keep clear of the switch
+        d = np.abs(pred.data - target)
+        assert (d < 1.0).any() and (d > 1.0).any()
+        finite_diff_check(lambda: T.mean(T.smooth_l1(pred, target)), [pred])
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(21)
@@ -290,7 +286,7 @@ class TestAdam:
         expected = 1.0 - lr * (m / (1 - b1)) / (math.sqrt(v / (1 - b2)) + eps)
 
         p = T.Tensor([[1.0]], requires_grad=True)
-        state = T.AdamState(learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+        state = T.AdamState(learning_rate=lr, weight_decay=0.0, beta1=b1, beta2=b2, eps=eps)
         T.adam_step({"p": p}, {"p": np.array([[g]])}, state)
         assert p.data[0, 0] == pytest.approx(expected, abs=1e-15)
         # update direction is -sign(g) scaled by ~lr
@@ -317,7 +313,7 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         p = T.Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(T.ShapeError):
-            T.adam_step({"p": p}, {"p": np.ones(3)}, T.AdamState())
+            T.adam_step({"p": p}, {"p": np.ones(3)}, T.AdamState(learning_rate=0.1, weight_decay=0.0))
 
 
 class TestCheckpoint:
@@ -342,7 +338,7 @@ class TestCheckpoint:
 
     def test_bad_magic(self):
         good = T.checkpoint_save({"w": np.ones(2)})
-        with pytest.raises(T.BadMagicError):
+        with pytest.raises(T.CheckpointError, match="bad checkpoint magic"):
             T.checkpoint_load(b"XXXX" + good[4:])
 
     def test_version_mismatch(self):
@@ -350,20 +346,15 @@ class TestCheckpoint:
 
         good = T.checkpoint_save({"w": np.ones(2)})
         bad = good[:4] + struct.pack("<I", 999) + good[8:]
-        with pytest.raises(T.VersionMismatchError):
+        with pytest.raises(T.CheckpointError, match="checkpoint version 999, expected 1"):
             T.checkpoint_load(bad)
 
     def test_truncation(self):
         good = T.checkpoint_save({"w": np.ones(8)})
-        with pytest.raises(T.TruncatedCheckpointError):
+        with pytest.raises(T.CheckpointError, match="checkpoint truncated: wanted 64 bytes"):
             T.checkpoint_load(good[:-5])
 
     def test_trailing_bytes_rejected(self):
         good = T.checkpoint_save({"w": np.ones(8)})
         with pytest.raises(T.CheckpointError, match="trailing"):
             T.checkpoint_load(good + b"\0")
-
-    def test_error_types_are_distinct(self):
-        kinds = {T.BadMagicError, T.VersionMismatchError, T.TruncatedCheckpointError}
-        assert len(kinds) == 3
-        assert all(issubclass(k, T.CheckpointError) for k in kinds)
