@@ -11,6 +11,7 @@ over detector-style proposals synthesized by perturbing the ground truth.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,8 +62,9 @@ class NoiseConfig:
     distractors: int = 2
 
     def __post_init__(self):
-        if min(self.center_sigma, self.size_sigma, self.yaw_sigma) < 0 or self.distractors < 0:
-            raise ValueError("noise settings must be non-negative")
+        sigmas = (self.center_sigma, self.size_sigma, self.yaw_sigma)
+        if not all(0 <= s < math.inf for s in sigmas) or self.distractors < 0:
+            raise ValueError("noise settings must be finite and non-negative")
 
 
 @dataclass

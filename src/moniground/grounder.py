@@ -74,8 +74,8 @@ class LossWeights:
     ref: float = 1.0
 
     def __post_init__(self):
-        if min(self.cls, self.reg, self.shift, self.lang, self.ref) < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not all(0 <= w < math.inf for w in self.as_tuple()):
+            raise ValueError("loss weights must be finite and non-negative")
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.cls, self.reg, self.shift, self.lang, self.ref)
@@ -109,8 +109,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.weight_decay < 0 or self.decay_factor <= 0:
-            raise ValueError("need learning_rate > 0, weight_decay >= 0 and decay_factor > 0")
+        if not (0 < self.learning_rate < math.inf and 0 <= self.weight_decay < math.inf
+                and 0 < self.decay_factor < math.inf):
+            raise ValueError("need finite learning_rate > 0, weight_decay >= 0 and decay_factor > 0")
         if any(not 1 <= d < self.epochs for d in self.decay_epochs):
             raise ValueError("decay epochs must lie in 1 .. epochs - 1")
 

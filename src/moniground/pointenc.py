@@ -6,10 +6,16 @@ with max-pooling over each group. A final candidate layer regresses a 3D
 shift per seed toward object centers and extracts features around the
 shifted positions. Sampling decisions are made on plain numpy values;
 gradients flow through feature extraction and through the predicted shifts.
+
+FPS and ball query share one squared distance, `(dx*dx + dy*dy) + dz*dz`
+per column. Ball query bins the points into xy cells and measures only the
+pairs in each center's 3 x 3 cell block, so it builds no M x N array; its
+cost grows with the candidate pairs, not with centers times points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +37,8 @@ class SALayerSpec:
     def __post_init__(self):
         if self.out_points % len(self.branches) != 0:
             raise ValueError("out_points must divide evenly across branches")
-        if self.radius <= 0 or self.cap < 1:
-            raise ValueError("need radius > 0 and cap >= 1")
+        if not 0 < self.radius < math.inf or self.cap < 1:
+            raise ValueError("need a finite radius > 0 and cap >= 1")
         for b in self.branches:
             if b not in (DISTANCE, FEATURE):
                 raise ValueError(f"unknown sampling branch {b!r}")
@@ -54,8 +60,8 @@ class EncoderConfig:
     def __post_init__(self):
         if min(self.m_candidates, self.feature_dim, self.cg_cap, self.shift_hidden) < 1:
             raise ValueError("m_candidates, feature_dim, cg_cap and shift_hidden must be positive")
-        if self.cg_radius <= 0 or self.lambda_fps < 0:
-            raise ValueError("need cg_radius > 0 and lambda_fps >= 0")
+        if not (0 < self.cg_radius < math.inf and 0 <= self.lambda_fps < math.inf):
+            raise ValueError("need finite cg_radius > 0 and lambda_fps >= 0")
 
 
 @dataclass
@@ -144,37 +150,94 @@ def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: fl
     return _greedy_fps(dist_to, n, k)
 
 
+# Ball-query cells are at least _CELL_SLACK wider than the radius, with at most
+# about _MAX_CELLS per axis; ball_group's docstring shows that this rounding
+# margin loses no in-radius pair.
+_CELL_SLACK = 1e-6
+_MAX_CELLS = 1 << 20
+
+
 def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int) -> np.ndarray:
     """(M, cap) neighbor indices: the first `cap` points within `radius` of
     each center, in ascending point order.
 
     Centers with fewer in-radius points repeat their first found index; a
     center with none uses its single nearest point (lowest index on ties).
+    `points` must be finite; a non-finite center has no in-radius point.
 
-    `d2` must stay this exact expression: every mask comparison depends on
-    its last bits, and the groups equal those of the `cumsum(mask)`-ranked
-    reference in tests/oracles.py bit for bit. Each in-radius pair is
-    ranked within its row from `np.nonzero`, so the ranking work scales
-    with the number of in-radius pairs, not with M x N.
+    A pair is in radius when `d2 <= radius * radius`, with `d2` the
+    `(dx*dx + dy*dy) + dz*dz` of `dx = px - cx` per column that
+    `_sq_distance_to` computes for FPS. No M x N array is built: points are
+    binned into xy cells of side `s >= radius * (1 + _CELL_SLACK)` by a
+    stable sort of their cell keys, each center's candidates are the three
+    key ranges of its 3 x 3 cell block, and only candidate pairs get a
+    `d2`. Kept pairs are sorted by (center, point) and ranked within their
+    center, so the groups equal those of the dense reference in
+    tests/oracles.py bit for bit.
+
+    Every pair that passes is a candidate. With unit roundoff u = 2**-53,
+    `fl(dx*dx) <= fl(d2) <= fl(r*r)` gives `|px - cx| <= r * (1 + 3u)`, and
+    the same for y. A cell coordinate `q = fl(fl(p - p0) / s)` is off by at
+    most 2.01u of its value, which stays below `_MAX_CELLS + 2` for a point
+    and a center that close. The two coordinates then differ by at most
+    `(1 + 5u) / (1 + _CELL_SLACK) + 4.1u * (_MAX_CELLS + 2) <= 1` (the last
+    term is below 1e-9), so their floors differ by at most one. A center's
+    cell is clamped to [-2, n + 1] on each axis, which moves only centers
+    more than `s` from every point on that axis and non-finite ones (fmin
+    and fmax send NaN to n + 1). A block row's y-range is clipped to [0, ny)
+    so it stays in its x row, and an x row outside [0, nx) spans keys below
+    0 or above the largest: blocks never wrap onto far cells.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("ball radius must be positive")
-    d2 = (
-        np.sum(centers**2, axis=1)[:, None]
-        + np.sum(points**2, axis=1)[None, :]
-        - 2.0 * centers @ points.T
-    )
-    rows, cols = np.nonzero(d2 <= radius * radius)
-    counts = np.bincount(rows, minlength=len(centers))
+    if len(points) == 0:
+        raise ValueError("ball_group on empty points")
+    m, n = len(centers), len(points)
+    px, py, pz = (np.ascontiguousarray(points[:, j]) for j in range(3))
+    cx, cy, cz = (np.ascontiguousarray(centers[:, j]) for j in range(3))
+    x0, y0 = px.min(), py.min()
+    side = max(radius * (1.0 + _CELL_SLACK), max(px.max() - x0, py.max() - y0) / _MAX_CELLS)
+    ix = np.floor((px - x0) / side).astype(np.intp)
+    iy = np.floor((py - y0) / side).astype(np.intp)
+    nx, ny = int(ix.max()) + 1, int(iy.max()) + 1
+    key = ix * ny + iy
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    jx = np.floor(np.fmax(np.fmin((cx - x0) / side, nx + 1), -2.0)).astype(np.intp)
+    jy = np.floor(np.fmax(np.fmin((cy - y0) / side, ny + 1), -2.0)).astype(np.intp)
+    row_key = (jx[:, None] + np.arange(-1, 2)) * ny
+    lo = np.searchsorted(sorted_key, (row_key + np.maximum(jy - 1, 0)[:, None]).ravel())
+    hi = np.searchsorted(sorted_key, (row_key + np.minimum(jy + 2, ny)[:, None]).ravel())
+    lens = hi - lo
+    pos = np.arange(int(lens.sum())) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+    rows = np.repeat(np.arange(m), lens.reshape(m, 3).sum(axis=1))
+    cols = order[pos]
+    d2 = _sq_distance((px[cols], py[cols], pz[cols]), (cx[rows], cy[rows], cz[rows]))
+    pair = np.sort((rows * n + cols)[d2 <= radius * radius])
+    rows, cols = np.divmod(pair, n)
+    counts = np.bincount(rows, minlength=m)
     rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
     keep = rank < cap
-    groups = np.full((len(centers), cap), -1, dtype=np.intp)
+    groups = np.full((m, cap), -1, dtype=np.intp)
     groups[rows[keep], rank[keep]] = cols[keep]
     first = groups[:, 0].copy()
-    empty = first < 0
-    if np.any(empty):
-        first[empty] = np.argmin(d2[empty], axis=1)
+    empty = np.flatnonzero(first < 0)
+    if len(empty):
+        far = centers[empty]
+        d2 = _sq_distance((px, py, pz), (far[:, 0:1], far[:, 1:2], far[:, 2:3]))
+        first[empty] = np.argmin(d2, axis=1)
     return np.where(groups < 0, first[:, None], groups)
+
+
+def _sq_distance(p: tuple[np.ndarray, ...], c: tuple[np.ndarray, ...]) -> np.ndarray:
+    """`(dx*dx + dy*dy) + dz*dz` with `dx = px - cx`, broadcasting per
+    column: `_sq_distance_to`'s operations in its order."""
+    d = p[0] - c[0]
+    out = d * d
+    for pj, cj in zip(p[1:], c[1:]):
+        d = pj - cj
+        out += d * d
+    return out
 
 
 def _mlp_params(name: str, widths: tuple[int, ...], in_dim: int, rng: np.random.Generator) -> dict[str, T.Tensor]:

@@ -718,8 +718,8 @@ def read_dataset(root: str) -> Dataset:
     A missing file, unparsable JSON, a record without a field it needs, an
     expression whose ids, text or tokens are not strings, one with no token
     or whose text tokenizes to nothing, one whose uniqueness or distance
-    bin is not a subset tag, or a point file that is empty or ends in a
-    partial point raises DatasetIOError.
+    bin is not a subset tag, or a point file that is empty, ends in a
+    partial point or holds a NaN or infinite value raises DatasetIOError.
     """
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -757,6 +757,8 @@ def read_dataset(root: str) -> Dataset:
         if not blob or len(blob) % 28:  # 7 float32 values per point
             raise DatasetIOError(f"corrupt point file for {sid}: {len(blob)} bytes is not a positive multiple of 28")
         flat = np.frombuffer(blob, dtype="<f4").reshape(-1, 7).astype(np.float64)
+        if not np.isfinite(flat).all():
+            raise DatasetIOError(f"corrupt point file for {sid}: a value is NaN or infinite")
         pc = PointCloud(flat[:, :3], flat[:, 3:6], flat[:, 6])
         scenes[sid] = Scene(scene_id, metadata, objects, pc)
     expressions_path = os.path.join(root, "expressions.jsonl")

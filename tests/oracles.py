@@ -102,16 +102,27 @@ def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: fl
 
 
 def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int) -> np.ndarray:
-    """Ball query ranking each center's in-radius points by a running count
-    over its whole row of the M x N mask."""
+    """Ball query over the dense M x N matrix of direct-difference squared
+    distances, each center's in-radius points ranked by a running count
+    over its whole row of the mask."""
+    return _ranked_groups(np.sum((points[None, :, :] - centers[:, None, :]) ** 2, axis=2), radius, cap)
+
+
+def gemm_ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int) -> np.ndarray:
+    """`ball_group` with the expansion |c|^2 + |p|^2 - 2 c.p for the squared
+    distance, as the package computed it before its grid-pruned kernel."""
     d2 = (
         np.sum(centers**2, axis=1)[:, None]
         + np.sum(points**2, axis=1)[None, :]
         - 2.0 * centers @ points.T
     )
+    return _ranked_groups(d2, radius, cap)
+
+
+def _ranked_groups(d2: np.ndarray, radius: float, cap: int) -> np.ndarray:
     mask = d2 <= radius * radius
     order = np.cumsum(mask, axis=1)
-    groups = np.full((len(centers), cap), -1, dtype=np.intp)
+    groups = np.full((len(d2), cap), -1, dtype=np.intp)
     rows, cols = np.nonzero(mask & (order <= cap))
     groups[rows, order[rows, cols] - 1] = cols
     first = groups[:, 0].copy()

@@ -230,7 +230,9 @@ class TestTrain:
     def test_bad_model_config_is_exit_2(self, tmp_path, dataset_dir, capsys):
         settings = ["m_candidates = 0", "max_tokens = 0", "embed_dim = 0", "hidden_dim = -1",
                     "feature_dim = 0", "shared_dim = 0", "fused_dim = -3", "modality = xyz+depth",
-                    "lambda_fps = -0.5", "decay_factor = 0", "decay_epochs = -5,0"]
+                    "lambda_fps = -0.5", "decay_factor = 0", "decay_epochs = -5,0", "learning_rate = nan",
+                    "learning_rate = inf", "weight_decay = nan", "decay_factor = nan", "lambda_fps = nan",
+                    "lambda_fps = inf", "lambda_ref = nan", "lambda_cls = inf"]
         run_dir = tmp_path / "run"
         for setting in settings:
             cfg = tmp_path / "bad.cfg"
@@ -440,6 +442,14 @@ class TestDatasetFaults:
             with open(path, "wb") as f:
                 f.write(blob[:-5])
 
+        def put_value(value):
+            def corrupt(path):
+                flat = np.fromfile(path, dtype="<f4")
+                flat[7 * 3 + 1] = value     # y of the fourth point
+                flat.tofile(path)
+
+            return corrupt
+
         report = str(tmp_path / "r.json")
         train_cfg = tmp_path / "train.cfg"
         train_cfg.write_text("decay_epochs =\nepochs = 1\n")
@@ -469,6 +479,9 @@ class TestDatasetFaults:
             ("eval", "empty_point_file", first_points, empty),
             ("train", "point_file_5_bytes_short", first_points, cut_5_bytes),
             ("eval", "point_file_5_bytes_short", first_points, cut_5_bytes),
+            ("train", "nan_point", first_points, put_value(np.nan)),
+            ("eval", "infinite_point", first_points, put_value(np.inf)),
+            ("baseline", "nan_point", first_points, put_value(np.nan)),
             ("baseline", "unknown_uniqueness", expressions, edit_sample("val", "uniqueness", "Sometimes")),
             ("eval", "null_uniqueness", expressions, edit_sample("val", "uniqueness", None)),
             ("baseline", "integer_distance_bin", expressions, edit_sample("val", "distance_bin", 3)),
@@ -502,6 +515,17 @@ class TestBaseline:
     def test_unknown_baseline_rejected(self, dataset_dir):
         code, _ = run_cli("baseline", "--data", dataset_dir, "--which", "nope")
         assert code == 2  # argparse choices
+
+    def test_bad_noise_is_exit_2(self, dataset_dir, tmp_path, capsys):
+        report = tmp_path / "b.json"
+        for flags in (("--noise-center", "nan"), ("--noise-center", "inf"), ("--noise-yaw", "nan"),
+                      ("--noise-size", "-0.1")):
+            capsys.readouterr()
+            code, _ = run_cli("baseline", "--data", dataset_dir, "--which", "detbest", "--split", "val",
+                              "--report-out", str(report), *flags)
+            assert code == 2, flags
+            assert_one_line_error(capsys)
+            assert not report.exists(), flags
 
     def test_detbest_runs(self, dataset_dir, tmp_path):
         report = str(tmp_path / "db.json")

@@ -200,8 +200,9 @@ class TestComputeLoss:
         assert G.LossWeights().as_tuple() == (10.0, 10.0, 10.0, 1.0, 1.0)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            G.LossWeights(cls=-1.0)
+        for bad in ({"cls": -1.0}, {"cls": float("nan")}, {"ref": float("nan")}, {"lang": float("inf")}):
+            with pytest.raises(ValueError):
+                G.LossWeights(**bad)
 
     def test_perfect_predictions_limit(self):
         scene_box = Box7(np.array([2.0, 1.0, 0.75]), 4.0, 2.0, 1.5, 0.3)
@@ -472,6 +473,10 @@ class TestTraining:
         for decay_epochs in ((-5, 0), (0,), (3, -1)):
             with pytest.raises(ValueError):
                 G.TrainConfig(epochs=3, decay_epochs=decay_epochs)
+        for name in ("learning_rate", "weight_decay", "decay_factor"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    G.TrainConfig(**{name: value})
 
     def test_bit_identical_checkpoints_same_seed(self):
         scene, samples = tiny_scene(9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,22 @@ class TestFPSFeature:
             fps_feature(np.zeros((4, 3)), np.zeros((3, 2)), 2, 1.0)
 
 
+class TestSettings:
+    def test_non_finite_and_out_of_range_rejected(self):
+        layer = EncoderConfig().sa_layers[0]
+        for radius in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                ball_group(np.zeros((1, 3)), np.zeros((2, 3)), radius, 2)
+        for radius in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SALayerSpec(layer.branches, layer.out_points, radius, layer.cap, layer.mlp)
+            with pytest.raises(ValueError):
+                EncoderConfig(cg_radius=radius)
+        for lam in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                EncoderConfig(lambda_fps=lam)
+
+
 class TestBallGroup:
     def test_huge_radius_includes_everything(self):
         rng = np.random.default_rng(7)
@@ -172,8 +190,9 @@ class TestKernelsMatchReferences:
             assert np.array_equal(idx, oracles.fps_distance(pts, sa0.out_points))
             centers = pts[idx]
             for radius, cap in ((sa0.radius, sa0.cap), (sa1.radius, sa1.cap), (8.0, 8)):
-                assert np.array_equal(ball_group(centers, pts, radius, cap),
-                                      oracles.ball_group(centers, pts, radius, cap))
+                groups = ball_group(centers, pts, radius, cap)
+                assert np.array_equal(groups, oracles.ball_group(centers, pts, radius, cap))
+                assert np.array_equal(groups, oracles.gemm_ball_group(centers, pts, radius, cap))
             feats = np.maximum(rng.normal(size=(len(centers), 64)), 0.0)
             half = sa1.out_points // 2
             assert np.array_equal(fps_distance(centers, half), oracles.fps_distance(centers, half))
@@ -217,6 +236,60 @@ class TestKernelsMatchReferences:
         assert in_radius.max() < 40 and (in_radius > 0).all()
         for row, count in zip(groups, in_radius):
             assert (row[count:] == row[0]).all()
+
+
+def _ball_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """(centers, points, radius) of one ball-query edge case."""
+    if kind == "lattice":       # integer coordinates: many pairs at exactly the radius
+        pts = rng.integers(0, 6, size=(int(rng.integers(1, 80)), 3)).astype(float)
+        return rng.integers(-1, 7, size=(10, 3)).astype(float), pts, float(rng.integers(1, 4))
+    if kind == "offset":        # far from the origin
+        pts = rng.uniform(-5, 5, size=(int(rng.integers(1, 80)), 3)) + 1e4
+        return np.concatenate([pts[:5], rng.uniform(-6, 6, size=(5, 3)) + 1e4]), pts, float(rng.uniform(0.2, 4))
+    if kind == "tiny_radius":   # the cell count per axis is capped
+        pts = rng.uniform(-500, 500, size=(60, 3))
+        pts[30:45] = pts[:15]
+        pts[45:] = pts[15:30] + rng.uniform(-1e-8, 1e-8, size=(15, 3))
+        return pts[rng.integers(0, 60, size=10)], pts, float(rng.choice([1e-8, 1e-17]))
+    if kind == "one_cell":      # every point in the same cell
+        pts = rng.uniform(0, 1, size=(int(rng.integers(1, 40)), 3))
+        return rng.uniform(-1, 2, size=(8, 3)), pts, float(rng.uniform(2, 5))
+    if kind == "far_centers":   # centers outside the cloud, finite and not
+        pts = rng.uniform(-3, 3, size=(40, 3))
+        far = rng.choice([-1e9, -50.0, 50.0, 1e9], size=(6, 3)) * rng.integers(0, 2, size=(6, 3))
+        odd = np.array([[np.nan, 0, 0], [0, np.inf, 0], [-np.inf, 0, 0], [0, 0, np.nan]])
+        return np.concatenate([pts[:4], far, odd]), pts, 1.5
+    if kind == "duplicates":
+        base = rng.uniform(-2, 2, size=(4, 3))
+        pts = base[rng.integers(0, 4, size=int(rng.integers(1, 30)))]
+        return np.concatenate([pts[:3], base]), pts, float(rng.uniform(0.1, 3))
+    pts = rng.uniform(-2, 2, size=(1, 3))   # one point
+    return rng.uniform(-3, 3, size=(5, 3)), pts, float(rng.uniform(0.5, 3))
+
+
+class TestBallGroupGrid:
+    """The grid-pruned `ball_group` equals the dense direct-difference
+    reference on inputs built to break cell binning."""
+
+    @given(st.sampled_from(["lattice", "offset", "tiny_radius", "one_cell", "far_centers", "duplicates",
+                            "one_point"]),
+           st.integers(0, 2**32 - 1), st.integers(1, 50))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_reference(self, kind, seed, cap):
+        centers, pts, radius = _ball_case(kind, np.random.default_rng(seed))
+        assert np.array_equal(ball_group(centers, pts, radius, cap), oracles.ball_group(centers, pts, radius, cap))
+
+    def test_no_m_by_n_temporary(self):
+        rng = np.random.default_rng(27)
+        pts = rng.uniform(0, 100, size=(8000, 3))
+        centers = pts[:2000]
+        tracemalloc.start()
+        try:
+            ball_group(centers, pts, 1.0, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(centers) * len(pts) * 8 / 16, peak
 
 
 def tiny_encoder(rng, in_dim=2):
