@@ -48,6 +48,7 @@ from .pointenc import (
     PointEncoder,
     SALayerSpec,
     assemble_features,
+    encoder_layout,
     init_encoder_params,
     modality_feature_dim,
 )
@@ -211,6 +212,36 @@ def _expression_targets(candidates: np.ndarray, scene: Scene, target_id: str) ->
     return {"ref_index": int(np.argmin(dists)), "lang_index": CATEGORY_INDEX[target.category]}
 
 
+def _head_layout(config: ModelConfig) -> T.Layout:
+    """Fusion projections, fusion MLP and the four heads, in draw order."""
+    c_v, c_l = config.encoder.feature_dim, config.lang.out_dim
+    c_s, c_m = config.shared_dim, config.fused_dim
+    layout: T.Layout = {
+        "fuse.wv": ((c_v, c_s), c_v),
+        "fuse.wl": ((c_l, c_s), c_l),
+        "fuse.mlp.w0": ((2 * c_s, c_m), 2 * c_s),
+        "fuse.mlp.b0": ((1, c_m), 2 * c_s),
+        "fuse.mlp.w1": ((c_m, c_m), c_m),
+        "fuse.mlp.b1": ((1, c_m), c_m),
+    }
+    for head, width in (("loc", 1), ("cls", 1), ("reg", RESIDUAL_DIM)):
+        layout[f"head.{head}.w"] = ((c_m, width), c_m)
+        layout[f"head.{head}.b"] = ((1, width), c_m)
+    layout["head.lang.w"] = ((c_l, len(CATEGORIES)), c_l)
+    layout["head.lang.b"] = ((1, len(CATEGORIES)), c_l)
+    return layout
+
+
+def param_layout(config: ModelConfig, vocab_size: int) -> T.Layout:
+    """Every parameter of a model, as `GroundingModel` draws them: the
+    encoder's, the language branch's, then `_head_layout`'s."""
+    return {
+        **encoder_layout(config.encoder, modality_feature_dim(config.modality)),
+        **langenc.lang_layout(vocab_size, config.lang),
+        **_head_layout(config),
+    }
+
+
 class GroundingModel:
     """End-to-end network; parameters live in one flat named dict."""
 
@@ -221,19 +252,7 @@ class GroundingModel:
             rng = substream(seed, "model-init")
             params = init_encoder_params(config.encoder, modality_feature_dim(config.modality), rng)
             params.update(langenc.init_lang_params(vocab_size, config.lang, rng))
-            c_v, c_l = config.encoder.feature_dim, config.lang.out_dim
-            c_s, c_m = config.shared_dim, config.fused_dim
-            params["fuse.wv"] = T.uniform_init((c_v, c_s), c_v, rng)
-            params["fuse.wl"] = T.uniform_init((c_l, c_s), c_l, rng)
-            params["fuse.mlp.w0"] = T.uniform_init((2 * c_s, c_m), 2 * c_s, rng)
-            params["fuse.mlp.b0"] = T.uniform_init((1, c_m), 2 * c_s, rng)
-            params["fuse.mlp.w1"] = T.uniform_init((c_m, c_m), c_m, rng)
-            params["fuse.mlp.b1"] = T.uniform_init((1, c_m), c_m, rng)
-            for head, width in (("loc", 1), ("cls", 1), ("reg", RESIDUAL_DIM)):
-                params[f"head.{head}.w"] = T.uniform_init((c_m, width), c_m, rng)
-                params[f"head.{head}.b"] = T.uniform_init((1, width), c_m, rng)
-            params["head.lang.w"] = T.uniform_init((c_l, len(CATEGORIES)), c_l, rng)
-            params["head.lang.b"] = T.uniform_init((1, len(CATEGORIES)), c_l, rng)
+            params.update(T.init_params(_head_layout(config), rng))
         self.encoder = PointEncoder(config.encoder, params)
         self.params = params
 
@@ -248,13 +267,13 @@ class GroundingModel:
         proj_v = T.matmul(f_v, self.params["fuse.wv"])
         proj_l = T.repeat_rows(T.matmul(f_l, self.params["fuse.wl"]), m)
         x = T.concat([proj_v, proj_l])
-        x = T.relu(T.add(T.matmul(x, self.params["fuse.mlp.w0"]), self.params["fuse.mlp.b0"]))
-        return T.relu(T.add(T.matmul(x, self.params["fuse.mlp.w1"]), self.params["fuse.mlp.b1"]))
+        x = T.relu(T.linear(x, self.params["fuse.mlp.w0"], self.params["fuse.mlp.b0"]))
+        return T.relu(T.linear(x, self.params["fuse.mlp.w1"], self.params["fuse.mlp.b1"]))
 
     def localize(self, f_m: T.Tensor) -> T.Tensor:
         """(B, M) candidate scores, one row of M per sentence in f_m."""
         m = f_m.shape[-2]
-        raw = T.add(T.matmul(f_m, self.params["head.loc.w"]), self.params["head.loc.b"])
+        raw = T.linear(f_m, self.params["head.loc.w"], self.params["head.loc.b"])
         return T.reshape(raw, (raw.data.size // m, m))
 
     def ground_text(self, cand: CandidateSet, token_ids: np.ndarray, lengths) -> ModelOutput:
@@ -267,9 +286,9 @@ class GroundingModel:
         f_l = langenc.bigru_encode(f_w, lengths, self.params, self.config.lang)
         f_m = self.fuse(cand.features, f_l)
         raw = self.localize(f_m)
-        cls_logits = T.add(T.matmul(f_m, self.params["head.cls.w"]), self.params["head.cls.b"])
-        residuals = T.add(T.matmul(f_m, self.params["head.reg.w"]), self.params["head.reg.b"])
-        lang_logits = T.add(T.matmul(f_l, self.params["head.lang.w"]), self.params["head.lang.b"])
+        cls_logits = T.linear(f_m, self.params["head.cls.w"], self.params["head.cls.b"])
+        residuals = T.linear(f_m, self.params["head.reg.w"], self.params["head.reg.b"])
+        lang_logits = T.linear(f_l, self.params["head.lang.w"], self.params["head.lang.b"])
         return ModelOutput(cand, raw, cls_logits, residuals, lang_logits)
 
     def forward(self, inputs: SceneInputs, token_ids: np.ndarray, lengths) -> ModelOutput:
@@ -593,8 +612,7 @@ def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
             arrays = T.checkpoint_load(f.read())
         except T.CheckpointError as exc:
             raise CheckpointCompatError(f"checkpoint.bin under {directory!r}: {exc}") from exc
-    reference = GroundingModel(config, len(vocab), seed=0)
-    expected = {k: p.data.shape for k, p in reference.parameters().items()}
+    expected = {k: shape for k, (shape, _) in param_layout(config, len(vocab)).items()}
     got = {k: v.shape for k, v in arrays.items()}
     if expected != got:
         missing = sorted(set(expected) - set(got))

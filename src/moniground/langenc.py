@@ -93,27 +93,26 @@ class LangConfig:
         return 2 * self.hidden_dim
 
 
+def lang_layout(vocab_size: int, cfg: LangConfig) -> T.Layout:
+    """Embeddings plus one GRU parameter set per direction, in draw order."""
+    e, h = cfg.embed_dim, cfg.hidden_dim
+    layout: T.Layout = {"lang.embed": ((vocab_size, e), e)}
+    for direction in ("fwd", "bwd"):
+        for gate in ("z", "r", "n"):
+            layout[f"lang.gru.{direction}.w{gate}"] = ((e, h), e)
+            layout[f"lang.gru.{direction}.u{gate}"] = ((h, h), h)
+            layout[f"lang.gru.{direction}.b{gate}"] = ((1, h), h)
+    return layout
+
+
 def init_lang_params(vocab_size: int, cfg: LangConfig, rng: np.random.Generator) -> dict[str, T.Tensor]:
-    """Embeddings plus one GRU parameter set per direction.
+    """Fresh language weights: `lang_layout` drawn by `tensor.init_params`.
 
     Embedding row 0 (padding) starts at zero and is kept there by the
     training loop.
     """
-    params: dict[str, T.Tensor] = {}
-    emb = T.uniform_init((vocab_size, cfg.embed_dim), cfg.embed_dim, rng)
-    emb.data[PAD_ID, :] = 0.0
-    params["lang.embed"] = emb
-    for direction in ("fwd", "bwd"):
-        for gate in ("z", "r", "n"):
-            params[f"lang.gru.{direction}.w{gate}"] = T.uniform_init(
-                (cfg.embed_dim, cfg.hidden_dim), cfg.embed_dim, rng
-            )
-            params[f"lang.gru.{direction}.u{gate}"] = T.uniform_init(
-                (cfg.hidden_dim, cfg.hidden_dim), cfg.hidden_dim, rng
-            )
-            params[f"lang.gru.{direction}.b{gate}"] = T.uniform_init(
-                (1, cfg.hidden_dim), cfg.hidden_dim, rng
-            )
+    params = T.init_params(lang_layout(vocab_size, cfg), rng)
+    params["lang.embed"].data[PAD_ID, :] = 0.0
     return params
 
 

@@ -2,10 +2,13 @@
 
 Seed points are chosen by farthest-point sampling (geometric and/or
 feature-space branches), grouped by ball query, and encoded by shared MLPs
-with max-pooling over each group. A final candidate layer regresses a 3D
-shift per seed toward object centers and extracts features around the
-shifted positions. Sampling decisions are made on plain numpy values;
-gradients flow through feature extraction and through the predicted shifts.
+with max-pooling over each group. Pooling comes before the MLP's last
+ReLU: max commutes with ReLU, so the values and gradients are those of
+pooling after it, and the ReLU runs on one row per group. A final
+candidate layer regresses a 3D shift per seed toward object centers and
+extracts features around the shifted positions. Sampling decisions are
+made on plain numpy values; gradients flow through feature extraction and
+through the predicted shifts.
 
 FPS and ball query share one squared distance, `(dx*dx + dy*dy) + dz*dz`
 per column. Ball query bins the points into xy cells and measures only the
@@ -240,22 +243,29 @@ def _sq_distance(p: tuple[np.ndarray, ...], c: tuple[np.ndarray, ...]) -> np.nda
     return out
 
 
-def _mlp_params(name: str, widths: tuple[int, ...], in_dim: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
-    params = {}
+def _mlp_layout(name: str, widths: tuple[int, ...], in_dim: int) -> T.Layout:
+    layout = {}
     prev = in_dim
     for i, width in enumerate(widths):
-        params[f"{name}.w{i}"] = T.uniform_init((prev, width), prev, rng)
-        params[f"{name}.b{i}"] = T.uniform_init((1, width), prev, rng)
+        layout[f"{name}.w{i}"] = ((prev, width), prev)
+        layout[f"{name}.b{i}"] = ((1, width), prev)
         prev = width
-    return params
+    return layout
 
 
-def _mlp_forward(x: T.Tensor, params: dict[str, T.Tensor], name: str, depth: int, final_relu: bool = True) -> T.Tensor:
+def _mlp_forward(x: T.Tensor, params: dict[str, T.Tensor], name: str, depth: int) -> T.Tensor:
+    """`depth` linear layers with a ReLU between them, none after the last."""
     for i in range(depth):
-        x = T.add(T.matmul(x, params[f"{name}.w{i}"]), params[f"{name}.b{i}"])
-        if final_relu or i < depth - 1:
+        x = T.linear(x, params[f"{name}.w{i}"], params[f"{name}.b{i}"])
+        if i < depth - 1:
             x = T.relu(x)
     return x
+
+
+def _pooled_mlp(x: T.Tensor, params: dict[str, T.Tensor], name: str, depth: int, group: int) -> T.Tensor:
+    """The MLP with a final ReLU, max-pooled over each `group` rows; the
+    pooling comes first (see the module docstring)."""
+    return T.relu(T.max_pool_rows(_mlp_forward(x, params, name, depth), group))
 
 
 @dataclass
@@ -264,17 +274,22 @@ class LayerPlan:
     groups: np.ndarray | None
 
 
-def init_encoder_params(config: EncoderConfig, in_dim: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
+def encoder_layout(config: EncoderConfig, in_dim: int) -> T.Layout:
     """Set-abstraction MLPs, then the shift and candidate-feature MLPs, for
-    `in_dim` input features per point."""
-    params: dict[str, T.Tensor] = {}
+    `in_dim` input features per point, in draw order."""
+    layout: T.Layout = {}
     prev = in_dim
     for li, layer in enumerate(config.sa_layers):
-        params.update(_mlp_params(f"enc.sa{li}", layer.mlp, prev + 3, rng))
+        layout.update(_mlp_layout(f"enc.sa{li}", layer.mlp, prev + 3))
         prev = layer.mlp[-1]
-    params.update(_mlp_params("enc.shift", (config.shift_hidden, 3), prev, rng))
-    params.update(_mlp_params("enc.cg", (config.feature_dim, config.feature_dim), prev + 3, rng))
-    return params
+    layout.update(_mlp_layout("enc.shift", (config.shift_hidden, 3), prev))
+    layout.update(_mlp_layout("enc.cg", (config.feature_dim, config.feature_dim), prev + 3))
+    return layout
+
+
+def init_encoder_params(config: EncoderConfig, in_dim: int, rng: np.random.Generator) -> dict[str, T.Tensor]:
+    """Fresh encoder weights: `encoder_layout` drawn by `tensor.init_params`."""
+    return T.init_params(encoder_layout(config, in_dim), rng)
 
 
 class PointEncoder:
@@ -345,8 +360,7 @@ class PointEncoder:
         rel = T.constant(positions[flat] - np.repeat(centers, layer.cap, axis=0))
         neighbor_feats = T.gather_rows(features, flat)
         grouped = T.concat([rel, neighbor_feats])
-        encoded = _mlp_forward(grouped, self.params, f"enc.sa{li}", len(layer.mlp))
-        return centers, T.max_pool_rows(encoded, layer.cap)
+        return centers, _pooled_mlp(grouped, self.params, f"enc.sa{li}", len(layer.mlp), layer.cap)
 
     def _candidate_generate(self, seed_positions: np.ndarray, seed_features: T.Tensor) -> CandidateSet:
         cfg = self.config
@@ -358,15 +372,14 @@ class PointEncoder:
             pick = np.resize(np.arange(n_seeds, dtype=np.intp), m)
         seeds = seed_positions[pick]
         feats_m = T.gather_rows(seed_features, pick)
-        shifts = _mlp_forward(feats_m, self.params, "enc.shift", 2, final_relu=False)
+        shifts = _mlp_forward(feats_m, self.params, "enc.shift", 2)
         candidates = T.add(T.constant(seeds), shifts)
 
         groups = ball_group(candidates.data, seed_positions, cfg.cg_radius, cfg.cg_cap)
         flat = groups.reshape(-1)
         rel = T.sub(T.gather_rows(T.constant(seed_positions), flat), T.repeat_rows(candidates, cfg.cg_cap))
         grouped = T.concat([rel, T.gather_rows(seed_features, flat)])
-        encoded = _mlp_forward(grouped, self.params, "enc.cg", 2)
-        f_v = T.max_pool_rows(encoded, cfg.cg_cap)
+        f_v = _pooled_mlp(grouped, self.params, "enc.cg", 2, cfg.cg_cap)
         return CandidateSet(candidates, shifts, f_v, seeds)
 
 

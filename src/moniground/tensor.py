@@ -8,6 +8,13 @@ grounding model's training loss needs, nothing more; each op's gradient is
 checked against central finite differences in the test suite. Values that
 only inference reads, such as the softmax confidences over candidate
 scores, are plain numpy outside the graph (see `grounder.softmax`).
+
+Gradient buffers are owned, not copied. A tensor keeps the first gradient
+array it receives as its `grad` and adds later ones into it in place, so a
+backward closure never gives one array to two tensors: `add` gives its
+second input a copy. A closure may pass on its own `grad`, or a view of it
+(`reshape`, `concat`), because a node's `grad` is dead once its backward
+has run.
 """
 
 from __future__ import annotations
@@ -40,8 +47,13 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Take ownership of a first gradient, add a later one in place.
+
+        `grad` must be an array no other tensor holds (see the module
+        docstring); a numpy scalar, as 0-d arithmetic returns, is wrapped.
+        """
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64)
+            self.grad = grad if type(grad) is np.ndarray else np.array(grad, dtype=np.float64)
         else:
             self.grad += grad
 
@@ -62,7 +74,11 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into t.grad for every tensor requiring grad.
 
     The loss must be scalar. Gradients add to whatever is already in the
-    buffers; zero them between backward passes to avoid mixing.
+    buffers; zero them between backward passes to avoid mixing. Each
+    backward needs a graph of its own: a node's `grad` may be handed on to,
+    and then changed by, its inputs (see the module docstring), and a second
+    pass over one graph would add to gradients the first left behind, so
+    calling backward twice over one graph is unsupported.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -110,6 +126,15 @@ def uniform_init(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
     return Tensor(rng.uniform(-k, k, size=shape), requires_grad=True)
 
 
+# Parameter name -> (shape, fan-in), in the order the initialiser draws them.
+Layout = dict[str, tuple[tuple[int, ...], int]]
+
+
+def init_params(layout: Layout, rng: np.random.Generator) -> dict[str, Tensor]:
+    """One `uniform_init` parameter per layout entry, drawn in layout order."""
+    return {name: uniform_init(shape, fan_in, rng) for name, (shape, fan_in) in layout.items()}
+
+
 # ---------------------------------------------------------------------------
 # Forward ops
 # ---------------------------------------------------------------------------
@@ -138,6 +163,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a (..., M, K) x, a (K, N) w and a (1, N) bias row.
+
+    One node with the values and gradients of `add(matmul(x, w), b)`, bit
+    for bit: the same product, the same bias sum, and in backward the same
+    three arrays that chain gives its inputs.
+    """
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear mismatch: {x.data.shape} @ {w.data.shape}")
+    k, n = w.data.shape
+    if b.data.shape != (1, n):
+        raise ShapeError(f"linear bias {b.data.shape} does not match width {n}")
+
+    def bwd(grad):
+        if b.requires_grad:
+            b._accumulate(_row_sum(grad))
+        if x.requires_grad:
+            x._accumulate(grad @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.reshape(-1, k).T @ grad.reshape(-1, n))
+
+    return _node(x.data @ w.data + b.data, (x, w, b), bwd)
+
+
 def _check_addlike(a: Tensor, b: Tensor, op: str) -> bool:
     """Returns True when b is a (1, C) row broadcast over every row of a (..., C)."""
     if a.data.shape == b.data.shape:
@@ -159,7 +208,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(grad)
         if b.requires_grad:
-            b._accumulate(_row_sum(grad) if row_broadcast else grad)
+            b._accumulate(_row_sum(grad) if row_broadcast else grad.copy())
 
     return _node(a.data + b.data, (a, b), bwd)
 
@@ -363,8 +412,14 @@ def max_pool_rows(a: Tensor, group: int) -> Tensor:
     """Max over consecutive row blocks: (G*group, C) -> (G, C).
 
     Ties route the gradient to the first row of the block, so duplicated
-    rows (e.g. a repeated fallback neighbor) are not double-counted. The
-    block argmax is computed only for an input that requires grad.
+    rows (e.g. a repeated fallback neighbor) are not double-counted. For an
+    input that requires grad, the running max also yields that argmax: the
+    last row at which the max strictly rose, i.e. the largest
+    `i * (row_i > max of rows before i)`, with no branch per element. It
+    equals `blocks.argmax(axis=1)` for finite inputs; a NaN is not tracked,
+    and training raises TrainingDivergedError on a NaN loss before any
+    backward runs. Backward scatters the gradient into the argmax rows
+    through one flat index.
     """
     if a.data.ndim != 2 or a.data.shape[0] % group != 0:
         raise ShapeError(f"max_pool_rows: shape {a.data.shape} not divisible into groups of {group}")
@@ -372,14 +427,25 @@ def max_pool_rows(a: Tensor, group: int) -> Tensor:
     c = a.data.shape[1]
     blocks = a.data.reshape(g, group, c)
     out = blocks[:, 0].copy()
+    arg = None
+    if a.requires_grad:
+        # the narrowest unsigned type that holds group - 1 keeps the passes short
+        arg = np.zeros((g, c), dtype=np.min_scalar_type(group - 1))
+        rose = np.empty_like(arg)
     for i in range(1, group):
-        np.maximum(out, blocks[:, i], out=out)
-    arg = blocks.argmax(axis=1) if a.requires_grad else None
+        row = blocks[:, i]
+        if arg is not None:
+            np.greater(row, out, out=rose)
+            rose *= i
+            np.maximum(arg, rose, out=arg)
+        np.maximum(out, row, out=out)
 
     def bwd(grad):
-        acc = np.zeros((g, group, c))
-        np.put_along_axis(acc, arg[:, None, :], grad[:, None, :], axis=1)
-        a._accumulate(acc.reshape(g * group, c))
+        # flat position of (block, argmax row, column) in the (G*group, C) input
+        pos = (arg + np.arange(0, g * group, group)[:, None]) * c + np.arange(c)
+        acc = np.zeros(a.data.size)
+        acc[pos] = grad
+        a._accumulate(acc.reshape(a.data.shape))
 
     return _node(out, (a,), bwd)
 

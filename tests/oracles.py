@@ -148,3 +148,20 @@ def per_sample_gradients(model, vocab, inputs, batch, weights) -> list[dict[str,
         T.backward(T.scale(loss, inv))
         comps.append(sample_comps)
     return comps
+
+
+def linear_chain(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """`tensor.linear` as the two graph nodes it fuses: a product, then a bias row."""
+    return T.add(T.matmul(x, w), b)
+
+
+def max_pool_rows(x: np.ndarray, group: int, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block max of a (G*group, C) array and the input gradient of an upstream
+    (G, C) `grad`, from `argmax` over each block and `np.put_along_axis`, as
+    `tensor.max_pool_rows` computed them before its running argmax."""
+    g, c = len(x) // group, x.shape[1]
+    blocks = x.reshape(g, group, c)
+    arg = blocks.argmax(axis=1)
+    acc = np.zeros((g, group, c))
+    np.put_along_axis(acc, arg[:, None, :], grad[:, None, :], axis=1)
+    return blocks.max(axis=1), acc.reshape(x.shape)

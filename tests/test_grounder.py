@@ -454,6 +454,20 @@ class TestSceneGroupedStep:
         for name, g in grads[0].items():
             np.testing.assert_allclose(g, grads[1][name], rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
+    def test_parameter_gradients_own_their_memory(self):
+        # two scenes with two expressions each: each scene's backward adds
+        # into the buffers the first one left
+        dataset = S.gen_dataset(5, S.GenConfig(scene_count=2, objects_min=2, objects_max=3))
+        vocab = Vocabulary.build(s.tokens for s in dataset.samples)
+        model = G.GroundingModel(tiny_model_config(), len(vocab), seed=3)
+        inputs = {sid: G.scene_inputs(model, scene) for sid, scene in dataset.scenes.items()}
+        G._minibatch_gradients(model, vocab, inputs, dataset.samples, G.LossWeights(), epoch=1)
+        grads = list(self.grads(model).items())
+        assert len(dataset.scenes) == 2 and len(grads) > 40
+        for i, (name, g) in enumerate(grads):
+            for other, h in grads[i + 1:]:
+                assert not np.shares_memory(g, h), (name, other)
+
 
 class TestTraining:
     def test_lr_schedule_paper_defaults(self):
@@ -585,6 +599,27 @@ class TestPredictAndCheckpoint:
         assert len(tensors) == 7
         for t in tensors:
             assert not t.requires_grad and t._parents == ()
+
+    def test_param_layout_is_what_the_model_draws(self):
+        config = tiny_model_config()
+        layout = G.param_layout(config, 12)
+        params = tiny_model().parameters()
+        assert list(layout) == list(params)
+        for name, (shape, _) in layout.items():
+            assert params[name].shape == shape, name
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        scene, samples = tiny_scene(19)
+        cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=8)
+        result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
+        G.save_model(str(tmp_path), result.model, result.vocab)
+
+        def no_draw(*args):
+            raise AssertionError("load_model drew random weights")
+
+        monkeypatch.setattr(T, "uniform_init", no_draw)
+        model, _ = G.load_model(str(tmp_path))
+        assert list(model.parameters()) == list(result.model.parameters())
 
     def test_load_missing_bundle(self, tmp_path):
         with pytest.raises(G.CheckpointCompatError):

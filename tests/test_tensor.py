@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gradcheck import finite_diff_check
 from moniground import grounder as G
 from moniground import tensor as T
@@ -100,6 +101,79 @@ class TestBatchedBits:
             assert np.array_equal(out.data, x.reshape(5, 8, 6).max(axis=1))
 
 
+class TestFusedLinear:
+    """`linear` against the `add(matmul(...))` chain it replaces (tests/oracles.py)."""
+
+    @staticmethod
+    def run(op, x0, w0, b0, up):
+        x, w, b = (T.Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+        out = op(x, w, b)
+        T.backward(T.tensor_sum(T.mul(out, T.constant(up))))
+        return out.data, x.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("lead", [(48,), (1,), (3, 1), (2, 17)])
+    def test_bit_identical_to_matmul_add_chain(self, lead):
+        rng = np.random.default_rng(37)
+        x, w, b = rng.normal(size=(*lead, 64)), rng.normal(size=(64, 32)), rng.normal(size=(1, 32))
+        up = rng.normal(size=(*lead, 32))
+        fused = self.run(T.linear, x, w, b, up)
+        chain = self.run(oracles.linear_chain, x, w, b, up)
+        for got, want in zip(fused, chain):
+            assert np.array_equal(got, want)
+
+    def test_shape_mismatch_rejected(self):
+        x, w = T.constant(np.ones((2, 3))), T.constant(np.ones((3, 4)))
+        with pytest.raises(T.ShapeError, match="linear mismatch"):
+            T.linear(x, T.constant(np.ones((4, 4))), T.constant(np.ones((1, 4))))
+        for bias in (np.ones((1, 3)), np.ones((2, 4)), np.ones(4)):
+            with pytest.raises(T.ShapeError, match="bias"):
+                T.linear(x, w, T.constant(bias))
+
+
+class TestMaxPoolRows:
+    """The running argmax and flat-scatter backward against `argmax` and
+    `put_along_axis` (tests/oracles.py), on inputs full of ties."""
+
+    @staticmethod
+    def pooled(x, group, up):
+        a = T.Tensor(x, requires_grad=True)
+        out = T.max_pool_rows(a, group)
+        T.backward(T.tensor_sum(T.mul(out, T.constant(up))))
+        return out.data, a.grad
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(38)
+        yield "rounded", np.round(rng.normal(size=(40, 6)), 1), 8
+        rows = rng.normal(size=(6, 5))
+        yield "duplicated rows", rows[[0, 0, 1, 1, 2, 3, 3, 3, 4, 5, 5, 0]], 4
+        yield "all-equal blocks", np.full((12, 3), 0.25), 4
+        yield "group of one", np.round(rng.normal(size=(7, 4)), 1), 1
+        yield "all negative", -np.abs(np.round(rng.normal(size=(24, 5)), 1)) - 0.5, 8
+        yield "wide blocks", np.round(rng.normal(size=(2 * 260, 3)), 1), 260
+
+    def test_matches_argmax_and_put_along_axis(self):
+        for name, x, group in self.cases():
+            up = np.random.default_rng(39).normal(size=(len(x) // group, x.shape[1]))
+            out, grad = self.pooled(x, group, up)
+            want_out, want_grad = oracles.max_pool_rows(x, group, up)
+            assert np.array_equal(out, want_out), name
+            assert np.array_equal(grad, want_grad), name
+
+    def test_relu_commutes_with_pooling(self):
+        # pooling before ReLU (as the encoder does) equals pooling after it,
+        # in value and in input gradient, also on blocks with no positive entry
+        for name, x, group in self.cases():
+            up = T.constant(np.random.default_rng(40).normal(size=(len(x) // group, x.shape[1])))
+            a, b = T.Tensor(x, requires_grad=True), T.Tensor(x, requires_grad=True)
+            before = T.relu(T.max_pool_rows(a, group))
+            after = T.max_pool_rows(T.relu(b), group)
+            T.backward(T.tensor_sum(T.mul(before, up)))
+            T.backward(T.tensor_sum(T.mul(after, up)))
+            assert np.array_equal(before.data, after.data), name
+            assert np.array_equal(a.grad, b.grad), name
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = T.Tensor([[3.0]], requires_grad=True)
@@ -124,6 +198,19 @@ class TestBackward:
         x = T.Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):
             T.backward(T.relu(x))
+
+    def test_add_gives_each_input_its_own_gradient(self):
+        # a later contribution to a is added into a.grad in place; b.grad,
+        # from the same add, must not see it
+        rng = np.random.default_rng(34)
+        a, b = param(rng, 3, 4), param(rng, 3, 4)
+        g, h = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        T.backward(T.tensor_sum(T.mul(T.add(a, b), T.constant(g))))
+        assert np.array_equal(b.grad, g)
+        T.backward(T.tensor_sum(T.mul(a, T.constant(h))))
+        assert np.array_equal(a.grad, g + h)
+        assert np.array_equal(b.grad, g)
+        assert not np.shares_memory(a.grad, b.grad)
 
     def test_deep_chain_no_recursion_limit(self):
         x = T.Tensor([[1.0]], requires_grad=True)
@@ -254,6 +341,19 @@ class TestFiniteDifferences:
         w = T.constant(rng.normal(size=(2, 6, 3)))
         finite_diff_check(lambda: T.tensor_sum(T.mul(T.gather_rows(a, [3, 0, 0, 1, 3, 3]), w)), [a])
         finite_diff_check(lambda: T.tensor_sum(T.mul(T.repeat_rows(T.gather_rows(a, [2]), 6), w)), [a])
+
+    def test_linear(self):
+        rng = np.random.default_rng(35)
+        x, w, b = param(rng, 5, 4), param(rng, 4, 3), param(rng, 1, 3)
+        up = T.constant(rng.normal(size=(5, 3)))
+        finite_diff_check(lambda: T.tensor_sum(T.mul(T.linear(x, w, b), up)), [x, w, b])
+
+    def test_batched_linear(self):
+        # a (B, M, K) batch shares one (K, N) weight and one (1, N) bias
+        rng = np.random.default_rng(36)
+        x, w, b = param(rng, 2, 3, 4), param(rng, 4, 5), param(rng, 1, 5)
+        up = T.constant(rng.normal(size=(2, 3, 5)))
+        finite_diff_check(lambda: T.tensor_sum(T.mul(T.linear(x, w, b), up)), [x, w, b])
 
     def test_two_layer_mlp_end_to_end(self):
         rng = np.random.default_rng(27)
