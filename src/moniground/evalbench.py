@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .geom3d import Box7, iou_3d, normalize_angle
+from .pointenc import point_blocks
 from .seeding import substream
 from .synthdata import CATEGORIES, DISTANCE_BINS, UNIQUENESS_TAGS, GroundingSample, Scene, tag_subsets
 
@@ -143,23 +144,35 @@ def baseline_detbest(sample: GroundingSample, scene: Scene, proposals: list[Prop
     return proposals[int(np.argmax(ious))].box
 
 
-# A box for each sample of one scene, given one random stream per sample;
-# `evaluate` calls a predictor once per scene.
-Predictor = Callable[[Scene, list[GroundingSample], list[np.random.Generator]], list[Box7]]
+# One scene, its samples to predict and one random stream per sample.
+SceneGroup = tuple[Scene, list[GroundingSample], list[np.random.Generator]]
+# A predictor takes every scene group of an evaluation in one call, in
+# `evaluate`'s order, and returns a box for each sample of each group, so a
+# model can plan many scenes together.
+Predictor = Callable[[list[SceneGroup]], list[list[Box7]]]
 
 
 def model_predictor(model, vocab) -> Predictor:
     """The grounding model as a predictor.
 
-    Each call is one `grounder.predict`: one `forward` that encodes the
-    scene once and grounds all of the scene's expressions in one batch.
+    A call plans its scenes block by block (`pointenc.point_blocks`): one
+    `grounder.scene_inputs` per block runs each layer's D-FPS in lockstep
+    over the block's scenes, so at most one block of plans is alive at a
+    time. Each scene then takes one `grounder.predict`: one `forward` that
+    encodes the scene once and grounds all of its expressions in one batch.
     Nothing is kept between calls. Each box equals that of the sample's
     expression grounded alone, bit for bit.
     """
-    from .grounder import predict
+    from .grounder import predict, scene_inputs
 
-    def run(scene: Scene, samples: list[GroundingSample], rngs: list[np.random.Generator]) -> list[Box7]:
-        return [box for box, _, _ in predict(model, vocab, scene, [s.text for s in samples])]
+    def run(groups: list[SceneGroup]) -> list[list[Box7]]:
+        counts = [0 if scene.points is None else len(scene.points.xyz) for scene, _, _ in groups]
+        boxes = []
+        for block in point_blocks(counts):
+            inputs = scene_inputs(model, [scene for scene, _, _ in groups[block]])
+            for scene_in, (_, samples, _) in zip(inputs, groups[block]):
+                boxes.append([box for box, _, _ in predict(model, vocab, scene_in, [s.text for s in samples])])
+        return boxes
 
     return run
 
@@ -167,15 +180,19 @@ def model_predictor(model, vocab) -> Predictor:
 def baseline_predictor(kind: str, noise: NoiseConfig, seed: int) -> Predictor:
     """catrandgt / detrand / detbest as predictors.
 
-    detrand and detbest draw the scene's proposals in each call, from the
-    stream named by (seed, scene id), so every baseline sees the same
-    proposals for a given scene. `evaluate` visits each scene once, so they
-    are drawn once per scene.
+    A call loops over its scene groups, each sample drawing from its own
+    stream. detrand and detbest draw a scene's proposals from the stream
+    named by (seed, scene id), so every baseline sees the same proposals for
+    a given scene. `evaluate` groups each scene once, so they are drawn once
+    per scene.
     """
     if kind not in BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
 
-    def run(scene: Scene, samples: list[GroundingSample], rngs: list[np.random.Generator]) -> list[Box7]:
+    def run(groups: list[SceneGroup]) -> list[list[Box7]]:
+        return [per_scene(*group) for group in groups]
+
+    def per_scene(scene: Scene, samples: list[GroundingSample], rngs: list[np.random.Generator]) -> list[Box7]:
         if kind == "catrandgt":
             return [baseline_catrandgt(sample, scene, rng) for sample, rng in zip(samples, rngs)]
         proposals = make_oracle_proposals(scene, substream(seed, "proposals", scene.scene_id), noise)
@@ -203,12 +220,13 @@ def evaluate(
     Samples are processed in a deterministic order (sorted by scene id,
     target id, then position) with one named random sub-stream each, so
     reports are bit-identical across runs with the same seed. The predictor
-    is called once per scene, with that scene's samples in this order.
+    is called once, with one group per scene holding that scene's samples
+    in this order.
     """
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
     warnings: list[str] = []
-    evaluated: list[EvalSample] = []
+    groups: list[SceneGroup] = []
     indexed = sorted(enumerate(samples), key=lambda pair: (pair[1].scene_id, pair[1].target_id, pair[0]))
     for scene_id, group in itertools.groupby(indexed, key=lambda pair: pair[1].scene_id):
         group = list(group)
@@ -222,7 +240,10 @@ def evaluate(
                     f"stored {(sample.uniqueness, sample.distance_bin)}, derived {expected}"
                 )
         rngs = [substream(seed, "eval", s.scene_id, s.target_id, position) for position, s in group]
-        for sample, box in zip(scene_samples, predictor(scene, scene_samples, rngs), strict=True):
+        groups.append((scene, scene_samples, rngs))
+    evaluated: list[EvalSample] = []
+    for (scene, scene_samples, _), boxes in zip(groups, predictor(groups), strict=True):
+        for sample, box in zip(scene_samples, boxes, strict=True):
             evaluated.append(EvalSample(sample, box, scene.object_by_id(sample.target_id).box))
 
     def members(name: str) -> list[EvalSample]:

@@ -12,8 +12,9 @@ scores, outside the autodiff graph, and `ground` picks the most confident
 candidate.
 
 Training and inference take one path. `scene_inputs` builds what the
-model reads from a scene (its features and sampling plan), and
-`encode_expressions` turns B expressions into a padded (B, L) id matrix.
+model reads from each of a list of scenes (features and sampling plan),
+and `encode_expressions` turns B expressions into a padded (B, L) id
+matrix.
 `GroundingModel.forward` takes both: it encodes the scene once, since the
 visual half never reads the text, and grounds all B expressions in one pass
 of the text half (`ground_text`), which gives every text tensor a leading
@@ -23,8 +24,11 @@ makes the same BLAS call per row (see `tensor.matmul`), and the BiGRU masks
 rows past their length (see `langenc.bigru_encode`). Training builds each
 scene's inputs once, makes one `forward` per scene in a minibatch and gives
 each row its own B = 1 loss; `predict` makes one `forward` per call and
-decodes each row with `ground`. A model from `load_model` holds parameters
-that do not require gradients, so inference builds no autodiff graph.
+decodes each row with `ground`. Planning runs D-FPS in lockstep over the
+scenes of one `scene_inputs` call, so callers plan many scenes at once:
+training all of its scenes, evaluation a block of them at a time. A model
+from `load_model` holds parameters that do not require gradients, so
+inference builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -299,17 +303,23 @@ class GroundingModel:
         return self.ground_text(cand, token_ids, lengths)
 
 
-def scene_inputs(model: GroundingModel, scene: Scene) -> SceneInputs:
-    """A scene's features for the model's input modality and its sampling plan.
+def scene_inputs(model: GroundingModel, scenes: list[Scene]) -> list[SceneInputs]:
+    """Each scene's features for the model's input modality and its sampling plan.
 
-    The plan depends only on point positions, so one SceneInputs serves
-    every forward pass over the scene.
+    A plan depends only on point positions, so one SceneInputs serves every
+    forward pass over its scene. The scenes are planned in one
+    `precompute_plan` call, whose D-FPS advances all of their clouds in
+    lockstep, in blocks of a fixed point budget (`pointenc.point_blocks`);
+    each plan equals that of its scene planned alone, bit for bit.
     """
-    pc = scene.points
-    if pc is None:
-        raise ValueError(f"scene {scene.scene_id} has no point cloud")
-    feats = assemble_features(pc.rgb, pc.intensity, model.config.modality)
-    return SceneInputs(scene, feats, model.encoder.precompute_plan(pc.xyz))
+    for scene in scenes:
+        if scene.points is None:
+            raise ValueError(f"scene {scene.scene_id} has no point cloud")
+    plans = model.encoder.precompute_plan([scene.points.xyz for scene in scenes])
+    return [
+        SceneInputs(scene, assemble_features(scene.points.rgb, scene.points.intensity, model.config.modality), plan)
+        for scene, plan in zip(scenes, plans)
+    ]
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -469,9 +479,9 @@ def train_model(
 ) -> TrainResult:
     """Seeded, bit-deterministic training loop over grounding samples.
 
-    Each scene's inputs are built once, before the first epoch. Each epoch
-    shuffles the samples with a seeded permutation and cuts it into
-    minibatches of `batch_size`. A minibatch makes one batched `forward`
+    Every scene's inputs are built once, in one `scene_inputs` call, before
+    the first epoch. Each epoch shuffles the samples with a seeded
+    permutation and cuts it into minibatches of `batch_size`. A minibatch makes one batched `forward`
     per distinct scene in it (see `_minibatch_gradients`), then one Adam
     step.
 
@@ -485,7 +495,8 @@ def train_model(
     started = time.perf_counter()
     vocab = Vocabulary.build(s.tokens for s in samples)
     model = GroundingModel(model_config, len(vocab), seed=train_config.seed)
-    inputs = {sid: scene_inputs(model, scenes[sid]) for sid in dict.fromkeys(s.scene_id for s in samples)}
+    scene_ids = list(dict.fromkeys(s.scene_id for s in samples))
+    inputs = dict(zip(scene_ids, scene_inputs(model, [scenes[sid] for sid in scene_ids])))
     state = T.AdamState(
         learning_rate=train_config.learning_rate, weight_decay=train_config.weight_decay
     )
@@ -516,9 +527,9 @@ def train_model(
     return TrainResult(model, vocab, curve, time.perf_counter() - started)
 
 
-def predict(model: GroundingModel, vocab: Vocabulary, scene: Scene,
+def predict(model: GroundingModel, vocab: Vocabulary, inputs: SceneInputs,
             texts: list[str]) -> list[tuple[Box7, np.ndarray, int]]:
-    """Ground expressions of one scene; deterministic.
+    """Ground expressions of one scene, given its `scene_inputs`; deterministic.
 
     One `forward` encodes the scene once and grounds all its texts in one
     batch. Returns (box, confidences, candidate index) per text, in order;
@@ -529,7 +540,7 @@ def predict(model: GroundingModel, vocab: Vocabulary, scene: Scene,
     token_ids, lengths = encode_expressions(vocab, [langenc.tokenize(t) for t in texts], model.config.lang.max_len)
     if not len(lengths) or lengths.min() < 1:
         raise ValueError("predict needs one or more expressions, each with a usable token")
-    out = model.forward(scene_inputs(model, scene), token_ids, lengths)
+    out = model.forward(inputs, token_ids, lengths)
     confidences = softmax(out.raw_scores.data)
     results = []
     for row in range(len(lengths)):

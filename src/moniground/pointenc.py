@@ -11,14 +11,22 @@ made on plain numpy values; gradients flow through feature extraction and
 through the predicted shifts.
 
 FPS and ball query share one squared distance, `(dx*dx + dy*dy) + dz*dz`
-per column. Ball query bins the points into xy cells and measures only the
-pairs in each center's 3 x 3 cell block, so it builds no M x N array; its
-cost grows with the candidate pairs, not with centers times points.
+per column. One greedy loop serves both FPS kinds. D-FPS runs it in
+lockstep over every cloud a plan covers: the clouds are padded into
+(3, S, width) coordinate planes, and each step is one `argmax` and one
+`np.minimum` over all S rows, so Python's per-step cost is paid once per
+block, not once per cloud. Blocks hold at most `_BLOCK_POINTS` padded
+points (see `point_blocks`), a working set that stays in L2. Each row's
+picks equal that cloud's D-FPS run alone, bit for bit. F-FPS runs the same
+loop with S = 1. Ball query bins the points into xy cells and measures only
+the pairs in each center's 3 x 3 cell block, so it builds no M x N array;
+its cost grows with the candidate pairs, not with centers times points.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,82 +83,139 @@ class CandidateSet:
     seeds: np.ndarray              # (M, 3) pre-shift seed positions
 
 
-def _greedy_fps(dist_to, n: int, k: int) -> np.ndarray:
-    """Greedy farthest-point loop from index 0 under any metric.
+def _greedy_fps(dist_to, lengths: np.ndarray, k: int) -> np.ndarray:
+    """Greedy farthest-point loop from index 0, run in lockstep over S clouds.
 
-    `dist_to(i)` returns the (n,) distances from point i to every point; it
-    may return the same buffer on every call, so the first vector is copied.
-    Returns k indices: min(k, n) greedy picks, padded with index 0 up to k.
-    Ties pick the lowest index, so once every point is at distance 0 from
-    the chosen ones (duplicate points) each further pick is index 0. The
-    picks depend only on the values `dist_to` returns: a kernel whose values
-    are bit-identical to another's selects the same indices.
+    `lengths` holds the S cloud sizes. `dist_to(idx)` returns the
+    (S, width) distances from point `idx[s]` of each cloud s to every point
+    of it, with width >= max(lengths); it may return the same buffer on
+    every call, so the first one is copied. Entries past a cloud's length
+    start at -inf and stay there, so no argmax picks them: the distances
+    must not be NaN. Each step is one `argmax(axis=1)` and one
+    `np.minimum` over all rows. Returns (S, k) indices: per cloud, min(k, n)
+    greedy picks, padded with index 0 up to k. Ties pick the lowest index,
+    so once every point is at distance 0 from the chosen ones (duplicate
+    points) each further pick is index 0. A pick at a positive distance is
+    a point not chosen before, so after n steps a cloud of n points is at
+    that stage: its steps past its length pick index 0, the padding. A
+    row's picks depend only on its own distances: a kernel whose values are
+    bit-identical to another's selects the same indices, whatever clouds
+    share its batch.
     """
-    chosen = np.zeros(k, dtype=np.intp)
-    min_d = dist_to(0).copy()
-    for i in range(1, min(k, n)):
-        nxt = int(min_d.argmax())
-        chosen[i] = nxt
+    chosen = np.zeros((len(lengths), k), dtype=np.intp)
+    min_d = dist_to(chosen[:, 0]).copy()
+    min_d[np.arange(min_d.shape[1]) >= lengths[:, None]] = -np.inf
+    for i in range(1, min(k, int(lengths.max()))):
+        nxt = min_d.argmax(axis=1)
+        chosen[:, i] = nxt
         np.minimum(min_d, dist_to(nxt), out=min_d)
     return chosen
 
 
-def _sq_distance_to(points: np.ndarray):
-    """`dist_to(i)` for squared euclidean distance, writing into one buffer.
+def _planes(clouds: list[np.ndarray]) -> np.ndarray:
+    """(3, S, width) coordinate planes of S clouds, zero past each cloud's end."""
+    planes = np.zeros((3, len(clouds), max(len(c) for c in clouds)))
+    for s, cloud in enumerate(clouds):
+        planes[:, s, : len(cloud)] = cloud.T
+    return planes
 
-    Each call returns the same (n,) buffer, holding
-    `(dx*dx + dy*dy) + dz*dz` from per-column contiguous copies: the same
-    operations in the same summation order as
-    `np.sum((points - points[i]) ** 2, axis=1)`, so the values are
-    bit-identical to it, without the slow reduction over 3-wide rows.
+
+def _sq_distance_to(planes: np.ndarray):
+    """`dist_to(idx)` for squared euclidean distance over `_planes`,
+    writing into one buffer.
+
+    Each call returns the same (S, width) buffer, whose row s holds
+    `(dx*dx + dy*dy) + dz*dz` with `dx = x - x[idx[s]]`: the same operations
+    in the same summation order as `np.sum((points - points[i]) ** 2, axis=1)`
+    for each cloud, so the values are bit-identical to it, without the slow
+    reduction over 3-wide rows.
     """
-    cols = [np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])]
-    out = np.empty_like(cols[0])
-    tmp = np.empty_like(cols[0])
+    rows = np.arange(planes.shape[1])
+    diff = np.empty_like(planes)
+    out = diff[0]
 
-    def dist_to(i: int) -> np.ndarray:
-        np.subtract(cols[0], cols[0][i], out=out)
-        np.multiply(out, out, out=out)
-        for col in cols[1:]:
-            np.subtract(col, col[i], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            np.add(out, tmp, out=out)
+    def dist_to(idx: np.ndarray) -> np.ndarray:
+        np.subtract(planes, planes[:, rows, idx][:, :, None], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(out, diff[1], out=out)
+        np.add(out, diff[2], out=out)
         return out
 
     return dist_to
 
 
-def fps_distance(points: np.ndarray, k: int) -> np.ndarray:
-    """D-FPS: k farthest-point indices under euclidean distance (see _greedy_fps).
+def _check_points(points: np.ndarray, where: str) -> None:
+    """ValueError for a cloud that is not (n, 3), is empty or holds a
+    non-finite point, which would turn FPS distances into NaN and its picks
+    into arbitrary indices."""
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"{where} needs (n, 3) clouds, got shape {points.shape}")
+    if len(points) == 0:
+        raise ValueError(f"{where} on an empty cloud")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{where} on non-finite points")
+
+
+# Lockstep D-FPS takes its clouds in blocks of at most this many padded points
+# (clouds x points of the largest), so that its planes, their differences and
+# its running minimum, about 1.3 MB in all, stay in L2.
+_BLOCK_POINTS = 24_000
+
+
+def point_blocks(counts: Sequence[int]) -> list[slice]:
+    """Consecutive runs of clouds with `counts` points each, as long as the
+    run's length times its largest count stays within _BLOCK_POINTS; a
+    cloud above that is a block of its own."""
+    blocks: list[slice] = []
+    start, widest = 0, 0
+    for i, n in enumerate(counts):
+        if i > start and (i + 1 - start) * max(widest, n) > _BLOCK_POINTS:
+            blocks.append(slice(start, i))
+            start, widest = i, 0
+        widest = max(widest, n)
+    if len(counts):
+        blocks.append(slice(start, len(counts)))
+    return blocks
+
+
+def fps_distance(clouds: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """D-FPS of S clouds in lockstep: (S, k) farthest-point indices under
+    euclidean distance (see _greedy_fps), one `point_blocks` block at a time.
 
     Distances are squared and bit-identical to
-    `np.sum((points - points[i]) ** 2, axis=1)` (see _sq_distance_to).
+    `np.sum((points - points[i]) ** 2, axis=1)` (see _sq_distance_to), so each
+    row equals the cloud's D-FPS run alone.
     """
-    n = len(points)
-    if n == 0:
-        raise ValueError("fps_distance on empty input")
-    return _greedy_fps(_sq_distance_to(points), n, k)
+    clouds = list(clouds)
+    for points in clouds:
+        _check_points(points, "fps_distance")
+    lengths = np.array([len(c) for c in clouds], dtype=np.intp)
+    chosen = np.zeros((len(clouds), k), dtype=np.intp)
+    for block in point_blocks(lengths):
+        chosen[block] = _greedy_fps(_sq_distance_to(_planes(clouds[block])), lengths[block], k)
+    return chosen
 
 
 def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: float) -> np.ndarray:
     """F-FPS: k farthest-point indices under d = feature-L2 + lambda * euclidean-L2.
 
-    The euclidean term is the square root of _sq_distance_to's squared
-    distance, bit-identical to `np.sum((points - points[i]) ** 2, axis=1)`.
+    It runs _greedy_fps with S = 1. The euclidean term is the square root of
+    _sq_distance_to's squared distance, bit-identical to
+    `np.sum((points - points[i]) ** 2, axis=1)`.
     """
+    _check_points(points, "fps_feature")
     n = len(points)
-    if n == 0:
-        raise ValueError("fps_feature on empty input")
     if len(features) != n:
         raise ValueError(f"points/features length mismatch: {n} vs {len(features)}")
     feat_sq = np.sum(features**2, axis=1)
-    sq_dist_to = _sq_distance_to(points)
+    sq_dist_to = _sq_distance_to(_planes([points]))
 
-    def dist_to(idx: int) -> np.ndarray:
-        df = np.sqrt(np.maximum(feat_sq + feat_sq[idx] - 2.0 * (features @ features[idx]), 0.0))
+    def dist_to(idx: np.ndarray) -> np.ndarray:
+        i = int(idx[0])  # an int index keeps `features @ features[i]` one gemv, as its bits need
+        df = np.sqrt(np.maximum(feat_sq + feat_sq[i] - 2.0 * (features @ features[i]), 0.0))
         return df + lambda_fps * np.sqrt(sq_dist_to(idx))
 
-    return _greedy_fps(dist_to, n, k)
+    return _greedy_fps(dist_to, np.array([n]), k)[0]
 
 
 # Ball-query cells are at least _CELL_SLACK wider than the radius, with at most
@@ -300,37 +365,42 @@ class PointEncoder:
         self.config = config
         self.params = params
 
-    def precompute_plan(self, positions: np.ndarray) -> list[LayerPlan]:
-        """Geometry-only sampling decisions, the plan `forward` follows.
+    def precompute_plan(self, clouds: list[np.ndarray]) -> list[list[LayerPlan]]:
+        """Geometry-only sampling decisions of each cloud: the plans `forward` follows.
 
         Distance-FPS indices (and layer groups, when every branch so far is
         geometric) depend only on point positions, not on parameters, so
         one plan serves every forward pass over the same points. Feature
         branches invalidate position knowledge for later layers: their
-        entries are `None`, and `forward` computes them.
+        entries are `None`, and `forward` computes them. Each layer's D-FPS
+        runs in lockstep over all the clouds (see fps_distance); ball query
+        runs per cloud.
         """
-        plans: list[LayerPlan] = []
-        known = positions
+        plans: list[list[LayerPlan]] = [[] for _ in clouds]
+        known: list[np.ndarray] | None = list(clouds)
         for layer in self.config.sa_layers:
-            per_branch = layer.out_points // len(layer.branches)
             if known is None:
-                plans.append(LayerPlan([None] * len(layer.branches), None))
+                for plan in plans:
+                    plan.append(LayerPlan([None] * len(layer.branches), None))
                 continue
-            branch_indices: list[np.ndarray | None] = []
-            for kind in layer.branches:
-                branch_indices.append(fps_distance(known, per_branch) if kind == DISTANCE else None)
-            if all(idx is not None for idx in branch_indices):
-                sampled = _interleave(branch_indices)
-                groups = ball_group(known[sampled], known, layer.radius, layer.cap)
-                plans.append(LayerPlan(branch_indices, groups))
-                known = known[sampled]
-            else:
-                plans.append(LayerPlan(branch_indices, None))
+            per_branch = layer.out_points // len(layer.branches)
+            branch_indices = [fps_distance(known, per_branch) if kind == DISTANCE else None
+                              for kind in layer.branches]
+            geometric = FEATURE not in layer.branches
+            for s, plan in enumerate(plans):
+                indices = [None if idx is None else idx[s] for idx in branch_indices]
+                groups = None
+                if geometric:
+                    centers = known[s][_interleave(indices)]
+                    groups = ball_group(centers, known[s], layer.radius, layer.cap)
+                    known[s] = centers
+                plan.append(LayerPlan(indices, groups))
+            if not geometric:
                 known = None
         return plans
 
     def forward(self, positions: np.ndarray, features: T.Tensor, plan: list[LayerPlan]) -> CandidateSet:
-        """Candidates of one point cloud, given its `precompute_plan(positions)`."""
+        """Candidates of one point cloud, given its plan from `precompute_plan`."""
         pos = positions
         feats = features
         for li, layer in enumerate(self.config.sa_layers):
@@ -348,7 +418,7 @@ class PointEncoder:
             if planned is not None:
                 branch_indices.append(planned)
             elif kind == DISTANCE:
-                branch_indices.append(fps_distance(positions, per_branch))
+                branch_indices.append(fps_distance([positions], per_branch)[0])
             else:
                 branch_indices.append(fps_feature(positions, features.data, per_branch, self.config.lambda_fps))
         sampled = _interleave(branch_indices)

@@ -71,6 +71,18 @@ def random_box_pair(rng: np.random.Generator) -> tuple[Box7, Box7]:
     return a, Box7(a.center + offset, l, w, h, yaw)
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function by masked assignment: `1 / (1 + exp(-x))` where
+    x >= 0, `exp(x) / (1 + exp(x))` elsewhere, as the package computed it
+    before its branch-free form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def sq_distances(points: np.ndarray, i: int) -> np.ndarray:
     """Squared euclidean distances from point i, as one row-wise reduction."""
     return np.sum((points - points[i]) ** 2, axis=1)

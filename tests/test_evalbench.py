@@ -12,6 +12,7 @@ import pytest
 from gradcheck import tiny_model_config
 from moniground import evalbench as E
 from moniground import grounder as G
+from moniground import pointenc
 from moniground import synthdata as S
 from moniground.geom3d import Box7, iou_3d
 from moniground.langenc import Vocabulary, encode_expressions, tokenize
@@ -212,7 +213,7 @@ class TestEvaluateAndReport:
     def _tiny_eval(self):
         scene = make_scene(["car"], [5.0])
         sample = make_sample(scene, "obj_00")
-        predictor = lambda sc, sms, rngs: [sc.object_by_id(sm.target_id).box for sm in sms]
+        predictor = lambda groups: [[sc.object_by_id(sm.target_id).box for sm in sms] for sc, sms, _ in groups]
         return E.evaluate(
             predictor, {scene.scene_id: scene}, [sample], seed=3,
             meta={"split": "val", "seed": 3, "predictor-id": "oracle", "checkpoint-hash": "none"},
@@ -275,7 +276,7 @@ class TestEvaluateAndReport:
     def test_tag_mismatch_reported(self):
         scene = make_scene(["car"], [5.0])
         bad = S.GroundingSample(scene.scene_id, "obj_00", "t", ["t"], "Multiple", "Far")
-        predictor = lambda sc, sms, rngs: [sc.objects[0].box for _ in sms]
+        predictor = lambda groups: [[sc.objects[0].box for _ in sms] for sc, sms, _ in groups]
         report = E.evaluate(predictor, {scene.scene_id: scene}, [bad], seed=1)
         assert any("tag mismatch" in w for w in report.warnings)
 
@@ -301,7 +302,7 @@ class TestModelPredictor:
     def full_forward(model, vocab, scene, text):
         """The per-sample reference: encode the scene and the text together."""
         token_ids, lengths = encode_expressions(vocab, [tokenize(text)], model.config.lang.max_len)
-        out = model.forward(G.scene_inputs(model, scene), token_ids, lengths)
+        out = model.forward(G.scene_inputs(model, [scene])[0], token_ids, lengths)
         confidences = G.softmax(out.raw_scores.data)
         idx, box = G.ground(out, confidences)
         return box, confidences[0], idx
@@ -316,9 +317,9 @@ class TestModelPredictor:
         calls = []
         predict = G.predict
 
-        def recording(m, v, scene, texts):
-            results = predict(m, v, scene, texts)
-            calls.extend((scene, text, result) for text, result in zip(texts, results))
+        def recording(m, v, inputs, texts):
+            results = predict(m, v, inputs, texts)
+            calls.extend((inputs.scene, text, result) for text, result in zip(texts, results))
             return results
 
         encodes = []
@@ -349,24 +350,52 @@ class TestModelPredictor:
                                                expressions_per_object=2))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         model = G.GroundingModel(tiny_model_config(), len(vocab), seed=1)
-        encodes, plans = [], []
+        encodes, planned = [], []
         encode = model.encoder.forward
         monkeypatch.setattr(model.encoder, "forward", lambda *a: encodes.append(1) or encode(*a))
         plan = PointEncoder.precompute_plan
-        monkeypatch.setattr(PointEncoder, "precompute_plan", lambda self, xyz: plans.append(1) or plan(self, xyz))
+        monkeypatch.setattr(PointEncoder, "precompute_plan",
+                            lambda self, clouds: planned.extend(map(id, clouds)) or plan(self, clouds))
         model_run = E.model_predictor(model, vocab)
-        scene_calls = []
+        calls = []
 
-        def predictor(scene, samples, rngs):
-            scene_calls.append((scene.scene_id, [(s.target_id, s.text) for s in samples]))
-            return model_run(scene, samples, rngs)
+        def predictor(groups):
+            calls.append([(scene.scene_id, [(s.target_id, s.text) for s in samples]) for scene, samples, _ in groups])
+            return model_run(groups)
 
         shuffled = [dataset.samples[i] for i in np.random.default_rng(0).permutation(len(dataset.samples))]
         E.evaluate(predictor, dataset.scenes, shuffled, seed=0)
         ordered = sorted(shuffled, key=lambda s: (s.scene_id, s.target_id))  # stable: ties keep position
+        assert len(calls) == 1
+        scene_calls = calls[0]
         assert [scene_id for scene_id, _ in scene_calls] == sorted(dataset.scenes)
         assert [pair for _, group in scene_calls for pair in group] == [(s.target_id, s.text) for s in ordered]
-        assert len(encodes) == len(plans) == len(dataset.scenes) < len(dataset.samples)
+        # each scene's cloud is planned exactly once
+        assert sorted(planned) == sorted(id(scene.points.xyz) for scene in dataset.scenes.values())
+        assert len(encodes) == len(planned) == len(dataset.scenes) < len(dataset.samples)
+
+    def test_scenes_planned_block_by_block(self, monkeypatch):
+        dataset = S.gen_dataset(7, S.GenConfig(scene_count=4, objects_min=1, objects_max=2))
+        vocab = Vocabulary.build(s.tokens for s in dataset.samples)
+        model = G.GroundingModel(tiny_model_config(), len(vocab), seed=2)
+        groups = [(dataset.scenes[sid], [s for s in dataset.samples if s.scene_id == sid], [])
+                  for sid in sorted(dataset.scenes)]
+
+        def boxes():
+            return [[(*box.center, box.l, box.w, box.h, box.yaw) for box in scene_boxes]
+                    for scene_boxes in E.model_predictor(model, vocab)(groups)]
+
+        whole = boxes()
+        blocks = []
+        plan = PointEncoder.precompute_plan
+        monkeypatch.setattr(PointEncoder, "precompute_plan",
+                            lambda self, clouds: blocks.append(list(map(id, clouds))) or plan(self, clouds))
+        clouds = [scene.points.xyz for scene, _, _ in groups]
+        monkeypatch.setattr(pointenc, "_BLOCK_POINTS", max(len(c) for c in clouds))
+        split = boxes()
+        expected = [[id(c) for c in clouds[block]] for block in pointenc.point_blocks([len(c) for c in clouds])]
+        assert blocks == expected and len(blocks) > 1
+        assert split == whole
 
 
 class TestEvaluateCost:

@@ -285,9 +285,14 @@ def _vocab_for(samples):
     return Vocabulary.build(s.tokens for s in samples)
 
 
+def predict_scene(model, vocab, scene, texts):
+    """`predict` on one scene, planned alone."""
+    return G.predict(model, vocab, G.scene_inputs(model, [scene])[0], texts)
+
+
 def _forward_sample(model, vocab, scene, sample):
     ids, lengths = encode_expressions(vocab, [sample.tokens], model.config.lang.max_len)
-    return model.forward(G.scene_inputs(model, scene), ids, lengths)
+    return model.forward(G.scene_inputs(model, [scene])[0], ids, lengths)
 
 
 class TestGradientFlow:
@@ -340,7 +345,7 @@ class TestGradientFlow:
             S.PointCloud(xyz, np.full((20, 3), 0.5), np.full(20, 0.5)),
         )
         model = tiny_model(seed=4, vocab_size=40)
-        inputs = G.scene_inputs(model, scene)
+        inputs = G.scene_inputs(model, [scene])[0]
         ids = np.array([[2, 3] + [0] * (model.config.lang.max_len - 2)])
         out0 = model.forward(inputs, ids, [2])
         tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene, "obj_00")
@@ -365,7 +370,7 @@ class TestBatchedTextHalf:
         scene = next(iter(dataset.scenes.values()))
         config = G.ModelConfig()
         model = G.GroundingModel(config, 60, seed=2)
-        inputs = G.scene_inputs(model, scene)
+        inputs = G.scene_inputs(model, [scene])[0]
         cand = model.encoder.forward(scene.points.xyz, T.constant(inputs.feats), inputs.plan)
         max_len = config.lang.max_len
         lengths = np.array([1, 9, max_len, 4, 1, 17])
@@ -412,7 +417,7 @@ class TestSceneGroupedStep:
         dataset = S.gen_dataset(4, S.GenConfig(scene_count=3, objects_min=3, objects_max=3))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         models = [G.GroundingModel(G.ModelConfig(), len(vocab), seed=6) for _ in range(2)]
-        inputs = {sid: G.scene_inputs(models[0], scene) for sid, scene in dataset.scenes.items()}
+        inputs = dict(zip(dataset.scenes, G.scene_inputs(models[0], list(dataset.scenes.values()))))
         by_scene = {}
         for sample in dataset.samples:
             by_scene.setdefault(sample.scene_id, []).append(sample)
@@ -460,7 +465,7 @@ class TestSceneGroupedStep:
         dataset = S.gen_dataset(5, S.GenConfig(scene_count=2, objects_min=2, objects_max=3))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         model = G.GroundingModel(tiny_model_config(), len(vocab), seed=3)
-        inputs = {sid: G.scene_inputs(model, scene) for sid, scene in dataset.scenes.items()}
+        inputs = dict(zip(dataset.scenes, G.scene_inputs(model, list(dataset.scenes.values()))))
         G._minibatch_gradients(model, vocab, inputs, dataset.samples, G.LossWeights(), epoch=1)
         grads = list(self.grads(model).items())
         assert len(dataset.scenes) == 2 and len(grads) > 40
@@ -520,21 +525,24 @@ class TestTraining:
         result = G.train_model({scene.scene_id: scene}, [sample], tiny_model_config(), cfg)
         initial, final = result.curve[0].total, result.curve[-1].total
         assert final < 0.1 * initial
-        box, _, _ = G.predict(result.model, result.vocab, scene, [sample.text])[0]
+        box, _, _ = predict_scene(result.model, result.vocab, scene, [sample.text])[0]
         gt = scene.object_by_id(sample.target_id).box
         assert iou_3d(box, gt) > 0.5
 
     def test_one_plan_per_scene(self, monkeypatch):
         dataset = S.gen_dataset(6, S.GenConfig(scene_count=2, objects_min=2, objects_max=3,
                                                expressions_per_object=2))
-        calls, encodes = [], []
+        planned, encodes = [], []
         plan = PointEncoder.precompute_plan
-        monkeypatch.setattr(PointEncoder, "precompute_plan", lambda self, xyz: calls.append(1) or plan(self, xyz))
+        monkeypatch.setattr(PointEncoder, "precompute_plan",
+                            lambda self, clouds: planned.extend(map(id, clouds)) or plan(self, clouds))
         encode = PointEncoder.forward
         monkeypatch.setattr(PointEncoder, "forward", lambda self, *args: encodes.append(1) or encode(self, *args))
         cfg = G.TrainConfig(epochs=2, batch_size=4, decay_epochs=(), seed=1)
         G.train_model(dataset.scenes, dataset.samples, tiny_model_config(), cfg)
-        assert len(calls) == len({s.scene_id for s in dataset.samples}) == 2 < len(dataset.samples)
+        # each scene's cloud is planned exactly once
+        assert sorted(planned) == sorted(id(scene.points.xyz) for scene in dataset.scenes.values())
+        assert len(planned) == len({s.scene_id for s in dataset.samples}) == 2 < len(dataset.samples)
         # one encoding per distinct scene per minibatch
         scene_of = [s.scene_id for s in dataset.samples]
         distinct = 0
@@ -560,8 +568,8 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(14)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        a = G.predict(result.model, result.vocab, scene, [samples[0].text])[0]
-        b = G.predict(result.model, result.vocab, scene, [samples[0].text])[0]
+        a = predict_scene(result.model, result.vocab, scene, [samples[0].text])[0]
+        b = predict_scene(result.model, result.vocab, scene, [samples[0].text])[0]
         np.testing.assert_array_equal(a[0].center, b[0].center)
         np.testing.assert_array_equal(a[1], b[1])
         assert a[2] == b[2]
@@ -570,7 +578,7 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(15)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        box, conf, idx = G.predict(result.model, result.vocab, scene, [samples[0].text])[0]
+        box, conf, idx = predict_scene(result.model, result.vocab, scene, [samples[0].text])[0]
         assert abs(conf.sum() - 1.0) <= 1e-9
         assert 0 <= idx < len(conf)
         assert box.l > 0 and -math.pi <= box.yaw < math.pi
@@ -583,8 +591,8 @@ class TestPredictAndCheckpoint:
         model2, vocab2 = G.load_model(str(tmp_path))
         for k, p in result.model.parameters().items():
             np.testing.assert_array_equal(model2.parameters()[k].data, p.data)
-        a = G.predict(result.model, result.vocab, scene, [samples[0].text])[0]
-        b = G.predict(model2, vocab2, scene, [samples[0].text])[0]
+        a = predict_scene(result.model, result.vocab, scene, [samples[0].text])[0]
+        b = predict_scene(model2, vocab2, scene, [samples[0].text])[0]
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_loaded_model_builds_no_graph(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gradcheck import finite_diff_check
+from moniground import pointenc
 from moniground import synthdata as S
 from moniground import tensor as T
 from moniground.pointenc import (
@@ -14,6 +15,7 @@ from moniground.pointenc import (
     LayerPlan,
     PointEncoder,
     SALayerSpec,
+    _planes,
     _sq_distance_to,
     assemble_features,
     ball_group,
@@ -22,6 +24,11 @@ from moniground.pointenc import (
     init_encoder_params,
     modality_feature_dim,
 )
+
+
+def fps_one(points, k):
+    """fps_distance of a batch holding one cloud."""
+    return fps_distance([points], k)[0]
 
 
 def brute_force_fps(points, k, metric):
@@ -42,16 +49,16 @@ class TestFPSDistance:
     def test_k_equals_n_is_permutation(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(9, 3))
-        idx = fps_distance(pts, 9)
+        idx = fps_one(pts, 9)
         assert sorted(idx) == list(range(9))
 
     def test_padding_with_zero(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        np.testing.assert_array_equal(fps_distance(pts, 5), [0, 1, 0, 0, 0])
+        np.testing.assert_array_equal(fps_one(pts, 5), [0, 1, 0, 0, 0])
 
     def test_collinear_example(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [9.0, 0, 0]])
-        np.testing.assert_array_equal(sorted(fps_distance(pts, 2)), [0, 3])
+        np.testing.assert_array_equal(sorted(fps_one(pts, 2)), [0, 3])
 
     @given(st.integers(0, 5_000), st.integers(2, 10))
     @settings(max_examples=50, deadline=None)
@@ -60,7 +67,7 @@ class TestFPSDistance:
         pts = rng.normal(size=(n, 3))
         k = int(rng.integers(1, n + 1))
         metric = lambda i, j: float(np.linalg.norm(pts[i] - pts[j]))
-        np.testing.assert_array_equal(fps_distance(pts, k), brute_force_fps(pts, k, metric))
+        np.testing.assert_array_equal(fps_one(pts, k), brute_force_fps(pts, k, metric))
 
     def test_rigid_transform_invariance(self):
         from moniground.geom3d import yaw_matrix
@@ -68,11 +75,11 @@ class TestFPSDistance:
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(40, 3))
         moved = pts @ yaw_matrix(0.9).T + np.array([4.0, -2.0, 1.0])
-        np.testing.assert_array_equal(fps_distance(pts, 12), fps_distance(moved, 12))
+        np.testing.assert_array_equal(fps_one(pts, 12), fps_one(moved, 12))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fps_distance(np.zeros((0, 3)), 1)
+            fps_distance([np.zeros((0, 3))], 1)
 
 
 class TestFPSFeature:
@@ -80,7 +87,7 @@ class TestFPSFeature:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(30, 3))
         feats = np.ones((30, 8))
-        np.testing.assert_array_equal(fps_feature(pts, feats, 10, 1.0), fps_distance(pts, 10))
+        np.testing.assert_array_equal(fps_feature(pts, feats, 10, 1.0), fps_one(pts, 10))
 
     def test_equal_positions_selects_by_features(self):
         rng = np.random.default_rng(6)
@@ -177,16 +184,20 @@ class TestKernelsMatchReferences:
     tests/oracles.py bit for bit (np.array_equal, no tolerance)."""
 
     def test_every_distance_vector(self, generated_clouds):
-        for pts in generated_clouds:
-            dist_to = _sq_distance_to(pts)
-            for i in range(len(pts)):
-                assert np.array_equal(dist_to(i), oracles.sq_distances(pts, i)), i
+        # all clouds in one lockstep batch; a shorter cloud repeats its last point
+        lengths = np.array([len(pts) for pts in generated_clouds])
+        dist_to = _sq_distance_to(_planes(generated_clouds))
+        for i in range(lengths.max()):
+            idx = np.minimum(i, lengths - 1)
+            rows = dist_to(idx)
+            for s, pts in enumerate(generated_clouds):
+                assert np.array_equal(rows[s, : len(pts)], oracles.sq_distances(pts, idx[s])), (s, i)
 
     def test_generated_scenes(self, generated_clouds):
         rng = np.random.default_rng(23)
         sa0, sa1 = EncoderConfig().sa_layers
         for pts in generated_clouds:
-            idx = fps_distance(pts, sa0.out_points)
+            idx = fps_one(pts, sa0.out_points)
             assert np.array_equal(idx, oracles.fps_distance(pts, sa0.out_points))
             centers = pts[idx]
             for radius, cap in ((sa0.radius, sa0.cap), (sa1.radius, sa1.cap), (8.0, 8)):
@@ -195,21 +206,21 @@ class TestKernelsMatchReferences:
                 assert np.array_equal(groups, oracles.gemm_ball_group(centers, pts, radius, cap))
             feats = np.maximum(rng.normal(size=(len(centers), 64)), 0.0)
             half = sa1.out_points // 2
-            assert np.array_equal(fps_distance(centers, half), oracles.fps_distance(centers, half))
+            assert np.array_equal(fps_one(centers, half), oracles.fps_distance(centers, half))
             assert np.array_equal(fps_feature(centers, feats, half, 1.0),
                                   oracles.fps_feature(centers, feats, half, 1.0))
 
     def test_k_above_n_pads_with_zero(self):
         pts = np.random.default_rng(24).normal(size=(5, 3))
         feats = np.random.default_rng(25).normal(size=(5, 4))
-        got = fps_distance(pts, 9)
+        got = fps_one(pts, 9)
         assert np.array_equal(got, oracles.fps_distance(pts, 9))
         assert sorted(got[:5]) == list(range(5)) and list(got[5:]) == [0] * 4
         assert np.array_equal(fps_feature(pts, feats, 9, 0.5), oracles.fps_feature(pts, feats, 9, 0.5))
 
     def test_duplicate_points_tie_to_lowest_index(self):
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [2.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        got = fps_distance(pts, 5)
+        got = fps_one(pts, 5)
         # 1 beats its copies 2 and 5; once every point is at distance 0, index 0 repeats
         np.testing.assert_array_equal(got, [0, 1, 4, 0, 0])
         assert np.array_equal(got, oracles.fps_distance(pts, 5))
@@ -236,6 +247,91 @@ class TestKernelsMatchReferences:
         assert in_radius.max() < 40 and (in_radius > 0).all()
         for row, count in zip(groups, in_radius):
             assert (row[count:] == row[0]).all()
+
+
+def _fps_cloud(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One FPS edge-case cloud of n points."""
+    if kind == "lattice":       # integer coordinates: exact distance ties
+        return rng.integers(0, 4, size=(n, 3)).astype(float)
+    if kind == "duplicates":    # a few distinct points, repeated
+        base = rng.normal(size=(int(rng.integers(1, 4)), 3))
+        return base[rng.integers(0, len(base), size=n)]
+    return rng.normal(size=(n, 3)) * rng.choice([1e-3, 1.0, 1e3])
+
+
+class TestLockstepFPS:
+    """D-FPS of a ragged batch equals each cloud's reference run alone."""
+
+    @given(st.lists(st.tuples(st.sampled_from(["normal", "lattice", "duplicates"]), st.integers(1, 40)),
+                    min_size=1, max_size=6),
+           st.integers(1, 50), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_ragged_batch_matches_reference(self, shapes, k, seed):
+        rng = np.random.default_rng(seed)
+        clouds = [_fps_cloud(kind, n, rng) for kind, n in shapes]
+        got = fps_distance(clouds, k)
+        assert got.shape == (len(clouds), k)
+        for row, pts in zip(got, clouds):
+            assert np.array_equal(row, oracles.fps_distance(pts, k))
+        pts = clouds[0]
+        feats = rng.integers(0, 3, size=(len(pts), 2)).astype(float)
+        assert np.array_equal(fps_feature(pts, feats, k, 1.0), oracles.fps_feature(pts, feats, k, 1.0))
+
+    def test_sizes_far_apart_in_one_block(self, generated_clouds):
+        rng = np.random.default_rng(28)
+        clouds = [generated_clouds[-1], rng.normal(size=(1, 3)), generated_clouds[0][:3], generated_clouds[-2]]
+        assert len(pointenc.point_blocks([len(c) for c in clouds])) == 1
+        got = fps_distance(clouds, 512)
+        for row, pts in zip(got, clouds):
+            assert np.array_equal(row, oracles.fps_distance(pts, 512))
+
+    def test_blocks_split_the_batch_without_changing_it(self, generated_clouds, monkeypatch):
+        whole = fps_distance(generated_clouds, 256)
+        widest = max(len(c) for c in generated_clouds)
+        monkeypatch.setattr(pointenc, "_BLOCK_POINTS", 2 * widest)
+        assert len(pointenc.point_blocks([len(c) for c in generated_clouds])) == 2
+        assert np.array_equal(fps_distance(generated_clouds, 256), whole)
+        assert np.array_equal(fps_distance(generated_clouds[::-1], 256), whole[::-1])
+
+    @pytest.mark.parametrize("counts, budget, expected", [
+        ([], 10, []),
+        ([3, 3, 3], 9, [(0, 3)]),
+        ([3, 3, 3, 1], 9, [(0, 3), (3, 4)]),
+        ([1, 5, 1], 9, [(0, 1), (1, 2), (2, 3)]),
+        ([20, 1, 1], 9, [(0, 1), (1, 3)]),
+    ])
+    def test_point_blocks(self, counts, budget, expected, monkeypatch):
+        monkeypatch.setattr(pointenc, "_BLOCK_POINTS", budget)
+        assert [(b.start, b.stop) for b in pointenc.point_blocks(counts)] == expected
+
+    def test_empty_batch(self):
+        assert fps_distance([], 4).shape == (0, 4)
+
+
+class TestFPSInputs:
+    """Bad clouds raise ValueError: a NaN distance would turn a padding
+    entry's -inf into NaN, and argmax could pick past the cloud's end."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(29).normal(size=(6, 3))
+        pts[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fps_distance([np.zeros((3, 3)), pts], 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            fps_feature(pts, np.ones((6, 2)), 2, 1.0)
+
+    def test_empty_cloud_in_batch_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            fps_distance([np.ones((4, 3)), np.zeros((0, 3)), np.ones((2, 3))], 2)
+        with pytest.raises(ValueError, match="empty"):
+            fps_feature(np.zeros((0, 3)), np.zeros((0, 2)), 2, 1.0)
+
+    def test_cloud_that_is_not_n_by_3_rejected(self):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            fps_distance(np.zeros((5, 3)), 2)   # one cloud, not a batch of clouds
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            fps_distance([np.zeros((5, 2))], 2)
 
 
 def _ball_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
@@ -341,7 +437,7 @@ class TestSetAbstraction:
         inv[perm] = np.arange(10)
         # permute input points; cached plan keeps the same centers via remapped groups
         groups = ball_group(centers, pts, spec.radius, spec.cap)
-        plan = LayerPlan([inv[fps_distance(pts, 8)]], inv[groups])
+        plan = LayerPlan([inv[fps_one(pts, 8)]], inv[groups])
         centers2, out2 = enc._sa_forward(0, spec, pts[perm], T.constant(feats_np[perm]), plan)
         np.testing.assert_allclose(out2.data, out.data, atol=1e-12)
 
@@ -368,7 +464,7 @@ class TestCandidateGeneration:
         enc.params["enc.shift.w1"].data[:] = 0.0
         enc.params["enc.shift.b1"].data[:] = 0.0
         pts = rng.uniform(-2, 2, size=(20, 3))
-        out = enc.forward(pts, T.constant(rng.normal(size=(20, 2))), enc.precompute_plan(pts))
+        out = enc.forward(pts, T.constant(rng.normal(size=(20, 2))), enc.precompute_plan([pts])[0])
         np.testing.assert_array_equal(out.positions.data, out.seeds)
         np.testing.assert_array_equal(out.shifts.data, 0.0)
 
@@ -377,7 +473,7 @@ class TestCandidateGeneration:
         rng = np.random.default_rng(12)
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(n_points, 3))
-        out = enc.forward(pts, T.constant(rng.normal(size=(n_points, 2))), enc.precompute_plan(pts))
+        out = enc.forward(pts, T.constant(rng.normal(size=(n_points, 2))), enc.precompute_plan([pts])[0])
         m = enc.config.m_candidates
         assert out.positions.shape == (m, 3)
         assert out.features.shape == (m, enc.config.feature_dim)
@@ -390,7 +486,7 @@ class TestCandidateGeneration:
         pts = rng.uniform(-2, 2, size=(16, 3))
         feats_np = rng.normal(size=(16, 2))
         shift_params = [enc.params[k] for k in enc.params if k.startswith("enc.shift")]
-        plan = enc.precompute_plan(pts)
+        plan = enc.precompute_plan([pts])[0]
 
         def loss():
             out = enc.forward(pts, T.constant(feats_np), plan)
@@ -403,8 +499,8 @@ class TestCandidateGeneration:
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(25, 3))
         feats_np = rng.normal(size=(25, 2))
-        a = enc.forward(pts, T.constant(feats_np), enc.precompute_plan(pts))
-        b = enc.forward(pts, T.constant(feats_np), enc.precompute_plan(pts))
+        a = enc.forward(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])
+        b = enc.forward(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])
         np.testing.assert_array_equal(a.features.data, b.features.data)
         np.testing.assert_array_equal(a.positions.data, b.positions.data)
 

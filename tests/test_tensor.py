@@ -72,6 +72,36 @@ class TestForwardValues:
         np.testing.assert_array_equal(T.repeat_rows(a, 2).data, [[1.0], [1.0], [2.0], [2.0], [3.0], [3.0]])
 
 
+class TestStableSigmoid:
+    """The branch-free `_stable_sigmoid` equals the masked form in
+    tests/oracles.py bit for bit on every non-NaN input."""
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 709.8, -745.2, 36.8, -36.8, 5e-324, -5e-324,
+             1e-300, -1e-300, np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0]
+
+    @staticmethod
+    def assert_same_bits(x):
+        got, want = T._stable_sigmoid(x), oracles.stable_sigmoid(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_edge_values(self):
+        self.assert_same_bits(np.array(self.EDGES))
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_masked_form(self, values):
+        self.assert_same_bits(np.array(values))
+
+    def test_gate_shapes(self):
+        rng = np.random.default_rng(2)
+        for shape in ((1, 1, 64), (13, 1, 64), (13, 64)):
+            self.assert_same_bits(rng.normal(size=shape) * 20)
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(T._stable_sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
 class TestBatchedBits:
     """A batched op gives each batch entry the bits of that entry alone."""
 
