@@ -155,23 +155,31 @@ Predictor = Callable[[list[SceneGroup]], list[list[Box7]]]
 def model_predictor(model, vocab) -> Predictor:
     """The grounding model as a predictor.
 
-    A call plans its scenes block by block (`pointenc.point_blocks`): one
+    A call works through its scenes block by block (`pointenc.point_blocks`),
+    so at most one block of plans and candidates is alive at a time. One
     `grounder.scene_inputs` per block runs each layer's D-FPS in lockstep
-    over the block's scenes, so at most one block of plans is alive at a
-    time. Each scene then takes one `grounder.predict`: one `forward` that
-    encodes the scene once and grounds all of its expressions in one batch.
-    Nothing is kept between calls. Each box equals that of the sample's
-    expression grounded alone, bit for bit.
+    over the block's scenes, and one `GroundingModel.encode` encodes them
+    together, running each layer's F-FPS in lockstep. Each scene then takes
+    one `grounder.predict`, which grounds all of its expressions against its
+    candidates in one batch. Nothing is kept between calls. Each box equals
+    that of the sample's expression grounded alone, bit for bit. Weights
+    that make the encoder's features non-finite, so that F-FPS cannot
+    sample them, raise CheckpointCompatError.
     """
-    from .grounder import predict, scene_inputs
+    from .grounder import CheckpointCompatError, predict, scene_inputs
 
     def run(groups: list[SceneGroup]) -> list[list[Box7]]:
         counts = [0 if scene.points is None else len(scene.points.xyz) for scene, _, _ in groups]
         boxes = []
         for block in point_blocks(counts):
             inputs = scene_inputs(model, [scene for scene, _, _ in groups[block]])
-            for scene_in, (_, samples, _) in zip(inputs, groups[block]):
-                boxes.append([box for box, _, _ in predict(model, vocab, scene_in, [s.text for s in samples])])
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+                    candidates = model.encode(inputs)
+            except ValueError as exc:  # `scene_inputs` checked the scenes, so the weights are at fault
+                raise CheckpointCompatError(f"the model's weights break its encoder: {exc}") from exc
+            for cand, (_, samples, _) in zip(candidates, groups[block]):
+                boxes.append([box for box, _, _ in predict(model, vocab, cand, [s.text for s in samples])])
         return boxes
 
     return run

@@ -14,21 +14,25 @@ candidate.
 Training and inference take one path. `scene_inputs` builds what the
 model reads from each of a list of scenes (features and sampling plan),
 and `encode_expressions` turns B expressions into a padded (B, L) id
-matrix.
-`GroundingModel.forward` takes both: it encodes the scene once, since the
-visual half never reads the text, and grounds all B expressions in one pass
-of the text half (`ground_text`), which gives every text tensor a leading
-batch axis B. Each row is bit-identical to that expression grounded alone:
-a row keeps a singleton axis where a lone expression has one row, so numpy
-makes the same BLAS call per row (see `tensor.matmul`), and the BiGRU masks
-rows past their length (see `langenc.bigru_encode`). Training builds each
-scene's inputs once, makes one `forward` per scene in a minibatch and gives
-each row its own B = 1 loss; `predict` makes one `forward` per call and
-decodes each row with `ground`. Planning runs D-FPS in lockstep over the
-scenes of one `scene_inputs` call, so callers plan many scenes at once:
-training all of its scenes, evaluation a block of them at a time. A model
-from `load_model` holds parameters that do not require gradients, so
-inference builds no autodiff graph.
+matrix. The visual half (`GroundingModel.encode`) never reads the text: it
+turns a list of scene inputs into one `CandidateSet` per scene, encoding
+the scenes together layer by layer so that each layer's F-FPS runs in
+lockstep over all of them (see `pointenc.PointEncoder.forward`). The text
+half (`ground_text`) grounds B expressions against one scene's candidates
+in one pass, which gives every text tensor a leading batch axis B. Each
+row is bit-identical to that expression grounded alone: a row keeps a
+singleton axis where a lone expression has one row, so numpy makes the
+same BLAS call per row (see `tensor.matmul`), and the BiGRU masks rows past
+their length (see `langenc.bigru_encode`). `GroundingModel.forward` is the
+two halves for one scene. Training builds each scene's inputs once, makes
+one `forward` per scene in a minibatch, so it encodes one scene at a time,
+and gives each row its own B = 1 loss. Inference encodes a block of scenes
+in one `encode` call, and `predict` grounds one scene's texts against its
+candidates and decodes each row with `ground`. Planning runs D-FPS in
+lockstep over the scenes of one `scene_inputs` call, so callers plan many
+scenes at once: training all of its scenes, evaluation a block of them at
+a time. A model from `load_model` holds parameters that do not require
+gradients, so inference builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -295,11 +299,16 @@ class GroundingModel:
         lang_logits = T.linear(f_l, self.params["head.lang.w"], self.params["head.lang.b"])
         return ModelOutput(cand, raw, cls_logits, residuals, lang_logits)
 
+    def encode(self, inputs: list[SceneInputs]) -> list[CandidateSet]:
+        """Visual half: the candidates of each scene, the scenes encoded in
+        one `PointEncoder.forward`. It never reads the text."""
+        return self.encoder.forward([(sc.scene.points.xyz, T.constant(sc.feats), sc.plan) for sc in inputs])
+
     def forward(self, inputs: SceneInputs, token_ids: np.ndarray, lengths) -> ModelOutput:
         """B expressions, as `encode_expressions` gives them, grounded in one scene.
 
-        The visual half (the encoder) runs once and never reads the text."""
-        cand = self.encoder.forward(inputs.scene.points.xyz, T.constant(inputs.feats), inputs.plan)
+        The visual half encodes the scene once, alone."""
+        (cand,) = self.encode([inputs])
         return self.ground_text(cand, token_ids, lengths)
 
 
@@ -449,7 +458,12 @@ def _minibatch_gradients(model: GroundingModel, vocab: Vocabulary, inputs: dict[
         sc = inputs[scene_id]
         members = [batch[pos] for pos in positions]
         token_ids, lengths = encode_expressions(vocab, [m.tokens for m in members], model.config.lang.max_len)
-        out = model.forward(sc, token_ids, lengths)
+        try:
+            out = model.forward(sc, token_ids, lengths)
+        except ValueError as exc:
+            # `scene_inputs` checked the scene, so the encoder fails only on weights grown
+            # without bound: F-FPS rejects the non-finite features they make
+            raise TrainingDivergedError(f"{exc} at epoch {epoch} (scene {scene_id!r})") from exc
         cand_xyz = out.candidates.positions.data
         targets = assign_targets(cand_xyz, out.candidates.seeds, sc.scene, members[0].target_id)
         total = None
@@ -527,20 +541,21 @@ def train_model(
     return TrainResult(model, vocab, curve, time.perf_counter() - started)
 
 
-def predict(model: GroundingModel, vocab: Vocabulary, inputs: SceneInputs,
+def predict(model: GroundingModel, vocab: Vocabulary, cand: CandidateSet,
             texts: list[str]) -> list[tuple[Box7, np.ndarray, int]]:
-    """Ground expressions of one scene, given its `scene_inputs`; deterministic.
+    """Ground expressions of one scene, given its candidates from
+    `GroundingModel.encode`; deterministic.
 
-    One `forward` encodes the scene once and grounds all its texts in one
-    batch. Returns (box, confidences, candidate index) per text, in order;
-    each equals `ground` of that text's `forward` alone.
+    One `ground_text` grounds all the texts in one batch. Returns (box,
+    confidences, candidate index) per text, in order; each equals `ground`
+    of that text's `forward` alone.
     """
     if isinstance(texts, str):
         raise TypeError("predict takes a list of expressions, not one string")
     token_ids, lengths = encode_expressions(vocab, [langenc.tokenize(t) for t in texts], model.config.lang.max_len)
     if not len(lengths) or lengths.min() < 1:
         raise ValueError("predict needs one or more expressions, each with a usable token")
-    out = model.forward(inputs, token_ids, lengths)
+    out = model.ground_text(cand, token_ids, lengths)
     confidences = softmax(out.raw_scores.data)
     results = []
     for row in range(len(lengths)):
@@ -598,9 +613,10 @@ def save_model(directory: str, model: GroundingModel, vocab: Vocabulary, extra_m
 def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
     """Read a bundle written by save_model, for inference.
 
-    A missing, malformed or mutually inconsistent file raises
-    CheckpointCompatError. The parameters do not require gradients, so a
-    loaded model builds no autodiff graph and cannot be trained further.
+    A missing, malformed or mutually inconsistent file, or a parameter
+    with a NaN or infinite value, raises CheckpointCompatError. The
+    parameters do not require gradients, so a loaded model builds no
+    autodiff graph and cannot be trained further.
     """
     for name in ("checkpoint.bin", "vocab.json", "config.json"):
         if not os.path.isfile(os.path.join(directory, name)):
@@ -632,6 +648,9 @@ def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
         raise CheckpointCompatError(
             f"checkpoint does not fit configuration (missing={missing}, unexpected={extra}, reshaped={shapes})"
         )
+    non_finite = sorted(k for k, v in arrays.items() if not np.isfinite(v).all())
+    if non_finite:
+        raise CheckpointCompatError(f"checkpoint holds NaN or infinite values in {non_finite}")
     params = {k: T.Tensor(v) for k, v in arrays.items()}
     return GroundingModel(config, len(vocab), params=params), vocab
 

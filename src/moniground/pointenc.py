@@ -11,16 +11,25 @@ made on plain numpy values; gradients flow through feature extraction and
 through the predicted shifts.
 
 FPS and ball query share one squared distance, `(dx*dx + dy*dy) + dz*dz`
-per column. One greedy loop serves both FPS kinds. D-FPS runs it in
-lockstep over every cloud a plan covers: the clouds are padded into
-(3, S, width) coordinate planes, and each step is one `argmax` and one
-`np.minimum` over all S rows, so Python's per-step cost is paid once per
-block, not once per cloud. Blocks hold at most `_BLOCK_POINTS` padded
-points (see `point_blocks`), a working set that stays in L2. Each row's
-picks equal that cloud's D-FPS run alone, bit for bit. F-FPS runs the same
-loop with S = 1. Ball query bins the points into xy cells and measures only
-the pairs in each center's 3 x 3 cell block, so it builds no M x N array;
-its cost grows with the candidate pairs, not with centers times points.
+per column. One greedy loop serves both FPS kinds, run in lockstep over S
+clouds: the clouds are padded into (3, S, width) coordinate planes, and
+each step is one `argmax` and one `np.minimum` over all S rows, so Python's
+per-step cost is paid once per block, not once per cloud. D-FPS runs it
+over every cloud a plan covers, in blocks of at most `_BLOCK_POINTS` padded
+points (see `point_blocks`); F-FPS over the clouds one encoder layer
+samples by feature, in blocks of at most `_BLOCK_FEATURE_VALUES` padded
+feature values. Both working sets stay in L2. Each row's picks equal that
+cloud's run alone, bit for bit. A step writes its S centers across a
+reused difference buffer and then subtracts the planes from it in one
+same-shape pass, which numpy runs faster than one broadcasting
+subtract; F-FPS makes one gemv per cloud on the cloud's own rows,
+the BLAS call of its run alone. Ball query bins the points into xy cells
+and measures only the pairs in each center's 3 x 3 cell block, so it
+builds no M x N array; its cost grows with the candidate pairs, not with
+centers times points.
+
+`PointEncoder.forward` encodes a list of scenes layer by layer, so each
+layer's F-FPS runs once over all of them; the rest runs per scene.
 """
 
 from __future__ import annotations
@@ -90,17 +99,18 @@ def _greedy_fps(dist_to, lengths: np.ndarray, k: int) -> np.ndarray:
     (S, width) distances from point `idx[s]` of each cloud s to every point
     of it, with width >= max(lengths); it may return the same buffer on
     every call, so the first one is copied. Entries past a cloud's length
-    start at -inf and stay there, so no argmax picks them: the distances
-    must not be NaN. Each step is one `argmax(axis=1)` and one
-    `np.minimum` over all rows. Returns (S, k) indices: per cloud, min(k, n)
-    greedy picks, padded with index 0 up to k. Ties pick the lowest index,
-    so once every point is at distance 0 from the chosen ones (duplicate
-    points) each further pick is index 0. A pick at a positive distance is
-    a point not chosen before, so after n steps a cloud of n points is at
-    that stage: its steps past its length pick index 0, the padding. A
-    row's picks depend only on its own distances: a kernel whose values are
-    bit-identical to another's selects the same indices, whatever clouds
-    share its batch.
+    start at -inf and stay there, so no argmax picks them while the
+    distances are not NaN; a NaN distance reaches the running minimum and
+    stays in it (`np.minimum` keeps NaN), so it raises ValueError at the
+    end instead of returning a pick past a cloud's end. Each step is one
+    `argmax(axis=1)` and one `np.minimum` over all rows. Returns (S, k)
+    indices: per cloud, its first min(k, n) greedy picks, padded with index
+    0 up to k. A shorter cloud keeps stepping with the longest, and its
+    picks past its length are then set to 0: a point's distance to itself
+    need not round to 0 (F-FPS), so those picks are not 0 by themselves.
+    Ties pick the lowest index. A row's picks depend only on its own
+    distances: a kernel whose values are bit-identical to another's selects
+    the same indices, whatever clouds share its batch.
     """
     chosen = np.zeros((len(lengths), k), dtype=np.intp)
     min_d = dist_to(chosen[:, 0]).copy()
@@ -109,6 +119,9 @@ def _greedy_fps(dist_to, lengths: np.ndarray, k: int) -> np.ndarray:
         nxt = min_d.argmax(axis=1)
         chosen[:, i] = nxt
         np.minimum(min_d, dist_to(nxt), out=min_d)
+    if np.isnan(min_d).any():
+        raise ValueError("farthest-point sampling met a NaN distance")
+    chosen[np.arange(k) >= lengths[:, None]] = 0
     return chosen
 
 
@@ -128,14 +141,24 @@ def _sq_distance_to(planes: np.ndarray):
     `(dx*dx + dy*dy) + dz*dz` with `dx = x - x[idx[s]]`: the same operations
     in the same summation order as `np.sum((points - points[i]) ** 2, axis=1)`
     for each cloud, so the values are bit-identical to it, without the slow
-    reduction over 3-wide rows.
+    reduction over 3-wide rows. The step gathers its S centers with `take`
+    and writes them across the difference buffer before one same-shape
+    subtract: numpy runs a subtract that broadcasts a (3, S, 1) operand
+    more slowly per element than the copy and the same-shape subtract
+    together, and both forms make the same IEEE subtraction of each pair.
     """
-    rows = np.arange(planes.shape[1])
+    _, s, width = planes.shape
+    flat = planes.reshape(3, s * width)
+    offsets = np.arange(s) * width
+    centers = np.empty((3, s))
     diff = np.empty_like(planes)
     out = diff[0]
 
     def dist_to(idx: np.ndarray) -> np.ndarray:
-        np.subtract(planes, planes[:, rows, idx][:, :, None], out=diff)
+        # every index is in range; "clip" spares `take` the copy it makes of `out` to check them
+        flat.take(offsets + idx, axis=1, out=centers, mode="clip")
+        diff[...] = centers[:, :, None]
+        np.subtract(planes, diff, out=diff)
         np.multiply(diff, diff, out=diff)
         np.add(out, diff[1], out=out)
         np.add(out, diff[2], out=out)
@@ -160,21 +183,32 @@ def _check_points(points: np.ndarray, where: str) -> None:
 # (clouds x points of the largest), so that its planes, their differences and
 # its running minimum, about 1.3 MB in all, stay in L2.
 _BLOCK_POINTS = 24_000
+# Lockstep F-FPS takes its clouds in blocks of at most this many padded
+# feature values (clouds x points of the largest x channels), about 1 MB, so
+# that the features each step's products read stay in L2.
+_BLOCK_FEATURE_VALUES = 1 << 17
 
 
 def point_blocks(counts: Sequence[int]) -> list[slice]:
     """Consecutive runs of clouds with `counts` points each, as long as the
     run's length times its largest count stays within _BLOCK_POINTS; a
     cloud above that is a block of its own."""
+    return _blocks(counts, _BLOCK_POINTS)
+
+
+def _blocks(sizes: Sequence[int], budget: int) -> list[slice]:
+    """Consecutive runs of items, as long as the run's length times its
+    largest size stays within `budget`; an item above that is a run of its
+    own."""
     blocks: list[slice] = []
     start, widest = 0, 0
-    for i, n in enumerate(counts):
-        if i > start and (i + 1 - start) * max(widest, n) > _BLOCK_POINTS:
+    for i, n in enumerate(sizes):
+        if i > start and (i + 1 - start) * max(widest, n) > budget:
             blocks.append(slice(start, i))
             start, widest = i, 0
         widest = max(widest, n)
-    if len(counts):
-        blocks.append(slice(start, len(counts)))
+    if len(sizes):
+        blocks.append(slice(start, len(sizes)))
     return blocks
 
 
@@ -196,26 +230,78 @@ def fps_distance(clouds: Sequence[np.ndarray], k: int) -> np.ndarray:
     return chosen
 
 
-def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: float) -> np.ndarray:
-    """F-FPS: k farthest-point indices under d = feature-L2 + lambda * euclidean-L2.
+def fps_feature(clouds: Sequence[np.ndarray], features: Sequence[np.ndarray], k: int,
+                lambda_fps: float) -> np.ndarray:
+    """F-FPS of S clouds in lockstep: (S, k) farthest-point indices under
+    d = feature-L2 + lambda * euclidean-L2 (see _greedy_fps), one block of
+    at most _BLOCK_FEATURE_VALUES padded feature values at a time.
 
-    It runs _greedy_fps with S = 1. The euclidean term is the square root of
-    _sq_distance_to's squared distance, bit-identical to
-    `np.sum((points - points[i]) ** 2, axis=1)`.
+    Cloud s has (n_s, 3) points and (n_s, C) features, with one C for all
+    clouds. Each row equals that cloud's F-FPS run alone, bit for bit (see
+    _feature_distance_to). Non-finite features raise ValueError, as
+    non-finite points do.
     """
-    _check_points(points, "fps_feature")
-    n = len(points)
-    if len(features) != n:
-        raise ValueError(f"points/features length mismatch: {n} vs {len(features)}")
-    feat_sq = np.sum(features**2, axis=1)
-    sq_dist_to = _sq_distance_to(_planes([points]))
+    clouds, features = list(clouds), list(features)
+    if len(features) != len(clouds):
+        raise ValueError(f"fps_feature needs one feature array per cloud, got {len(features)} for {len(clouds)}")
+    for points, feats in zip(clouds, features):
+        _check_points(points, "fps_feature")
+        if feats.ndim != 2 or len(feats) != len(points) or feats.shape[1] != features[0].shape[1]:
+            raise ValueError(f"fps_feature needs (n, C) features with one C, got {feats.shape} "
+                             f"for {len(points)} points")
+    lengths = np.array([len(c) for c in clouds], dtype=np.intp)
+    chosen = np.zeros((len(clouds), k), dtype=np.intp)
+    width = features[0].shape[1] if features else 0
+    for block in _blocks(lengths * width, _BLOCK_FEATURE_VALUES):
+        dist_to = _feature_distance_to(_planes(clouds[block]), features[block], lambda_fps)
+        chosen[block] = _greedy_fps(dist_to, lengths[block], k)
+    return chosen
+
+
+def _feature_distance_to(planes: np.ndarray, features: list[np.ndarray], lambda_fps: float):
+    """`dist_to(idx)` for F-FPS over `_planes` and the clouds' features,
+    writing into one buffer.
+
+    Row s holds `sqrt(max(q + q[i] - 2.0 * (f @ f[i]), 0)) + lambda * sqrt(d2)`
+    with `f` cloud s's features, `q = np.sum(f**2, axis=1)`, `i = idx[s]`
+    and `d2` from _sq_distance_to: the operations and order of the
+    reference in tests/oracles.py, each on its own (S, width) buffer, so
+    each row is bit-identical to that cloud's run alone. Only the products
+    run per cloud, as `f @ f[i]` on the cloud's own array, the BLAS gemv
+    of the run alone: a gemv sums a row's dot product in an order that
+    depends on where the row falls in the blocks of rows it splits its
+    matrix into, so one stacked gemv over zero-padded clouds changes the
+    last bits of a cloud's last rows when its length is not the width.
+    A non-finite feature, or one whose square overflows, raises ValueError.
+    """
+    s, width = planes.shape[1:]
+    feat_sq = np.zeros((s, width))
+    products = np.zeros((s, width))
+    for row, feats in enumerate(features):
+        feat_sq[row, : len(feats)] = np.sum(feats**2, axis=1)
+    if not np.isfinite(feat_sq).all():
+        raise ValueError("fps_feature on non-finite features")
+    gemvs = [(feats, products[row, : len(feats)]) for row, feats in enumerate(features)]
+    flat_sq = feat_sq.reshape(-1)
+    offsets = np.arange(s) * width
+    out = np.empty((s, width))
+    sq_dist_to = _sq_distance_to(planes)
 
     def dist_to(idx: np.ndarray) -> np.ndarray:
-        i = int(idx[0])  # an int index keeps `features @ features[i]` one gemv, as its bits need
-        df = np.sqrt(np.maximum(feat_sq + feat_sq[i] - 2.0 * (features @ features[i]), 0.0))
-        return df + lambda_fps * np.sqrt(sq_dist_to(idx))
+        for (feats, product), i in zip(gemvs, idx.tolist()):
+            np.matmul(feats, feats[i], out=product)
+        out[...] = flat_sq[offsets + idx][:, None]
+        np.add(feat_sq, out, out=out)
+        np.multiply(products, 2.0, out=products)
+        np.subtract(out, products, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.sqrt(out, out=out)
+        d = sq_dist_to(idx)
+        np.sqrt(d, out=d)
+        np.multiply(d, lambda_fps, out=d)
+        return np.add(out, d, out=out)
 
-    return _greedy_fps(dist_to, np.array([n]), k)[0]
+    return dist_to
 
 
 # Ball-query cells are at least _CELL_SLACK wider than the radius, with at most
@@ -399,31 +485,50 @@ class PointEncoder:
                 known = None
         return plans
 
-    def forward(self, positions: np.ndarray, features: T.Tensor, plan: list[LayerPlan]) -> CandidateSet:
-        """Candidates of one point cloud, given its plan from `precompute_plan`."""
-        pos = positions
-        feats = features
+    def forward(self, scenes: Sequence[tuple[np.ndarray, T.Tensor, list[LayerPlan]]]) -> list[CandidateSet]:
+        """Candidates of each scene, given as (positions, features, plan)
+        with its plan from `precompute_plan`; one CandidateSet per scene.
+
+        The scenes are encoded layer by layer. A layer's sampling branch
+        that some plans leave `None` runs once, in lockstep over those
+        scenes (see fps_feature and fps_distance); everything else runs per
+        scene. Each scene's candidates equal those of its forward alone,
+        bit for bit.
+        """
+        positions = [pos for pos, _, _ in scenes]
+        features = [feats for _, feats, _ in scenes]
         for li, layer in enumerate(self.config.sa_layers):
-            pos, feats = self._sa_forward(li, layer, pos, feats, plan[li])
-        return self._candidate_generate(pos, feats)
+            layer_plans = [plan[li] for _, _, plan in scenes]
+            sampled = self._sample(layer, positions, features, layer_plans)
+            for s, (pos, feats, layer_plan) in enumerate(zip(positions, features, layer_plans)):
+                positions[s], features[s] = self._sa_forward(li, layer, pos, feats, sampled[s], layer_plan.groups)
+        return [self._candidate_generate(pos, feats) for pos, feats in zip(positions, features)]
+
+    def _sample(self, layer: SALayerSpec, positions: list[np.ndarray], features: list[T.Tensor],
+                layer_plans: list[LayerPlan]) -> list[np.ndarray]:
+        """Each scene's interleaved sample indices for one layer. A branch
+        index the plan leaves `None` (F-FPS, and D-FPS on positions an F-FPS
+        branch chose) is computed here, once over all scenes that lack it."""
+        per_branch = layer.out_points // len(layer.branches)
+        picks = [list(layer_plan.branch_indices) for layer_plan in layer_plans]
+        for b, kind in enumerate(layer.branches):
+            missing = [s for s, indices in enumerate(picks) if indices[b] is None]
+            if not missing:
+                continue
+            clouds = [positions[s] for s in missing]
+            if kind == DISTANCE:
+                found = fps_distance(clouds, per_branch)
+            else:
+                found = fps_feature(clouds, [features[s].data for s in missing], per_branch, self.config.lambda_fps)
+            for s, row in zip(missing, found):
+                picks[s][b] = row
+        return [_interleave(indices) for indices in picks]
 
     def _sa_forward(self, li: int, layer: SALayerSpec, positions: np.ndarray, features: T.Tensor,
-                    layer_plan: LayerPlan) -> tuple[np.ndarray, T.Tensor]:
-        """One set-abstraction layer. A `None` in the plan is computed here:
-        F-FPS indices, and the indices and groups of any layer whose
-        positions an F-FPS branch chose."""
-        per_branch = layer.out_points // len(layer.branches)
-        branch_indices = []
-        for kind, planned in zip(layer.branches, layer_plan.branch_indices):
-            if planned is not None:
-                branch_indices.append(planned)
-            elif kind == DISTANCE:
-                branch_indices.append(fps_distance([positions], per_branch)[0])
-            else:
-                branch_indices.append(fps_feature(positions, features.data, per_branch, self.config.lambda_fps))
-        sampled = _interleave(branch_indices)
+                    sampled: np.ndarray, groups: np.ndarray | None) -> tuple[np.ndarray, T.Tensor]:
+        """One set-abstraction layer around the `sampled` points; groups
+        the plan leaves `None` are computed here."""
         centers = positions[sampled]
-        groups = layer_plan.groups
         if groups is None:
             groups = ball_group(centers, positions, layer.radius, layer.cap)
         flat = groups.reshape(-1)

@@ -103,14 +103,15 @@ def fps_distance(points: np.ndarray, k: int) -> np.ndarray:
     return greedy_fps(lambda i: sq_distances(points, i), len(points), k)
 
 
-def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: float) -> np.ndarray:
+def feature_distances(points: np.ndarray, features: np.ndarray, i: int, lambda_fps: float) -> np.ndarray:
+    """F-FPS distances from point i: feature-L2 + lambda * euclidean-L2."""
     feat_sq = np.sum(features**2, axis=1)
+    df = np.sqrt(np.maximum(feat_sq + feat_sq[i] - 2.0 * (features @ features[i]), 0.0))
+    return df + lambda_fps * np.sqrt(sq_distances(points, i))
 
-    def dist_to(i: int) -> np.ndarray:
-        df = np.sqrt(np.maximum(feat_sq + feat_sq[i] - 2.0 * (features @ features[i]), 0.0))
-        return df + lambda_fps * np.sqrt(sq_distances(points, i))
 
-    return greedy_fps(dist_to, len(points), k)
+def fps_feature(points: np.ndarray, features: np.ndarray, k: int, lambda_fps: float) -> np.ndarray:
+    return greedy_fps(lambda i: feature_distances(points, features, i, lambda_fps), len(points), k)
 
 
 def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int) -> np.ndarray:

@@ -214,6 +214,8 @@ class TestTrain:
             ("nan_gradient", (), (grounder.T, "zero_grads", nan_gradient),
              "training diverged: non-finite gradient of head.loc.b"),
             ("huge_lr", ("--lr", "1e30"), None, "training diverged: loss nan"),
+            # weights this large make the features F-FPS samples from overflow
+            ("huger_lr", ("--lr", "1e100"), None, "training diverged: fps_feature on non-finite features"),
         ]
         for label, flags, patch, message in cases:
             run_dir = tmp_path / label
@@ -343,6 +345,15 @@ class TestEval:
             # bytes 12-13 hold the first entry's name length; its name starts at 14
             return blob[:14] + b"\xff" + blob[15:]
 
+        def parameter_edit(name, value):
+            def corrupt(blob):
+                arrays = grounder.T.checkpoint_load(blob)
+                arrays[name].reshape(-1)[0] = value
+                return grounder.T.checkpoint_save(arrays)
+
+            corrupt.__name__ = f"{name}_{value}"
+            return corrupt
+
         corruptions = [
             ("config.json", reshaped_config),
             ("config.json", dropped_config_field),
@@ -355,6 +366,10 @@ class TestEval:
             ("checkpoint.bin", truncated_checkpoint),
             ("checkpoint.bin", padded_checkpoint),
             ("checkpoint.bin", non_utf8_entry_name),
+            ("checkpoint.bin", parameter_edit("enc.shift.b1", np.nan)),
+            ("checkpoint.bin", parameter_edit("enc.sa1.w0", np.inf)),
+            # finite, but the features F-FPS samples from overflow
+            ("checkpoint.bin", parameter_edit("enc.sa0.w0", 1e200)),
         ]
         for name, corrupt in corruptions:
             broken = str(tmp_path / f"{corrupt.__name__}-{name}")

@@ -317,15 +317,21 @@ class TestModelPredictor:
         calls = []
         predict = G.predict
 
-        def recording(m, v, inputs, texts):
-            results = predict(m, v, inputs, texts)
-            calls.extend((inputs.scene, text, result) for text, result in zip(texts, results))
+        def recording(m, v, cand, texts):
+            results = predict(m, v, cand, texts)
+            calls.extend((cand, text, result) for text, result in zip(texts, results))
             return results
 
-        encodes = []
+        encoded = []  # (candidates, cloud) of every scene the encoder encoded
         encode = model.encoder.forward
+
+        def encoding(scenes):
+            candidates = encode(scenes)
+            encoded.extend((cand, xyz) for cand, (xyz, _, _) in zip(candidates, scenes))
+            return candidates
+
         monkeypatch.setattr(G, "predict", recording)
-        monkeypatch.setattr(model.encoder, "forward", lambda *a: encodes.append(1) or encode(*a))
+        monkeypatch.setattr(model.encoder, "forward", encoding)
 
         predictor = E.model_predictor(model, vocab)
         E.evaluate(predictor, first.scenes, first.samples, seed=0)
@@ -335,10 +341,12 @@ class TestModelPredictor:
         E.evaluate(predictor, second.scenes, [s for s in second.samples if s.scene_id == last_id], seed=0)
         E.evaluate(predictor, second.scenes, second.samples, seed=0)
 
-        assert len(encodes) == 3 + 1 + 3
+        assert len(encoded) == 3 + 1 + 3
         assert len(calls) == len(first.samples) + len(second.samples) + sum(
             s.scene_id == last_id for s in second.samples)
-        for scene, text, (box, confidences, idx) in calls:
+        by_cloud = {id(scene.points.xyz): scene for ds in (first, second) for scene in ds.scenes.values()}
+        for cand, text, (box, confidences, idx) in calls:
+            (scene,) = [by_cloud[id(xyz)] for encoded_cand, xyz in encoded if encoded_cand is cand]
             ref_box, ref_confidences, ref_idx = self.full_forward(model, vocab, scene, text)
             assert idx == ref_idx
             assert np.array_equal(confidences, ref_confidences)
@@ -350,9 +358,10 @@ class TestModelPredictor:
                                                expressions_per_object=2))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         model = G.GroundingModel(tiny_model_config(), len(vocab), seed=1)
-        encodes, planned = [], []
+        encodes, planned = [], []  # the clouds of each encoder call; the clouds planned
         encode = model.encoder.forward
-        monkeypatch.setattr(model.encoder, "forward", lambda *a: encodes.append(1) or encode(*a))
+        monkeypatch.setattr(model.encoder, "forward",
+                            lambda scenes: encodes.append([id(xyz) for xyz, _, _ in scenes]) or encode(scenes))
         plan = PointEncoder.precompute_plan
         monkeypatch.setattr(PointEncoder, "precompute_plan",
                             lambda self, clouds: planned.extend(map(id, clouds)) or plan(self, clouds))
@@ -370,9 +379,10 @@ class TestModelPredictor:
         scene_calls = calls[0]
         assert [scene_id for scene_id, _ in scene_calls] == sorted(dataset.scenes)
         assert [pair for _, group in scene_calls for pair in group] == [(s.target_id, s.text) for s in ordered]
-        # each scene's cloud is planned exactly once
-        assert sorted(planned) == sorted(id(scene.points.xyz) for scene in dataset.scenes.values())
-        assert len(encodes) == len(planned) == len(dataset.scenes) < len(dataset.samples)
+        # each scene's cloud is planned and encoded exactly once, in one block
+        assert len(encodes) == 1
+        assert sorted(planned) == sorted(encodes[0]) == sorted(id(s.points.xyz) for s in dataset.scenes.values())
+        assert len(encodes[0]) == len(dataset.scenes) < len(dataset.samples)
 
     def test_scenes_planned_block_by_block(self, monkeypatch):
         dataset = S.gen_dataset(7, S.GenConfig(scene_count=4, objects_min=1, objects_max=2))

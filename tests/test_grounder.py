@@ -286,8 +286,8 @@ def _vocab_for(samples):
 
 
 def predict_scene(model, vocab, scene, texts):
-    """`predict` on one scene, planned alone."""
-    return G.predict(model, vocab, G.scene_inputs(model, [scene])[0], texts)
+    """`predict` on one scene, planned and encoded alone."""
+    return G.predict(model, vocab, model.encode(G.scene_inputs(model, [scene]))[0], texts)
 
 
 def _forward_sample(model, vocab, scene, sample):
@@ -370,8 +370,7 @@ class TestBatchedTextHalf:
         scene = next(iter(dataset.scenes.values()))
         config = G.ModelConfig()
         model = G.GroundingModel(config, 60, seed=2)
-        inputs = G.scene_inputs(model, [scene])[0]
-        cand = model.encoder.forward(scene.points.xyz, T.constant(inputs.feats), inputs.plan)
+        (cand,) = model.encode(G.scene_inputs(model, [scene]))
         max_len = config.lang.max_len
         lengths = np.array([1, 9, max_len, 4, 1, 17])
         ids = np.random.default_rng(5).integers(2, 60, size=(len(lengths), max_len))

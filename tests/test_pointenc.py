@@ -31,6 +31,11 @@ def fps_one(points, k):
     return fps_distance([points], k)[0]
 
 
+def ffps_one(points, features, k, lambda_fps):
+    """fps_feature of a batch holding one cloud."""
+    return fps_feature([points], [features], k, lambda_fps)[0]
+
+
 def brute_force_fps(points, k, metric):
     """Exhaustive greedy max-min selection with lowest-index tie-break."""
     n = len(points)
@@ -87,7 +92,7 @@ class TestFPSFeature:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(30, 3))
         feats = np.ones((30, 8))
-        np.testing.assert_array_equal(fps_feature(pts, feats, 10, 1.0), fps_one(pts, 10))
+        np.testing.assert_array_equal(ffps_one(pts, feats, 10, 1.0), fps_one(pts, 10))
 
     def test_equal_positions_selects_by_features(self):
         rng = np.random.default_rng(6)
@@ -95,7 +100,7 @@ class TestFPSFeature:
         feats = rng.normal(size=(20, 6))
         metric = lambda i, j: float(np.linalg.norm(feats[i] - feats[j]))
         np.testing.assert_array_equal(
-            fps_feature(pts, feats, 8, 1.0), brute_force_fps(pts, 8, metric)
+            ffps_one(pts, feats, 8, 1.0), brute_force_fps(pts, 8, metric)
         )
 
     @given(st.integers(0, 5_000))
@@ -110,13 +115,13 @@ class TestFPSFeature:
             np.linalg.norm(feats[i] - feats[j]) + lam * np.linalg.norm(pts[i] - pts[j])
         )
         np.testing.assert_array_equal(
-            fps_feature(pts, feats, 3 if n >= 3 else n, lam),
+            ffps_one(pts, feats, 3 if n >= 3 else n, lam),
             brute_force_fps(pts, 3 if n >= 3 else n, metric),
         )
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            fps_feature(np.zeros((4, 3)), np.zeros((3, 2)), 2, 1.0)
+            ffps_one(np.zeros((4, 3)), np.zeros((3, 2)), 2, 1.0)
 
 
 class TestSettings:
@@ -207,7 +212,7 @@ class TestKernelsMatchReferences:
             feats = np.maximum(rng.normal(size=(len(centers), 64)), 0.0)
             half = sa1.out_points // 2
             assert np.array_equal(fps_one(centers, half), oracles.fps_distance(centers, half))
-            assert np.array_equal(fps_feature(centers, feats, half, 1.0),
+            assert np.array_equal(ffps_one(centers, feats, half, 1.0),
                                   oracles.fps_feature(centers, feats, half, 1.0))
 
     def test_k_above_n_pads_with_zero(self):
@@ -216,7 +221,7 @@ class TestKernelsMatchReferences:
         got = fps_one(pts, 9)
         assert np.array_equal(got, oracles.fps_distance(pts, 9))
         assert sorted(got[:5]) == list(range(5)) and list(got[5:]) == [0] * 4
-        assert np.array_equal(fps_feature(pts, feats, 9, 0.5), oracles.fps_feature(pts, feats, 9, 0.5))
+        assert np.array_equal(ffps_one(pts, feats, 9, 0.5), oracles.fps_feature(pts, feats, 9, 0.5))
 
     def test_duplicate_points_tie_to_lowest_index(self):
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [2.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
@@ -225,7 +230,7 @@ class TestKernelsMatchReferences:
         np.testing.assert_array_equal(got, [0, 1, 4, 0, 0])
         assert np.array_equal(got, oracles.fps_distance(pts, 5))
         feats = np.ones((6, 2))
-        assert np.array_equal(fps_feature(pts, feats, 5, 1.0), oracles.fps_feature(pts, feats, 5, 1.0))
+        assert np.array_equal(ffps_one(pts, feats, 5, 1.0), oracles.fps_feature(pts, feats, 5, 1.0))
         groups = ball_group(pts[[1, 4]], pts, 0.5, 3)
         np.testing.assert_array_equal(groups, [[1, 2, 5], [4, 4, 4]])
         assert np.array_equal(groups, oracles.ball_group(pts[[1, 4]], pts, 0.5, 3))
@@ -275,7 +280,7 @@ class TestLockstepFPS:
             assert np.array_equal(row, oracles.fps_distance(pts, k))
         pts = clouds[0]
         feats = rng.integers(0, 3, size=(len(pts), 2)).astype(float)
-        assert np.array_equal(fps_feature(pts, feats, k, 1.0), oracles.fps_feature(pts, feats, k, 1.0))
+        assert np.array_equal(ffps_one(pts, feats, k, 1.0), oracles.fps_feature(pts, feats, k, 1.0))
 
     def test_sizes_far_apart_in_one_block(self, generated_clouds):
         rng = np.random.default_rng(28)
@@ -308,6 +313,88 @@ class TestLockstepFPS:
         assert fps_distance([], 4).shape == (0, 4)
 
 
+def _fps_features(kind: str, n: int, width: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, width) features for one F-FPS cloud: small integers (many equal
+    rows and distance ties) or rectified normals."""
+    if kind == "ties":
+        return rng.integers(0, 3, size=(n, width)).astype(float)
+    return np.maximum(rng.normal(size=(n, width)), 0.0)
+
+
+class TestLockstepFeatureFPS:
+    """F-FPS of a ragged batch equals each cloud's reference run alone."""
+
+    @given(st.lists(st.tuples(st.sampled_from(["normal", "lattice", "duplicates"]), st.integers(1, 40)),
+                    min_size=1, max_size=6),
+           st.integers(1, 50), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from(["ties", "normal"]),
+           st.sampled_from([None, 1, 40, 100]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_ragged_batch_matches_reference(self, shapes, k, lam, feature_kind, budget, seed):
+        rng = np.random.default_rng(seed)
+        clouds = [_fps_cloud(kind, n, rng) for kind, n in shapes]
+        width = int(rng.integers(1, 9))
+        feats = [_fps_features(feature_kind, len(pts), width, rng) for pts in clouds]
+        with pytest.MonkeyPatch.context() as m:
+            if budget is not None:  # blocks of one or a few clouds
+                m.setattr(pointenc, "_BLOCK_FEATURE_VALUES", budget * width)
+            got = fps_feature(clouds, feats, k, lam)
+        assert got.shape == (len(clouds), k)
+        for row, pts, f in zip(got, clouds, feats):
+            assert np.array_equal(row, oracles.fps_feature(pts, f, k, lam))
+
+    def test_sizes_far_apart_in_one_block(self, generated_clouds):
+        rng = np.random.default_rng(30)
+        clouds = [generated_clouds[0][:512], rng.normal(size=(1, 3)), generated_clouds[1][:3],
+                  generated_clouds[2][:37]]
+        feats = [np.maximum(rng.normal(size=(len(c), 64)), 0.0) for c in clouds]
+        assert len(pointenc._blocks([len(c) * 64 for c in clouds], pointenc._BLOCK_FEATURE_VALUES)) == 1
+        got = fps_feature(clouds, feats, 128, 1.0)
+        for row, pts, f in zip(got, clouds, feats):
+            assert np.array_equal(row, oracles.fps_feature(pts, f, 128, 1.0))
+
+    def test_blocks_split_the_batch_without_changing_it(self, generated_clouds, monkeypatch):
+        rng = np.random.default_rng(31)
+        clouds = [c[:300] for c in generated_clouds]
+        feats = [np.maximum(rng.normal(size=(len(c), 16)), 0.0) for c in clouds]
+        whole = fps_feature(clouds, feats, 100, 1.0)
+        monkeypatch.setattr(pointenc, "_BLOCK_FEATURE_VALUES", 2 * 300 * 16)
+        assert len(pointenc._blocks([len(c) * 16 for c in clouds], pointenc._BLOCK_FEATURE_VALUES)) == 2
+        assert np.array_equal(fps_feature(clouds, feats, 100, 1.0), whole)
+        assert np.array_equal(fps_feature(clouds[::-1], feats[::-1], 100, 1.0), whole[::-1])
+
+    def test_every_feature_distance_vector(self, generated_clouds):
+        """Distance rows, not just picks: lengths that leave 0 to 3 rows past
+        a multiple of 4 and widths past a BLAS kernel's blocks."""
+        rng = np.random.default_rng(36)
+        for width in (1, 3, 64, 80, 130):
+            clouds = [generated_clouds[s % 4][:n] for s, n in enumerate((227, 512, 37, 1, 230, 5))]
+            feats = [np.maximum(rng.normal(size=(len(c), width)), 0.0) for c in clouds]
+            lengths = np.array([len(c) for c in clouds])
+            dist_to = pointenc._feature_distance_to(_planes(clouds), feats, 0.5)
+            for _ in range(5):
+                idx = rng.integers(0, lengths)
+                rows = dist_to(idx)
+                for s, (pts, f) in enumerate(zip(clouds, feats)):
+                    expected = oracles.feature_distances(pts, f, idx[s], 0.5)
+                    assert np.array_equal(rows[s, : len(pts)], expected), (width, s)
+
+    def test_products_equal_the_gemv_of_a_cloud_alone(self):
+        """The one BLAS call F-FPS makes per cloud: `f @ f[i]` written into a
+        cloud's slice of a wider row equals it on a fresh (n, C) array. A
+        numpy or BLAS change that breaks this fails here first."""
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            n, c = int(rng.integers(1, 700)), int(rng.integers(1, 200))
+            f = rng.normal(size=(n, c)) * rng.choice([1e-3, 1.0, 1e3])
+            i = int(rng.integers(n))
+            products = np.zeros((2, n + int(rng.integers(0, 9))))
+            np.matmul(f, f[i], out=products[1, :n])
+            assert np.array_equal(products[1, :n], f.copy() @ f.copy()[i]), (n, c)
+
+    def test_empty_batch(self):
+        assert fps_feature([], [], 4, 1.0).shape == (0, 4)
+
+
 class TestFPSInputs:
     """Bad clouds raise ValueError: a NaN distance would turn a padding
     entry's -inf into NaN, and argmax could pick past the cloud's end."""
@@ -319,13 +406,36 @@ class TestFPSInputs:
         with pytest.raises(ValueError, match="non-finite"):
             fps_distance([np.zeros((3, 3)), pts], 2)
         with pytest.raises(ValueError, match="non-finite"):
-            fps_feature(pts, np.ones((6, 2)), 2, 1.0)
+            ffps_one(pts, np.ones((6, 2)), 2, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_features_rejected(self, bad):
+        """A feature whose square is not finite would make a NaN distance."""
+        rng = np.random.default_rng(33)
+        clouds = [rng.normal(size=(3, 3)), rng.normal(size=(6, 3))]
+        feats = [np.ones((3, 2)), np.ones((6, 2))]
+        feats[1][4, 0] = bad
+        with pytest.raises(ValueError, match="non-finite features"), np.errstate(over="ignore"):
+            fps_feature(clouds, feats, 2, 1.0)
+
+    def test_nan_distance_rejected(self):
+        """Finite points whose squared distance overflows give 0 * inf = NaN
+        at lambda 0; the pick could then land past the cloud's end."""
+        pts = np.array([[0.0, 0, 0], [1e200, 0, 0], [-1e200, 0, 0]])
+        with pytest.raises(ValueError, match="NaN distance"), np.errstate(over="ignore", invalid="ignore"):
+            fps_feature([np.zeros((5, 3)), pts], [np.ones((5, 1)), np.ones((3, 1))], 3, 0.0)
+
+    def test_features_that_do_not_fit_rejected(self):
+        with pytest.raises(ValueError, match="one feature array per cloud"):
+            fps_feature([np.zeros((3, 3))], [], 2, 1.0)
+        with pytest.raises(ValueError, match=r"\(n, C\)"):
+            fps_feature([np.zeros((3, 3)), np.zeros((2, 3))], [np.ones((3, 2)), np.ones((2, 4))], 2, 1.0)
 
     def test_empty_cloud_in_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             fps_distance([np.ones((4, 3)), np.zeros((0, 3)), np.ones((2, 3))], 2)
         with pytest.raises(ValueError, match="empty"):
-            fps_feature(np.zeros((0, 3)), np.zeros((0, 2)), 2, 1.0)
+            ffps_one(np.zeros((0, 3)), np.zeros((0, 2)), 2, 1.0)
 
     def test_cloud_that_is_not_n_by_3_rejected(self):
         with pytest.raises(ValueError, match=r"\(n, 3\)"):
@@ -404,8 +514,14 @@ def tiny_encoder(rng, in_dim=2):
 
 
 def unplanned(layer):
-    """A layer plan that leaves every sampling decision to `_sa_forward`."""
+    """A layer plan that leaves every sampling decision to the encoder."""
     return LayerPlan([None] * len(layer.branches), None)
+
+
+def sa_layer(enc, li, layer, positions, features, plan):
+    """Set-abstraction layer `li` of one cloud: its sampling, then its grouping and MLP."""
+    (sampled,) = enc._sample(layer, [positions], [features], [plan])
+    return enc._sa_forward(li, layer, positions, features, sampled, plan.groups)
 
 
 class TestSetAbstraction:
@@ -417,7 +533,7 @@ class TestSetAbstraction:
         enc = PointEncoder(cfg, init_encoder_params(cfg, 2, rng))
         pos = np.zeros((1, 3))
         feats = T.constant(np.array([[0.3, -0.7]]))
-        centers, out = enc._sa_forward(0, spec, pos, feats, unplanned(spec))
+        centers, out = sa_layer(enc, 0, spec, pos, feats, unplanned(spec))
         assert out.shape == (1, 5)
         raw = T.relu(
             T.add(T.matmul(T.constant([[0.0, 0.0, 0.0, 0.3, -0.7]]), enc.params["enc.sa0.w0"]),
@@ -431,14 +547,14 @@ class TestSetAbstraction:
         spec = enc.config.sa_layers[0]
         pts = rng.uniform(-1, 1, size=(10, 3))
         feats_np = rng.normal(size=(10, 2))
-        centers, out = enc._sa_forward(0, spec, pts, T.constant(feats_np), unplanned(spec))
+        centers, out = sa_layer(enc, 0, spec, pts, T.constant(feats_np), unplanned(spec))
         perm = rng.permutation(10)
         inv = np.empty(10, dtype=int)
         inv[perm] = np.arange(10)
         # permute input points; cached plan keeps the same centers via remapped groups
         groups = ball_group(centers, pts, spec.radius, spec.cap)
         plan = LayerPlan([inv[fps_one(pts, 8)]], inv[groups])
-        centers2, out2 = enc._sa_forward(0, spec, pts[perm], T.constant(feats_np[perm]), plan)
+        centers2, out2 = sa_layer(enc, 0, spec, pts[perm], T.constant(feats_np[perm]), plan)
         np.testing.assert_allclose(out2.data, out.data, atol=1e-12)
 
     def test_gradients_through_two_stacked_layers(self):
@@ -451,7 +567,7 @@ class TestSetAbstraction:
         def loss():
             pos, feats = pts, T.constant(feats_np)
             for li, layer in enumerate(enc.config.sa_layers):
-                pos, feats = enc._sa_forward(li, layer, pos, feats, unplanned(layer))
+                pos, feats = sa_layer(enc, li, layer, pos, feats, unplanned(layer))
             return T.mean(feats)
 
         finite_diff_check(loss, weights.values(), max_coords=6, rng=rng)
@@ -464,7 +580,7 @@ class TestCandidateGeneration:
         enc.params["enc.shift.w1"].data[:] = 0.0
         enc.params["enc.shift.b1"].data[:] = 0.0
         pts = rng.uniform(-2, 2, size=(20, 3))
-        out = enc.forward(pts, T.constant(rng.normal(size=(20, 2))), enc.precompute_plan([pts])[0])
+        out = enc.forward([(pts, T.constant(rng.normal(size=(20, 2))), enc.precompute_plan([pts])[0])])[0]
         np.testing.assert_array_equal(out.positions.data, out.seeds)
         np.testing.assert_array_equal(out.shifts.data, 0.0)
 
@@ -473,7 +589,7 @@ class TestCandidateGeneration:
         rng = np.random.default_rng(12)
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(n_points, 3))
-        out = enc.forward(pts, T.constant(rng.normal(size=(n_points, 2))), enc.precompute_plan([pts])[0])
+        out = enc.forward([(pts, T.constant(rng.normal(size=(n_points, 2))), enc.precompute_plan([pts])[0])])[0]
         m = enc.config.m_candidates
         assert out.positions.shape == (m, 3)
         assert out.features.shape == (m, enc.config.feature_dim)
@@ -489,7 +605,7 @@ class TestCandidateGeneration:
         plan = enc.precompute_plan([pts])[0]
 
         def loss():
-            out = enc.forward(pts, T.constant(feats_np), plan)
+            out = enc.forward([(pts, T.constant(feats_np), plan)])[0]
             return T.mean(out.features)
 
         finite_diff_check(loss, shift_params, max_coords=6, rng=rng)
@@ -499,10 +615,45 @@ class TestCandidateGeneration:
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(25, 3))
         feats_np = rng.normal(size=(25, 2))
-        a = enc.forward(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])
-        b = enc.forward(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])
+        a = enc.forward([(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])])[0]
+        b = enc.forward([(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])])[0]
         np.testing.assert_array_equal(a.features.data, b.features.data)
         np.testing.assert_array_equal(a.positions.data, b.positions.data)
+
+
+class TestMultiSceneForward:
+    """One forward over several scenes equals each scene's forward alone, bit for bit."""
+
+    @staticmethod
+    def assert_each_alone(enc, clouds, feats):
+        plans = enc.precompute_plan(clouds)
+        together = enc.forward([(c, T.constant(f), plan) for c, f, plan in zip(clouds, feats, plans)])
+        assert len(together) == len(clouds)
+        for c, f, plan, got in zip(clouds, feats, plans, together):
+            (alone,) = enc.forward([(c, T.constant(f), plan)])
+            for name in ("positions", "shifts", "features"):
+                assert np.array_equal(getattr(got, name).data, getattr(alone, name).data), name
+            assert np.array_equal(got.seeds, alone.seeds)
+
+    @pytest.mark.parametrize("first_branches", [("distance",), ("distance", "feature")])
+    def test_ragged_scenes(self, first_branches):
+        """With F-FPS in the first layer it samples clouds of different
+        sizes, and the second layer's D-FPS is left to the forward too."""
+        rng = np.random.default_rng(34)
+        cfg = EncoderConfig(
+            sa_layers=(SALayerSpec(first_branches, 8, 2.0, 4, (6, 8)),
+                       SALayerSpec(("distance", "feature"), 6, 4.0, 4, (8, 10))),
+            m_candidates=4, feature_dim=12, cg_radius=4.0, cg_cap=4, shift_hidden=6,
+        )
+        enc = PointEncoder(cfg, init_encoder_params(cfg, 2, rng))
+        clouds = [rng.uniform(-2, 2, size=(n, 3)) for n in (1, 5, 40, 13)]
+        self.assert_each_alone(enc, clouds, [rng.normal(size=(len(c), 2)) for c in clouds])
+
+    def test_generated_scenes_default_config(self, generated_clouds):
+        rng = np.random.default_rng(35)
+        cfg = EncoderConfig()
+        enc = PointEncoder(cfg, init_encoder_params(cfg, 4, rng))
+        self.assert_each_alone(enc, generated_clouds, [rng.uniform(0, 1, size=(len(c), 4)) for c in generated_clouds])
 
 
 class TestModalities:
