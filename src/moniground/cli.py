@@ -26,6 +26,7 @@ from .grounder import (
     TrainConfig,
     TrainingDivergedError,
     load_model,
+    model_predictor,
     save_model,
     train_model,
 )
@@ -282,7 +283,7 @@ def cmd_eval(cfg: RunConfig, out) -> int:
     samples = _split_samples(dataset, cfg.split)
     model, vocab = load_model(cfg.run_dir)
     ckpt_hash = _sha256_file(os.path.join(cfg.run_dir, "checkpoint.bin"))
-    return _evaluate_and_report(cfg, dataset, samples, evalbench.model_predictor(model, vocab),
+    return _evaluate_and_report(cfg, dataset, samples, model_predictor(model, vocab),
                                 f"model:{model.config.modality}", ckpt_hash,
                                 os.path.join(cfg.run_dir, f"report_{cfg.split}.json"), out)
 

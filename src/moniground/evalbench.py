@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .geom3d import Box7, iou_3d, normalize_angle
-from .pointenc import point_blocks
 from .seeding import substream
 from .synthdata import CATEGORIES, DISTANCE_BINS, UNIQUENESS_TAGS, GroundingSample, Scene, tag_subsets
 
@@ -148,41 +147,8 @@ def baseline_detbest(sample: GroundingSample, scene: Scene, proposals: list[Prop
 SceneGroup = tuple[Scene, list[GroundingSample], list[np.random.Generator]]
 # A predictor takes every scene group of an evaluation in one call, in
 # `evaluate`'s order, and returns a box for each sample of each group, so a
-# model can plan many scenes together.
+# model can plan many scenes together (see `grounder.model_predictor`).
 Predictor = Callable[[list[SceneGroup]], list[list[Box7]]]
-
-
-def model_predictor(model, vocab) -> Predictor:
-    """The grounding model as a predictor.
-
-    A call works through its scenes block by block (`pointenc.point_blocks`),
-    so at most one block of plans and candidates is alive at a time. One
-    `grounder.scene_inputs` per block runs each layer's D-FPS in lockstep
-    over the block's scenes, and one `GroundingModel.encode` encodes them
-    together, running each layer's F-FPS in lockstep. Each scene then takes
-    one `grounder.predict`, which grounds all of its expressions against its
-    candidates in one batch. Nothing is kept between calls. Each box equals
-    that of the sample's expression grounded alone, bit for bit. Weights
-    that make the encoder's features non-finite, so that F-FPS cannot
-    sample them, raise CheckpointCompatError.
-    """
-    from .grounder import CheckpointCompatError, predict, scene_inputs
-
-    def run(groups: list[SceneGroup]) -> list[list[Box7]]:
-        counts = [0 if scene.points is None else len(scene.points.xyz) for scene, _, _ in groups]
-        boxes = []
-        for block in point_blocks(counts):
-            inputs = scene_inputs(model, [scene for scene, _, _ in groups[block]])
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
-                    candidates = model.encode(inputs)
-            except ValueError as exc:  # `scene_inputs` checked the scenes, so the weights are at fault
-                raise CheckpointCompatError(f"the model's weights break its encoder: {exc}") from exc
-            for cand, (_, samples, _) in zip(candidates, groups[block]):
-                boxes.append([box for box, _, _ in predict(model, vocab, cand, [s.text for s in samples])])
-        return boxes
-
-    return run
 
 
 def baseline_predictor(kind: str, noise: NoiseConfig, seed: int) -> Predictor:

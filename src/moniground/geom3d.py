@@ -49,8 +49,10 @@ class Box7:
         center = np.asarray(self.center, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(center)):
             raise ValueError(f"non-finite box center {center}")
-        if not (self.l > 0 and self.w > 0 and self.h > 0):
-            raise ValueError(f"box sizes must be positive, got {(self.l, self.w, self.h)}")
+        if not all(0 < size < math.inf for size in (self.l, self.w, self.h)):
+            raise ValueError(f"box sizes must be positive and finite, got {(self.l, self.w, self.h)}")
+        if not math.isfinite(self.yaw):
+            raise ValueError(f"non-finite box yaw {self.yaw}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "l", float(self.l))
         object.__setattr__(self, "w", float(self.w))
@@ -189,8 +191,6 @@ def iou_3d(a: Box7, b: Box7) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
-def in_annotation_range(box: Box7, limit: float) -> bool:
-    """True iff the center's horizontal distance from the origin is <= limit."""
-    if limit <= 0:
-        raise ValueError("annotation range limit must be positive")
-    return bool(math.hypot(box.center[0], box.center[1]) <= limit)
+def horizontal_distance(box: Box7) -> float:
+    """Distance of the center from the origin in the ground (xy) plane."""
+    return math.hypot(box.center[0], box.center[1])

@@ -11,28 +11,27 @@ Only inference reads confidences: `predict` takes a numpy softmax of the
 scores, outside the autodiff graph, and `ground` picks the most confident
 candidate.
 
-Training and inference take one path. `scene_inputs` builds what the
-model reads from each of a list of scenes (features and sampling plan),
-and `encode_expressions` turns B expressions into a padded (B, L) id
-matrix. The visual half (`GroundingModel.encode`) never reads the text: it
-turns a list of scene inputs into one `CandidateSet` per scene, encoding
-the scenes together layer by layer so that each layer's F-FPS runs in
-lockstep over all of them (see `pointenc.PointEncoder.forward`). The text
-half (`ground_text`) grounds B expressions against one scene's candidates
-in one pass, which gives every text tensor a leading batch axis B. Each
-row is bit-identical to that expression grounded alone: a row keeps a
-singleton axis where a lone expression has one row, so numpy makes the
-same BLAS call per row (see `tensor.matmul`), and the BiGRU masks rows past
-their length (see `langenc.bigru_encode`). `GroundingModel.forward` is the
-two halves for one scene. Training builds each scene's inputs once, makes
-one `forward` per scene in a minibatch, so it encodes one scene at a time,
-and gives each row its own B = 1 loss. Inference encodes a block of scenes
-in one `encode` call, and `predict` grounds one scene's texts against its
-candidates and decodes each row with `ground`. Planning runs D-FPS in
-lockstep over the scenes of one `scene_inputs` call, so callers plan many
-scenes at once: training all of its scenes, evaluation a block of them at
-a time. A model from `load_model` holds parameters that do not require
-gradients, so inference builds no autodiff graph.
+Training and inference take one path, `GroundingModel.forward`.
+`scene_inputs` builds what the model reads from each of a list of scenes
+(features and sampling plan), and `encode_expressions` turns the tokens of
+a scene's B expressions into a padded (B, L) id matrix. The visual half
+never reads the text: one `pointenc.PointEncoder.forward` encodes the
+scenes together layer by layer, so that each layer's F-FPS runs in
+lockstep over them. The text half (`ground_text`) grounds each scene's B
+expressions against its candidates in one pass, which gives every text
+tensor a leading batch axis B. Each row is bit-identical to that
+expression grounded alone: a row keeps a singleton axis where a lone
+expression has one row, so numpy makes the same BLAS call per row (see
+`tensor.matmul`), and the BiGRU masks rows past their length (see
+`langenc.bigru_encode`). Training builds each scene's inputs once, makes
+one `forward` of one scene per scene group of a minibatch, so each graph
+is freed by its backward before the next is built, and gives each row its
+own B = 1 loss. Inference (`model_predictor`) makes one `forward` per
+block of scenes and decodes each scene's rows with `predict`. Planning
+runs D-FPS in lockstep over the scenes of one `scene_inputs` call, so
+callers plan many scenes at once: training all of its scenes, evaluation
+a block of them at a time. A model from `load_model` holds parameters
+that do not require gradients, so inference builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import langenc, tensor as T
+from .evalbench import Predictor, SceneGroup
 from .geom3d import Box7, points_in_box
 from .langenc import LangConfig, Vocabulary, encode_expressions
 from .pointenc import (
@@ -59,6 +59,7 @@ from .pointenc import (
     encoder_layout,
     init_encoder_params,
     modality_feature_dim,
+    point_blocks,
 )
 from .seeding import substream
 from .synthdata import CATEGORIES, CATEGORY_INDEX, GroundingSample, SIZE_PRIORS, Scene, atomic_write
@@ -299,17 +300,15 @@ class GroundingModel:
         lang_logits = T.linear(f_l, self.params["head.lang.w"], self.params["head.lang.b"])
         return ModelOutput(cand, raw, cls_logits, residuals, lang_logits)
 
-    def encode(self, inputs: list[SceneInputs]) -> list[CandidateSet]:
-        """Visual half: the candidates of each scene, the scenes encoded in
-        one `PointEncoder.forward`. It never reads the text."""
-        return self.encoder.forward([(sc.scene.points.xyz, T.constant(sc.feats), sc.plan) for sc in inputs])
+    def forward(self, inputs: list[SceneInputs], texts: list[tuple[np.ndarray, np.ndarray]]) -> list[ModelOutput]:
+        """Each scene's expressions grounded in it: `texts[s]` is scene s's
+        (ids, lengths) from `encode_expressions`.
 
-    def forward(self, inputs: SceneInputs, token_ids: np.ndarray, lengths) -> ModelOutput:
-        """B expressions, as `encode_expressions` gives them, grounded in one scene.
-
-        The visual half encodes the scene once, alone."""
-        (cand,) = self.encode([inputs])
-        return self.ground_text(cand, token_ids, lengths)
+        The scenes are encoded together in one `PointEncoder.forward`, which
+        never reads the text; then one `ground_text` per scene grounds its
+        expressions against its candidates."""
+        candidates = self.encoder.forward([(sc.scene.points.xyz, T.constant(sc.feats), sc.plan) for sc in inputs])
+        return [self.ground_text(cand, ids, lengths) for cand, (ids, lengths) in zip(candidates, texts, strict=True)]
 
 
 def scene_inputs(model: GroundingModel, scenes: list[Scene]) -> list[SceneInputs]:
@@ -457,9 +456,9 @@ def _minibatch_gradients(model: GroundingModel, vocab: Vocabulary, inputs: dict[
     for scene_id, positions in groups.items():
         sc = inputs[scene_id]
         members = [batch[pos] for pos in positions]
-        token_ids, lengths = encode_expressions(vocab, [m.tokens for m in members], model.config.lang.max_len)
+        texts = encode_expressions(vocab, [m.tokens for m in members], model.config.lang.max_len)
         try:
-            out = model.forward(sc, token_ids, lengths)
+            (out,) = model.forward([sc], [texts])
         except ValueError as exc:
             # `scene_inputs` checked the scene, so the encoder fails only on weights grown
             # without bound: F-FPS rejects the non-finite features they make
@@ -541,27 +540,46 @@ def train_model(
     return TrainResult(model, vocab, curve, time.perf_counter() - started)
 
 
-def predict(model: GroundingModel, vocab: Vocabulary, cand: CandidateSet,
-            texts: list[str]) -> list[tuple[Box7, np.ndarray, int]]:
-    """Ground expressions of one scene, given its candidates from
-    `GroundingModel.encode`; deterministic.
-
-    One `ground_text` grounds all the texts in one batch. Returns (box,
-    confidences, candidate index) per text, in order; each equals `ground`
-    of that text's `forward` alone.
-    """
-    if isinstance(texts, str):
-        raise TypeError("predict takes a list of expressions, not one string")
-    token_ids, lengths = encode_expressions(vocab, [langenc.tokenize(t) for t in texts], model.config.lang.max_len)
-    if not len(lengths) or lengths.min() < 1:
-        raise ValueError("predict needs one or more expressions, each with a usable token")
-    out = model.ground_text(cand, token_ids, lengths)
+def predict(out: ModelOutput) -> list[tuple[Box7, np.ndarray, int]]:
+    """Decode one scene's output: (box, confidences, candidate index) per
+    expression, in row order, each by `ground` on the softmax of the scores."""
     confidences = softmax(out.raw_scores.data)
     results = []
-    for row in range(len(lengths)):
+    for row in range(len(confidences)):
         idx, box = ground(out, confidences, row)
         results.append((box, confidences[row], idx))
     return results
+
+
+def model_predictor(model: GroundingModel, vocab: Vocabulary) -> Predictor:
+    """The grounding model as an `evalbench.Predictor`.
+
+    A call works through its scenes block by block (`pointenc.point_blocks`),
+    so at most one block of plans and outputs is alive at a time. A block
+    takes one `scene_inputs` and one `GroundingModel.forward`, on token ids
+    encoded as training encodes them, and each of its scenes one `predict`.
+    Nothing is kept between calls. Each box equals that of the sample's
+    expression grounded alone, bit for bit. Weights that make the encoder's
+    features non-finite, so that F-FPS cannot sample them, raise
+    CheckpointCompatError.
+    """
+
+    def run(groups: list[SceneGroup]) -> list[list[Box7]]:
+        counts = [0 if scene.points is None else len(scene.points.xyz) for scene, _, _ in groups]
+        boxes = []
+        for block in point_blocks(counts):
+            inputs = scene_inputs(model, [scene for scene, _, _ in groups[block]])
+            texts = [encode_expressions(vocab, [s.tokens for s in samples], model.config.lang.max_len)
+                     for _, samples, _ in groups[block]]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+                    outputs = model.forward(inputs, texts)
+            except ValueError as exc:  # `scene_inputs` checked the scenes, so the weights are at fault
+                raise CheckpointCompatError(f"the model's weights break its encoder: {exc}") from exc
+            boxes += [[box for box, _, _ in predict(out)] for out in outputs]
+        return boxes
+
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geom3d import Box7, bev_intersection_area, in_annotation_range
+from .geom3d import Box7, bev_intersection_area, horizontal_distance
 from .langenc import tokenize
 from .seeding import stream_seed, substream
 
@@ -126,19 +126,12 @@ RELATION_NONE = "intersection"
 
 
 class GenerationError(RuntimeError):
-    """Scene construction failed within the retry budget."""
-
-
-class UndiscriminableObjectError(GenerationError):
-    """No attribute subset isolates the object from its scene."""
+    """Scene construction failed within the retry budget, or no attribute
+    subset isolates an object from its scene."""
 
 
 class DatasetIOError(RuntimeError):
-    pass
-
-
-class DatasetSchemaError(DatasetIOError):
-    pass
+    """A dataset directory is missing, malformed, inconsistent or of another schema version."""
 
 
 @dataclass
@@ -235,10 +228,6 @@ class GenConfig:
             raise ValueError(f"unknown categories in weights: {sorted(unknown)}")
 
 
-def horizontal_distance(box: Box7) -> float:
-    return math.hypot(box.center[0], box.center[1])
-
-
 UNIQUENESS_TAGS = ("Unique", "Multiple")
 DISTANCE_BINS = ("Near", "Medium", "Far")
 
@@ -323,7 +312,7 @@ def gen_scene(seed: int, config: GenConfig, index: int = 0) -> Scene:
             z_bottom = ground_z + rng.uniform(-0.05, 0.05)
             yaw = rng.uniform(-math.pi, math.pi)
             box = Box7(np.array([x, y, z_bottom + h / 2]), l, w, h, yaw)
-            if not in_annotation_range(box, config.extent):
+            if horizontal_distance(box) > config.extent:
                 continue
             inflated = Box7(box.center, l + 0.5, w + 0.5, h, yaw)
             if all(
@@ -550,14 +539,14 @@ def gen_expressions(scene: Scene, seed: int, k: int) -> list[GroundingSample]:
 
     Attributes are added greedily (in a seeded random order) until exhaustive
     matching selects exactly one object; a flavor attribute is appended for
-    linguistic variety. Raises UndiscriminableObjectError when even the full
+    linguistic variety. Raises GenerationError when even the full
     attribute map cannot isolate an object.
     """
     samples = []
     for obj_idx, obj in enumerate(scene.objects):
         full = _matches(scene, obj.category, obj.attributes)
         if full != [obj.object_id]:
-            raise UndiscriminableObjectError(
+            raise GenerationError(
                 f"object {obj.object_id} in scene {scene.scene_id} matches {full} under its full attribute map"
             )
         for j in range(k):
@@ -574,9 +563,7 @@ def gen_expressions(scene: Scene, seed: int, k: int) -> list[GroundingSample]:
                     chosen.append(attr)
                     current = reduced
             if len(current) != 1:
-                raise UndiscriminableObjectError(
-                    f"greedy attribute selection failed for {obj.object_id} in {scene.scene_id}"
-                )
+                raise GenerationError(f"greedy attribute selection failed for {obj.object_id} in {scene.scene_id}")
             extras = [a for a in order if a not in chosen]
             if extras:
                 chosen.append(extras[0])
@@ -584,9 +571,7 @@ def gen_expressions(scene: Scene, seed: int, k: int) -> list[GroundingSample]:
             tokens = tokenize(text)
             matched = _matches(scene, *parse_expression(tokens))
             if matched != [obj.object_id]:
-                raise UndiscriminableObjectError(
-                    f"rendered expression for {obj.object_id} matches {matched}: {text!r}"
-                )
+                raise GenerationError(f"rendered expression for {obj.object_id} matches {matched}: {text!r}")
             uniq, dbin = tag_subsets(scene, obj.object_id)
             samples.append(GroundingSample(scene.scene_id, obj.object_id, text, tokens, uniq, dbin))
     return samples
@@ -715,11 +700,14 @@ def _malformed(path: str, exc: Exception) -> DatasetIOError:
 def read_dataset(root: str) -> Dataset:
     """Read a directory written by write_dataset.
 
-    A missing file, unparsable JSON, a record without a field it needs, an
-    expression whose ids, text or tokens are not strings, one with no token
-    or whose text tokenizes to nothing, one whose uniqueness or distance
-    bin is not a subset tag, or a point file that is empty, ends in a
-    partial point or holds a NaN or infinite value raises DatasetIOError.
+    A missing file, unparsable JSON, a record without a field it needs, a
+    manifest split outside SPLIT_NAMES, a scene file of another scene id,
+    an object id repeated within a scene, an object of an unknown category
+    or with a NaN or infinite box field, an expression whose ids, text or
+    tokens are not strings, one with no token or with tokens other than
+    `tokenize` of its text, one whose uniqueness or distance bin is not a
+    subset tag, or a point file that is empty, ends in a partial point or
+    holds a NaN or infinite value raises DatasetIOError.
     """
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -731,11 +719,15 @@ def read_dataset(root: str) -> Dataset:
     except (ValueError, AttributeError) as exc:
         raise _malformed(manifest_path, exc) from exc
     if version != SCHEMA_VERSION:
-        raise DatasetSchemaError(f"dataset schema version {version}, expected {SCHEMA_VERSION}")
+        raise DatasetIOError(f"dataset schema version {version}, expected {SCHEMA_VERSION}")
     try:
-        scene_ids = sorted(manifest["splits"])
+        splits = manifest["splits"]
+        scene_ids = sorted(splits)
+        unknown_splits = sorted({splits[sid] for sid in scene_ids} - set(SPLIT_NAMES))
     except (KeyError, TypeError) as exc:
         raise _malformed(manifest_path, exc) from exc
+    if unknown_splits:
+        raise DatasetIOError(f"manifest assigns scenes to splits {unknown_splits} outside {SPLIT_NAMES}")
     scenes: dict[str, Scene] = {}
     for sid in scene_ids:
         scene_path = os.path.join(root, "scenes", f"{sid}.json")
@@ -752,6 +744,14 @@ def read_dataset(root: str) -> Dataset:
             scene_id, metadata = payload["scene_id"], payload["metadata"]
         except (ValueError, KeyError, TypeError) as exc:
             raise _malformed(scene_path, exc) from exc
+        if scene_id != sid:
+            raise DatasetIOError(f"{scene_path!r} holds scene {scene_id!r}, not {sid!r}")
+        object_ids = [o.object_id for o in objects]
+        for i, obj in enumerate(objects):
+            if obj.object_id in object_ids[:i]:
+                raise DatasetIOError(f"scene {sid} holds object id {obj.object_id!r} more than once")
+            if obj.category not in CATEGORIES:
+                raise DatasetIOError(f"object {obj.object_id!r} of scene {sid} has unknown category {obj.category!r}")
         with open(points_path, "rb") as f:
             blob = f.read()
         if not blob or len(blob) % 28:  # 7 float32 values per point
@@ -776,9 +776,9 @@ def read_dataset(root: str) -> Dataset:
                 if not (all(isinstance(v, str) for v in (sample.scene_id, sample.target_id, sample.text))
                         and isinstance(sample.tokens, list) and all(isinstance(t, str) for t in sample.tokens)):
                     raise DatasetIOError(f"{where} has an id, text or token that is not a string")
-                # training reads the tokens, inference tokenizes the text
-                if not sample.tokens or not tokenize(sample.text):
-                    raise DatasetIOError(f"{where} has no usable token")
+                # training and inference read the tokens; they must be the text's
+                if not sample.tokens or sample.tokens != tokenize(sample.text):
+                    raise DatasetIOError(f"{where} has no token, or tokens other than its text's")
                 # reports count each sample in one subset of each partition
                 if sample.uniqueness not in UNIQUENESS_TAGS or sample.distance_bin not in DISTANCE_BINS:
                     raise DatasetIOError(f"{where} has uniqueness {sample.uniqueness!r} or distance bin "

@@ -154,7 +154,7 @@ def per_sample_gradients(model, vocab, inputs, batch, weights) -> list[dict[str,
     comps = []
     for item in batch:
         sc = inputs[item.scene_id]
-        out = model.forward(sc, *encode_expressions(vocab, [item.tokens], model.config.lang.max_len))
+        (out,) = model.forward([sc], [encode_expressions(vocab, [item.tokens], model.config.lang.max_len)])
         cand = out.candidates
         targets = G.assign_targets(cand.positions.data, cand.seeds, sc.scene, item.target_id)
         loss, sample_comps = G.compute_loss(out, targets, weights)

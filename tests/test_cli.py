@@ -438,12 +438,28 @@ class TestDatasetFaults:
         drop_line_key = edit_line(0, lambda line: json.dumps(
             {k: v for k, v in json.loads(line).items() if k != "tokens"}))
 
-        def drop_object_key(path):
-            with open(path) as f:
-                scene = json.load(f)
-            del scene["objects"][0]["category"]
-            with open(path, "w") as f:
-                json.dump(scene, f)
+        def edit_json(edit):
+            def corrupt(path):
+                with open(path) as f:
+                    doc = json.load(f)
+                edit(doc)
+                with open(path, "w") as f:
+                    json.dump(doc, f)
+
+            return corrupt
+
+        def set_box(key, value):
+            return edit_json(lambda scene: scene["objects"][0]["box"].update({key: value}))
+
+        drop_object_key = edit_json(lambda scene: scene["objects"][0].pop("category"))
+        unknown_category = edit_json(lambda scene: scene["objects"][0].update(category="tank"))
+        other_scene_id = edit_json(lambda scene: scene.update(scene_id="scene_99999"))
+        repeat_object = edit_json(lambda scene: scene["objects"].append(scene["objects"][0]))
+        unknown_split = edit_json(lambda manifest: manifest["splits"].update({sorted(splits)[0]: "holdout"}))
+
+        def split_scene(split):
+            """The scene file of the split's first scene, which the command reads as part of it."""
+            return os.path.join("scenes", f"{min(sid for sid, name in splits.items() if name == split)}.json")
 
         first_scene = os.path.join("scenes", f"{sorted(splits)[0]}.json")
         first_points = os.path.join("points", f"{sorted(splits)[0]}.bin")
@@ -500,6 +516,16 @@ class TestDatasetFaults:
             ("baseline", "unknown_uniqueness", expressions, edit_sample("val", "uniqueness", "Sometimes")),
             ("eval", "null_uniqueness", expressions, edit_sample("val", "uniqueness", None)),
             ("baseline", "integer_distance_bin", expressions, edit_sample("val", "distance_bin", 3)),
+            ("train", "unknown_category", split_scene("train"), unknown_category),
+            ("baseline", "unknown_category", split_scene("val"), unknown_category),
+            ("train", "nan_yaw", split_scene("train"), set_box("yaw", math.nan)),
+            ("eval", "nan_yaw", split_scene("val"), set_box("yaw", math.nan)),
+            ("eval", "infinite_length", split_scene("val"), set_box("l", math.inf)),
+            ("train", "tokens_not_the_texts", expressions, edit_sample("train", "tokens", ["zzz"])),
+            ("eval", "tokens_not_the_texts", expressions, edit_sample("val", "tokens", ["zzz"])),
+            ("baseline", "unknown_split", "manifest.json", unknown_split),
+            ("eval", "scene_id_not_the_manifests", split_scene("val"), other_scene_id),
+            ("train", "repeated_object_id", split_scene("train"), repeat_object),
         ]
         for command, label, name, corrupt in cases:
             broken = str(tmp_path / f"{command}-{label}")

@@ -15,7 +15,7 @@ from moniground import grounder as G
 from moniground import pointenc
 from moniground import synthdata as S
 from moniground.geom3d import Box7, iou_3d
-from moniground.langenc import Vocabulary, encode_expressions, tokenize
+from moniground.langenc import Vocabulary, encode_expressions
 from moniground.pointenc import PointEncoder
 from moniground.seeding import substream
 
@@ -299,10 +299,10 @@ class TestEvaluateAndReport:
 
 class TestModelPredictor:
     @staticmethod
-    def full_forward(model, vocab, scene, text):
-        """The per-sample reference: encode the scene and the text together."""
-        token_ids, lengths = encode_expressions(vocab, [tokenize(text)], model.config.lang.max_len)
-        out = model.forward(G.scene_inputs(model, [scene])[0], token_ids, lengths)
+    def full_forward(model, vocab, scene, tokens):
+        """The per-sample reference: ground one expression in its scene alone."""
+        texts = encode_expressions(vocab, [tokens], model.config.lang.max_len)
+        (out,) = model.forward(G.scene_inputs(model, [scene]), [texts])
         confidences = G.softmax(out.raw_scores.data)
         idx, box = G.ground(out, confidences)
         return box, confidences[0], idx
@@ -314,13 +314,15 @@ class TestModelPredictor:
         vocab = Vocabulary.build(s.tokens for s in first.samples + second.samples)
         model = G.GroundingModel(tiny_model_config(), len(vocab), seed=1)
 
-        calls = []
+        decoded = []  # (candidates, results) of every `predict`, in call order
         predict = G.predict
 
-        def recording(m, v, cand, texts):
-            results = predict(m, v, cand, texts)
-            calls.extend((cand, text, result) for text, result in zip(texts, results))
+        def recording(out):
+            results = predict(out)
+            decoded.append((out.candidates, results))
             return results
+
+        monkeypatch.setattr(G, "predict", recording)
 
         encoded = []  # (candidates, cloud) of every scene the encoder encoded
         encode = model.encoder.forward
@@ -330,10 +332,15 @@ class TestModelPredictor:
             encoded.extend((cand, xyz) for cand, (xyz, _, _) in zip(candidates, scenes))
             return candidates
 
-        monkeypatch.setattr(G, "predict", recording)
         monkeypatch.setattr(model.encoder, "forward", encoding)
 
-        predictor = E.model_predictor(model, vocab)
+        model_run = G.model_predictor(model, vocab)
+        groups = []  # every scene group the predictor was given, in call order
+
+        def predictor(call_groups):
+            groups.extend(call_groups)
+            return model_run(call_groups)
+
         E.evaluate(predictor, first.scenes, first.samples, seed=0)
         # a predictor reused on another dataset with the same scene ids must
         # encode that dataset's scenes: start it at the last scene seen
@@ -341,17 +348,18 @@ class TestModelPredictor:
         E.evaluate(predictor, second.scenes, [s for s in second.samples if s.scene_id == last_id], seed=0)
         E.evaluate(predictor, second.scenes, second.samples, seed=0)
 
-        assert len(encoded) == 3 + 1 + 3
-        assert len(calls) == len(first.samples) + len(second.samples) + sum(
+        assert len(encoded) == len(decoded) == len(groups) == 3 + 1 + 3
+        assert sum(len(results) for _, results in decoded) == len(first.samples) + len(second.samples) + sum(
             s.scene_id == last_id for s in second.samples)
-        by_cloud = {id(scene.points.xyz): scene for ds in (first, second) for scene in ds.scenes.values()}
-        for cand, text, (box, confidences, idx) in calls:
-            (scene,) = [by_cloud[id(xyz)] for encoded_cand, xyz in encoded if encoded_cand is cand]
-            ref_box, ref_confidences, ref_idx = self.full_forward(model, vocab, scene, text)
-            assert idx == ref_idx
-            assert np.array_equal(confidences, ref_confidences)
-            assert np.array_equal(box.center, ref_box.center)
-            assert (box.l, box.w, box.h, box.yaw) == (ref_box.l, ref_box.w, ref_box.h, ref_box.yaw)
+        for (scene, samples, _), (cand, results) in zip(groups, decoded):
+            (xyz,) = [xyz for encoded_cand, xyz in encoded if encoded_cand is cand]
+            assert xyz is scene.points.xyz
+            for sample, (box, confidences, idx) in zip(samples, results, strict=True):
+                ref_box, ref_confidences, ref_idx = self.full_forward(model, vocab, scene, sample.tokens)
+                assert idx == ref_idx
+                assert np.array_equal(confidences, ref_confidences)
+                assert np.array_equal(box.center, ref_box.center)
+                assert (box.l, box.w, box.h, box.yaw) == (ref_box.l, ref_box.w, ref_box.h, ref_box.yaw)
 
     def test_one_predictor_call_and_one_encode_per_scene(self, monkeypatch):
         dataset = S.gen_dataset(6, S.GenConfig(scene_count=3, objects_min=2, objects_max=3,
@@ -365,7 +373,11 @@ class TestModelPredictor:
         plan = PointEncoder.precompute_plan
         monkeypatch.setattr(PointEncoder, "precompute_plan",
                             lambda self, clouds: planned.extend(map(id, clouds)) or plan(self, clouds))
-        model_run = E.model_predictor(model, vocab)
+        forwards = []  # per model call: each scene's cloud and token ids
+        forward = G.GroundingModel.forward
+        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, texts: forwards.append(
+            [(id(sc.scene.points.xyz), ids) for sc, (ids, _) in zip(inputs, texts)]) or forward(self, inputs, texts))
+        model_run = G.model_predictor(model, vocab)
         calls = []
 
         def predictor(groups):
@@ -383,6 +395,12 @@ class TestModelPredictor:
         assert len(encodes) == 1
         assert sorted(planned) == sorted(encodes[0]) == sorted(id(s.points.xyz) for s in dataset.scenes.values())
         assert len(encodes[0]) == len(dataset.scenes) < len(dataset.samples)
+        # and grounded in one model call, from the tokens training reads
+        assert len(forwards) == 1
+        assert [cloud for cloud, _ in forwards[0]] == encodes[0]
+        for (_, ids), scene_id in zip(forwards[0], sorted(dataset.scenes), strict=True):
+            tokens = [s.tokens for s in ordered if s.scene_id == scene_id]
+            assert np.array_equal(ids, encode_expressions(vocab, tokens, model.config.lang.max_len)[0])
 
     def test_scenes_planned_block_by_block(self, monkeypatch):
         dataset = S.gen_dataset(7, S.GenConfig(scene_count=4, objects_min=1, objects_max=2))
@@ -393,18 +411,21 @@ class TestModelPredictor:
 
         def boxes():
             return [[(*box.center, box.l, box.w, box.h, box.yaw) for box in scene_boxes]
-                    for scene_boxes in E.model_predictor(model, vocab)(groups)]
+                    for scene_boxes in G.model_predictor(model, vocab)(groups)]
 
         whole = boxes()
-        blocks = []
+        blocks, forwards = [], []  # the clouds of each plan call and of each model call
         plan = PointEncoder.precompute_plan
         monkeypatch.setattr(PointEncoder, "precompute_plan",
                             lambda self, clouds: blocks.append(list(map(id, clouds))) or plan(self, clouds))
+        forward = G.GroundingModel.forward
+        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, texts: forwards.append(
+            [id(sc.scene.points.xyz) for sc in inputs]) or forward(self, inputs, texts))
         clouds = [scene.points.xyz for scene, _, _ in groups]
         monkeypatch.setattr(pointenc, "_BLOCK_POINTS", max(len(c) for c in clouds))
         split = boxes()
         expected = [[id(c) for c in clouds[block]] for block in pointenc.point_blocks([len(c) for c in clouds])]
-        assert blocks == expected and len(blocks) > 1
+        assert blocks == forwards == expected and len(blocks) > 1
         assert split == whole
 
 

@@ -9,7 +9,7 @@ from moniground.geom3d import (
     Box7,
     bev_intersection_area,
     box_corners,
-    in_annotation_range,
+    horizontal_distance,
     iou_3d,
     normalize_angle,
     points_in_box,
@@ -43,6 +43,14 @@ class TestBox7:
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
             Box7(np.zeros(3), 0.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_size_or_yaw_rejected(self, field, value):
+        fields = [1.0, 1.0, 1.0, 0.0]  # l, w, h, yaw
+        fields[field] = value
+        with pytest.raises(ValueError):
+            Box7(np.zeros(3), *fields)
 
     def test_unit_cube_corners(self):
         corners = box_corners(Box7(np.zeros(3), 1, 1, 1, 0.0))
@@ -161,15 +169,13 @@ class TestIoU3D:
 
 
 class TestAnnotationRange:
+    """Generated boxes keep `horizontal_distance(box) <= extent`."""
+
     def test_origin_inside(self):
-        assert in_annotation_range(Box7(np.zeros(3), 1, 1, 1, 0), 50.0)
+        assert horizontal_distance(Box7(np.zeros(3), 1, 1, 1, 0)) == 0.0
 
     def test_just_outside(self):
-        assert not in_annotation_range(Box7(np.array([50.001, 0.0, 0.0]), 1, 1, 1, 0), 50.0)
+        assert not horizontal_distance(Box7(np.array([50.001, 0.0, 0.0]), 1, 1, 1, 0)) <= 50.0
 
     def test_boundary_inclusive_3_4_5(self):
-        assert in_annotation_range(Box7(np.array([30.0, 40.0, 5.0]), 1, 1, 1, 0), 50.0)
-
-    def test_bad_limit_rejected(self):
-        with pytest.raises(ValueError):
-            in_annotation_range(Box7(np.zeros(3), 1, 1, 1, 0), 0.0)
+        assert horizontal_distance(Box7(np.array([30.0, 40.0, 5.0]), 1, 1, 1, 0)) == 50.0

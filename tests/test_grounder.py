@@ -285,14 +285,17 @@ def _vocab_for(samples):
     return Vocabulary.build(s.tokens for s in samples)
 
 
-def predict_scene(model, vocab, scene, texts):
-    """`predict` on one scene, planned and encoded alone."""
-    return G.predict(model, vocab, model.encode(G.scene_inputs(model, [scene]))[0], texts)
+def predict_scene(model, vocab, scene, token_lists):
+    """`predict` on one scene, planned and grounded alone."""
+    texts = encode_expressions(vocab, token_lists, model.config.lang.max_len)
+    (out,) = model.forward(G.scene_inputs(model, [scene]), [texts])
+    return G.predict(out)
 
 
 def _forward_sample(model, vocab, scene, sample):
-    ids, lengths = encode_expressions(vocab, [sample.tokens], model.config.lang.max_len)
-    return model.forward(G.scene_inputs(model, [scene])[0], ids, lengths)
+    (out,) = model.forward(G.scene_inputs(model, [scene]), [
+        encode_expressions(vocab, [sample.tokens], model.config.lang.max_len)])
+    return out
 
 
 class TestGradientFlow:
@@ -345,15 +348,15 @@ class TestGradientFlow:
             S.PointCloud(xyz, np.full((20, 3), 0.5), np.full(20, 0.5)),
         )
         model = tiny_model(seed=4, vocab_size=40)
-        inputs = G.scene_inputs(model, [scene])[0]
+        inputs = G.scene_inputs(model, [scene])
         ids = np.array([[2, 3] + [0] * (model.config.lang.max_len - 2)])
-        out0 = model.forward(inputs, ids, [2])
+        (out0,) = model.forward(inputs, [(ids, [2])])
         tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene, "obj_00")
         assert tg.cls.sum() >= 1 and tg.shift_mask.sum() >= 1
         weights = G.LossWeights()
 
         def loss():
-            out = model.forward(inputs, ids, [2])
+            (out,) = model.forward(inputs, [(ids, [2])])
             return G.compute_loss(out, tg, weights)[0]
 
         worst = finite_diff_check(loss, model.params.values(), max_coords=3,
@@ -370,13 +373,13 @@ class TestBatchedTextHalf:
         scene = next(iter(dataset.scenes.values()))
         config = G.ModelConfig()
         model = G.GroundingModel(config, 60, seed=2)
-        (cand,) = model.encode(G.scene_inputs(model, [scene]))
         max_len = config.lang.max_len
         lengths = np.array([1, 9, max_len, 4, 1, 17])
         ids = np.random.default_rng(5).integers(2, 60, size=(len(lengths), max_len))
         for row, length in enumerate(lengths):
             ids[row, length:] = 0
-        batch = model.ground_text(cand, ids, lengths)
+        (batch,) = model.forward(G.scene_inputs(model, [scene]), [(ids, lengths)])
+        cand = batch.candidates
         for row, length in enumerate(lengths):
             alone = model.ground_text(cand, ids[row : row + 1], [length])
             for name in ("raw_scores", "cls_logits", "residuals", "lang_logits"):
@@ -524,7 +527,7 @@ class TestTraining:
         result = G.train_model({scene.scene_id: scene}, [sample], tiny_model_config(), cfg)
         initial, final = result.curve[0].total, result.curve[-1].total
         assert final < 0.1 * initial
-        box, _, _ = predict_scene(result.model, result.vocab, scene, [sample.text])[0]
+        box, _, _ = predict_scene(result.model, result.vocab, scene, [sample.tokens])[0]
         gt = scene.object_by_id(sample.target_id).box
         assert iou_3d(box, gt) > 0.5
 
@@ -551,6 +554,25 @@ class TestTraining:
                 distinct += len({scene_of[i] for i in order[start : start + cfg.batch_size]})
         assert len(encodes) == distinct < cfg.epochs * len(dataset.samples)
 
+    def test_one_forward_per_scene_group(self, monkeypatch):
+        dataset = S.gen_dataset(6, S.GenConfig(scene_count=2, objects_min=2, objects_max=3,
+                                               expressions_per_object=2))
+        forwards = []  # per model call: each scene's id and expression count
+        forward = G.GroundingModel.forward
+        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, texts: forwards.append(
+            [(sc.scene.scene_id, len(lengths)) for sc, (_, lengths) in zip(inputs, texts)])
+            or forward(self, inputs, texts))
+        cfg = G.TrainConfig(epochs=2, batch_size=4, decay_epochs=(), seed=1)
+        G.train_model(dataset.scenes, dataset.samples, tiny_model_config(), cfg)
+        # one call of one scene per scene group, groups in order of first appearance
+        expected = []
+        for epoch in range(1, cfg.epochs + 1):
+            order = substream(cfg.seed, "train", "shuffle", epoch).permutation(len(dataset.samples))
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [dataset.samples[i].scene_id for i in order[start : start + cfg.batch_size]]
+                expected += [[(scene_id, batch.count(scene_id))] for scene_id in dict.fromkeys(batch)]
+        assert forwards == expected and len(expected) > cfg.epochs
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             G.train_model({}, [], tiny_model_config(), G.TrainConfig())
@@ -567,8 +589,8 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(14)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        a = predict_scene(result.model, result.vocab, scene, [samples[0].text])[0]
-        b = predict_scene(result.model, result.vocab, scene, [samples[0].text])[0]
+        a = predict_scene(result.model, result.vocab, scene, [samples[0].tokens])[0]
+        b = predict_scene(result.model, result.vocab, scene, [samples[0].tokens])[0]
         np.testing.assert_array_equal(a[0].center, b[0].center)
         np.testing.assert_array_equal(a[1], b[1])
         assert a[2] == b[2]
@@ -577,7 +599,7 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(15)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        box, conf, idx = predict_scene(result.model, result.vocab, scene, [samples[0].text])[0]
+        box, conf, idx = predict_scene(result.model, result.vocab, scene, [samples[0].tokens])[0]
         assert abs(conf.sum() - 1.0) <= 1e-9
         assert 0 <= idx < len(conf)
         assert box.l > 0 and -math.pi <= box.yaw < math.pi
@@ -590,8 +612,8 @@ class TestPredictAndCheckpoint:
         model2, vocab2 = G.load_model(str(tmp_path))
         for k, p in result.model.parameters().items():
             np.testing.assert_array_equal(model2.parameters()[k].data, p.data)
-        a = predict_scene(result.model, result.vocab, scene, [samples[0].text])[0]
-        b = predict_scene(model2, vocab2, scene, [samples[0].text])[0]
+        a = predict_scene(result.model, result.vocab, scene, [samples[0].tokens])[0]
+        b = predict_scene(model2, vocab2, scene, [samples[0].tokens])[0]
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_loaded_model_builds_no_graph(self, tmp_path):

@@ -74,3 +74,17 @@ def test_every_attribute_set_on_self_is_read_in_src():
                 ]
     unread = sorted({qualified for qualified, attr in assigned if reads[attr] == 0})
     assert assigned and not unread, f"attributes set on self that nothing in src reads: {unread}"
+
+
+def test_evalbench_imports_no_model_module():
+    """Scoring knows predictors only by their call: the model's inference
+    loop lives in `grounder.model_predictor`, so `evalbench` imports neither
+    `grounder` nor `pointenc`, not even inside a function."""
+    imported = set()
+    for node in ast.walk(source_trees()["evalbench.py"]):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert imported and not imported & {"grounder", "pointenc"}, sorted(imported)

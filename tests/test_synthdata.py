@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moniground import synthdata as S
-from moniground.geom3d import Box7, bev_intersection_area, in_annotation_range, points_in_box
+from moniground.geom3d import Box7, bev_intersection_area, horizontal_distance, points_in_box
 
 
 def small_config(**overrides):
@@ -50,7 +50,7 @@ class TestGenScene:
             scene = S.gen_scene(17, cfg, idx)
             boxes = [o.box for o in scene.objects]
             for i in range(len(boxes)):
-                assert in_annotation_range(boxes[i], 50.0)
+                assert horizontal_distance(boxes[i]) <= cfg.extent
                 for j in range(i + 1, len(boxes)):
                     assert bev_intersection_area(boxes[i], boxes[j]) == 0.0
 
@@ -154,7 +154,7 @@ class TestExpressions:
         a = S.ObjectSpec("obj_00", "car", Box7(np.array([5.0, 0, 0.75]), 4.5, 1.8, 1.5, 0), dict(attrs))
         b = S.ObjectSpec("obj_01", "car", Box7(np.array([-5.0, 0, 0.75]), 4.5, 1.8, 1.5, 0), dict(attrs))
         scene = S.Scene("s0", {"time_of_day": "dusk"}, [a, b])
-        with pytest.raises(S.UndiscriminableObjectError, match="obj_00"):
+        with pytest.raises(S.GenerationError, match="obj_00"):
             S.gen_expressions(scene, 1, k=1)
 
     def test_attribute_value_words_globally_unique(self):
@@ -267,7 +267,7 @@ class TestDatasetIO:
         manifest["schema_version"] = 99
         with open(path, "w") as f:
             json.dump(manifest, f)
-        with pytest.raises(S.DatasetSchemaError):
+        with pytest.raises(S.DatasetIOError, match="schema version 99"):
             S.read_dataset(root)
 
     def test_config_validation(self):
