@@ -16,22 +16,23 @@ Training and inference take one path, `GroundingModel.forward`.
 (features and sampling plan), and `encode_expressions` turns the tokens of
 a scene's B expressions into a padded (B, L) id matrix. The visual half
 never reads the text: one `pointenc.PointEncoder.forward` encodes the
-scenes together layer by layer, so that each layer's F-FPS runs in
-lockstep over them. The text half (`ground_text`) grounds each scene's B
-expressions against its candidates in one pass, which gives every text
-tensor a leading batch axis B. Each row is bit-identical to that
-expression grounded alone: a row keeps a singleton axis where a lone
-expression has one row, so numpy makes the same BLAS call per row (see
-`tensor.matmul`), and the BiGRU masks rows past their length (see
-`langenc.bigru_encode`). Training builds each scene's inputs once, makes
-one `forward` of one scene per scene group of a minibatch, so each graph
-is freed by its backward before the next is built, and gives each row its
-own B = 1 loss. Inference (`model_predictor`) makes one `forward` per
-block of scenes and decodes each scene's rows with `predict`. Planning
-runs D-FPS in lockstep over the scenes of one `scene_inputs` call, so
-callers plan many scenes at once: training all of its scenes, evaluation
-a block of them at a time. A model from `load_model` holds parameters
-that do not require gradients, so inference builds no autodiff graph.
+scenes together, so that SA1's F-FPS runs in lockstep over them. The text
+half (`ground_text`) grounds each scene's B expressions against its
+candidates in one pass, which gives every text tensor a leading batch axis
+B. Each row is bit-identical to that expression grounded alone: a row
+keeps a singleton axis where a lone expression has one row, so numpy makes
+the same BLAS call per row (see `tensor.matmul`), and the BiGRU masks rows
+past their length (see `langenc.bigru_encode`). Training builds each
+scene's inputs once, makes one `forward` of one scene per scene group of a
+minibatch, so each graph is freed by its backward before the next is
+built, and gives each row its own B = 1 loss. Inference (`model_predictor`)
+makes one `forward` per block of scenes and decodes each scene's rows with
+`predict`. A plan holds a scene's sampling decisions that read positions
+only: SA0's D-FPS picks and ball groups and SA1's D-FPS half. Both D-FPS
+passes run in lockstep over the scenes of one `scene_inputs` call, so
+callers plan many scenes at once: training all of its scenes, evaluation a
+block of them at a time. A model from `load_model` holds parameters that
+do not require gradients, so inference builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ from .langenc import LangConfig, Vocabulary, encode_expressions
 from .pointenc import (
     CandidateSet,
     EncoderConfig,
-    LayerPlan,
     PointEncoder,
     SALayerSpec,
+    ScenePlan,
     assemble_features,
     encoder_layout,
-    init_encoder_params,
     modality_feature_dim,
     point_blocks,
 )
@@ -100,8 +100,8 @@ class ModelConfig:
     modality: str = "xyz+rgb+intensity"
 
     def __post_init__(self):
-        if min(self.shared_dim, self.fused_dim) < 1:
-            raise ValueError("shared_dim and fused_dim must be positive")
+        if not T.are_sizes(self.shared_dim, self.fused_dim):
+            raise ValueError("shared_dim and fused_dim must be integers >= 1")
         modality_feature_dim(self.modality)  # rejects an unknown modality
 
 
@@ -117,16 +117,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        if not T.are_sizes(self.epochs, self.batch_size):
+            raise ValueError("epochs and batch_size must be integers >= 1")
         if not (0 < self.learning_rate < math.inf and 0 <= self.weight_decay < math.inf
                 and 0 < self.decay_factor < math.inf):
             raise ValueError("need finite learning_rate > 0, weight_decay >= 0 and decay_factor > 0")
-        if any(not 1 <= d < self.epochs for d in self.decay_epochs):
-            raise ValueError("decay epochs must lie in 1 .. epochs - 1")
+        if any(d < 1 for d in self.decay_epochs):
+            raise ValueError("decay epochs must be >= 1")
 
     def lr_at(self, epoch: int) -> float:
-        """Learning rate for a 1-indexed epoch; decays apply after each decay epoch."""
+        """Learning rate for a 1-indexed epoch; decays apply after each decay
+        epoch, so one at or past the last epoch never applies."""
         drops = sum(1 for d in self.decay_epochs if epoch > d)
         return self.learning_rate * self.decay_factor**drops
 
@@ -136,7 +137,7 @@ class SceneInputs(NamedTuple):
 
     scene: Scene
     feats: np.ndarray         # (N, in_dim) per-point features for the model's modality
-    plan: list[LayerPlan]     # the encoder's sampling plan for the scene's points
+    plan: ScenePlan           # the encoder's sampling plan for the scene's points
 
 
 @dataclass
@@ -258,10 +259,8 @@ class GroundingModel:
                  params: dict[str, T.Tensor] | None = None, seed: int = 0):
         self.config = config
         if params is None:
-            rng = substream(seed, "model-init")
-            params = init_encoder_params(config.encoder, modality_feature_dim(config.modality), rng)
-            params.update(langenc.init_lang_params(vocab_size, config.lang, rng))
-            params.update(T.init_params(_head_layout(config), rng))
+            params = T.init_params(param_layout(config, vocab_size), substream(seed, "model-init"))
+            params["lang.embed"].data[langenc.PAD_ID, :] = 0.0  # the padding row; training keeps it at zero
         self.encoder = PointEncoder(config.encoder, params)
         self.params = params
 
@@ -316,9 +315,10 @@ def scene_inputs(model: GroundingModel, scenes: list[Scene]) -> list[SceneInputs
 
     A plan depends only on point positions, so one SceneInputs serves every
     forward pass over its scene. The scenes are planned in one
-    `precompute_plan` call, whose D-FPS advances all of their clouds in
-    lockstep, in blocks of a fixed point budget (`pointenc.point_blocks`);
-    each plan equals that of its scene planned alone, bit for bit.
+    `precompute_plan` call, whose two D-FPS passes each advance all of their
+    clouds in lockstep, in blocks of a fixed point budget
+    (`pointenc.point_blocks`); each plan equals that of its scene planned
+    alone, bit for bit.
     """
     for scene in scenes:
         if scene.points is None:
@@ -603,10 +603,7 @@ def model_config_from_dict(d: dict) -> ModelConfig:
     """Inverse of model_config_to_dict; a malformed dict raises CheckpointCompatError."""
     try:
         enc = d["encoder"]
-        layers = tuple(
-            _exact(SALayerSpec, spec, branches=tuple(spec["branches"]), mlp=tuple(spec["mlp"]))
-            for spec in enc["sa_layers"]
-        )
+        layers = tuple(_exact(SALayerSpec, spec, mlp=tuple(spec["mlp"])) for spec in enc["sa_layers"])
         encoder = _exact(EncoderConfig, enc, sa_layers=layers)
         return _exact(ModelConfig, d, encoder=encoder, lang=_exact(LangConfig, d["lang"]))
     except (KeyError, TypeError, ValueError) as exc:

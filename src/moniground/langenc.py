@@ -85,8 +85,8 @@ class LangConfig:
     max_len: int = 48
 
     def __post_init__(self):
-        if min(self.embed_dim, self.hidden_dim, self.max_len) < 1:
-            raise ValueError("embed_dim, hidden_dim and max_len (max_tokens) must be positive")
+        if not T.are_sizes(self.embed_dim, self.hidden_dim, self.max_len):
+            raise ValueError("embed_dim, hidden_dim and max_len (max_tokens) must be integers >= 1")
 
     @property
     def out_dim(self) -> int:
@@ -103,17 +103,6 @@ def lang_layout(vocab_size: int, cfg: LangConfig) -> T.Layout:
             layout[f"lang.gru.{direction}.u{gate}"] = ((h, h), h)
             layout[f"lang.gru.{direction}.b{gate}"] = ((1, h), h)
     return layout
-
-
-def init_lang_params(vocab_size: int, cfg: LangConfig, rng: np.random.Generator) -> dict[str, T.Tensor]:
-    """Fresh language weights: `lang_layout` drawn by `tensor.init_params`.
-
-    Embedding row 0 (padding) starts at zero and is kept there by the
-    training loop.
-    """
-    params = T.init_params(lang_layout(vocab_size, cfg), rng)
-    params["lang.embed"].data[PAD_ID, :] = 0.0
-    return params
 
 
 def embed(token_ids: np.ndarray, params: dict[str, T.Tensor]) -> T.Tensor:

@@ -126,6 +126,11 @@ def uniform_init(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
     return Tensor(rng.uniform(-k, k, size=shape), requires_grad=True)
 
 
+def are_sizes(*values) -> bool:
+    """Whether every value is an int (not a bool) >= 1, as a layer width or count must be."""
+    return all(type(v) is int and v >= 1 for v in values)
+
+
 # Parameter name -> (shape, fan-in), in the order the initialiser draws them.
 Layout = dict[str, tuple[tuple[int, ...], int]]
 

@@ -64,8 +64,8 @@ def tiny_model_config(modality: str = "xyz+rgb+intensity") -> ModelConfig:
     """Small dimensions for fast gradient checks and unit tests."""
     encoder = EncoderConfig(
         sa_layers=(
-            SALayerSpec(("distance",), 8, 3.0, 4, (6, 8)),
-            SALayerSpec(("distance", "feature"), 6, 6.0, 4, (8, 10)),
+            SALayerSpec(8, 3.0, 4, (6, 8)),
+            SALayerSpec(6, 6.0, 4, (8, 10)),
         ),
         m_candidates=4,
         feature_dim=12,

@@ -234,7 +234,8 @@ class TestTrain:
                     "feature_dim = 0", "shared_dim = 0", "fused_dim = -3", "modality = xyz+depth",
                     "lambda_fps = -0.5", "decay_factor = 0", "decay_epochs = -5,0", "learning_rate = nan",
                     "learning_rate = inf", "weight_decay = nan", "decay_factor = nan", "lambda_fps = nan",
-                    "lambda_fps = inf", "lambda_ref = nan", "lambda_cls = inf"]
+                    "lambda_fps = inf", "lambda_ref = nan", "lambda_cls = inf",
+                    "m_candidates = 300"]  # above SA1's 256 seeds
         run_dir = tmp_path / "run"
         for setting in settings:
             cfg = tmp_path / "bad.cfg"
@@ -244,6 +245,15 @@ class TestTrain:
             assert code == 2, setting
             assert_one_line_error(capsys)
             assert not run_dir.exists(), setting
+
+    def test_short_run_with_default_schedule(self, tmp_path, dataset_dir):
+        """The default decay epochs (35, 45) lie past a one-epoch run, so
+        they never fire and need no config file to clear them."""
+        run_dir = tmp_path / "run"
+        code, out = run_cli("train", "--data", dataset_dir, "--out", str(run_dir), "--epochs", "1")
+        assert code == 0, out
+        header, row = (run_dir / "loss_curve.csv").read_text().splitlines()
+        assert header.split(",")[1] == "lr" and float(row.split(",")[1]) == grounder.TrainConfig().learning_rate
 
     def test_divergence_stderr_is_one_line(self, tmp_path, dataset_dir):
         """Run as a user would, where numpy's warnings reach stderr: a diverging
@@ -328,6 +338,23 @@ class TestEval:
         def unknown_modality(meta):
             meta["model"]["modality"] = "xyz+depth"
 
+        def model_edit(label, *keys, value):
+            """config.json with meta["model"][keys...] set to value."""
+            def edit(meta):
+                doc = meta["model"]
+                for key in keys[:-1]:
+                    doc = doc[key]
+                doc[keys[-1]] = value
+
+            edit.__name__ = label
+            return json_edit(edit)
+
+        @json_edit
+        def sampling_branches(meta):
+            # the format before the sampling scheme was fixed in code
+            for spec, branches in zip(meta["model"]["encoder"]["sa_layers"], (["distance"], ["distance", "feature"])):
+                spec["branches"] = branches
+
         @json_edit
         def non_integer_vocab_id(vocab):
             vocab[min(vocab)] = "x"
@@ -360,6 +387,16 @@ class TestEval:
             ("config.json", dropped_vocab_size),
             ("config.json", zero_candidates),
             ("config.json", unknown_modality),
+            ("config.json", sampling_branches),
+            ("config.json", model_edit("no_sa0_points", "encoder", "sa_layers", 0, "out_points", value=0)),
+            ("config.json", model_edit("empty_sa0_mlp", "encoder", "sa_layers", 0, "mlp", value=[])),
+            ("config.json", model_edit("negative_sa0_points", "encoder", "sa_layers", 0, "out_points", value=-4)),
+            ("config.json", model_edit("float_sa0_cap", "encoder", "sa_layers", 0, "cap", value=2.5)),
+            ("config.json", model_edit("float_sa0_points", "encoder", "sa_layers", 0, "out_points", value=512.0)),
+            ("config.json", model_edit("bool_sa0_points", "encoder", "sa_layers", 0, "out_points", value=True)),
+            ("config.json", model_edit("float_cg_cap", "encoder", "cg_cap", value=2.5)),
+            ("config.json", model_edit("float_candidates", "encoder", "m_candidates", value=64.5)),
+            ("config.json", model_edit("float_max_len", "lang", "max_len", value=4.5)),
             ("config.json", garbled_json),
             ("vocab.json", garbled_json),
             ("vocab.json", non_integer_vocab_id),

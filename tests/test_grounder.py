@@ -489,8 +489,9 @@ class TestTraining:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             G.TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            G.TrainConfig(epochs=10, decay_epochs=(10,))
+        # a decay epoch at or past the last epoch never fires
+        cfg = G.TrainConfig(epochs=10, decay_epochs=(10, 12))
+        assert [cfg.lr_at(e) for e in range(1, 11)] == [cfg.learning_rate] * 10
         for decay_epochs in ((-5, 0), (0,), (3, -1)):
             with pytest.raises(ValueError):
                 G.TrainConfig(epochs=3, decay_epochs=decay_epochs)

@@ -11,15 +11,22 @@ from moniground.langenc import (
     bigru_encode,
     embed,
     encode_expressions,
-    init_lang_params,
+    lang_layout,
     tokenize,
 )
 
 CFG = LangConfig(embed_dim=5, hidden_dim=4, max_len=10)
 
 
+def lang_params(vocab_size, cfg, rng):
+    """Fresh language weights, with the padding row zeroed as the model does."""
+    params = T.init_params(lang_layout(vocab_size, cfg), rng)
+    params["lang.embed"].data[PAD_ID, :] = 0.0
+    return params
+
+
 def make_params(seed=0, vocab_size=9):
-    return init_lang_params(vocab_size, CFG, np.random.default_rng(seed))
+    return lang_params(vocab_size, CFG, np.random.default_rng(seed))
 
 
 class TestTokenize:
@@ -70,6 +77,14 @@ class TestVocabulary:
         v1 = Vocabulary.build([["x", "m"], ["a"]])
         v2 = Vocabulary.build([["a"], ["m", "x"]])
         assert v1.token_to_id == v2.token_to_id
+
+
+class TestConfig:
+    @pytest.mark.parametrize("bad", [0, -1, 4.5, 48.0, True])
+    def test_sizes_are_integers_at_least_one(self, bad):
+        for name in ("embed_dim", "hidden_dim", "max_len"):
+            with pytest.raises(ValueError, match="integers >= 1"):
+                LangConfig(**{name: bad})
 
 
 class TestEmbed:
@@ -178,7 +193,7 @@ class TestBatchedBiGRU:
     @staticmethod
     def batch(seed, lengths, cfg):
         rng = np.random.default_rng(seed)
-        params = init_lang_params(40, cfg, rng)
+        params = lang_params(40, cfg, rng)
         ids = rng.integers(2, 40, size=(len(lengths), cfg.max_len))
         for row, length in enumerate(lengths):
             ids[row, length:] = PAD_ID

@@ -12,16 +12,15 @@ from moniground import synthdata as S
 from moniground import tensor as T
 from moniground.pointenc import (
     EncoderConfig,
-    LayerPlan,
     PointEncoder,
     SALayerSpec,
     _planes,
     _sq_distance_to,
     assemble_features,
     ball_group,
+    encoder_layout,
     fps_distance,
     fps_feature,
-    init_encoder_params,
     modality_feature_dim,
 )
 
@@ -132,12 +131,40 @@ class TestSettings:
                 ball_group(np.zeros((1, 3)), np.zeros((2, 3)), radius, 2)
         for radius in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                SALayerSpec(layer.branches, layer.out_points, radius, layer.cap, layer.mlp)
+                SALayerSpec(layer.out_points, radius, layer.cap, layer.mlp)
             with pytest.raises(ValueError):
                 EncoderConfig(cg_radius=radius)
         for lam in (-0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 EncoderConfig(lambda_fps=lam)
+
+    def test_sampling_scheme_fixed(self):
+        """Two layers, an SA1 that splits evenly into its D-FPS and F-FPS
+        halves, and no more candidates than SA1 has seeds."""
+        sa0, sa1 = EncoderConfig().sa_layers
+        for layers in ((sa0,), (sa0, sa1, sa1)):
+            with pytest.raises(ValueError, match="two set-abstraction layers"):
+                EncoderConfig(sa_layers=layers)
+        with pytest.raises(ValueError, match="even"):
+            EncoderConfig(sa_layers=(sa0, SALayerSpec(255, sa1.radius, sa1.cap, sa1.mlp)))
+        with pytest.raises(ValueError, match="m_candidates"):
+            EncoderConfig(m_candidates=sa1.out_points + 1)
+        assert EncoderConfig(m_candidates=sa1.out_points).m_candidates == 256
+
+    @pytest.mark.parametrize("bad", [0, -4, 2.5, 512.0, True])
+    def test_sizes_are_integers_at_least_one(self, bad):
+        layer = EncoderConfig().sa_layers[0]
+        for spec in ((bad, layer.radius, layer.cap, layer.mlp), (layer.out_points, layer.radius, bad, layer.mlp),
+                     (layer.out_points, layer.radius, layer.cap, (32, bad))):
+            with pytest.raises(ValueError, match="integers >= 1"):
+                SALayerSpec(*spec)
+        for name in ("m_candidates", "feature_dim", "cg_cap", "shift_hidden"):
+            with pytest.raises(ValueError, match="integers >= 1"):
+                EncoderConfig(**{name: bad})
+
+    def test_empty_mlp_rejected(self):
+        with pytest.raises(ValueError, match="at least one mlp width"):
+            SALayerSpec(512, 4.0, 4, ())
 
 
 class TestBallGroup:
@@ -498,11 +525,16 @@ class TestBallGroupGrid:
         assert peak < len(centers) * len(pts) * 8 / 16, peak
 
 
+def encoder(cfg, in_dim, rng):
+    """A PointEncoder with fresh weights for `in_dim` input features."""
+    return PointEncoder(cfg, T.init_params(encoder_layout(cfg, in_dim), rng))
+
+
 def tiny_encoder(rng, in_dim=2):
     cfg = EncoderConfig(
         sa_layers=(
-            SALayerSpec(("distance",), 8, 2.0, 4, (6, 8)),
-            SALayerSpec(("distance", "feature"), 6, 4.0, 4, (8, 10)),
+            SALayerSpec(8, 2.0, 4, (6, 8)),
+            SALayerSpec(6, 4.0, 4, (8, 10)),
         ),
         m_candidates=4,
         feature_dim=12,
@@ -510,30 +542,33 @@ def tiny_encoder(rng, in_dim=2):
         cg_cap=4,
         shift_hidden=6,
     )
-    return PointEncoder(cfg, init_encoder_params(cfg, in_dim, rng))
+    return encoder(cfg, in_dim, rng)
 
 
-def unplanned(layer):
-    """A layer plan that leaves every sampling decision to the encoder."""
-    return LayerPlan([None] * len(layer.branches), None)
-
-
-def sa_layer(enc, li, layer, positions, features, plan):
-    """Set-abstraction layer `li` of one cloud: its sampling, then its grouping and MLP."""
-    (sampled,) = enc._sample(layer, [positions], [features], [plan])
-    return enc._sa_forward(li, layer, positions, features, sampled, plan.groups)
+def sa_layer(enc, li, positions, features):
+    """Set-abstraction layer `li` of one cloud, sampled as the encoder
+    samples it (D-FPS in SA0; half D-FPS, half F-FPS in SA1), then grouped
+    and encoded."""
+    layer = enc.config.sa_layers[li]
+    if li == 0:
+        picks = fps_one(positions, layer.out_points)
+    else:
+        half = layer.out_points // 2
+        by_feature = ffps_one(positions, features.data, half, enc.config.lambda_fps)
+        picks = np.stack([fps_one(positions, half), by_feature], axis=1).reshape(-1)
+    centers = positions[picks]
+    return enc._sa_forward(li, positions, features, centers, ball_group(centers, positions, layer.radius, layer.cap))
 
 
 class TestSetAbstraction:
     def test_single_point_single_neighbor_identity_pool(self):
         rng = np.random.default_rng(8)
-        spec = SALayerSpec(("distance",), 1, 1.0, 1, (5,))
-        cfg = EncoderConfig(sa_layers=(spec,), m_candidates=1, feature_dim=4, cg_radius=1.0, cg_cap=1,
-                            shift_hidden=3)
-        enc = PointEncoder(cfg, init_encoder_params(cfg, 2, rng))
+        cfg = EncoderConfig(sa_layers=(SALayerSpec(1, 1.0, 1, (5,)), SALayerSpec(2, 1.0, 1, (3,))),
+                            m_candidates=1, feature_dim=4, cg_radius=1.0, cg_cap=1, shift_hidden=3)
+        enc = encoder(cfg, 2, rng)
         pos = np.zeros((1, 3))
         feats = T.constant(np.array([[0.3, -0.7]]))
-        centers, out = sa_layer(enc, 0, spec, pos, feats, unplanned(spec))
+        centers, out = sa_layer(enc, 0, pos, feats)
         assert out.shape == (1, 5)
         raw = T.relu(
             T.add(T.matmul(T.constant([[0.0, 0.0, 0.0, 0.3, -0.7]]), enc.params["enc.sa0.w0"]),
@@ -547,14 +582,15 @@ class TestSetAbstraction:
         spec = enc.config.sa_layers[0]
         pts = rng.uniform(-1, 1, size=(10, 3))
         feats_np = rng.normal(size=(10, 2))
-        centers, out = sa_layer(enc, 0, spec, pts, T.constant(feats_np), unplanned(spec))
+        centers, out = sa_layer(enc, 0, pts, T.constant(feats_np))
         perm = rng.permutation(10)
         inv = np.empty(10, dtype=int)
         inv[perm] = np.arange(10)
-        # permute input points; cached plan keeps the same centers via remapped groups
-        groups = ball_group(centers, pts, spec.radius, spec.cap)
-        plan = LayerPlan([inv[fps_one(pts, 8)]], inv[groups])
-        centers2, out2 = sa_layer(enc, 0, spec, pts[perm], T.constant(feats_np[perm]), plan)
+        # permute input points; remapped picks and groups keep the same centers and neighbors
+        picks = inv[fps_one(pts, 8)]
+        groups = inv[ball_group(centers, pts, spec.radius, spec.cap)]
+        centers2, out2 = enc._sa_forward(0, pts[perm], T.constant(feats_np[perm]), pts[perm][picks], groups)
+        np.testing.assert_array_equal(centers2, centers)
         np.testing.assert_allclose(out2.data, out.data, atol=1e-12)
 
     def test_gradients_through_two_stacked_layers(self):
@@ -566,8 +602,8 @@ class TestSetAbstraction:
 
         def loss():
             pos, feats = pts, T.constant(feats_np)
-            for li, layer in enumerate(enc.config.sa_layers):
-                pos, feats = sa_layer(enc, li, layer, pos, feats, unplanned(layer))
+            for li in range(2):
+                pos, feats = sa_layer(enc, li, pos, feats)
             return T.mean(feats)
 
         finite_diff_check(loss, weights.values(), max_coords=6, rng=rng)
@@ -635,24 +671,16 @@ class TestMultiSceneForward:
                 assert np.array_equal(getattr(got, name).data, getattr(alone, name).data), name
             assert np.array_equal(got.seeds, alone.seeds)
 
-    @pytest.mark.parametrize("first_branches", [("distance",), ("distance", "feature")])
-    def test_ragged_scenes(self, first_branches):
-        """With F-FPS in the first layer it samples clouds of different
-        sizes, and the second layer's D-FPS is left to the forward too."""
+    def test_ragged_scenes(self):
+        """Clouds shorter and longer than SA0's seed count in one forward."""
         rng = np.random.default_rng(34)
-        cfg = EncoderConfig(
-            sa_layers=(SALayerSpec(first_branches, 8, 2.0, 4, (6, 8)),
-                       SALayerSpec(("distance", "feature"), 6, 4.0, 4, (8, 10))),
-            m_candidates=4, feature_dim=12, cg_radius=4.0, cg_cap=4, shift_hidden=6,
-        )
-        enc = PointEncoder(cfg, init_encoder_params(cfg, 2, rng))
+        enc = tiny_encoder(rng)
         clouds = [rng.uniform(-2, 2, size=(n, 3)) for n in (1, 5, 40, 13)]
         self.assert_each_alone(enc, clouds, [rng.normal(size=(len(c), 2)) for c in clouds])
 
     def test_generated_scenes_default_config(self, generated_clouds):
         rng = np.random.default_rng(35)
-        cfg = EncoderConfig()
-        enc = PointEncoder(cfg, init_encoder_params(cfg, 4, rng))
+        enc = encoder(EncoderConfig(), 4, rng)
         self.assert_each_alone(enc, generated_clouds, [rng.uniform(0, 1, size=(len(c), 4)) for c in generated_clouds])
 
 

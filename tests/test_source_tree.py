@@ -1,10 +1,12 @@
 """Checks on the package source itself, read with `ast`."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moniground"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "moniground"
 
 
 def source_trees() -> dict[str, ast.Module]:
@@ -88,3 +90,17 @@ def test_evalbench_imports_no_model_module():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     assert imported and not imported & {"grounder", "pointenc"}, sorted(imported)
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    """Every .py file under src/, tests/ and bench/ parses with the grammar
+    of the oldest Python that pyproject.toml's `requires-python` admits, so
+    a newer interpreter's syntax cannot slip in unnoticed. The floor is read
+    with a regex, since `tomllib` is 3.11+."""
+    match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert match, "pyproject.toml names no requires-python floor"
+    floor = (int(match[1]), int(match[2]))
+    paths = [path for top in ("src", "tests", "bench") for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
