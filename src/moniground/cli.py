@@ -20,6 +20,7 @@ import sys
 from . import evalbench, synthdata
 from .evalbench import NoiseConfig
 from .grounder import (
+    LOSS_TERMS,
     CheckpointCompatError,
     LossWeights,
     ModelConfig,
@@ -31,7 +32,7 @@ from .grounder import (
     train_model,
 )
 from .langenc import LangConfig
-from .pointenc import EncoderConfig
+from .pointenc import MODALITIES, EncoderConfig
 from .synthdata import DatasetIOError, GenConfig
 
 ENV_DATA_DIR = "MONIGROUND_DATA"
@@ -89,11 +90,7 @@ CONFIG_FIELDS: dict = {
     "weight_decay": (TrainConfig, "weight_decay"),
     "decay_epochs": (TrainConfig, "decay_epochs"),
     "decay_factor": (TrainConfig, "decay_factor"),
-    "lambda_cls": (LossWeights, "cls"),
-    "lambda_reg": (LossWeights, "reg"),
-    "lambda_shift": (LossWeights, "shift"),
-    "lambda_lang": (LossWeights, "lang"),
-    "lambda_ref": (LossWeights, "ref"),
+    **{f"lambda_{term}": (LossWeights, term) for term in LOSS_TERMS},
     # baselines
     "noise_center": (NoiseConfig, "center_sigma"),
     "noise_size": (NoiseConfig, "size_sigma"),
@@ -256,24 +253,20 @@ def cmd_train(cfg: RunConfig, out) -> int:
         _build(ModelConfig, cfg, encoder=_build(EncoderConfig, cfg), lang=_build(LangConfig, cfg)),
         _build(TrainConfig, cfg, loss_weights=_build(LossWeights, cfg)),
         log=lambda row: print(
-            f"epoch {row.epoch:3d} lr {row.lr:.1e} total {row.total:.4f}", file=out
+            f"epoch {row['epoch']:3d} lr {row['lr']:.1e} total {row['total']:.4f}", file=out
         ),
     )
     run_dir = cfg.run_dir
-    ckpt = save_model(run_dir, result.model, result.vocab, {"run_config": cfg.echo()})
+    ckpt = save_model(run_dir, result.model, {"run_config": cfg.echo()})
     curve = io.StringIO()
-    writer = csv.writer(curve)
-    writer.writerow(["epoch", "lr", "total", "cls", "reg", "shift", "lang", "ref"])
-    for row in result.curve:
-        writer.writerow([row.epoch, row.lr, row.total, row.cls, row.reg, row.shift, row.lang, row.ref])
+    writer = csv.DictWriter(curve, fieldnames=list(result.curve[0]))
+    writer.writeheader()
+    writer.writerows(result.curve)
     synthdata.atomic_write(os.path.join(run_dir, "loss_curve.csv"), curve.getvalue())
     final = result.curve[-1]
-    print(
-        f"trained {len(samples)} samples for {final.epoch} epochs in {result.wall_seconds:.1f}s; "
-        f"final losses: total {final.total:.4f} cls {final.cls:.4f} reg {final.reg:.4f} "
-        f"shift {final.shift:.4f} lang {final.lang:.4f} ref {final.ref:.4f}",
-        file=out,
-    )
+    losses = " ".join(f"{name} {value:.4f}" for name, value in final.items() if name not in ("epoch", "lr"))
+    print(f"trained {len(samples)} samples for {final['epoch']} epochs in {result.wall_seconds:.1f}s; "
+          f"final losses: {losses}", file=out)
     print(f"checkpoint: {ckpt} (sha256 {_sha256_file(ckpt)[:16]})", file=out)
     return EXIT_OK
 
@@ -281,9 +274,9 @@ def cmd_train(cfg: RunConfig, out) -> int:
 def cmd_eval(cfg: RunConfig, out) -> int:
     dataset = synthdata.read_dataset(cfg.dataset_dir)
     samples = _split_samples(dataset, cfg.split)
-    model, vocab = load_model(cfg.run_dir)
+    model = load_model(cfg.run_dir)
     ckpt_hash = _sha256_file(os.path.join(cfg.run_dir, "checkpoint.bin"))
-    return _evaluate_and_report(cfg, dataset, samples, model_predictor(model, vocab),
+    return _evaluate_and_report(cfg, dataset, samples, model_predictor(model),
                                 f"model:{model.config.modality}", ckpt_hash,
                                 os.path.join(cfg.run_dir, f"report_{cfg.split}.json"), out)
 
@@ -356,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, dest="learning_rate")
     p_train.add_argument("--weight-decay", type=float, dest="weight_decay")
     p_train.add_argument("--modality", dest="modality",
-                         choices=["xyz", "xyz+rgb", "xyz+intensity", "xyz+rgb+intensity"])
+                         choices=MODALITIES)
 
     p_eval = sub.add_parser("eval", help="evaluate a trained checkpoint")
     _add_common(p_eval)

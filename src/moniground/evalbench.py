@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import tensor as T
 from .geom3d import Box7, iou_3d, normalize_angle
 from .seeding import substream
 from .synthdata import CATEGORIES, DISTANCE_BINS, UNIQUENESS_TAGS, GroundingSample, Scene, tag_subsets
@@ -63,7 +64,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         sigmas = (self.center_sigma, self.size_sigma, self.yaw_sigma)
-        if not all(0 <= s < math.inf for s in sigmas) or self.distractors < 0:
+        if not (T.are_reals(*sigmas) and all(0 <= s < math.inf for s in sigmas)) or self.distractors < 0:
             raise ValueError("noise settings must be finite and non-negative")
 
 

@@ -9,12 +9,13 @@ and reference losses; the reference loss is a cross-entropy over the raw
 scores that favours the candidate nearest the referred object's center.
 Only inference reads confidences: `predict` takes a numpy softmax of the
 scores, outside the autodiff graph, and `ground` picks the most confident
-candidate.
+candidate. `LOSS_TERMS` names the terms once, for the loss, the epoch
+curve and the CLI.
 
-Training and inference take one path, `GroundingModel.forward`.
-`scene_inputs` builds what the model reads from each of a list of scenes
-(features and sampling plan), and `encode_expressions` turns the tokens of
-a scene's B expressions into a padded (B, L) id matrix. The visual half
+Training and inference take one path, `GroundingModel.forward`, on each
+scene's inputs (features and sampling plan, from `scene_inputs`) and the
+token lists of its B expressions. A model carries its vocabulary and
+encodes the tokens into a padded (B, L) id matrix itself. The visual half
 never reads the text: one `pointenc.PointEncoder.forward` encodes the
 scenes together, so that SA1's F-FPS runs in lockstep over them. The text
 half (`ground_text`) grounds each scene's B expressions against its
@@ -31,8 +32,10 @@ makes one `forward` per block of scenes and decodes each scene's rows with
 only: SA0's D-FPS picks and ball groups and SA1's D-FPS half. Both D-FPS
 passes run in lockstep over the scenes of one `scene_inputs` call, so
 callers plan many scenes at once: training all of its scenes, evaluation a
-block of them at a time. A model from `load_model` holds parameters that
-do not require gradients, so inference builds no autodiff graph.
+block of them at a time. `save_model` writes a model, vocabulary included,
+as checkpoint.bin and config.json. A model from `load_model` holds
+parameters that do not require gradients, so inference builds no autodiff
+graph.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +71,7 @@ RESIDUAL_DIM = 8  # dx, dy, dz, 3 log size ratios, sin yaw, cos yaw
 
 
 class CheckpointCompatError(RuntimeError):
-    """Checkpoint, vocabulary, and model configuration disagree."""
+    """Checkpoint and model configuration disagree, or either is malformed."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -84,11 +87,12 @@ class LossWeights:
     ref: float = 1.0
 
     def __post_init__(self):
-        if not all(0 <= w < math.inf for w in self.as_tuple()):
+        if not all(T.are_reals(w) and 0 <= w < math.inf for w in astuple(self)):
             raise ValueError("loss weights must be finite and non-negative")
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.cls, self.reg, self.shift, self.lang, self.ref)
+
+# The loss terms, by name, in the order `compute_loss` sums them.
+LOSS_TERMS = tuple(f.name for f in fields(LossWeights))
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,8 @@ class TrainConfig:
     def __post_init__(self):
         if not T.are_sizes(self.epochs, self.batch_size):
             raise ValueError("epochs and batch_size must be integers >= 1")
-        if not (0 < self.learning_rate < math.inf and 0 <= self.weight_decay < math.inf
+        if not (T.are_reals(self.learning_rate, self.weight_decay, self.decay_factor)
+                and 0 < self.learning_rate < math.inf and 0 <= self.weight_decay < math.inf
                 and 0 < self.decay_factor < math.inf):
             raise ValueError("need finite learning_rate > 0, weight_decay >= 0 and decay_factor > 0")
         if any(d < 1 for d in self.decay_epochs):
@@ -253,19 +258,17 @@ def param_layout(config: ModelConfig, vocab_size: int) -> T.Layout:
 
 
 class GroundingModel:
-    """End-to-end network; parameters live in one flat named dict."""
+    """End-to-end network with its vocabulary; parameters live in one flat named dict."""
 
-    def __init__(self, config: ModelConfig, vocab_size: int,
+    def __init__(self, config: ModelConfig, vocab: Vocabulary,
                  params: dict[str, T.Tensor] | None = None, seed: int = 0):
         self.config = config
+        self.vocab = vocab
         if params is None:
-            params = T.init_params(param_layout(config, vocab_size), substream(seed, "model-init"))
+            params = T.init_params(param_layout(config, len(vocab)), substream(seed, "model-init"))
             params["lang.embed"].data[langenc.PAD_ID, :] = 0.0  # the padding row; training keeps it at zero
         self.encoder = PointEncoder(config.encoder, params)
         self.params = params
-
-    def parameters(self) -> dict[str, T.Tensor]:
-        return self.params
 
     def fuse(self, f_v: T.Tensor, f_l: T.Tensor) -> T.Tensor:
         """(M, C_v) candidates with (1, C_l) or (B, 1, C_l) sentences -> (M, C_m) or (B, M, C_m).
@@ -299,15 +302,17 @@ class GroundingModel:
         lang_logits = T.linear(f_l, self.params["head.lang.w"], self.params["head.lang.b"])
         return ModelOutput(cand, raw, cls_logits, residuals, lang_logits)
 
-    def forward(self, inputs: list[SceneInputs], texts: list[tuple[np.ndarray, np.ndarray]]) -> list[ModelOutput]:
-        """Each scene's expressions grounded in it: `texts[s]` is scene s's
-        (ids, lengths) from `encode_expressions`.
+    def forward(self, inputs: list[SceneInputs], tokens: list[list[list[str]]]) -> list[ModelOutput]:
+        """Each scene's expressions grounded in it: `tokens[s]` holds the
+        token list of each of scene s's expressions.
 
         The scenes are encoded together in one `PointEncoder.forward`, which
         never reads the text; then one `ground_text` per scene grounds its
-        expressions against its candidates."""
+        expressions' ids (`encode_expressions`) against its candidates."""
         candidates = self.encoder.forward([(sc.scene.points.xyz, T.constant(sc.feats), sc.plan) for sc in inputs])
-        return [self.ground_text(cand, ids, lengths) for cand, (ids, lengths) in zip(candidates, texts, strict=True)]
+        max_len = self.config.lang.max_len
+        return [self.ground_text(cand, *encode_expressions(self.vocab, token_lists, max_len))
+                for cand, token_lists in zip(candidates, tokens, strict=True)]
 
 
 def scene_inputs(model: GroundingModel, scenes: list[Scene]) -> list[SceneInputs]:
@@ -366,8 +371,8 @@ def _masked_smooth_l1(pred: T.Tensor, target: np.ndarray, row_mask: np.ndarray) 
 
 
 def compute_loss(output: ModelOutput, targets: Targets, weights: LossWeights) -> tuple[T.Tensor, dict[str, float]]:
-    """Weighted five-term training loss of one expression (B = 1); also
-    returns per-term values."""
+    """Weighted training loss of one expression (B = 1); also returns each
+    of LOSS_TERMS' values and the total, by name."""
     l_cls = T.mean(T.bce_with_logits(output.cls_logits, T.constant(targets.cls.reshape(output.cls_logits.shape))))
     l_reg = _masked_smooth_l1(output.residuals, targets.reg, targets.cls)
     l_shift = _masked_smooth_l1(output.candidates.shifts, targets.shift, targets.shift_mask)
@@ -376,18 +381,11 @@ def compute_loss(output: ModelOutput, targets: Targets, weights: LossWeights) ->
 
     terms = (l_cls, l_reg, l_shift, l_lang, l_ref)
     total = None
-    for weight, term in zip(weights.as_tuple(), terms):
+    for weight, term in zip(astuple(weights), terms):
         piece = T.scale(term, weight)
         total = piece if total is None else T.add(total, piece)
-    components = {
-        "cls": float(l_cls.data),
-        "reg": float(l_reg.data),
-        "shift": float(l_shift.data),
-        "lang": float(l_lang.data),
-        "ref": float(l_ref.data),
-        "total": float(total.data),
-    }
-    return total, components
+    components = {name: float(term.data) for name, term in zip(LOSS_TERMS, terms, strict=True)}
+    return total, {**components, "total": float(total.data)}
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +394,9 @@ def compute_loss(output: ModelOutput, targets: Targets, weights: LossWeights) ->
 
 
 @dataclass
-class EpochStats:
-    epoch: int
-    lr: float
-    total: float
-    cls: float
-    reg: float
-    shift: float
-    lang: float
-    ref: float
-
-
-@dataclass
 class TrainResult:
     model: GroundingModel
-    vocab: Vocabulary
-    curve: list[EpochStats]
+    curve: list[dict[str, float]]  # per epoch: epoch, lr, total, then each of LOSS_TERMS
     wall_seconds: float
 
 
@@ -432,8 +417,8 @@ def _output_row(out: ModelOutput, row: int) -> ModelOutput:
                        take(out.residuals), take(out.lang_logits))
 
 
-def _minibatch_gradients(model: GroundingModel, vocab: Vocabulary, inputs: dict[str, SceneInputs],
-                         batch: list[GroundingSample], weights: LossWeights, epoch: int) -> list[dict[str, float]]:
+def _minibatch_gradients(model: GroundingModel, inputs: dict[str, SceneInputs], batch: list[GroundingSample],
+                         weights: LossWeights, epoch: int) -> list[dict[str, float]]:
     """Zero the gradients, then accumulate those of the mean loss of `batch`.
 
     The batch is split into one group per scene, in order of first
@@ -447,7 +432,7 @@ def _minibatch_gradients(model: GroundingModel, vocab: Vocabulary, inputs: dict[
     rounds differently in the last bits. Returns each sample's loss
     components, in batch order.
     """
-    T.zero_grads(model.parameters())
+    T.zero_grads(model.params)
     groups: dict[str, list[int]] = {}
     for pos, sample in enumerate(batch):
         groups.setdefault(sample.scene_id, []).append(pos)
@@ -456,9 +441,8 @@ def _minibatch_gradients(model: GroundingModel, vocab: Vocabulary, inputs: dict[
     for scene_id, positions in groups.items():
         sc = inputs[scene_id]
         members = [batch[pos] for pos in positions]
-        texts = encode_expressions(vocab, [m.tokens for m in members], model.config.lang.max_len)
         try:
-            (out,) = model.forward([sc], [texts])
+            (out,) = model.forward([sc], [[m.tokens for m in members]])
         except ValueError as exc:
             # `scene_inputs` checked the scene, so the encoder fails only on weights grown
             # without bound: F-FPS rejects the non-finite features they make
@@ -506,26 +490,26 @@ def train_model(
     if not samples:
         raise ValueError("cannot train on an empty sample list")
     started = time.perf_counter()
-    vocab = Vocabulary.build(s.tokens for s in samples)
-    model = GroundingModel(model_config, len(vocab), seed=train_config.seed)
+    model = GroundingModel(model_config, Vocabulary.build(s.tokens for s in samples), seed=train_config.seed)
     scene_ids = list(dict.fromkeys(s.scene_id for s in samples))
     inputs = dict(zip(scene_ids, scene_inputs(model, [scenes[sid] for sid in scene_ids])))
     state = T.AdamState(
         learning_rate=train_config.learning_rate, weight_decay=train_config.weight_decay
     )
     weights = train_config.loss_weights
-    params = model.parameters()
+    params = model.params
     emb = params["lang.embed"]
-    curve: list[EpochStats] = []
+    columns = ("total", *LOSS_TERMS)
+    curve: list[dict[str, float]] = []
     for epoch in range(1, train_config.epochs + 1):
         lr = train_config.lr_at(epoch)
         state.learning_rate = lr
         order = substream(train_config.seed, "train", "shuffle", epoch).permutation(len(samples))
-        sums = np.zeros(6)
+        sums = np.zeros(len(columns))
         for start in range(0, len(order), train_config.batch_size):
             batch = [samples[i] for i in order[start : start + train_config.batch_size]]
-            for comps in _minibatch_gradients(model, vocab, inputs, batch, weights, epoch):
-                sums += [comps["total"], comps["cls"], comps["reg"], comps["shift"], comps["lang"], comps["ref"]]
+            for comps in _minibatch_gradients(model, inputs, batch, weights, epoch):
+                sums += [comps[name] for name in columns]
             if emb.grad is not None:
                 emb.grad[langenc.PAD_ID, :] = 0.0  # keep the padding row frozen at zero
             grads = {k: p.grad for k, p in params.items() if p.grad is not None}
@@ -533,11 +517,10 @@ def train_model(
                 if not np.isfinite(g).all():
                     raise TrainingDivergedError(f"non-finite gradient of {name} at epoch {epoch}")
             T.adam_step(params, grads, state)
-        avg = sums / len(order)
-        curve.append(EpochStats(epoch, lr, *avg))
+        curve.append({"epoch": epoch, "lr": lr, **dict(zip(columns, (sums / len(order)).tolist()))})
         if log is not None:
             log(curve[-1])
-    return TrainResult(model, vocab, curve, time.perf_counter() - started)
+    return TrainResult(model, curve, time.perf_counter() - started)
 
 
 def predict(out: ModelOutput) -> list[tuple[Box7, np.ndarray, int]]:
@@ -551,14 +534,14 @@ def predict(out: ModelOutput) -> list[tuple[Box7, np.ndarray, int]]:
     return results
 
 
-def model_predictor(model: GroundingModel, vocab: Vocabulary) -> Predictor:
+def model_predictor(model: GroundingModel) -> Predictor:
     """The grounding model as an `evalbench.Predictor`.
 
     A call works through its scenes block by block (`pointenc.point_blocks`),
     so at most one block of plans and outputs is alive at a time. A block
-    takes one `scene_inputs` and one `GroundingModel.forward`, on token ids
-    encoded as training encodes them, and each of its scenes one `predict`.
-    Nothing is kept between calls. Each box equals that of the sample's
+    takes one `scene_inputs` and one `GroundingModel.forward`, on the
+    samples' tokens as training reads them, and each of its scenes one
+    `predict`. Nothing is kept between calls. Each box equals that of the sample's
     expression grounded alone, bit for bit. Weights that make the encoder's
     features non-finite, so that F-FPS cannot sample them, raise
     CheckpointCompatError.
@@ -569,11 +552,10 @@ def model_predictor(model: GroundingModel, vocab: Vocabulary) -> Predictor:
         boxes = []
         for block in point_blocks(counts):
             inputs = scene_inputs(model, [scene for scene, _, _ in groups[block]])
-            texts = [encode_expressions(vocab, [s.tokens for s in samples], model.config.lang.max_len)
-                     for _, samples, _ in groups[block]]
+            tokens = [[s.tokens for s in samples] for _, samples, _ in groups[block]]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
-                    outputs = model.forward(inputs, texts)
+                    outputs = model.forward(inputs, tokens)
             except ValueError as exc:  # `scene_inputs` checked the scenes, so the weights are at fault
                 raise CheckpointCompatError(f"the model's weights break its encoder: {exc}") from exc
             boxes += [[box for box, _, _ in predict(out)] for out in outputs]
@@ -583,12 +565,8 @@ def model_predictor(model: GroundingModel, vocab: Vocabulary) -> Predictor:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint bundle (tensor checkpoint + vocabulary + config echo)
+# Checkpoint bundle (tensor checkpoint + config echo with the vocabulary)
 # ---------------------------------------------------------------------------
-
-
-def model_config_to_dict(config: ModelConfig) -> dict:
-    return json.loads(json.dumps(asdict(config)))
 
 
 def _exact(cls, d: dict, **converted):
@@ -600,7 +578,8 @@ def _exact(cls, d: dict, **converted):
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:
-    """Inverse of model_config_to_dict; a malformed dict raises CheckpointCompatError."""
+    """The ModelConfig of config.json's "model" entry (its `asdict`); a
+    malformed dict raises CheckpointCompatError."""
     try:
         enc = d["encoder"]
         layers = tuple(_exact(SALayerSpec, spec, mlp=tuple(spec["mlp"])) for spec in enc["sa_layers"])
@@ -610,44 +589,40 @@ def model_config_from_dict(d: dict) -> ModelConfig:
         raise CheckpointCompatError(f"config.json does not describe a model ({type(exc).__name__}: {exc})") from exc
 
 
-def save_model(directory: str, model: GroundingModel, vocab: Vocabulary, extra_meta: dict | None = None) -> str:
-    """Write checkpoint.bin, vocab.json, and config.json atomically.
-
-    Returns the checkpoint path.
-    """
+def save_model(directory: str, model: GroundingModel, extra_meta: dict | None = None) -> str:
+    """Write checkpoint.bin (the parameters) and config.json (the model config
+    under "model", the vocabulary under "vocab", and `extra_meta`'s keys)
+    atomically. Returns the checkpoint path."""
     os.makedirs(directory, exist_ok=True)
     ckpt_path = os.path.join(directory, "checkpoint.bin")
-    atomic_write(ckpt_path, T.checkpoint_save(model.parameters()))
-    atomic_write(os.path.join(directory, "vocab.json"), vocab.to_json())
-    meta = {"model": model_config_to_dict(model.config), "vocab_size": len(vocab)}
+    atomic_write(ckpt_path, T.checkpoint_save(model.params))
+    meta = {"model": asdict(model.config), "vocab": model.vocab.token_to_id}
     meta.update(extra_meta or {})
     atomic_write(os.path.join(directory, "config.json"), json.dumps(meta, sort_keys=True, indent=1))
     return ckpt_path
 
 
-def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
+def load_model(directory: str) -> GroundingModel:
     """Read a bundle written by save_model, for inference.
 
-    A missing, malformed or mutually inconsistent file, or a parameter
-    with a NaN or infinite value, raises CheckpointCompatError. The
-    parameters do not require gradients, so a loaded model builds no
-    autodiff graph and cannot be trained further.
+    A missing or malformed file (a config.json without "vocab" is one, as
+    from a bundle that kept the vocabulary in vocab.json), a vocabulary or
+    config that does not fit the checkpoint, or a parameter with a NaN or
+    infinite value raises CheckpointCompatError. The parameters do not
+    require gradients, so a loaded model builds no autodiff graph and cannot
+    be trained further.
     """
-    for name in ("checkpoint.bin", "vocab.json", "config.json"):
+    for name in ("checkpoint.bin", "config.json"):
         if not os.path.isfile(os.path.join(directory, name)):
             raise CheckpointCompatError(f"checkpoint bundle is missing {name} under {directory!r}")
     try:
         with open(os.path.join(directory, "config.json"), encoding="utf-8") as f:
             meta = json.load(f)
-        with open(os.path.join(directory, "vocab.json"), encoding="utf-8") as f:
-            vocab = Vocabulary.from_json(f.read())
-        vocab_size, model_dict = meta["vocab_size"], meta["model"]
+        vocab, model_dict = Vocabulary.from_dict(meta["vocab"]), meta["model"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointCompatError(
             f"malformed checkpoint bundle under {directory!r} ({type(exc).__name__}: {exc})"
         ) from exc
-    if len(vocab) != vocab_size:
-        raise CheckpointCompatError(f"vocabulary size {len(vocab)} does not match config echo {vocab_size}")
     config = model_config_from_dict(model_dict)
     with open(os.path.join(directory, "checkpoint.bin"), "rb") as f:
         try:
@@ -667,5 +642,5 @@ def load_model(directory: str) -> tuple[GroundingModel, Vocabulary]:
     if non_finite:
         raise CheckpointCompatError(f"checkpoint holds NaN or infinite values in {non_finite}")
     params = {k: T.Tensor(v) for k, v in arrays.items()}
-    return GroundingModel(config, len(vocab), params=params), vocab
+    return GroundingModel(config, vocab, params=params)
 

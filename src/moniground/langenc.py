@@ -8,7 +8,6 @@ into the sentence feature.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 
@@ -46,14 +45,11 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_id) + 2
 
-    def to_json(self) -> str:
-        return json.dumps(self.token_to_id, sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        """Inverse of to_json. The ids must be exactly 2 .. len + 1, each once,
-        so every id indexes a row of the embedding table; ValueError otherwise."""
-        token_to_id = json.loads(text)
+    def from_dict(cls, token_to_id) -> "Vocabulary":
+        """The vocabulary of a stored token_to_id map. The ids must be exactly
+        2 .. len + 1, each once, so every id indexes a row of the embedding
+        table; ValueError otherwise."""
         if not isinstance(token_to_id, dict):
             raise ValueError("vocabulary must map tokens to ids")
         ids = list(token_to_id.values())

@@ -58,7 +58,7 @@ class SALayerSpec:
     def __post_init__(self):
         if not (self.mlp and T.are_sizes(self.out_points, self.cap, *self.mlp)):
             raise ValueError("out_points, cap and each of at least one mlp width must be integers >= 1")
-        if not 0 < self.radius < math.inf:
+        if not (T.are_reals(self.radius) and 0 < self.radius < math.inf):
             raise ValueError("need a finite radius > 0")
 
 
@@ -86,7 +86,8 @@ class EncoderConfig:
             raise ValueError("m_candidates, feature_dim, cg_cap and shift_hidden must be integers >= 1")
         if self.m_candidates > self.sa_layers[1].out_points:
             raise ValueError("m_candidates must not exceed SA1 out_points: candidates are SA1's first m seeds")
-        if not (0 < self.cg_radius < math.inf and 0 <= self.lambda_fps < math.inf):
+        if not (T.are_reals(self.cg_radius, self.lambda_fps)
+                and 0 < self.cg_radius < math.inf and 0 <= self.lambda_fps < math.inf):
             raise ValueError("need finite cg_radius > 0 and lambda_fps >= 0")
 
 
@@ -523,6 +524,10 @@ class PointEncoder:
         return CandidateSet(candidates, shifts, f_v, seeds)
 
 
+# The input modality tags, one spelling each: 'xyz', then 'rgb' before 'intensity'.
+MODALITIES = ("xyz", "xyz+rgb", "xyz+intensity", "xyz+rgb+intensity")
+
+
 def assemble_features(rgb: np.ndarray, intensity: np.ndarray, modality: str) -> np.ndarray:
     """Per-point input features for a modality tag like 'xyz+rgb+intensity'.
 
@@ -547,8 +552,7 @@ def modality_feature_dim(modality: str) -> int:
 
 
 def _modality_channels(modality: str) -> list[str]:
-    """The channels after 'xyz' in a modality tag; ValueError for an unknown tag."""
-    parts = modality.split("+") if isinstance(modality, str) else []
-    if parts[:1] != ["xyz"] or any(p not in ("rgb", "intensity") for p in parts[1:]):
-        raise ValueError(f"unknown modality {modality!r}")
-    return parts[1:]
+    """The channels after 'xyz' of a tag in MODALITIES; ValueError for any other tag."""
+    if modality not in MODALITIES:
+        raise ValueError(f"unknown modality {modality!r}, expected one of {MODALITIES}")
+    return modality.split("+")[1:]

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .geom3d import Box7, bev_intersection_area, horizontal_distance
 from .langenc import tokenize
 from .seeding import stream_seed, substream
@@ -207,7 +208,7 @@ class GenConfig:
             raise ValueError("scene_count must be >= 1")
         if not 1 <= self.objects_min <= self.objects_max:
             raise ValueError("need 1 <= objects_min <= objects_max")
-        if not 0 < self.extent <= 50.0:
+        if not (T.are_reals(self.extent) and 0 < self.extent <= 50.0):
             raise ValueError("extent must be in (0, 50]")
         if self.expressions_per_object < 1:
             raise ValueError("expressions_per_object must be >= 1")
@@ -217,11 +218,11 @@ class GenConfig:
             raise ValueError("need max_points >= min_points")
         if self.ground_points < 0:
             raise ValueError("ground_points must be >= 0")
-        if not self.density_scale > 0:
-            raise ValueError("density_scale must be > 0")
-        if not self.color_noise >= 0:
-            raise ValueError("color_noise must be >= 0")
-        if not all(r >= 0 for r in self.split_ratios) or abs(sum(self.split_ratios) - 1.0) > 1e-9:
+        if not (T.are_reals(self.density_scale, self.color_noise)
+                and 0 < self.density_scale < math.inf and 0 <= self.color_noise < math.inf):
+            raise ValueError("need finite density_scale > 0 and color_noise >= 0")
+        ratios = self.split_ratios
+        if not (T.are_reals(*ratios) and all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
             raise ValueError("split ratios must be non-negative and sum to 1")
         unknown = set(self.category_weights) - set(CATEGORIES)
         if unknown:

@@ -131,6 +131,11 @@ def are_sizes(*values) -> bool:
     return all(type(v) is int and v >= 1 for v in values)
 
 
+def are_reals(*values) -> bool:
+    """Whether every value is an int or a float, not a bool, as a float range check needs."""
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
 # Parameter name -> (shape, fan-in), in the order the initialiser draws them.
 Layout = dict[str, tuple[tuple[int, ...], int]]
 

@@ -15,7 +15,6 @@ import numpy as np
 from moniground import grounder as G
 from moniground import tensor as T
 from moniground.geom3d import Box7
-from moniground.langenc import encode_expressions
 
 
 def sample_inside_box(box: Box7, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -145,16 +144,16 @@ def _ranked_groups(d2: np.ndarray, radius: float, cap: int) -> np.ndarray:
     return np.where(groups < 0, first[:, None], groups)
 
 
-def per_sample_gradients(model, vocab, inputs, batch, weights) -> list[dict[str, float]]:
+def per_sample_gradients(model, inputs, batch, weights) -> list[dict[str, float]]:
     """Gradients of a minibatch's mean loss, one forward, loss and backward
     per sample in batch order, each sample encoding its scene anew.
     Returns each sample's loss components."""
-    T.zero_grads(model.parameters())
+    T.zero_grads(model.params)
     inv = 1.0 / len(batch)
     comps = []
     for item in batch:
         sc = inputs[item.scene_id]
-        (out,) = model.forward([sc], [encode_expressions(vocab, [item.tokens], model.config.lang.max_len)])
+        (out,) = model.forward([sc], [[item.tokens]])
         cand = out.candidates
         targets = G.assign_targets(cand.positions.data, cand.seeds, sc.scene, item.target_id)
         loss, sample_comps = G.compute_loss(out, targets, weights)

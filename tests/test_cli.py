@@ -141,9 +141,9 @@ class TestGen:
         assert code == 2
 
     def test_bad_gen_config_is_exit_2(self, tmp_path, capsys):
-        settings = [b"ground_points = -1", b"color_noise = -1", b"color_noise = nan", b"density_scale = nan",
-                    b"density_scale = -5", b"max_points = 2", b"split_train = -0.5\nsplit_test = 1.35",
-                    b"# not UTF-8: caf\xff"]
+        settings = [b"ground_points = -1", b"color_noise = -1", b"color_noise = nan", b"color_noise = inf",
+                    b"density_scale = nan", b"density_scale = inf", b"density_scale = -5", b"max_points = 2",
+                    b"split_train = -0.5\nsplit_test = 1.35", b"# not UTF-8: caf\xff"]
         out_dir = tmp_path / "x"
         for setting in settings:
             cfg = tmp_path / "bad.cfg"
@@ -172,11 +172,14 @@ class TestTrain:
         assert code == 3
 
     def test_bundle_written(self, trained_run):
-        for name in ("checkpoint.bin", "vocab.json", "config.json", "loss_curve.csv"):
+        for name in ("checkpoint.bin", "config.json", "loss_curve.csv"):
             assert os.path.isfile(os.path.join(trained_run, name))
+        assert not os.path.exists(os.path.join(trained_run, "vocab.json"))
+        meta = json.loads(Path(trained_run, "config.json").read_text())
+        assert sorted(meta) == ["model", "run_config", "vocab"]
         with open(os.path.join(trained_run, "loss_curve.csv")) as f:
             header = f.readline().strip().split(",")
-        assert header == ["epoch", "lr", "total", "cls", "reg", "shift", "lang", "ref"]
+        assert header == ["epoch", "lr", "total", *grounder.LOSS_TERMS]
         with open(os.path.join(trained_run, "checkpoint.bin"), "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == TRAINED_CHECKPOINT_SHA256
 
@@ -232,6 +235,7 @@ class TestTrain:
     def test_bad_model_config_is_exit_2(self, tmp_path, dataset_dir, capsys):
         settings = ["m_candidates = 0", "max_tokens = 0", "embed_dim = 0", "hidden_dim = -1",
                     "feature_dim = 0", "shared_dim = 0", "fused_dim = -3", "modality = xyz+depth",
+                    "modality = xyz+rgb+rgb", "modality = xyz+intensity+rgb", "modality = xyz+rgb+intensity+rgb",
                     "lambda_fps = -0.5", "decay_factor = 0", "decay_epochs = -5,0", "learning_rate = nan",
                     "learning_rate = inf", "weight_decay = nan", "decay_factor = nan", "lambda_fps = nan",
                     "lambda_fps = inf", "lambda_ref = nan", "lambda_cls = inf",
@@ -327,8 +331,16 @@ class TestEval:
             del meta["model"]["shared_dim"]
 
         @json_edit
-        def dropped_vocab_size(meta):
-            del meta["vocab_size"]
+        def vocab_not_a_dict(meta):
+            meta["vocab"] = sorted(meta["vocab"])
+
+        @json_edit
+        def non_integer_vocab_id(meta):
+            meta["vocab"][min(meta["vocab"])] = "x"
+
+        @json_edit
+        def vocab_id_gap(meta):
+            meta["vocab"][max(meta["vocab"], key=meta["vocab"].get)] += 1
 
         @json_edit
         def zero_candidates(meta):
@@ -355,10 +367,6 @@ class TestEval:
             for spec, branches in zip(meta["model"]["encoder"]["sa_layers"], (["distance"], ["distance", "feature"])):
                 spec["branches"] = branches
 
-        @json_edit
-        def non_integer_vocab_id(vocab):
-            vocab[min(vocab)] = "x"
-
         def garbled_json(blob):
             return blob[: len(blob) // 2]
 
@@ -384,7 +392,9 @@ class TestEval:
         corruptions = [
             ("config.json", reshaped_config),
             ("config.json", dropped_config_field),
-            ("config.json", dropped_vocab_size),
+            ("config.json", vocab_not_a_dict),
+            ("config.json", non_integer_vocab_id),
+            ("config.json", vocab_id_gap),
             ("config.json", zero_candidates),
             ("config.json", unknown_modality),
             ("config.json", sampling_branches),
@@ -397,9 +407,12 @@ class TestEval:
             ("config.json", model_edit("float_cg_cap", "encoder", "cg_cap", value=2.5)),
             ("config.json", model_edit("float_candidates", "encoder", "m_candidates", value=64.5)),
             ("config.json", model_edit("float_max_len", "lang", "max_len", value=4.5)),
+            # a bool is not a number, though `0 < True < inf` holds: read as one, it is 1.0 or 0
+            ("config.json", model_edit("bool_cg_radius", "encoder", "cg_radius", value=True)),
+            ("config.json", model_edit("bool_sa0_radius", "encoder", "sa_layers", 0, "radius", value=True)),
+            ("config.json", model_edit("bool_lambda_fps", "encoder", "lambda_fps", value=False)),
+            ("config.json", model_edit("odd_modality_spelling", "modality", value="xyz+rgb+rgb")),
             ("config.json", garbled_json),
-            ("vocab.json", garbled_json),
-            ("vocab.json", non_integer_vocab_id),
             ("checkpoint.bin", truncated_checkpoint),
             ("checkpoint.bin", padded_checkpoint),
             ("checkpoint.bin", non_utf8_entry_name),
@@ -420,6 +433,19 @@ class TestEval:
             code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", broken, "--split", "val")
             assert code == 3, (name, corrupt.__name__)
             assert_one_line_error(capsys)
+
+        # a bundle from before the vocabulary moved into config.json: vocab.json
+        # beside a config.json with a vocab_size echo and no "vocab" entry
+        old = tmp_path / "pre_vocab_bundle"
+        shutil.copytree(trained_run, old)
+        meta = json.loads((old / "config.json").read_text())
+        vocab = meta.pop("vocab")
+        (old / "vocab.json").write_text(json.dumps(vocab, sort_keys=True))
+        (old / "config.json").write_text(json.dumps({**meta, "vocab_size": len(vocab) + 2}))
+        capsys.readouterr()
+        code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", str(old), "--split", "val")
+        assert code == 3
+        assert_one_line_error(capsys)
 
     def test_broken_report_is_exit_4(self, dataset_dir, tmp_path, monkeypatch, capsys):
         evaluate = cli.evalbench.evaluate

@@ -15,7 +15,7 @@ from moniground import grounder as G
 from moniground import pointenc
 from moniground import synthdata as S
 from moniground.geom3d import Box7, iou_3d
-from moniground.langenc import Vocabulary, encode_expressions
+from moniground.langenc import Vocabulary
 from moniground.pointenc import PointEncoder
 from moniground.seeding import substream
 
@@ -115,6 +115,12 @@ class TestCatRandGT:
 
 
 class TestOracleProposals:
+    def test_noise_settings_are_finite_non_negative_numbers(self):
+        for bad in ({"center_sigma": -0.1}, {"size_sigma": float("nan")}, {"yaw_sigma": float("inf")},
+                    {"center_sigma": True}, {"distractors": -1}):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                E.NoiseConfig(**bad)
+
     def test_zero_noise_zero_distractors_detbest_is_perfect(self):
         scene = make_scene(["car", "bus"], [8.0, 20.0])
         noise = E.NoiseConfig(0.0, 0.0, 0.0, 0)
@@ -299,10 +305,9 @@ class TestEvaluateAndReport:
 
 class TestModelPredictor:
     @staticmethod
-    def full_forward(model, vocab, scene, tokens):
+    def full_forward(model, scene, tokens):
         """The per-sample reference: ground one expression in its scene alone."""
-        texts = encode_expressions(vocab, [tokens], model.config.lang.max_len)
-        (out,) = model.forward(G.scene_inputs(model, [scene]), [texts])
+        (out,) = model.forward(G.scene_inputs(model, [scene]), [[tokens]])
         confidences = G.softmax(out.raw_scores.data)
         idx, box = G.ground(out, confidences)
         return box, confidences[0], idx
@@ -312,7 +317,7 @@ class TestModelPredictor:
         # same scene ids, other objects and points
         first, second = S.gen_dataset(4, config), S.gen_dataset(5, config)
         vocab = Vocabulary.build(s.tokens for s in first.samples + second.samples)
-        model = G.GroundingModel(tiny_model_config(), len(vocab), seed=1)
+        model = G.GroundingModel(tiny_model_config(), vocab, seed=1)
 
         decoded = []  # (candidates, results) of every `predict`, in call order
         predict = G.predict
@@ -334,7 +339,7 @@ class TestModelPredictor:
 
         monkeypatch.setattr(model.encoder, "forward", encoding)
 
-        model_run = G.model_predictor(model, vocab)
+        model_run = G.model_predictor(model)
         groups = []  # every scene group the predictor was given, in call order
 
         def predictor(call_groups):
@@ -355,7 +360,7 @@ class TestModelPredictor:
             (xyz,) = [xyz for encoded_cand, xyz in encoded if encoded_cand is cand]
             assert xyz is scene.points.xyz
             for sample, (box, confidences, idx) in zip(samples, results, strict=True):
-                ref_box, ref_confidences, ref_idx = self.full_forward(model, vocab, scene, sample.tokens)
+                ref_box, ref_confidences, ref_idx = self.full_forward(model, scene, sample.tokens)
                 assert idx == ref_idx
                 assert np.array_equal(confidences, ref_confidences)
                 assert np.array_equal(box.center, ref_box.center)
@@ -365,7 +370,7 @@ class TestModelPredictor:
         dataset = S.gen_dataset(6, S.GenConfig(scene_count=3, objects_min=2, objects_max=3,
                                                expressions_per_object=2))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
-        model = G.GroundingModel(tiny_model_config(), len(vocab), seed=1)
+        model = G.GroundingModel(tiny_model_config(), vocab, seed=1)
         encodes, planned = [], []  # the clouds of each encoder call; the clouds planned
         encode = model.encoder.forward
         monkeypatch.setattr(model.encoder, "forward",
@@ -373,11 +378,11 @@ class TestModelPredictor:
         plan = PointEncoder.precompute_plan
         monkeypatch.setattr(PointEncoder, "precompute_plan",
                             lambda self, clouds: planned.extend(map(id, clouds)) or plan(self, clouds))
-        forwards = []  # per model call: each scene's cloud and token ids
+        forwards = []  # per model call: each scene's cloud and token lists
         forward = G.GroundingModel.forward
-        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, texts: forwards.append(
-            [(id(sc.scene.points.xyz), ids) for sc, (ids, _) in zip(inputs, texts)]) or forward(self, inputs, texts))
-        model_run = G.model_predictor(model, vocab)
+        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, tokens: forwards.append(
+            list(zip([id(sc.scene.points.xyz) for sc in inputs], tokens))) or forward(self, inputs, tokens))
+        model_run = G.model_predictor(model)
         calls = []
 
         def predictor(groups):
@@ -398,20 +403,19 @@ class TestModelPredictor:
         # and grounded in one model call, from the tokens training reads
         assert len(forwards) == 1
         assert [cloud for cloud, _ in forwards[0]] == encodes[0]
-        for (_, ids), scene_id in zip(forwards[0], sorted(dataset.scenes), strict=True):
-            tokens = [s.tokens for s in ordered if s.scene_id == scene_id]
-            assert np.array_equal(ids, encode_expressions(vocab, tokens, model.config.lang.max_len)[0])
+        for (_, tokens), scene_id in zip(forwards[0], sorted(dataset.scenes), strict=True):
+            assert tokens == [s.tokens for s in ordered if s.scene_id == scene_id]
 
     def test_scenes_planned_block_by_block(self, monkeypatch):
         dataset = S.gen_dataset(7, S.GenConfig(scene_count=4, objects_min=1, objects_max=2))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
-        model = G.GroundingModel(tiny_model_config(), len(vocab), seed=2)
+        model = G.GroundingModel(tiny_model_config(), vocab, seed=2)
         groups = [(dataset.scenes[sid], [s for s in dataset.samples if s.scene_id == sid], [])
                   for sid in sorted(dataset.scenes)]
 
         def boxes():
             return [[(*box.center, box.l, box.w, box.h, box.yaw) for box in scene_boxes]
-                    for scene_boxes in G.model_predictor(model, vocab)(groups)]
+                    for scene_boxes in G.model_predictor(model)(groups)]
 
         whole = boxes()
         blocks, forwards = [], []  # the clouds of each plan call and of each model call
@@ -419,8 +423,8 @@ class TestModelPredictor:
         monkeypatch.setattr(PointEncoder, "precompute_plan",
                             lambda self, clouds: blocks.append(list(map(id, clouds))) or plan(self, clouds))
         forward = G.GroundingModel.forward
-        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, texts: forwards.append(
-            [id(sc.scene.points.xyz) for sc in inputs]) or forward(self, inputs, texts))
+        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, tokens: forwards.append(
+            [id(sc.scene.points.xyz) for sc in inputs]) or forward(self, inputs, tokens))
         clouds = [scene.points.xyz for scene, _, _ in groups]
         monkeypatch.setattr(pointenc, "_BLOCK_POINTS", max(len(c) for c in clouds))
         split = boxes()

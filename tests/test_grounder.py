@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,13 +10,18 @@ from moniground import grounder as G
 from moniground import synthdata as S
 from moniground import tensor as T
 from moniground.geom3d import Box7, iou_3d
-from moniground.langenc import Vocabulary, encode_expressions
+from moniground.langenc import Vocabulary
 from moniground.pointenc import CandidateSet, PointEncoder
 from moniground.seeding import substream
 
 
-def tiny_model(seed=0, modality="xyz+rgb+intensity", vocab_size=12):
-    return G.GroundingModel(tiny_model_config(modality), vocab_size, seed=seed)
+def word_vocab(size):
+    """A vocabulary of `size` ids whose words w0, w1, ... hold ids 2, 3, ..."""
+    return Vocabulary({f"w{i}": i + 2 for i in range(size - 2)})
+
+
+def tiny_model(seed=0, modality="xyz+rgb+intensity", vocab=None):
+    return G.GroundingModel(tiny_model_config(modality), word_vocab(12) if vocab is None else vocab, seed=seed)
 
 
 def tiny_scene(seed=0):
@@ -197,10 +203,12 @@ class TestAssignTargets:
 
 class TestComputeLoss:
     def test_paper_default_weights(self):
-        assert G.LossWeights().as_tuple() == (10.0, 10.0, 10.0, 1.0, 1.0)
+        assert astuple(G.LossWeights()) == (10.0, 10.0, 10.0, 1.0, 1.0)
+        assert G.LOSS_TERMS == ("cls", "reg", "shift", "lang", "ref")
 
     def test_negative_weight_rejected(self):
-        for bad in ({"cls": -1.0}, {"cls": float("nan")}, {"ref": float("nan")}, {"lang": float("inf")}):
+        for bad in ({"cls": -1.0}, {"cls": float("nan")}, {"ref": float("nan")}, {"lang": float("inf")},
+                    {"shift": True}, {"reg": "1"}):
             with pytest.raises(ValueError):
                 G.LossWeights(**bad)
 
@@ -265,10 +273,9 @@ class TestComputeLoss:
 
     def test_total_is_dot_product_of_weights_and_components(self):
         scene, samples = tiny_scene(3)
-        model = tiny_model(vocab_size=40)
-        vocab = _vocab_for(samples)
+        model = tiny_model(vocab=_vocab_for(samples))
         item = samples[0]
-        out = _forward_sample(model, vocab, scene, item)
+        out = _forward_sample(model, scene, item)
         tg = G.assign_targets(out.candidates.positions.data, out.candidates.seeds, scene, item.target_id)
         weights = G.LossWeights(cls=3.0, reg=2.0, shift=5.0, lang=0.5, ref=7.0)
         total, comps = G.compute_loss(out, tg, weights)
@@ -280,30 +287,25 @@ class TestComputeLoss:
 
 
 def _vocab_for(samples):
-    from moniground.langenc import Vocabulary
-
     return Vocabulary.build(s.tokens for s in samples)
 
 
-def predict_scene(model, vocab, scene, token_lists):
+def predict_scene(model, scene, token_lists):
     """`predict` on one scene, planned and grounded alone."""
-    texts = encode_expressions(vocab, token_lists, model.config.lang.max_len)
-    (out,) = model.forward(G.scene_inputs(model, [scene]), [texts])
+    (out,) = model.forward(G.scene_inputs(model, [scene]), [token_lists])
     return G.predict(out)
 
 
-def _forward_sample(model, vocab, scene, sample):
-    (out,) = model.forward(G.scene_inputs(model, [scene]), [
-        encode_expressions(vocab, [sample.tokens], model.config.lang.max_len)])
+def _forward_sample(model, scene, sample):
+    (out,) = model.forward(G.scene_inputs(model, [scene]), [[sample.tokens]])
     return out
 
 
 class TestGradientFlow:
     def test_ref_loss_reaches_only_localization_branch_and_upstream(self):
         scene, samples = tiny_scene(5)
-        model = tiny_model(vocab_size=40)
-        vocab = _vocab_for(samples)
-        out = _forward_sample(model, vocab, scene, samples[0])
+        model = tiny_model(vocab=_vocab_for(samples))
+        out = _forward_sample(model, scene, samples[0])
         tg = G.assign_targets(out.candidates.positions.data, out.candidates.seeds, scene, samples[0].target_id)
         ref_only = G.LossWeights(cls=0.0, reg=0.0, shift=0.0, lang=0.0, ref=1.0)
         T.zero_grads(model.params)
@@ -321,15 +323,14 @@ class TestGradientFlow:
 
     def test_ref_gradient_on_isolated_loc_weight_matches_fd(self):
         scene, samples = tiny_scene(6)
-        model = tiny_model(seed=2, vocab_size=40)
-        vocab = _vocab_for(samples)
+        model = tiny_model(seed=2, vocab=_vocab_for(samples))
         sample = samples[0]
-        out0 = _forward_sample(model, vocab, scene, sample)
+        out0 = _forward_sample(model, scene, sample)
         tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene, sample.target_id)
         ref_only = G.LossWeights(cls=0.0, reg=0.0, shift=0.0, lang=0.0, ref=1.0)
 
         def loss():
-            out = _forward_sample(model, vocab, scene, sample)
+            out = _forward_sample(model, scene, sample)
             return G.compute_loss(out, tg, ref_only)[0]
 
         finite_diff_check(loss, [model.params["head.loc.w"]], max_coords=4, rng=np.random.default_rng(0))
@@ -347,16 +348,16 @@ class TestGradientFlow:
             "s", {}, [S.ObjectSpec("obj_00", "car", box, attrs)],
             S.PointCloud(xyz, np.full((20, 3), 0.5), np.full(20, 0.5)),
         )
-        model = tiny_model(seed=4, vocab_size=40)
+        model = tiny_model(seed=4, vocab=word_vocab(40))
         inputs = G.scene_inputs(model, [scene])
-        ids = np.array([[2, 3] + [0] * (model.config.lang.max_len - 2)])
-        (out0,) = model.forward(inputs, [(ids, [2])])
+        tokens = [[["w0", "w1"]]]  # ids 2 and 3
+        (out0,) = model.forward(inputs, tokens)
         tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene, "obj_00")
         assert tg.cls.sum() >= 1 and tg.shift_mask.sum() >= 1
         weights = G.LossWeights()
 
         def loss():
-            (out,) = model.forward(inputs, [(ids, [2])])
+            (out,) = model.forward(inputs, tokens)
             return G.compute_loss(out, tg, weights)[0]
 
         worst = finite_diff_check(loss, model.params.values(), max_coords=3,
@@ -372,13 +373,14 @@ class TestBatchedTextHalf:
         dataset = S.gen_dataset(3, S.GenConfig(scene_count=1, objects_min=3, objects_max=3))
         scene = next(iter(dataset.scenes.values()))
         config = G.ModelConfig()
-        model = G.GroundingModel(config, 60, seed=2)
+        model = G.GroundingModel(config, word_vocab(60), seed=2)
         max_len = config.lang.max_len
         lengths = np.array([1, 9, max_len, 4, 1, 17])
         ids = np.random.default_rng(5).integers(2, 60, size=(len(lengths), max_len))
         for row, length in enumerate(lengths):
             ids[row, length:] = 0
-        (batch,) = model.forward(G.scene_inputs(model, [scene]), [(ids, lengths)])
+        tokens = [[f"w{i - 2}" for i in ids[row, :length]] for row, length in enumerate(lengths)]
+        (batch,) = model.forward(G.scene_inputs(model, [scene]), [tokens])
         cand = batch.candidates
         for row, length in enumerate(lengths):
             alone = model.ground_text(cand, ids[row : row + 1], [length])
@@ -390,7 +392,7 @@ class TestBatchedTextHalf:
 
     def test_batch_gradients_mixed_lengths(self):
         rng = np.random.default_rng(7)
-        model = tiny_model(seed=3, vocab_size=20)
+        model = tiny_model(seed=3, vocab=word_vocab(20))
         f_v = T.Tensor(rng.normal(size=(4, model.config.encoder.feature_dim)))
         cand = CandidateSet(T.constant(rng.normal(size=(4, 3))), T.constant(np.zeros((4, 3))), f_v,
                             np.zeros((4, 3)))
@@ -418,20 +420,20 @@ class TestSceneGroupedStep:
         # the default dimensions, so every BLAS call is the one training makes
         dataset = S.gen_dataset(4, S.GenConfig(scene_count=3, objects_min=3, objects_max=3))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
-        models = [G.GroundingModel(G.ModelConfig(), len(vocab), seed=6) for _ in range(2)]
+        models = [G.GroundingModel(G.ModelConfig(), vocab, seed=6) for _ in range(2)]
         inputs = dict(zip(dataset.scenes, G.scene_inputs(models[0], list(dataset.scenes.values()))))
         by_scene = {}
         for sample in dataset.samples:
             by_scene.setdefault(sample.scene_id, []).append(sample)
         batch = pick(list(by_scene.values()))
         weights = G.LossWeights()
-        grouped = G._minibatch_gradients(models[0], vocab, inputs, batch, weights, epoch=1)
-        reference = oracles.per_sample_gradients(models[1], vocab, inputs, batch, weights)
+        grouped = G._minibatch_gradients(models[0], inputs, batch, weights, epoch=1)
+        reference = oracles.per_sample_gradients(models[1], inputs, batch, weights)
         return batch, models, grouped, reference
 
     @staticmethod
     def grads(model):
-        return {k: p.grad for k, p in model.parameters().items() if p.grad is not None}
+        return {k: p.grad for k, p in model.params.items() if p.grad is not None}
 
     def test_distinct_scenes_bit_identical_to_per_sample_step(self):
         batch, models, grouped, reference = self.both_steps(lambda scenes: [s[1] for s in reversed(scenes)])
@@ -442,9 +444,9 @@ class TestSceneGroupedStep:
         for name, g in grads[0].items():
             assert np.array_equal(g, grads[1][name]), name
         for model, g in zip(models, grads):
-            T.adam_step(model.parameters(), g, T.AdamState(learning_rate=1e-3, weight_decay=1e-4))
-        for name, p in models[0].parameters().items():
-            assert np.array_equal(p.data, models[1].parameters()[name].data), name
+            T.adam_step(model.params, g, T.AdamState(learning_rate=1e-3, weight_decay=1e-4))
+        for name, p in models[0].params.items():
+            assert np.array_equal(p.data, models[1].params[name].data), name
 
     def test_repeated_scenes_match_per_sample_step(self):
         # scene a three times and scene b twice, interleaved with scene c
@@ -466,9 +468,9 @@ class TestSceneGroupedStep:
         # into the buffers the first one left
         dataset = S.gen_dataset(5, S.GenConfig(scene_count=2, objects_min=2, objects_max=3))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
-        model = G.GroundingModel(tiny_model_config(), len(vocab), seed=3)
+        model = G.GroundingModel(tiny_model_config(), vocab, seed=3)
         inputs = dict(zip(dataset.scenes, G.scene_inputs(model, list(dataset.scenes.values()))))
-        G._minibatch_gradients(model, vocab, inputs, dataset.samples, G.LossWeights(), epoch=1)
+        G._minibatch_gradients(model, inputs, dataset.samples, G.LossWeights(), epoch=1)
         grads = list(self.grads(model).items())
         assert len(dataset.scenes) == 2 and len(grads) > 40
         for i, (name, g) in enumerate(grads):
@@ -496,7 +498,7 @@ class TestTraining:
             with pytest.raises(ValueError):
                 G.TrainConfig(epochs=3, decay_epochs=decay_epochs)
         for name in ("learning_rate", "weight_decay", "decay_factor"):
-            for value in (float("nan"), float("inf")):
+            for value in (float("nan"), float("inf"), True):
                 with pytest.raises(ValueError):
                     G.TrainConfig(**{name: value})
 
@@ -507,7 +509,7 @@ class TestTraining:
         blobs = []
         for _ in range(2):
             result = G.train_model(scenes, samples, tiny_model_config(), cfg)
-            blobs.append(T.checkpoint_save(result.model.parameters()))
+            blobs.append(T.checkpoint_save(result.model.params))
         assert blobs[0] == blobs[1]
 
     def test_loss_curve_shape_and_lr_column(self):
@@ -515,10 +517,11 @@ class TestTraining:
         cfg = G.TrainConfig(epochs=4, batch_size=4, learning_rate=1e-3, decay_epochs=(1, 3),
                             decay_factor=0.1, seed=3)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        assert [row.epoch for row in result.curve] == [1, 2, 3, 4]
-        assert [row.lr for row in result.curve] == pytest.approx([1e-3, 1e-4, 1e-4, 1e-5])
+        assert [row["epoch"] for row in result.curve] == [1, 2, 3, 4]
+        assert [row["lr"] for row in result.curve] == pytest.approx([1e-3, 1e-4, 1e-4, 1e-5])
         for row in result.curve:
-            assert math.isfinite(row.total)
+            assert list(row) == ["epoch", "lr", "total", *G.LOSS_TERMS]
+            assert math.isfinite(row["total"])
 
     def test_one_sample_overfit(self):
         scene, samples = tiny_scene(12)
@@ -526,9 +529,9 @@ class TestTraining:
         cfg = G.TrainConfig(epochs=200, batch_size=1, learning_rate=5e-3, weight_decay=0.0,
                             decay_epochs=(), seed=7)
         result = G.train_model({scene.scene_id: scene}, [sample], tiny_model_config(), cfg)
-        initial, final = result.curve[0].total, result.curve[-1].total
+        initial, final = result.curve[0]["total"], result.curve[-1]["total"]
         assert final < 0.1 * initial
-        box, _, _ = predict_scene(result.model, result.vocab, scene, [sample.tokens])[0]
+        box, _, _ = predict_scene(result.model, scene, [sample.tokens])[0]
         gt = scene.object_by_id(sample.target_id).box
         assert iou_3d(box, gt) > 0.5
 
@@ -560,9 +563,9 @@ class TestTraining:
                                                expressions_per_object=2))
         forwards = []  # per model call: each scene's id and expression count
         forward = G.GroundingModel.forward
-        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, texts: forwards.append(
-            [(sc.scene.scene_id, len(lengths)) for sc, (_, lengths) in zip(inputs, texts)])
-            or forward(self, inputs, texts))
+        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, tokens: forwards.append(
+            [(sc.scene.scene_id, len(token_lists)) for sc, token_lists in zip(inputs, tokens)])
+            or forward(self, inputs, tokens))
         cfg = G.TrainConfig(epochs=2, batch_size=4, decay_epochs=(), seed=1)
         G.train_model(dataset.scenes, dataset.samples, tiny_model_config(), cfg)
         # one call of one scene per scene group, groups in order of first appearance
@@ -590,8 +593,8 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(14)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        a = predict_scene(result.model, result.vocab, scene, [samples[0].tokens])[0]
-        b = predict_scene(result.model, result.vocab, scene, [samples[0].tokens])[0]
+        a = predict_scene(result.model, scene, [samples[0].tokens])[0]
+        b = predict_scene(result.model, scene, [samples[0].tokens])[0]
         np.testing.assert_array_equal(a[0].center, b[0].center)
         np.testing.assert_array_equal(a[1], b[1])
         assert a[2] == b[2]
@@ -600,7 +603,7 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(15)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=2)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        box, conf, idx = predict_scene(result.model, result.vocab, scene, [samples[0].tokens])[0]
+        box, conf, idx = predict_scene(result.model, scene, [samples[0].tokens])[0]
         assert abs(conf.sum() - 1.0) <= 1e-9
         assert 0 <= idx < len(conf)
         assert box.l > 0 and -math.pi <= box.yaw < math.pi
@@ -609,21 +612,23 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(16)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=8)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        G.save_model(str(tmp_path), result.model, result.vocab, {"note": "test"})
-        model2, vocab2 = G.load_model(str(tmp_path))
-        for k, p in result.model.parameters().items():
-            np.testing.assert_array_equal(model2.parameters()[k].data, p.data)
-        a = predict_scene(result.model, result.vocab, scene, [samples[0].tokens])[0]
-        b = predict_scene(model2, vocab2, scene, [samples[0].tokens])[0]
+        G.save_model(str(tmp_path), result.model, {"note": "test"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin", "config.json"]
+        model2 = G.load_model(str(tmp_path))
+        assert model2.vocab.token_to_id == result.model.vocab.token_to_id
+        for k, p in result.model.params.items():
+            np.testing.assert_array_equal(model2.params[k].data, p.data)
+        a = predict_scene(result.model, scene, [samples[0].tokens])[0]
+        b = predict_scene(model2, scene, [samples[0].tokens])[0]
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_loaded_model_builds_no_graph(self, tmp_path):
         scene, samples = tiny_scene(18)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=8)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        G.save_model(str(tmp_path), result.model, result.vocab)
-        model, vocab = G.load_model(str(tmp_path))
-        out = _forward_sample(model, vocab, scene, samples[0])
+        G.save_model(str(tmp_path), result.model)
+        model = G.load_model(str(tmp_path))
+        out = _forward_sample(model, scene, samples[0])
         values = [*vars(out).values(), *vars(out.candidates).values()]
         tensors = [v for v in values if isinstance(v, T.Tensor)]
         assert len(tensors) == 7
@@ -633,7 +638,7 @@ class TestPredictAndCheckpoint:
     def test_param_layout_is_what_the_model_draws(self):
         config = tiny_model_config()
         layout = G.param_layout(config, 12)
-        params = tiny_model().parameters()
+        params = tiny_model().params
         assert list(layout) == list(params)
         for name, (shape, _) in layout.items():
             assert params[name].shape == shape, name
@@ -642,14 +647,14 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(19)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=8)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        G.save_model(str(tmp_path), result.model, result.vocab)
+        G.save_model(str(tmp_path), result.model)
 
         def no_draw(*args):
             raise AssertionError("load_model drew random weights")
 
         monkeypatch.setattr(T, "uniform_init", no_draw)
-        model, _ = G.load_model(str(tmp_path))
-        assert list(model.parameters()) == list(result.model.parameters())
+        model = G.load_model(str(tmp_path))
+        assert list(model.params) == list(result.model.params)
 
     def test_load_missing_bundle(self, tmp_path):
         with pytest.raises(G.CheckpointCompatError):
@@ -659,7 +664,7 @@ class TestPredictAndCheckpoint:
         scene, samples = tiny_scene(17)
         cfg = G.TrainConfig(epochs=1, batch_size=2, decay_epochs=(), seed=8)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
-        G.save_model(str(tmp_path), result.model, result.vocab)
+        G.save_model(str(tmp_path), result.model)
         import json
 
         meta_path = tmp_path / "config.json"

@@ -162,6 +162,15 @@ class TestSettings:
             with pytest.raises(ValueError, match="integers >= 1"):
                 EncoderConfig(**{name: bad})
 
+    @pytest.mark.parametrize("bad", [True, False, "4.0", float("inf"), float("nan")])
+    def test_float_fields_are_finite_numbers(self, bad):
+        layer = EncoderConfig().sa_layers[0]
+        with pytest.raises(ValueError, match="finite radius"):
+            SALayerSpec(layer.out_points, bad, layer.cap, layer.mlp)
+        for name in ("cg_radius", "lambda_fps"):
+            with pytest.raises(ValueError, match="finite cg_radius"):
+                EncoderConfig(**{name: bad})
+
     def test_empty_mlp_rejected(self):
         with pytest.raises(ValueError, match="at least one mlp width"):
             SALayerSpec(512, 4.0, 4, ())
@@ -699,3 +708,9 @@ class TestModalities:
         assert assemble_features(rgb, inten, "xyz+rgb+intensity").shape == (5, 4)
         with pytest.raises(ValueError):
             assemble_features(rgb, inten, "rgb")
+
+    def test_one_spelling_per_modality(self):
+        assert [modality_feature_dim(tag) for tag in pointenc.MODALITIES] == [1, 3, 1, 4]
+        for tag in ("xyz+rgb+rgb", "xyz+intensity+rgb", "xyz+rgb+intensity+rgb", "xyz+", ["xyz"], None):
+            with pytest.raises(ValueError, match="unknown modality"):
+                modality_feature_dim(tag)

@@ -104,3 +104,30 @@ def test_sources_parse_at_the_oldest_supported_python():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+
+
+def test_cli_names_no_loss_term_and_no_vocabulary():
+    """The loss terms and the vocabulary belong to the model: `cli` reads the
+    term names from `grounder.LOSS_TERMS` and never handles a vocabulary, so
+    a new loss term or a change to the checkpoint bundle touches `grounder`
+    alone. No string constant in cli.py equals a term's name, and no name,
+    attribute, argument or string constant there mentions a vocabulary."""
+    from moniground.grounder import LOSS_TERMS
+
+    literals, names = set(), set()
+    for node in ast.walk(source_trees()["cli.py"]):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            literals.add(node.value)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+    assert LOSS_TERMS and not literals & set(LOSS_TERMS), sorted(literals & set(LOSS_TERMS))
+    vocabulary = sorted(n for n in names | literals if "vocab" in n.lower())
+    assert names and not vocabulary, vocabulary

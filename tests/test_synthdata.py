@@ -281,6 +281,8 @@ class TestDatasetIO:
             {"ground_points": -1}, {"color_noise": -1.0}, {"color_noise": math.nan},
             {"density_scale": 0.0}, {"density_scale": -5.0}, {"density_scale": math.nan},
             {"max_points": 2}, {"split_ratios": (-0.5, 0.15, 1.35)}, {"split_ratios": (math.nan, 0.5, 0.5)},
+            {"density_scale": math.inf}, {"color_noise": math.inf}, {"extent": True},
+            {"split_ratios": (True, False, False)},
         ]
         for overrides in bad:
             with pytest.raises(ValueError):
