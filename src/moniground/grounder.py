@@ -36,6 +36,12 @@ block of them at a time. `save_model` writes a model, vocabulary included,
 as checkpoint.bin and config.json. A model from `load_model` holds
 parameters that do not require gradients, so inference builds no autodiff
 graph.
+
+The network computes in `tensor.DTYPE` (float32); geometry is float64.
+Candidate positions come out of the graph in float32, and `assign_targets`
+and `decode_box_residual` read them as float64, so targets, decoded boxes
+and their IoU are float64. Adam updates float64 master weights (see
+`tensor.adam_step`), and checkpoint.bin stores the float32 parameters.
 """
 
 from __future__ import annotations
@@ -183,7 +189,10 @@ def encode_box_residual(box: Box7, anchor: np.ndarray, category: str) -> np.ndar
 
 
 def decode_box_residual(residual: np.ndarray, anchor: np.ndarray, category: str) -> Box7:
+    """The box of a candidate's residual, in float64 whatever the dtype of
+    the model's outputs."""
     prior = SIZE_PRIORS[category]
+    residual, anchor = np.asarray(residual, dtype=np.float64), np.asarray(anchor, dtype=np.float64)
     center = anchor + residual[:3]
     sizes = np.exp(np.clip(residual[3:6], -6.0, 6.0)) * np.array(prior)
     yaw = math.atan2(residual[6], residual[7])
@@ -199,7 +208,9 @@ def assign_targets(candidates: np.ndarray, seeds: np.ndarray, scene: Scene, targ
     These depend only on the scene. The reference target is the candidate
     nearest the referred center (lowest index on ties); it and the language
     category are the only per-expression fields (see `_expression_targets`).
+    The candidates, the model's float32 positions, are read as float64.
     """
+    candidates = np.asarray(candidates, dtype=np.float64)
     m = len(candidates)
     cls = np.zeros(m)
     reg = np.zeros((m, RESIDUAL_DIM))

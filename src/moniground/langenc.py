@@ -158,7 +158,7 @@ def bigru_encode(
         active = lengths > t
         if active.all():
             return None
-        return np.broadcast_to(active.astype(np.float64).reshape(*lead, 1, 1), state)
+        return np.broadcast_to(active.astype(T.DTYPE).reshape(*lead, 1, 1), state)
 
     h_fwd = T.zeros(state)
     for t in range(steps):

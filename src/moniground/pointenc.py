@@ -34,6 +34,14 @@ Both D-FPS runs and SA0's ball query read positions only, so
 `PointEncoder.precompute_plan` does them once per cloud. F-FPS reads SA0's
 features, so `PointEncoder.forward` runs it, once over all of its scenes;
 the rest of the forward runs per scene.
+
+Geometry is float64; what enters the autodiff graph is `tensor.DTYPE`
+(float32). Clouds, plans, D-FPS and ball query work on float64 positions.
+F-FPS reads SA0's float32 features as float64, so its distance arithmetic
+is float64. Positions relative to a center are computed in float64 and
+enter the graph as `DTYPE` constants. A candidate position is a seed plus
+its predicted shift, a graph value of `DTYPE`; ball query and
+`grounder.assign_targets` read it as float64.
 """
 
 from __future__ import annotations
@@ -244,11 +252,13 @@ def fps_feature(clouds: Sequence[np.ndarray], features: Sequence[np.ndarray], k:
     at most _BLOCK_FEATURE_VALUES padded feature values at a time.
 
     Cloud s has (n_s, 3) points and (n_s, C) features, with one C for all
-    clouds. Each row equals that cloud's F-FPS run alone, bit for bit (see
-    _feature_distance_to). Non-finite features raise ValueError, as
-    non-finite points do.
+    clouds. The features are read as float64, so the distances are
+    computed in float64 whatever the features' dtype. Each row equals that
+    cloud's F-FPS run alone, bit for bit (see _feature_distance_to).
+    Non-finite features raise ValueError, as non-finite points do.
     """
-    clouds, features = list(clouds), list(features)
+    clouds = list(clouds)
+    features = [np.asarray(f, dtype=np.float64) for f in features]
     if len(features) != len(clouds):
         raise ValueError(f"fps_feature needs one feature array per cloud, got {len(features)} for {len(clouds)}")
     for points, feats in zip(clouds, features):
@@ -325,6 +335,8 @@ def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int)
     Centers with fewer in-radius points repeat their first found index; a
     center with none uses its single nearest point (lowest index on ties).
     `points` must be finite; a non-finite center has no in-radius point.
+    Centers of another float dtype, such as float32 candidate positions,
+    are read as float64, which every float32 value is exactly.
 
     A pair is in radius when `d2 <= radius * radius`, with `d2` the
     `(dx*dx + dy*dy) + dz*dz` of `dx = px - cx` per column that
@@ -353,6 +365,7 @@ def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int)
         raise ValueError("ball radius must be positive")
     if len(points) == 0:
         raise ValueError("ball_group on empty points")
+    centers = np.asarray(centers, dtype=np.float64)  # shifted candidates are float32 graph values
     m, n = len(centers), len(points)
     px, py, pz = (np.ascontiguousarray(points[:, j]) for j in range(3))
     cx, cy, cz = (np.ascontiguousarray(centers[:, j]) for j in range(3))

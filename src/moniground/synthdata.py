@@ -22,6 +22,10 @@ from .langenc import tokenize
 from .seeding import stream_seed, substream
 
 SCHEMA_VERSION = 1
+# A point file holds 7 values per point (xyz, rgb, intensity) in this
+# layout, little-endian float32; generated clouds are rounded to it, so they
+# round-trip exactly.
+_POINT_VALUE = "<f4"
 
 CATEGORIES = [
     "car",
@@ -440,9 +444,9 @@ def sample_points(scene: Scene, config: GenConfig, seed: int) -> PointCloud:
     chunks_rgb.append(np.clip(0.45 + rng.normal(0.0, 0.03, size=(ng, 3)), 0.0, 1.0))
     chunks_int.append(np.clip(0.08 + rng.normal(0.0, 0.03, size=ng), 0.0, 1.0))
 
-    xyz = np.concatenate(chunks_xyz).astype(np.float32).astype(np.float64)
-    rgb = np.concatenate(chunks_rgb).astype(np.float32).astype(np.float64)
-    inten = np.concatenate(chunks_int).astype(np.float32).astype(np.float64)
+    xyz = np.concatenate(chunks_xyz).astype(_POINT_VALUE).astype(np.float64)
+    rgb = np.concatenate(chunks_rgb).astype(_POINT_VALUE).astype(np.float64)
+    inten = np.concatenate(chunks_int).astype(_POINT_VALUE).astype(np.float64)
     return PointCloud(xyz, rgb, inten)
 
 
@@ -649,7 +653,13 @@ def _box_to_json(box: Box7) -> dict:
 
 
 def _box_from_json(d: dict) -> Box7:
-    return Box7(np.array([d["x"], d["y"], d["z"]]), d["l"], d["w"], d["h"], d["yaw"])
+    """The box of a scene file's box record; ValueError for a field that is
+    not a number, a bool included, which `Box7`'s range checks would read as
+    1.0 or 0.0."""
+    values = [d[k] for k in ("x", "y", "z", "l", "w", "h", "yaw")]
+    if not T.are_reals(*values):
+        raise ValueError(f"box fields must be numbers, got {values}")
+    return Box7(np.array(values[:3]), *values[3:])
 
 
 def atomic_write(path: str, data: bytes | str) -> None:
@@ -687,7 +697,7 @@ def write_dataset(root: str, dataset: Dataset) -> None:
         pc = scene.points
         if pc is None:
             raise DatasetIOError(f"scene {sid} has no point cloud to write")
-        flat = np.concatenate([pc.xyz, pc.rgb, pc.intensity[:, None]], axis=1).astype("<f4")
+        flat = np.concatenate([pc.xyz, pc.rgb, pc.intensity[:, None]], axis=1).astype(_POINT_VALUE)
         atomic_write(os.path.join(root, "points", f"{sid}.bin"), flat.tobytes(order="C"))
     lines = "".join(json.dumps(asdict(s), sort_keys=True) + "\n" for s in dataset.samples)
     atomic_write(os.path.join(root, "expressions.jsonl"), lines)
@@ -701,14 +711,16 @@ def _malformed(path: str, exc: Exception) -> DatasetIOError:
 def read_dataset(root: str) -> Dataset:
     """Read a directory written by write_dataset.
 
-    A missing file, unparsable JSON, a record without a field it needs, a
-    manifest split outside SPLIT_NAMES, a scene file of another scene id,
-    an object id repeated within a scene, an object of an unknown category
-    or with a NaN or infinite box field, an expression whose ids, text or
-    tokens are not strings, one with no token or with tokens other than
-    `tokenize` of its text, one whose uniqueness or distance bin is not a
-    subset tag, or a point file that is empty, ends in a partial point or
-    holds a NaN or infinite value raises DatasetIOError.
+    A missing file, unparsable JSON, a schema version other than the
+    integer SCHEMA_VERSION, a record without a field it needs, a manifest
+    split outside SPLIT_NAMES, a scene file of another scene id, an object
+    id repeated within a scene, an object of an unknown category or with a
+    box field that is not a finite number (a bool is not one), an
+    expression whose ids, text or tokens are not strings, one with no token
+    or with tokens other than `tokenize` of its text, one whose uniqueness
+    or distance bin is not a subset tag, or a point file that is empty,
+    ends in a partial point or holds a NaN or infinite value raises
+    DatasetIOError.
     """
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -719,7 +731,7 @@ def read_dataset(root: str) -> Dataset:
         version = manifest.get("schema_version")
     except (ValueError, AttributeError) as exc:
         raise _malformed(manifest_path, exc) from exc
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # `True == 1`
         raise DatasetIOError(f"dataset schema version {version}, expected {SCHEMA_VERSION}")
     try:
         splits = manifest["splits"]
@@ -757,7 +769,7 @@ def read_dataset(root: str) -> Dataset:
             blob = f.read()
         if not blob or len(blob) % 28:  # 7 float32 values per point
             raise DatasetIOError(f"corrupt point file for {sid}: {len(blob)} bytes is not a positive multiple of 28")
-        flat = np.frombuffer(blob, dtype="<f4").reshape(-1, 7).astype(np.float64)
+        flat = np.frombuffer(blob, dtype=_POINT_VALUE).reshape(-1, 7).astype(np.float64)
         if not np.isfinite(flat).all():
             raise DatasetIOError(f"corrupt point file for {sid}: a value is NaN or infinite")
         pc = PointCloud(flat[:, :3], flat[:, 3:6], flat[:, 6])

@@ -1,13 +1,23 @@
 """Minimal reverse-mode autodiff core with an Adam optimizer.
 
-Tensors hold float64 numpy arrays. Every op builds a node in an implicit
-graph (parent links + a backward closure); `backward` walks the graph once
-in reverse topological order and accumulates gradients additively into the
-`grad` buffers of tensors that require them. The op set is exactly what the
-grounding model's training loss needs, nothing more; each op's gradient is
-checked against central finite differences in the test suite. Values that
-only inference reads, such as the softmax confidences over candidate
-scores, are plain numpy outside the graph (see `grounder.softmax`).
+Tensors hold numpy arrays of one dtype, `DTYPE` (float32): a `Tensor`
+casts its data to it, so parameters, activations and the constants that
+enter the graph all take it. Every op computes its values and gradients
+in it too. numpy promotes float32 combined with a float64 array or numpy
+float64 scalar, and the cast would hide that, so an operand from outside
+the graph is read in the tensor's dtype first. The model's geometry
+(clouds, sampling, ball query, targets, box decoding, IoU) stays float64
+outside the graph. The tests set `DTYPE` to float64 for their
+finite-difference checks.
+
+Every op builds a node in an implicit graph (parent links + a backward
+closure); `backward` walks the graph once in reverse topological order
+and accumulates gradients additively into the `grad` buffers of tensors
+that require them. The op set is exactly what the grounding model's
+training loss needs, nothing more; each op's gradient is checked against
+central finite differences in the test suite. Values that only inference
+reads, such as the softmax confidences over candidate scores, are plain
+numpy outside the graph (see `grounder.softmax`).
 
 Gradient buffers are owned, not copied. A tensor keeps the first gradient
 array it receives as its `grad` and adds later ones into it in place, so a
@@ -15,6 +25,12 @@ backward closure never gives one array to two tensors: `add` gives its
 second input a copy. A closure may pass on its own `grad`, or a view of it
 (`reshape`, `concat`), because a node's `grad` is dead once its backward
 has run.
+
+Adam keeps float64 master weights beside its float64 moments and writes
+each update back into the parameter rounded to `DTYPE`: a float32 weight
+alone would lose updates below its half-ulp, such as a weight-decay step
+of learning rate times decay (1e-8 at the defaults). Checkpoints store
+float32 values.
 """
 
 from __future__ import annotations
@@ -23,6 +39,9 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# The dtype of every tensor's values and gradients.
+DTYPE = np.float32
 
 
 class ShapeError(ValueError):
@@ -33,7 +52,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -53,7 +72,7 @@ class Tensor:
         docstring); a numpy scalar, as 0-d arithmetic returns, is wrapped.
         """
         if self.grad is None:
-            self.grad = grad if type(grad) is np.ndarray else np.array(grad, dtype=np.float64)
+            self.grad = grad if type(grad) is np.ndarray else np.array(grad)
         else:
             self.grad += grad
 
@@ -117,7 +136,7 @@ def constant(data) -> Tensor:
 
 
 def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
+    return Tensor(np.zeros(shape, dtype=DTYPE))
 
 
 def uniform_init(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
@@ -342,7 +361,7 @@ def smooth_l1(pred: Tensor, target: np.ndarray) -> Tensor:
     """Elementwise smooth L1 against a constant target: 0.5 d^2 for |d| < 1, else |d| - 0.5."""
     if pred.data.shape != target.shape:
         raise ShapeError(f"smooth_l1 mismatch: {pred.data.shape} vs {target.shape}")
-    d = pred.data - target
+    d = pred.data - np.asarray(target, dtype=pred.data.dtype)
     absd = np.abs(d)
     quad = absd < 1.0
     out = np.where(quad, 0.5 * d * d, absd - 0.5)
@@ -398,12 +417,13 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
 
     def bwd(grad):
         # one bincount over the flat (entry, row, column) positions; it adds
-        # each position's weights in index order, as a bincount per column does
+        # each position's weights in index order, as a bincount per column
+        # does, in float64, and the sums are rounded to the gradient's dtype
         rows, cols = a.data.shape[-2:]
         entries = a.data.size // (rows * cols)
         pos = (np.arange(entries)[:, None, None] * rows + idx[:, None]) * cols + np.arange(cols)
         flat = np.bincount(pos.reshape(-1), weights=grad.reshape(-1), minlength=a.data.size)
-        a._accumulate(flat.reshape(a.data.shape))
+        a._accumulate(flat.astype(grad.dtype).reshape(a.data.shape))
 
     return _node(a.data[..., idx, :], (a,), bwd)
 
@@ -455,7 +475,7 @@ def max_pool_rows(a: Tensor, group: int) -> Tensor:
     def bwd(grad):
         # flat position of (block, argmax row, column) in the (G*group, C) input
         pos = (arg + np.arange(0, g * group, group)[:, None]) * c + np.arange(c)
-        acc = np.zeros(a.data.size)
+        acc = np.zeros(a.data.size, dtype=grad.dtype)
         acc[pos] = grad
         a._accumulate(acc.reshape(a.data.shape))
 
@@ -485,31 +505,40 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
+    master: dict[str, np.ndarray] = field(default_factory=dict)  # float64 copies of the parameters
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One Adam update (bias-corrected, decoupled weight decay), in place."""
+    """One Adam update (bias-corrected, decoupled weight decay), in place.
+
+    The update runs in float64 on the master weights, which the first step
+    copies from the parameters, and each parameter's values become its
+    master weights rounded to their dtype.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     for name, p in params.items():
         g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
+        g = np.zeros(p.data.shape) if g is None else np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ShapeError(f"adam_step: grad shape {g.shape} != param shape {p.data.shape} for {name!r}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.master:
+            state.master[name] = p.data.astype(np.float64)
+            state.m[name] = np.zeros(p.data.shape)
+            state.v[name] = np.zeros(p.data.shape)
+        w, m, v = state.master[name], state.m[name], state.v[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        w -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         if state.weight_decay:
-            p.data -= state.learning_rate * state.weight_decay * p.data
+            w -= state.learning_rate * state.weight_decay * w
+        p.data[...] = w
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +546,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"MGCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -526,15 +555,15 @@ class CheckpointError(Exception):
 
 
 def checkpoint_save(named: dict[str, Tensor | np.ndarray]) -> bytes:
-    """Serialize named arrays bit-exactly.
+    """Serialize named arrays as float32, bit-exactly for float32 values.
 
     Layout: magic 'MGCK', version u32 LE, count u32 LE; per entry: name
-    length u16 LE + UTF-8 name, rank u8, dims u32 LE, values f64 LE
+    length u16 LE + UTF-8 name, rank u8, dims u32 LE, values f32 LE
     row-major.
     """
     chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(named))]
     for name, value in named.items():
-        arr = np.asarray(value.data if isinstance(value, Tensor) else value, dtype="<f8")
+        arr = np.asarray(value.data if isinstance(value, Tensor) else value, dtype="<f4")
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
@@ -568,8 +597,8 @@ def checkpoint_load(buf: bytes) -> dict[str, np.ndarray]:
             raise CheckpointError(f"checkpoint entry name is not UTF-8 ({exc})") from exc
         (rank,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        values = np.frombuffer(take(8 * int(np.prod(dims))), dtype="<f8").reshape(dims)
-        out[name] = values.astype(np.float64).copy()
+        values = np.frombuffer(take(4 * int(np.prod(dims))), dtype="<f4").reshape(dims)
+        out[name] = values.astype(DTYPE)
     if pos != len(buf):
         raise CheckpointError(f"checkpoint has {len(buf) - pos} trailing bytes after {count} entries")
     return out

@@ -27,8 +27,11 @@ def finite_diff_check(
     that perturbed parameter values are observed. When `max_coords` is set,
     only that many randomly chosen coordinates per parameter are probed.
     Returns the worst relative error seen and asserts it is within rel_tol.
+    The parameters must be float64 (the `float64` fixture): a step of 1e-6
+    is below float32's resolution for most values.
     """
     params = list(params)
+    assert all(p.data.dtype == np.float64 for p in params), "finite differences need float64 parameters"
     for p in params:
         p.zero_grad()
     loss = build_loss()

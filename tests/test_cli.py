@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -42,14 +43,14 @@ DEFAULT_ECHO = {
 }
 
 
-# sha256 of the trained_run fixture's checkpoint.bin, recorded when training
-# started to ground a minibatch's expressions of one scene in one forward
-# (their gradients sum before the encoder's products, so the last bits moved)
-TRAINED_CHECKPOINT_SHA256 = "0fc2499510dd76dfb18fbbb19231ae819025150aeb22ca1557df3a17b2a48254"
+# sha256 of the trained_run fixture's checkpoint.bin, recorded when the
+# autodiff core moved to float32 compute with float64 Adam master weights
+# and checkpoints to float32 values (format version 2)
+TRAINED_CHECKPOINT_SHA256 = "30d7bad7790fe0c9e21ba07f2a92e5a2ebf1b869f9e43485541bc91bc6e823c2"
 # sha256 over every (box, confidences) that `eval --split val` predicts on
 # the trained_run fixture (see predictions_sha256); recorded with the
 # checkpoint pin above
-VAL_PREDICTIONS_SHA256 = "1120dc0ed9449ecc89219538d691a32d3e5856077c7130ed78d1978b9598f9ee"
+VAL_PREDICTIONS_SHA256 = "7ff8e6230ce9d70ee846e5da9bb4a60349283981e079d797035ec3582ca43bd6"
 
 
 def tree_sha256(root):
@@ -87,6 +88,7 @@ def predictions_sha256(monkeypatch, *argv):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +218,7 @@ class TestTrain:
             ("nan_loss", (), (grounder, "compute_loss", nan_loss), "training diverged: loss nan"),
             ("nan_gradient", (), (grounder.T, "zero_grads", nan_gradient),
              "training diverged: non-finite gradient of head.loc.b"),
-            ("huge_lr", ("--lr", "1e30"), None, "training diverged: loss nan"),
+            ("huge_lr", ("--lr", "1e10"), None, "training diverged: loss nan"),
             # weights this large make the features F-FPS samples from overflow
             ("huger_lr", ("--lr", "1e100"), None, "training diverged: fps_feature on non-finite features"),
         ]
@@ -418,8 +420,8 @@ class TestEval:
             ("checkpoint.bin", non_utf8_entry_name),
             ("checkpoint.bin", parameter_edit("enc.shift.b1", np.nan)),
             ("checkpoint.bin", parameter_edit("enc.sa1.w0", np.inf)),
-            # finite, but the features F-FPS samples from overflow
-            ("checkpoint.bin", parameter_edit("enc.sa0.w0", 1e200)),
+            # finite in float32, but the features F-FPS samples from overflow
+            ("checkpoint.bin", parameter_edit("enc.sa0.w0", 3e38)),
         ]
         for name, corrupt in corruptions:
             broken = str(tmp_path / f"{corrupt.__name__}-{name}")
@@ -446,6 +448,20 @@ class TestEval:
         code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", str(old), "--split", "val")
         assert code == 3
         assert_one_line_error(capsys)
+
+        # the same parameters in format version 1, which stored float64 values
+        v1 = tmp_path / "version_1_checkpoint"
+        shutil.copytree(trained_run, v1)
+        arrays = grounder.T.checkpoint_load((v1 / "checkpoint.bin").read_bytes())
+        chunks = [grounder.T.CHECKPOINT_MAGIC, struct.pack("<II", 1, len(arrays))]
+        for key, value in arrays.items():
+            chunks += [struct.pack("<H", len(key)), key.encode(),
+                       struct.pack(f"<B{value.ndim}I", value.ndim, *value.shape), value.astype("<f8").tobytes()]
+        (v1 / "checkpoint.bin").write_bytes(b"".join(chunks))
+        capsys.readouterr()
+        code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", str(v1), "--split", "val")
+        assert code == 3
+        assert "checkpoint version 1, expected 2" in assert_one_line_error(capsys)
 
     def test_broken_report_is_exit_4(self, dataset_dir, tmp_path, monkeypatch, capsys):
         evaluate = cli.evalbench.evaluate
@@ -519,6 +535,8 @@ class TestDatasetFaults:
         other_scene_id = edit_json(lambda scene: scene.update(scene_id="scene_99999"))
         repeat_object = edit_json(lambda scene: scene["objects"].append(scene["objects"][0]))
         unknown_split = edit_json(lambda manifest: manifest["splits"].update({sorted(splits)[0]: "holdout"}))
+        bool_schema_version = edit_json(lambda manifest: manifest.update(schema_version=True))  # True == 1
+        bool_box_fields = edit_json(lambda scene: scene["objects"][0]["box"].update(l=True, x=True))
 
         def split_scene(split):
             """The scene file of the split's first scene, which the command reads as part of it."""
@@ -589,6 +607,9 @@ class TestDatasetFaults:
             ("baseline", "unknown_split", "manifest.json", unknown_split),
             ("eval", "scene_id_not_the_manifests", split_scene("val"), other_scene_id),
             ("train", "repeated_object_id", split_scene("train"), repeat_object),
+            ("baseline", "bool_schema_version", "manifest.json", bool_schema_version),
+            ("baseline", "bool_box_fields", split_scene("val"), bool_box_fields),
+            ("baseline", "bool_yaw", split_scene("val"), set_box("yaw", False)),
         ]
         for command, label, name, corrupt in cases:
             broken = str(tmp_path / f"{command}-{label}")

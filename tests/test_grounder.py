@@ -73,6 +73,7 @@ class TestFuse:
         out_perm = model.fuse(T.constant(f_v[perm]), f_l).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     def test_gradients(self):
         model = tiny_model()
         rng = np.random.default_rng(2)
@@ -232,6 +233,7 @@ class TestComputeLoss:
             assert comps[name] < 1e-12
         assert float(total.data) < 1e-10
 
+    @pytest.mark.usefixtures("float64")
     def test_toy_three_candidate_reference(self):
         # independent scripted reference, plain numpy math per term
         raw = np.array([0.4, -1.1, 2.2])
@@ -271,6 +273,7 @@ class TestComputeLoss:
         expected_total = 10 * ref_cls + 10 * ref_reg + 10 * ref_shift + 1 * ref_lang + 1 * ref_ref
         assert float(total.data) == pytest.approx(expected_total, abs=1e-9)
 
+    @pytest.mark.usefixtures("float64")
     def test_total_is_dot_product_of_weights_and_components(self):
         scene, samples = tiny_scene(3)
         model = tiny_model(vocab=_vocab_for(samples))
@@ -321,6 +324,7 @@ class TestGradientFlow:
             assert grad_norm(head) == 0.0
         assert grad_norm("fuse.wv") > 0  # shared upstream features do receive gradient
 
+    @pytest.mark.usefixtures("float64")
     def test_ref_gradient_on_isolated_loc_weight_matches_fd(self):
         scene, samples = tiny_scene(6)
         model = tiny_model(seed=2, vocab=_vocab_for(samples))
@@ -335,6 +339,7 @@ class TestGradientFlow:
 
         finite_diff_check(loss, [model.params["head.loc.w"]], max_coords=4, rng=np.random.default_rng(0))
 
+    @pytest.mark.usefixtures("float64")
     def test_end_to_end_tiny_model_finite_differences(self):
         # M=4 candidates, 2 real tokens, every loss term active: one large
         # box with interior points guarantees positive candidates and seeds
@@ -390,6 +395,7 @@ class TestBatchedTextHalf:
             assert np.array_equal(conf[row], conf_alone[0])
             assert G.ground(batch, conf, row)[0] == G.ground(alone, conf_alone)[0]
 
+    @pytest.mark.usefixtures("float64")
     def test_batch_gradients_mixed_lengths(self):
         rng = np.random.default_rng(7)
         model = tiny_model(seed=3, vocab=word_vocab(20))
@@ -448,6 +454,7 @@ class TestSceneGroupedStep:
         for name, p in models[0].params.items():
             assert np.array_equal(p.data, models[1].params[name].data), name
 
+    @pytest.mark.usefixtures("float64")
     def test_repeated_scenes_match_per_sample_step(self):
         # scene a three times and scene b twice, interleaved with scene c
         batch, models, grouped, reference = self.both_steps(
@@ -586,6 +593,116 @@ class TestTraining:
         cfg = G.TrainConfig(epochs=3, batch_size=2, learning_rate=1e-2, decay_epochs=(), seed=5)
         result = G.train_model({scene.scene_id: scene}, samples, tiny_model_config(), cfg)
         np.testing.assert_array_equal(result.model.params["lang.embed"].data[0], 0.0)
+
+
+class TestComputeDtype:
+    """Tensors compute in `tensor.DTYPE` (float32) and nothing promotes to
+    float64 on the way, which would silently cost the speed float32 buys;
+    geometry and the Adam master weights stay float64."""
+
+    @staticmethod
+    def dataset(seed):
+        return S.gen_dataset(seed, S.GenConfig(scene_count=3, objects_min=2, objects_max=3))
+
+    @staticmethod
+    def spy(monkeypatch, module, name, seen):
+        """Replace module.name by a wrapper that appends each call's arguments to `seen`."""
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: seen.append(args) or real(*args))
+
+    @staticmethod
+    def record_dtypes(monkeypatch, made, handed):
+        """Append to `made` the dtype of each value an op computes, before
+        `Tensor` casts it to DTYPE, and to `handed` that of each gradient a
+        backward passes to an input, which `_accumulate` may add in place."""
+        node, accumulate = T._node, T.Tensor._accumulate
+        monkeypatch.setattr(T, "_node", lambda value, *rest: made.append(np.asarray(value).dtype) or node(value, *rest))
+        monkeypatch.setattr(T.Tensor, "_accumulate",
+                            lambda self, grad: handed.append(np.asarray(grad).dtype) or accumulate(self, grad))
+
+    def test_nothing_is_promoted_in_a_training_step_or_a_prediction(self, monkeypatch):
+        assert T.DTYPE == np.float32
+        # a candidate lands in a box, so every head gets a gradient: the
+        # regression loss's float64 targets too
+        dataset = self.dataset(4)
+        model = G.GroundingModel(tiny_model_config(), _vocab_for(dataset.samples), seed=3)
+        inputs = dict(zip(dataset.scenes, G.scene_inputs(model, list(dataset.scenes.values()))))
+        made, handed, targeted, outputs = [], [], [], []
+        self.record_dtypes(monkeypatch, made, handed)
+        self.spy(monkeypatch, G, "assign_targets", targeted)
+        G._minibatch_gradients(model, inputs, dataset.samples, G.LossWeights(), epoch=1)
+        assert len(made) > 500 and len(handed) > 300
+        assert set(made) == set(handed) == {np.dtype(T.DTYPE)}
+        assert all(p.data.dtype == p.grad.dtype == T.DTYPE for p in model.params.values())
+
+        state = T.AdamState(learning_rate=1e-3, weight_decay=1e-4)
+        T.adam_step(model.params, {k: p.grad for k, p in model.params.items()}, state)
+        for table in (state.master, state.m, state.v):
+            assert table.keys() == model.params.keys()
+            assert all(a.dtype == np.float64 for a in table.values())
+        assert all(p.data.dtype == T.DTYPE for p in model.params.values())
+
+        for sc in inputs.values():
+            assert sc.scene.points.xyz.dtype == sc.feats.dtype == np.float64
+            assert all(a.dtype == np.intp for a in sc.plan)  # indices: no float to promote
+        for candidates, seeds, *_ in targeted:
+            assert candidates.dtype == T.DTYPE and seeds.dtype == np.float64
+
+        made.clear()
+        self.spy(monkeypatch, G, "predict", outputs)
+        groups = [(scene, [s for s in dataset.samples if s.scene_id == sid], [])
+                  for sid, scene in dataset.scenes.items()]
+        boxes = [box for scene_boxes in G.model_predictor(model)(groups) for box in scene_boxes]
+        assert len(outputs) == len(groups) and len(boxes) == len(dataset.samples)
+        assert len(made) > 100 and set(made) == {np.dtype(T.DTYPE)}
+        assert all(out.candidates.seeds.dtype == np.float64 for (out,) in outputs)
+        for box in boxes:
+            assert box.center.dtype == np.float64
+            assert all(np.asarray(v).dtype == np.float64 for v in (box.l, box.w, box.h, box.yaw))
+
+    def test_float32_gradients_match_float64(self, monkeypatch):
+        """One training step in each dtype from the same weights (float32
+        values, which float64 holds exactly) on the same samples.
+
+        Tolerance, per parameter: the error norm may be 1e-4 of that
+        parameter's gradient norm, plus 1e-6 of the largest one. float32's
+        unit roundoff is 2**-24, about 6e-8. A gradient entry runs through a
+        chain of about 30 ops (SA0, SA1, candidate generation, BiGRU steps,
+        fusion, heads, loss) whose reductions sum up to about 1,000 terms, so
+        its rounding error is of order 30 x sqrt(1000) x 6e-8, about 6e-5 of
+        its size; 1e-4 is about 1,700 roundoffs. A wrong backward path gives
+        errors of order 1. The absolute term is for a gradient that cancels
+        to rounding noise in both dtypes, such as the loc bias's (softmax
+        ignores a shared shift): 1e-6 of the largest norm is about 17
+        roundoffs. Measured on this set-up, the relative errors stay under
+        4e-6 and the absolute ones under 2e-7 of the largest norm. The step
+        compares only if both dtypes sample the same seeds.
+        """
+        dataset = self.dataset(8)
+        vocab = _vocab_for(dataset.samples)
+        # the default dimensions, so every BLAS call is the one training makes
+        drawn = G.GroundingModel(G.ModelConfig(), vocab, seed=3)
+        inputs = dict(zip(dataset.scenes, G.scene_inputs(drawn, list(dataset.scenes.values()))))
+        batch = dataset.samples[:10]
+        targeted, models = {np.float32: [], np.float64: []}, {}
+        for dtype, seen in targeted.items():
+            with monkeypatch.context() as m:
+                m.setattr(T, "DTYPE", dtype)
+                self.spy(m, G, "assign_targets", seen)
+                params = {k: T.Tensor(p.data, requires_grad=True) for k, p in drawn.params.items()}
+                models[dtype] = G.GroundingModel(G.ModelConfig(), vocab, params=params)
+                G._minibatch_gradients(models[dtype], inputs, batch, G.LossWeights(), epoch=1)
+        assert len(targeted[np.float32]) == len(targeted[np.float64]) == len({s.scene_id for s in batch})
+        for (c32, seeds32, *_), (c64, seeds64, *_) in zip(targeted[np.float32], targeted[np.float64]):
+            assert np.array_equal(seeds32, seeds64)
+            assert c32.dtype == np.float32 and c64.dtype == np.float64
+            np.testing.assert_allclose(c32, c64, rtol=0, atol=1e-5)  # positions of magnitude up to 50
+        grads = {k: (p.grad, models[np.float64].params[k].grad) for k, p in models[np.float32].params.items()}
+        assert all(g32.dtype == np.float32 and g64.dtype == np.float64 for g32, g64 in grads.values())
+        largest = max(np.linalg.norm(g64) for _, g64 in grads.values())
+        for name, (g32, g64) in grads.items():
+            err = np.linalg.norm(g32 - g64)
+            assert err <= 1e-4 * np.linalg.norm(g64) + 1e-6 * largest, (name, err, np.linalg.norm(g64))
 
 
 class TestPredictAndCheckpoint:

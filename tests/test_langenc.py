@@ -100,6 +100,7 @@ class TestEmbed:
         out = embed(np.array([3]), params)
         np.testing.assert_array_equal(out.data[0], params["lang.embed"].data[3])
 
+    @pytest.mark.usefixtures("float64")
     def test_gradient_reaches_only_present_rows(self):
         params = make_params()
         emb = params["lang.embed"]
@@ -140,6 +141,7 @@ class TestBiGRU:
         out_b = bigru_encode(embed(long, params), l_long, params, CFG)
         np.testing.assert_array_equal(out_a.data, out_b.data)
 
+    @pytest.mark.usefixtures("float64")
     def test_single_step_closed_form_cell(self):
         params = make_params(seed=5)
         rng = np.random.default_rng(6)
@@ -178,6 +180,7 @@ class TestBiGRU:
         with pytest.raises(ValueError):
             bigru_encode(T.constant(np.zeros((3, CFG.embed_dim))), 0, params, CFG)
 
+    @pytest.mark.usefixtures("float64")
     def test_gradients_three_token_sequence(self):
         params = make_params(seed=9)
         rng = np.random.default_rng(10)
@@ -218,6 +221,7 @@ class TestBatchedBiGRU:
             with pytest.raises(ValueError):
                 bigru_encode(f_w, lengths, params, CFG)
 
+    @pytest.mark.usefixtures("float64")
     def test_gradients_mixed_lengths(self):
         params, ids = self.batch(14, [2, 5], CFG)
         w = T.constant(np.random.default_rng(15).normal(size=(2, 1, 2 * CFG.hidden_dim)))

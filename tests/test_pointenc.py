@@ -602,6 +602,7 @@ class TestSetAbstraction:
         np.testing.assert_array_equal(centers2, centers)
         np.testing.assert_allclose(out2.data, out.data, atol=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     def test_gradients_through_two_stacked_layers(self):
         rng = np.random.default_rng(10)
         enc = tiny_encoder(rng)
@@ -626,7 +627,7 @@ class TestCandidateGeneration:
         enc.params["enc.shift.b1"].data[:] = 0.0
         pts = rng.uniform(-2, 2, size=(20, 3))
         out = enc.forward([(pts, T.constant(rng.normal(size=(20, 2))), enc.precompute_plan([pts])[0])])[0]
-        np.testing.assert_array_equal(out.positions.data, out.seeds)
+        np.testing.assert_array_equal(out.positions.data, out.seeds.astype(T.DTYPE))
         np.testing.assert_array_equal(out.shifts.data, 0.0)
 
     @pytest.mark.parametrize("n_points", [1, 3, 4, 17, 60])
@@ -641,6 +642,7 @@ class TestCandidateGeneration:
         assert out.shifts.shape == (m, 3)
         assert len(out.seeds) == m
 
+    @pytest.mark.usefixtures("float64")
     def test_shift_gradients_flow(self):
         rng = np.random.default_rng(13)
         enc = tiny_encoder(rng)

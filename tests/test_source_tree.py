@@ -131,3 +131,23 @@ def test_cli_names_no_loss_term_and_no_vocabulary():
     assert LOSS_TERMS and not literals & set(LOSS_TERMS), sorted(literals & set(LOSS_TERMS))
     vocabulary = sorted(n for n in names | literals if "vocab" in n.lower())
     assert names and not vocabulary, vocabulary
+
+
+def test_only_tensor_names_float32():
+    """`tensor.DTYPE` is the one definition of the dtype the model computes
+    in, so no other module in src names float32: not as a name, an
+    attribute or a string constant. A module that reads or writes a file
+    format of 4-byte floats spells that layout as a byte-order string, such
+    as `synthdata`'s "<f4" for point files."""
+    trees = source_trees()
+    assert "tensor.py" in trees
+    naming = sorted(
+        module
+        for module, tree in trees.items()
+        if module != "tensor.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "float32")
+        or (isinstance(node, ast.Attribute) and node.attr == "float32")
+        or (isinstance(node, ast.Constant) and node.value == "float32")
+    )
+    assert not naming, f"modules other than tensor.py that name float32: {sorted(set(naming))}"

@@ -44,6 +44,7 @@ class TestForwardValues:
         with pytest.raises(T.ShapeError):
             T.cross_entropy(T.constant([[1.0, 2.0]]), 5)
 
+    @pytest.mark.usefixtures("float64")
     def test_bce_with_logits_matches_naive(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 3)) * 3
@@ -118,14 +119,15 @@ class TestBatchedBits:
         rng = np.random.default_rng(31)
         a = T.Tensor(rng.normal(size=(48, 64)), requires_grad=True)
         idx = rng.integers(0, 48, size=300)
-        grad = rng.normal(size=(300, 64))
-        T.backward(T.tensor_sum(T.mul(T.gather_rows(a, idx), T.constant(grad))))
-        reference = np.stack([np.bincount(idx, weights=grad[:, j], minlength=48) for j in range(64)], axis=1)
-        assert np.array_equal(a.grad, reference)
+        grad = T.constant(rng.normal(size=(300, 64)))
+        T.backward(T.tensor_sum(T.mul(T.gather_rows(a, idx), grad)))
+        columns = [np.bincount(idx, weights=grad.data[:, j], minlength=48) for j in range(64)]
+        reference = np.stack(columns, axis=1).astype(T.DTYPE)
+        assert a.grad.dtype == T.DTYPE and np.array_equal(a.grad, reference)
 
     def test_max_pool_rows_matches_block_max(self):
         rng = np.random.default_rng(32)
-        x = np.round(rng.normal(size=(40, 6)), 1)  # rounding makes ties
+        x = np.round(rng.normal(size=(40, 6)), 1).astype(T.DTYPE)  # rounding makes ties
         for requires_grad in (False, True):
             out = T.max_pool_rows(T.Tensor(x, requires_grad=requires_grad), 8)
             assert np.array_equal(out.data, x.reshape(5, 8, 6).max(axis=1))
@@ -184,7 +186,8 @@ class TestMaxPoolRows:
 
     def test_matches_argmax_and_put_along_axis(self):
         for name, x, group in self.cases():
-            up = np.random.default_rng(39).normal(size=(len(x) // group, x.shape[1]))
+            x = x.astype(T.DTYPE)
+            up = np.random.default_rng(39).normal(size=(len(x) // group, x.shape[1])).astype(T.DTYPE)
             out, grad = self.pooled(x, group, up)
             want_out, want_grad = oracles.max_pool_rows(x, group, up)
             assert np.array_equal(out, want_out), name
@@ -234,7 +237,7 @@ class TestBackward:
         # from the same add, must not see it
         rng = np.random.default_rng(34)
         a, b = param(rng, 3, 4), param(rng, 3, 4)
-        g, h = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        g, h = rng.normal(size=(3, 4)).astype(T.DTYPE), rng.normal(size=(3, 4)).astype(T.DTYPE)
         T.backward(T.tensor_sum(T.mul(T.add(a, b), T.constant(g))))
         assert np.array_equal(b.grad, g)
         T.backward(T.tensor_sum(T.mul(a, T.constant(h))))
@@ -251,6 +254,7 @@ class TestBackward:
         assert x.grad[0, 0] == pytest.approx(1.0)
 
 
+@pytest.mark.usefixtures("float64")
 class TestFiniteDifferences:
     """Every op's analytic gradient against central differences (step 1e-6)."""
 
@@ -440,6 +444,23 @@ class TestAdam:
         assert p.data[0, 0] == pytest.approx(x, abs=1e-15)
         assert state.step == 2
 
+    def test_master_weights_keep_steps_below_the_parameter_resolution(self):
+        # at the default lr 1e-4 and weight decay 1e-4 a decay step shrinks a
+        # weight by 1e-8 of itself, under float32's half-ulp: the parameter
+        # holds still while its float64 master weight moves, until the steps
+        # add up to a whole float32 step
+        p = T.Tensor(np.full((1, 3), 0.75), requires_grad=True)
+        state = T.AdamState(learning_rate=1e-4, weight_decay=1e-4)
+        T.adam_step({"p": p}, {}, state)
+        master = state.master["p"]
+        assert master.dtype == state.m["p"].dtype == state.v["p"].dtype == np.float64
+        assert p.data.dtype == T.DTYPE and np.array_equal(p.data, np.full((1, 3), 0.75))
+        assert master[0, 0] == 0.75 - 0.75 * 1e-8
+        for _ in range(9):
+            T.adam_step({"p": p}, {}, state)
+        assert master[0, 0] == pytest.approx(0.75 * (1 - 1e-8) ** 10, rel=1e-15)
+        assert np.array_equal(p.data, master.astype(T.DTYPE)) and p.data[0, 0] < 0.75
+
     def test_shape_mismatch_rejected(self):
         p = T.Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(T.ShapeError):
@@ -455,16 +476,20 @@ class TestCheckpoint:
     def test_random_roundtrip_bit_exact(self, seed):
         rng = np.random.default_rng(seed)
         named = {
-            "w": rng.normal(size=(3, 4)),
-            "b": rng.normal(size=(7,)),
-            "scalar": np.asarray(rng.normal()),
-            "deep": rng.normal(size=(2, 3, 4)),
+            "w": T.Tensor(rng.normal(size=(3, 4))),
+            "b": T.Tensor(rng.normal(size=(7,))),
+            "scalar": T.Tensor(rng.normal()),
+            "deep": T.Tensor(rng.normal(size=(2, 3, 4)) * 1e30),
         }
         loaded = T.checkpoint_load(T.checkpoint_save(named))
         assert set(loaded) == set(named)
-        for k in named:
-            assert loaded[k].shape == np.asarray(named[k]).shape
-            assert loaded[k].tobytes() == np.asarray(named[k], dtype="<f8").tobytes()
+        for k, t in named.items():
+            assert loaded[k].shape == t.shape and loaded[k].dtype == t.data.dtype == T.DTYPE
+            assert loaded[k].tobytes() == t.data.tobytes()
+
+    def test_values_stored_as_little_endian_float32(self):
+        blob = T.checkpoint_save({"w": np.array([1.5, -2.0])})
+        assert blob[-8:] == np.array([1.5, -2.0], dtype="<f4").tobytes()
 
     def test_bad_magic(self):
         good = T.checkpoint_save({"w": np.ones(2)})
@@ -476,12 +501,12 @@ class TestCheckpoint:
 
         good = T.checkpoint_save({"w": np.ones(2)})
         bad = good[:4] + struct.pack("<I", 999) + good[8:]
-        with pytest.raises(T.CheckpointError, match="checkpoint version 999, expected 1"):
+        with pytest.raises(T.CheckpointError, match=f"checkpoint version 999, expected {T.CHECKPOINT_VERSION}"):
             T.checkpoint_load(bad)
 
     def test_truncation(self):
         good = T.checkpoint_save({"w": np.ones(8)})
-        with pytest.raises(T.CheckpointError, match="checkpoint truncated: wanted 64 bytes"):
+        with pytest.raises(T.CheckpointError, match="checkpoint truncated: wanted 32 bytes"):
             T.checkpoint_load(good[:-5])
 
     def test_trailing_bytes_rejected(self):
