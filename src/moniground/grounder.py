@@ -17,17 +17,20 @@ scene's inputs (features and sampling plan, from `scene_inputs`) and the
 token lists of its B expressions. A model carries its vocabulary and
 encodes the tokens into a padded (B, L) id matrix itself. The visual half
 never reads the text: one `pointenc.PointEncoder.forward` encodes the
-scenes together, so that SA1's F-FPS runs in lockstep over them. The text
-half (`ground_text`) grounds each scene's B expressions against its
-candidates in one pass, which gives every text tensor a leading batch axis
-B. Each row is bit-identical to that expression grounded alone: a row
-keeps a singleton axis where a lone expression has one row, so numpy makes
-the same BLAS call per row (see `tensor.matmul`), and the BiGRU masks rows
-past their length (see `langenc.bigru_encode`). Training builds each
-scene's inputs once, makes one `forward` of one scene per scene group of a
-minibatch, so each graph is freed by its backward before the next is
-built, and gives each row its own B = 1 loss. Inference (`model_predictor`)
-makes one `forward` per block of scenes and decodes each scene's rows with
+scenes together, so that SA1's F-FPS runs in lockstep over a block of
+them, and yields each scene's candidates in turn; `forward` yields each
+scene's output as its candidates come. The text half (`ground_text`)
+grounds each scene's B expressions against its candidates in one pass,
+which gives every text tensor a leading batch axis B. Each row is
+bit-identical to that expression grounded alone: a row keeps a singleton
+axis where a lone expression has one row, so numpy makes the same BLAS
+call per row (see `tensor.matmul`), and the BiGRU masks rows past their
+length (see `langenc.bigru_encode`). Training builds each scene's inputs
+once and makes one `forward` per minibatch over its scene groups. It runs
+each group's backward before it asks for the next group's output, so
+only one block of SA0 outputs and one group's later graph are alive, and
+gives each row its own B = 1 loss. Inference (`model_predictor`) makes
+one `forward` per block of scenes and decodes each scene's rows with
 `predict`. A plan holds a scene's sampling decisions that read positions
 only: SA0's D-FPS picks and ball groups and SA1's D-FPS half. Both D-FPS
 passes run in lockstep over the scenes of one `scene_inputs` call, so
@@ -50,6 +53,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -258,14 +262,29 @@ def _head_layout(config: ModelConfig) -> T.Layout:
     return layout
 
 
-def param_layout(config: ModelConfig, vocab_size: int) -> T.Layout:
-    """Every parameter of a model, as `GroundingModel` draws them: the
-    encoder's, the language branch's, then `_head_layout`'s."""
+# The scores have no bias: one scalar added to every candidate's score changes
+# no softmax over them, so its gradient is zero. Its value is still drawn at
+# initialisation, and dropped, so that every later parameter starts from the
+# values it had when the bias was a parameter.
+_DROPPED_DRAW = "head.loc.b"
+
+
+def _drawn_layout(config: ModelConfig, vocab_size: int) -> T.Layout:
+    """What `GroundingModel` draws, in order: the encoder's parameters, the
+    language branch's, then `_head_layout`'s."""
     return {
         **encoder_layout(config.encoder, modality_feature_dim(config.modality)),
         **langenc.lang_layout(vocab_size, config.lang),
         **_head_layout(config),
     }
+
+
+def param_layout(config: ModelConfig, vocab_size: int) -> T.Layout:
+    """Every parameter of a model, in draw order: `_drawn_layout` without
+    `_DROPPED_DRAW`."""
+    layout = _drawn_layout(config, vocab_size)
+    del layout[_DROPPED_DRAW]
+    return layout
 
 
 class GroundingModel:
@@ -276,7 +295,8 @@ class GroundingModel:
         self.config = config
         self.vocab = vocab
         if params is None:
-            params = T.init_params(param_layout(config, len(vocab)), substream(seed, "model-init"))
+            params = T.init_params(_drawn_layout(config, len(vocab)), substream(seed, "model-init"))
+            del params[_DROPPED_DRAW]
             params["lang.embed"].data[langenc.PAD_ID, :] = 0.0  # the padding row; training keeps it at zero
         self.encoder = PointEncoder(config.encoder, params)
         self.params = params
@@ -295,7 +315,7 @@ class GroundingModel:
     def localize(self, f_m: T.Tensor) -> T.Tensor:
         """(B, M) candidate scores, one row of M per sentence in f_m."""
         m = f_m.shape[-2]
-        raw = T.linear(f_m, self.params["head.loc.w"], self.params["head.loc.b"])
+        raw = T.matmul(f_m, self.params["head.loc.w"])
         return T.reshape(raw, (raw.data.size // m, m))
 
     def ground_text(self, cand: CandidateSet, token_ids: np.ndarray, lengths) -> ModelOutput:
@@ -313,17 +333,24 @@ class GroundingModel:
         lang_logits = T.linear(f_l, self.params["head.lang.w"], self.params["head.lang.b"])
         return ModelOutput(cand, raw, cls_logits, residuals, lang_logits)
 
-    def forward(self, inputs: list[SceneInputs], tokens: list[list[list[str]]]) -> list[ModelOutput]:
-        """Each scene's expressions grounded in it: `tokens[s]` holds the
-        token list of each of scene s's expressions.
+    def forward(self, inputs: list[SceneInputs], tokens: list[list[list[str]]]) -> Iterator[ModelOutput]:
+        """Each scene's expressions grounded in it, yielded scene by scene:
+        `tokens[s]` holds the token list of each of scene s's expressions.
 
-        The scenes are encoded together in one `PointEncoder.forward`, which
-        never reads the text; then one `ground_text` per scene grounds its
-        expressions' ids (`encode_expressions`) against its candidates."""
+        The scenes are encoded together by one `PointEncoder.forward`, which
+        never reads the text and yields each scene's candidates in turn;
+        one `ground_text` per scene grounds its expressions' ids
+        (`encode_expressions`) against them. A scene's output is built only
+        when the caller asks for it, so training runs each scene's backward
+        before the next scene's SA1. The encoder's ValueError, such as
+        F-FPS's on non-finite features, surfaces there."""
+        if len(inputs) != len(tokens):
+            raise ValueError(f"forward got token lists for {len(tokens)} scenes and inputs for {len(inputs)}")
         candidates = self.encoder.forward([(sc.scene.points.xyz, T.constant(sc.feats), sc.plan) for sc in inputs])
         max_len = self.config.lang.max_len
-        return [self.ground_text(cand, *encode_expressions(self.vocab, token_lists, max_len))
-                for cand, token_lists in zip(candidates, tokens, strict=True)]
+        for token_lists in tokens:
+            # no name here holds a scene's candidates while the next scene's are built
+            yield self.ground_text(next(candidates), *encode_expressions(self.vocab, token_lists, max_len))
 
 
 def scene_inputs(model: GroundingModel, scenes: list[Scene]) -> list[SceneInputs]:
@@ -433,15 +460,20 @@ def _minibatch_gradients(model: GroundingModel, inputs: dict[str, SceneInputs], 
     """Zero the gradients, then accumulate those of the mean loss of `batch`.
 
     The batch is split into one group per scene, in order of first
-    appearance. A group makes one `forward` with its scene's inputs and all
-    of its expressions, and computes the scene-level targets once. Each
-    expression gets its own B = 1 loss, whose values equal those of that
-    sample run alone, bit for bit. One backward per group runs on the sum
-    of its losses scaled by 1 / len(batch), so a group of one builds the
-    graph of a sample run alone. Several rows share one
-    encoder backward and sum their gradients before its products, which
-    rounds differently in the last bits. Returns each sample's loss
-    components, in batch order.
+    appearance. One `forward` takes every group's scene and expressions and
+    yields the groups' outputs in turn: SA0 and SA1's F-FPS run over a
+    block of scenes at a time (see `PointEncoder.forward`), the rest per
+    group. A group computes the scene-level targets once. Each expression
+    gets its own B = 1 loss, whose values equal those of that sample run
+    alone, bit for bit. One backward per group runs on the sum of its
+    losses scaled by 1 / len(batch) before the next group's SA1 is built,
+    so a group of one back-propagates the graph of a sample run alone, and
+    at most one block of SA0 outputs and one group's graph are alive.
+    Several rows share one encoder backward and sum their gradients before
+    its products, which rounds differently in the last bits. A ValueError
+    from the encoder, which only weights grown without bound cause, raises
+    TrainingDivergedError. Returns each sample's loss components, in batch
+    order.
     """
     T.zero_grads(model.params)
     groups: dict[str, list[int]] = {}
@@ -449,11 +481,13 @@ def _minibatch_gradients(model: GroundingModel, inputs: dict[str, SceneInputs], 
         groups.setdefault(sample.scene_id, []).append(pos)
     inv = 1.0 / len(batch)
     comps: list = [None] * len(batch)
+    outputs = model.forward([inputs[scene_id] for scene_id in groups],
+                            [[batch[pos].tokens for pos in positions] for positions in groups.values()])
     for scene_id, positions in groups.items():
         sc = inputs[scene_id]
         members = [batch[pos] for pos in positions]
         try:
-            (out,) = model.forward([sc], [[m.tokens for m in members]])
+            out = next(outputs)
         except ValueError as exc:
             # `scene_inputs` checked the scene, so the encoder fails only on weights grown
             # without bound: F-FPS rejects the non-finite features they make
@@ -489,9 +523,10 @@ def train_model(
 
     Every scene's inputs are built once, in one `scene_inputs` call, before
     the first epoch. Each epoch shuffles the samples with a seeded
-    permutation and cuts it into minibatches of `batch_size`. A minibatch makes one batched `forward`
-    per distinct scene in it (see `_minibatch_gradients`), then one Adam
-    step.
+    permutation and cuts it into minibatches of `batch_size`. A minibatch
+    makes one `forward` over its distinct scenes, each scene's expressions
+    batched, and one backward per scene (see `_minibatch_gradients`), then
+    one Adam step.
 
     A NaN or infinite loss, or a gradient with such an entry before an Adam
     step, raises TrainingDivergedError, so a diverged run returns no model.
@@ -566,7 +601,7 @@ def model_predictor(model: GroundingModel) -> Predictor:
             tokens = [[s.tokens for s in samples] for _, samples, _ in groups[block]]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
-                    outputs = model.forward(inputs, tokens)
+                    outputs = list(model.forward(inputs, tokens))
             except ValueError as exc:  # `scene_inputs` checked the scenes, so the weights are at fault
                 raise CheckpointCompatError(f"the model's weights break its encoder: {exc}") from exc
             boxes += [[box for box, _, _ in predict(out)] for out in outputs]

@@ -7,10 +7,12 @@ FPS (D-FPS); SA1 takes half of its seeds by D-FPS and half by feature FPS
 group of points is encoded by a shared MLP with max-pooling over the
 group. Pooling comes before the MLP's last ReLU: max commutes with ReLU,
 so the values and gradients are those of pooling after it, and the ReLU
-runs on one row per group. A final candidate layer regresses a 3D shift per seed toward object centers and
-extracts features around the shifted positions. Sampling decisions are
-made on plain numpy values; gradients flow through feature extraction and
-through the predicted shifts.
+runs on one row per group. The MLP, its pooling and that ReLU are one
+autodiff node, `tensor.pooled_mlp`, which keeps no activations of the
+rows it pools. A final candidate layer regresses a 3D shift per seed
+toward object centers and extracts features around the shifted
+positions. Sampling decisions are made on plain numpy values; gradients
+flow through feature extraction and through the predicted shifts.
 
 FPS and ball query share one squared distance, `(dx*dx + dy*dy) + dz*dz`
 per column. One greedy loop serves both FPS kinds, run in lockstep over S
@@ -18,8 +20,8 @@ clouds: the clouds are padded into (3, S, width) coordinate planes, and
 each step is one `argmax` and one `np.minimum` over all S rows, so Python's
 per-step cost is paid once per block, not once per cloud. D-FPS runs it
 over every cloud a plan covers, in blocks of at most `_BLOCK_POINTS` padded
-points (see `point_blocks`); F-FPS over the SA0 outputs of every scene one
-forward encodes, in blocks of at most `_BLOCK_FEATURE_VALUES` padded
+points (see `point_blocks`); F-FPS over the SA0 outputs of a block of
+the scenes one forward encodes, at most `_BLOCK_FEATURE_VALUES` padded
 feature values. Both working sets stay in L2. Each row's picks equal that
 cloud's run alone, bit for bit. A step writes its S centers across a
 reused difference buffer and then subtracts the planes from it in one
@@ -31,9 +33,17 @@ builds no M x N array; its cost grows with the candidate pairs, not with
 centers times points.
 
 Both D-FPS runs and SA0's ball query read positions only, so
-`PointEncoder.precompute_plan` does them once per cloud. F-FPS reads SA0's
-features, so `PointEncoder.forward` runs it, once over all of its scenes;
-the rest of the forward runs per scene.
+`PointEncoder.precompute_plan` does them once per cloud. SA0 takes a
+cloud's first min(out_points, n) D-FPS picks: a cloud of n points has n distinct
+picks, and FPS would pad the rest with point 0, which only repeats SA0's
+first output row. So a short cloud's SA0, its F-FPS and SA1's ball query
+shrink with it, and SA1 still has its full seed count, padded by FPS.
+F-FPS reads SA0's features, so `PointEncoder.forward` runs it, once per
+block of scenes after the block's SA0; then it yields each scene's
+candidates in turn, running SA1 and candidate generation for a scene
+only when the caller asks for it. Training runs a scene's backward before
+the next scene's SA1, so at most one block of SA0 outputs and one scene's
+later layers are alive.
 
 Geometry is float64; what enters the autodiff graph is `tensor.DTYPE`
 (float32). Clouds, plans, D-FPS and ball query work on float64 positions.
@@ -47,7 +57,7 @@ its predicted shift, a graph value of `DTYPE`; ball query and
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -434,9 +444,11 @@ def _mlp_forward(x: T.Tensor, params: dict[str, T.Tensor], name: str, depth: int
 
 
 def _pooled_mlp(x: T.Tensor, params: dict[str, T.Tensor], name: str, depth: int, group: int) -> T.Tensor:
-    """The MLP with a final ReLU, max-pooled over each `group` rows; the
-    pooling comes first (see the module docstring)."""
-    return T.relu(T.max_pool_rows(_mlp_forward(x, params, name, depth), group))
+    """The MLP with a final ReLU, max-pooled over each `group` rows, as one
+    `tensor.pooled_mlp` node; the pooling comes first (see the module
+    docstring)."""
+    layers = [(params[f"{name}.w{i}"], params[f"{name}.b{i}"]) for i in range(depth)]
+    return T.pooled_mlp(x, layers, group)
 
 
 def encoder_layout(config: EncoderConfig, in_dim: int) -> T.Layout:
@@ -473,40 +485,55 @@ class PointEncoder:
         """Each cloud's plan: the sampling decisions that do not depend on
         parameters, so one plan serves every forward pass over its points.
 
-        SA0's D-FPS runs in lockstep over all the clouds (see fps_distance),
-        then SA0's ball query per cloud, then SA1's D-FPS half in lockstep
-        over SA0's points of every cloud.
+        SA0's D-FPS runs in lockstep over all the clouds (see fps_distance)
+        and keeps a cloud's first min(out_points, n) picks: a cloud of n
+        points has n distinct D-FPS picks, and the padding after them would
+        only repeat point 0. Then SA0's ball query runs per cloud, then SA1's
+        D-FPS half in lockstep over SA0's points of every cloud.
         """
         sa0, sa1 = self.config.sa_layers
-        picks = fps_distance(clouds, sa0.out_points)
+        picks = [idx[: len(cloud)] for cloud, idx in zip(clouds, fps_distance(clouds, sa0.out_points))]
         centers = [cloud[idx] for cloud, idx in zip(clouds, picks)]
         groups = [ball_group(c, cloud, sa0.radius, sa0.cap) for c, cloud in zip(centers, clouds)]
         halves = fps_distance(centers, sa1.out_points // 2)
         return [ScenePlan(*plan) for plan in zip(picks, groups, halves)]
 
-    def forward(self, scenes: Sequence[tuple[np.ndarray, T.Tensor, ScenePlan]]) -> list[CandidateSet]:
+    def forward(self, scenes: Sequence[tuple[np.ndarray, T.Tensor, ScenePlan]]) -> Iterator[CandidateSet]:
         """Candidates of each scene, given as (positions, features, plan)
-        with its plan from `precompute_plan`; one CandidateSet per scene.
+        with its plan from `precompute_plan`; yields one CandidateSet per
+        scene, in order.
 
-        SA0 runs per scene on its plan's picks and groups. SA1's F-FPS half
-        runs once, in lockstep over every scene's SA0 output (see
-        fps_feature). Then SA1 runs per scene: it interleaves its D-FPS and
-        F-FPS halves, groups them by ball query and encodes them. Candidate
-        generation runs per scene last. Each scene's candidates equal those
+        The scenes run in blocks of at most _BLOCK_FEATURE_VALUES SA0 output
+        values (scenes x SA0 points of the largest x channels). A block
+        first runs SA0 per scene on its plan's picks and groups, then SA1's
+        F-FPS half once, in lockstep over the block's SA0 outputs (see
+        fps_feature). Then each scene in turn runs SA1, which interleaves its
+        D-FPS and F-FPS halves, groups them by ball query and encodes them,
+        and candidate generation, and is yielded. A scene's SA1 runs only
+        when the caller asks for its candidates, so a caller can run the
+        previous scene's backward, and free its graph, first; at most one
+        block of SA0 outputs is alive. Each scene's candidates equal those
         of its forward alone, bit for bit.
         """
+        sa0, sa1 = self.config.sa_layers
+        sizes = [len(plan.sa0_picks) * sa0.mlp[-1] for _, _, plan in scenes]
+        for block in _blocks(sizes, _BLOCK_FEATURE_VALUES):
+            layer0 = [self._sa_forward(0, pos, feats, pos[plan.sa0_picks], plan.sa0_groups)
+                      for pos, feats, plan in scenes[block]]
+            by_feature = fps_feature([pos for pos, _ in layer0], [feats.data for _, feats in layer0],
+                                     sa1.out_points // 2, self.config.lambda_fps)
+            layer0.reverse()
+            for (_, _, plan), f_picks in zip(scenes[block], by_feature):
+                # popped, so that nothing here holds a yielded scene's graph
+                yield self._candidate_generate(*self._sa1_forward(*layer0.pop(), plan.sa1_distance, f_picks))
+
+    def _sa1_forward(self, positions: np.ndarray, features: T.Tensor, by_distance: np.ndarray,
+                     by_feature: np.ndarray) -> tuple[np.ndarray, T.Tensor]:
+        """SA1 over SA0's output: its D-FPS and F-FPS seeds interleaved, so
+        that any prefix mixes the two, grouped by ball query and encoded."""
         sa1 = self.config.sa_layers[1]
-        layer0 = [self._sa_forward(0, pos, feats, pos[plan.sa0_picks], plan.sa0_groups)
-                  for pos, feats, plan in scenes]
-        by_feature = fps_feature([pos for pos, _ in layer0], [feats.data for _, feats in layer0],
-                                 sa1.out_points // 2, self.config.lambda_fps)
-        layer1 = []
-        for (pos, feats), (_, _, plan), f_picks in zip(layer0, scenes, by_feature):
-            centers = pos[np.stack([plan.sa1_distance, f_picks], axis=1).reshape(-1)]
-            layer1.append(self._sa_forward(1, pos, feats, centers, ball_group(centers, pos, sa1.radius, sa1.cap)))
-        # each stage over every scene before the next, so that its weights stay in cache: on
-        # 12 dense scenes (2-CPU x86-64) this beat SA1-then-candidates per scene by about 5%
-        return [self._candidate_generate(pos, feats) for pos, feats in layer1]
+        centers = positions[np.stack([by_distance, by_feature], axis=1).reshape(-1)]
+        return self._sa_forward(1, positions, features, centers, ball_group(centers, positions, sa1.radius, sa1.cap))
 
     def _sa_forward(self, li: int, positions: np.ndarray, features: T.Tensor, centers: np.ndarray,
                     groups: np.ndarray) -> tuple[np.ndarray, T.Tensor]:

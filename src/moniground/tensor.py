@@ -11,13 +11,23 @@ outside the graph. The tests set `DTYPE` to float64 for their
 finite-difference checks.
 
 Every op builds a node in an implicit graph (parent links + a backward
-closure); `backward` walks the graph once in reverse topological order
-and accumulates gradients additively into the `grad` buffers of tensors
-that require them. The op set is exactly what the grounding model's
-training loss needs, nothing more; each op's gradient is checked against
-central finite differences in the test suite. Values that only inference
-reads, such as the softmax confidences over candidate scores, are plain
-numpy outside the graph (see `grounder.softmax`).
+closure); `backward` runs each node reached from the loss once, in reverse
+creation order, and accumulates gradients additively into the `grad`
+buffers of tensors that require them. Every tensor takes a number from one
+counter when it is made, and an op makes its output after its inputs, so
+that order is a reverse topological order without a walk to sort the
+graph. The op set is exactly what the grounding model's training loss
+needs, nothing more; each op's gradient is checked against central finite
+differences in the test suite. Values that only inference reads, such as
+the softmax confidences over candidate scores, are plain numpy outside the
+graph (see `grounder.softmax`).
+
+Two ops fuse what would be long chains of nodes. `pooled_mlp` is a set
+abstraction's shared MLP with its max-pooling and final ReLU: bit for bit
+the values and gradients of its chain of `linear`, `relu` and pooling
+nodes, without keeping the activations it pools. `gru` is one direction of
+the language branch's GRU over every step, with a hand-written backward
+through time, in place of about a dozen nodes per step.
 
 Gradient buffers are owned, not copied. A tensor keeps the first gradient
 array it receives as its `grad` and adds later ones into it in place, so a
@@ -35,7 +45,10 @@ float32 values.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +61,13 @@ class ShapeError(ValueError):
     """Raised when operands of an op have incompatible shapes."""
 
 
+# Numbers every tensor in creation order; an op's output is made after its
+# inputs, so a larger number never feeds a smaller one (see `backward`).
+_created = itertools.count()
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_order")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
@@ -57,6 +75,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._order = next(_created)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,26 +122,20 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    # Iterative post-order topological sort (graphs can be deep: GRU chains).
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
+    # Nodes run in reverse creation order, the latest first: a node is made
+    # after its inputs, so every consumer of a node has run before it does.
+    # The heap holds the nodes reached so far and not yet run.
+    pending = [(-loss._order, loss)]
+    reached = {loss._order}
+    while pending:
+        _, node = heapq.heappop(pending)
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        for p in node._parents:
+            if p.requires_grad and p._order not in reached:
+                reached.add(p._order)
+                heapq.heappush(pending, (-p._order, p))
 
 
 def zero_grads(tensors) -> None:
@@ -133,10 +146,6 @@ def zero_grads(tensors) -> None:
 
 def constant(data) -> Tensor:
     return Tensor(data)
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=DTYPE))
 
 
 def uniform_init(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
@@ -323,24 +332,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = _stable_sigmoid(a.data)
-
-    def bwd(grad):
-        a._accumulate(grad * out * (1.0 - out))
-
-    return _node(out, (a,), bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bwd(grad):
-        a._accumulate(grad * (1.0 - out * out))
-
-    return _node(out, (a,), bwd)
-
-
 def mean(a: Tensor) -> Tensor:
     n = a.data.size
 
@@ -440,46 +431,176 @@ def repeat_rows(a: Tensor, k: int) -> Tensor:
     return _node(np.repeat(a.data, k, axis=-2), (a,), bwd)
 
 
-def max_pool_rows(a: Tensor, group: int) -> Tensor:
-    """Max over consecutive row blocks: (G*group, C) -> (G, C).
+def pooled_mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], group: int) -> Tensor:
+    """relu(max over each `group` consecutive rows of mlp(x)): (G*group, K) -> (G, C).
+
+    `mlp` is `linear` by `linear` over the (w, b) `layers`, with a ReLU
+    between two layers and none after the last; the ReLU comes after the
+    pooling. One node with the values and every gradient of that chain of
+    `linear`, `relu`, a block max and `relu`, bit for bit: the same
+    products, the same bias sums and the same tie routing. It keeps each
+    layer's input, the pooled output and the argmax, not the (G*group, C)
+    activations it pools, the largest array of the chain.
 
     Ties route the gradient to the first row of the block, so duplicated
-    rows (e.g. a repeated fallback neighbor) are not double-counted. For an
-    input that requires grad, the running max also yields that argmax: the
+    rows (e.g. a repeated fallback neighbor) are not double-counted. When
+    some input requires grad, the running max also yields that argmax: the
     last row at which the max strictly rose, i.e. the largest
     `i * (row_i > max of rows before i)`, with no branch per element. It
     equals `blocks.argmax(axis=1)` for finite inputs; a NaN is not tracked,
     and training raises TrainingDivergedError on a NaN loss before any
     backward runs. Backward scatters the gradient into the argmax rows
-    through one flat index.
+    through one flat index, then runs each layer's `linear` and `relu`
+    backward.
     """
-    if a.data.ndim != 2 or a.data.shape[0] % group != 0:
-        raise ShapeError(f"max_pool_rows: shape {a.data.shape} not divisible into groups of {group}")
-    g = a.data.shape[0] // group
-    c = a.data.shape[1]
-    blocks = a.data.reshape(g, group, c)
-    out = blocks[:, 0].copy()
+    if x.data.ndim != 2 or not layers or x.data.shape[0] % group != 0:
+        raise ShapeError(f"pooled_mlp: shape {x.data.shape} not divisible into groups of {group}")
+    inputs = []
+    h = x.data
+    for i, (w, b) in enumerate(layers):
+        if w.data.ndim != 2 or h.shape[1] != w.data.shape[0] or b.data.shape != (1, w.data.shape[1]):
+            raise ShapeError(f"pooled_mlp layer {i}: {h.shape} @ {w.data.shape} + {b.data.shape}")
+        if i:
+            np.maximum(h, 0.0, out=h)
+        inputs.append(h)
+        h = h @ w.data
+        h += b.data
+    g, c = h.shape[0] // group, h.shape[1]
+    blocks = h.reshape(g, group, c)
+    pooled = blocks[:, 0].copy()
+    parents = (x, *(t for layer in layers for t in layer))
     arg = None
-    if a.requires_grad:
+    if any(p.requires_grad for p in parents):
         # the narrowest unsigned type that holds group - 1 keeps the passes short
         arg = np.zeros((g, c), dtype=np.min_scalar_type(group - 1))
         rose = np.empty_like(arg)
     for i in range(1, group):
         row = blocks[:, i]
         if arg is not None:
-            np.greater(row, out, out=rose)
+            np.greater(row, pooled, out=rose)
             rose *= i
             np.maximum(arg, rose, out=arg)
-        np.maximum(out, row, out=out)
+        np.maximum(pooled, row, out=pooled)
+    del h, blocks
+    out = np.maximum(pooled, 0.0)
 
     def bwd(grad):
-        # flat position of (block, argmax row, column) in the (G*group, C) input
+        # flat position of (block, argmax row, column) in the (G*group, C) activations
         pos = (arg + np.arange(0, g * group, group)[:, None]) * c + np.arange(c)
-        acc = np.zeros(a.data.size, dtype=grad.dtype)
-        acc[pos] = grad
-        a._accumulate(acc.reshape(a.data.shape))
+        acc = np.zeros(g * group * c, dtype=grad.dtype)
+        acc[pos] = grad * (out > 0)
+        grad = acc.reshape(g * group, c)
+        for i in range(len(layers) - 1, -1, -1):
+            (w, b), inp = layers[i], inputs[i]
+            if b.requires_grad:
+                b._accumulate(_row_sum(grad))
+            if w.requires_grad:
+                w._accumulate(inp.T @ grad)
+            if i:
+                grad = grad @ w.data.T
+                grad *= inp > 0
+            elif x.requires_grad:
+                x._accumulate(grad @ w.data.T)
 
-    return _node(out, (a,), bwd)
+    return _node(out, parents, bwd)
+
+
+def gru(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor], b: Sequence[Tensor], lengths: np.ndarray,
+        reverse: bool) -> Tensor:
+    """A GRU over each row's first `lengths` steps of x, as one node: the final state.
+
+    x is (L, E) or a padded batch (B, L, E) with one length per row, each in
+    1 .. L; w = (Wz, Wr, Wn) are (E, H), u = (Uz, Ur, Un) are (H, H) and
+    b = (bz, br, bn) are (1, H) rows. From a zero state, step t computes
+        z = sigmoid((x_t Wz + h Uz) + bz), r = sigmoid((x_t Wr + h Ur) + br),
+        n = tanh((x_t Wn + (r * h) Un) + bn), h' = h + m_t * (z * (n - h)),
+    with the reset applied to the state before the candidate product. m_t is
+    0 for a row past its length, so the row keeps its state, and it is left
+    out while every row is active: the values are those of that chain of
+    ops without the mask there. `reverse` runs t from the longest length
+    down to 0, so a short row starts from zero at its own last step.
+    Returns (1, H), or (B, 1, H).
+
+    The gate products are packed, x_t [Wz|Wr|Wn] and h [Uz|Ur], and every
+    row keeps its own (1, H) state, so each product is one gemv per row,
+    the same BLAS call as for that row alone. At the model's default widths
+    each column of a packed gemv equals the gemv of its own weight, bit for
+    bit (tests/test_langenc.py checks it), so the values are the chain's;
+    a BLAS kernel may sum an odd tail of columns in another order, so at
+    other widths they can differ in the last bits. Backward is
+    back-propagation through time over each step's saved state, gates and
+    r * h; the weight gradients are one product each over all steps and
+    rows.
+    """
+    wz, wr, wn = w
+    uz, ur, un = u
+    bz, br, bn = b
+    *lead, steps_max, e = x.data.shape
+    h_dim = uz.data.shape[0]
+    if (len(lead) > 1 or any(t.data.shape != (e, h_dim) for t in w)
+            or any(t.data.shape != (h_dim, h_dim) for t in u) or any(t.data.shape != (1, h_dim) for t in b)):
+        raise ShapeError(f"gru mismatch: x {x.data.shape}, w {[t.data.shape for t in w]}, "
+                         f"u {[t.data.shape for t in u]}, b {[t.data.shape for t in b]}")
+    lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
+    rows = int(np.prod(lead))
+    if lengths.shape != (rows,) or lengths.min() < 1 or lengths.max() > steps_max:
+        raise ShapeError(f"gru needs {rows} lengths in 1 .. {steps_max}, got {lengths.tolist()}")
+    w_x = np.concatenate([wz.data, wr.data, wn.data], axis=1)
+    u_zr = np.concatenate([uz.data, ur.data], axis=1)
+    b_zr = np.concatenate([bz.data, br.data], axis=1)
+    steps = int(lengths.max())
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h = np.zeros((*lead, 1, h_dim), dtype=DTYPE)
+    saved = []  # per step: t, h before it, z, r, n, r * h, mask or None
+    for t in order:
+        xw = x.data[..., t : t + 1, :] @ w_x
+        zr = _stable_sigmoid((xw[..., : 2 * h_dim] + h @ u_zr) + b_zr)
+        z, r = zr[..., :h_dim], zr[..., h_dim:]
+        rh = r * h
+        n = np.tanh((xw[..., 2 * h_dim :] + rh @ un.data) + bn.data)
+        step = z * (n - h)
+        active = lengths > t
+        mask = None if active.all() else active.astype(DTYPE).reshape(*lead, 1, 1)
+        if mask is not None:
+            step = mask * step
+        saved.append((t, h, z, r, n, rh, mask))
+        h = h + step
+
+    def bwd(grad):
+        dx = np.zeros_like(x.data) if x.requires_grad else None
+        d_zr, d_n = [], []
+        dh = grad
+        for t, h_prev, z, r, n, rh, mask in reversed(saved):
+            ds = dh if mask is None else dh * mask
+            dn = ds * z
+            dpre_n = dn * (1.0 - n * n)
+            drh = dpre_n @ un.data.T
+            dpre_zr = np.concatenate([(ds * (n - h_prev)) * (z * (1.0 - z)), (drh * h_prev) * (r * (1.0 - r))],
+                                     axis=-1)
+            dh = ((dh - dn) + drh * r) + dpre_zr @ u_zr.T
+            if dx is not None:
+                dx[..., t : t + 1, :] = np.concatenate([dpre_zr, dpre_n], axis=-1) @ w_x.T
+            d_zr.append(dpre_zr.reshape(-1, 2 * h_dim))
+            d_n.append(dpre_n.reshape(-1, h_dim))
+        # every step's rows stacked, latest step first, as d_zr and d_n are
+        xs = np.concatenate([x.data[..., s[0] : s[0] + 1, :].reshape(-1, e) for s in reversed(saved)])
+        h_prevs = np.concatenate([s[1].reshape(-1, h_dim) for s in reversed(saved)])
+        rhs = np.concatenate([s[5].reshape(-1, h_dim) for s in reversed(saved)])
+        d_zr, d_n = np.concatenate(d_zr), np.concatenate(d_n)
+        d_x = xs.T @ np.concatenate([d_zr, d_n], axis=1)
+        d_u = h_prevs.T @ d_zr
+        grads = (
+            d_x[:, :h_dim], d_x[:, h_dim : 2 * h_dim], d_x[:, 2 * h_dim :], d_u[:, :h_dim], d_u[:, h_dim:],
+            rhs.T @ d_n, d_zr[:, :h_dim].sum(axis=0, keepdims=True),
+            d_zr[:, h_dim:].sum(axis=0, keepdims=True), d_n.sum(axis=0, keepdims=True),
+        )
+        for param, g in zip((*w, *u, *b), grads):
+            if param.requires_grad:
+                param._accumulate(np.ascontiguousarray(g))
+        if dx is not None:
+            x._accumulate(dx)
+
+    return _node(h, (x, *w, *u, *b), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

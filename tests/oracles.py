@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch with plain numpy so it
 shares no code path with the implementations under test, except
 `per_sample_gradients`: the training step one sample at a time, built from
-the model's own forward and loss.
+the model's own forward and loss; and the chains of graph nodes that a
+fused op replaced (`linear_chain`, `pooled_mlp_chain`, `bigru_chain` and
+the nodes only they use), built from the package's smaller ops.
 """
 
 from __future__ import annotations
@@ -177,3 +179,84 @@ def max_pool_rows(x: np.ndarray, group: int, grad: np.ndarray) -> tuple[np.ndarr
     acc = np.zeros((g, group, c))
     np.put_along_axis(acc, arg[:, None, :], grad[:, None, :], axis=1)
     return blocks.max(axis=1), acc.reshape(x.shape)
+
+
+def max_pool_node(a: T.Tensor, group: int) -> T.Tensor:
+    """Max over consecutive row blocks, (G*group, C) -> (G, C), as a graph
+    node of its own: `tensor.max_pool_rows` as it was before `pooled_mlp`
+    fused it, with ties routed to the first row of the block."""
+    g, c = a.data.shape[0] // group, a.data.shape[1]
+    blocks = a.data.reshape(g, group, c)
+    out = blocks[:, 0].copy()
+    arg = np.zeros((g, c), dtype=np.min_scalar_type(group - 1))
+    rose = np.empty_like(arg)
+    for i in range(1, group):
+        row = blocks[:, i]
+        np.greater(row, out, out=rose)
+        rose *= i
+        np.maximum(arg, rose, out=arg)
+        np.maximum(out, row, out=out)
+
+    def bwd(grad):
+        pos = (arg + np.arange(0, g * group, group)[:, None]) * c + np.arange(c)
+        acc = np.zeros(a.data.size, dtype=grad.dtype)
+        acc[pos] = grad
+        a._accumulate(acc.reshape(a.data.shape))
+
+    return T._node(out, (a,), bwd)
+
+
+def sigmoid_node(a: T.Tensor) -> T.Tensor:
+    """The logistic function as a graph node, as `tensor.sigmoid` was before
+    `tensor.gru` fused the GRU's gates."""
+    out = T._stable_sigmoid(a.data)
+    return T._node(out, (a,), lambda grad: a._accumulate(grad * out * (1.0 - out)))
+
+
+def tanh_node(a: T.Tensor) -> T.Tensor:
+    """tanh as a graph node, as `tensor.tanh` was before `tensor.gru` fused
+    the GRU's candidate state."""
+    out = np.tanh(a.data)
+    return T._node(out, (a,), lambda grad: a._accumulate(grad * (1.0 - out * out)))
+
+
+def pooled_mlp_chain(x: T.Tensor, layers, group: int) -> T.Tensor:
+    """`tensor.pooled_mlp` as the chain of nodes it fuses: `linear` layers
+    with a `relu` between two of them, a block max, then a `relu`."""
+    for i, (w, b) in enumerate(layers):
+        if i:
+            x = T.relu(x)
+        x = T.linear(x, w, b)
+    return T.relu(max_pool_node(x, group))
+
+
+def bigru_chain(token_embeddings: T.Tensor, lengths, params: dict, cfg) -> T.Tensor:
+    """`langenc.bigru_encode` as a chain of per-step graph nodes, as it was
+    before `tensor.gru` fused each direction into one node: per step one
+    `gather_rows` of the step's rows and a cell of `matmul`, `add`,
+    sigmoid, tanh, `mul` and `sub` nodes, masked where a row is past its
+    length."""
+    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
+    *lead, _, _ = token_embeddings.shape
+    state = (*lead, 1, cfg.hidden_dim)
+    steps = int(lengths.max())
+
+    def cell(x, h, prefix, t):
+        p = {k: params[f"{prefix}.{k}"] for k in ("wz", "wr", "wn", "uz", "ur", "un", "bz", "br", "bn")}
+        z = sigmoid_node(T.add(T.add(T.matmul(x, p["wz"]), T.matmul(h, p["uz"])), p["bz"]))
+        r = sigmoid_node(T.add(T.add(T.matmul(x, p["wr"]), T.matmul(h, p["ur"])), p["br"]))
+        n = tanh_node(T.add(T.add(T.matmul(x, p["wn"]), T.matmul(T.mul(r, h), p["un"])), p["bn"]))
+        step = T.mul(z, T.sub(n, h))
+        active = lengths > t
+        if not active.all():
+            mask = np.broadcast_to(active.astype(T.DTYPE).reshape(*lead, 1, 1), state)
+            step = T.mul(T.constant(mask), step)
+        return T.add(h, step)
+
+    halves = []
+    for prefix, order in (("lang.gru.fwd", range(steps)), ("lang.gru.bwd", range(steps - 1, -1, -1))):
+        h = T.constant(np.zeros(state))
+        for t in order:
+            h = cell(T.gather_rows(token_embeddings, np.array([t])), h, prefix, t)
+        halves.append(h)
+    return T.concat(halves)

@@ -333,9 +333,9 @@ class TestModelPredictor:
         encode = model.encoder.forward
 
         def encoding(scenes):
-            candidates = encode(scenes)
+            candidates = list(encode(scenes))
             encoded.extend((cand, xyz) for cand, (xyz, _, _) in zip(candidates, scenes))
-            return candidates
+            return iter(candidates)
 
         monkeypatch.setattr(model.encoder, "forward", encoding)
 

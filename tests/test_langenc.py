@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from gradcheck import finite_diff_check
 from moniground import tensor as T
 from moniground.langenc import (
@@ -213,6 +214,46 @@ class TestBatchedBiGRU:
         for row, length in enumerate(lengths):
             alone = bigru_encode(embed(ids[row], params), length, params, cfg)
             assert np.array_equal(out.data[row], alone.data), row
+
+    def test_rows_bit_identical_to_the_per_step_chain(self):
+        # the model's dimensions, where the packed gate products are the chain's products
+        cfg = LangConfig()
+        lengths = [1, 7, cfg.max_len, 3, 1, 12]
+        params, ids = self.batch(17, lengths, cfg)
+        fused = bigru_encode(embed(ids, params), lengths, params, cfg)
+        chain = oracles.bigru_chain(embed(ids, params), lengths, params, cfg)
+        assert np.array_equal(fused.data, chain.data)
+        alone = bigru_encode(embed(ids[1], params), lengths[1], params, cfg)
+        assert np.array_equal(alone.data, oracles.bigru_chain(embed(ids[1], params), lengths[1], params, cfg).data)
+
+    def test_gradients_match_the_per_step_chain(self):
+        """The fused backward against the chain's, in float32 at the model's
+        dimensions.
+
+        Tolerance, per parameter: the largest entry error may be 1e-5 of the
+        largest entry of the chain's gradient. The two sum the same terms
+        in other orders: the fused node forms each weight's gradient as one
+        product over all steps and rows, where the chain adds one product
+        per step, and groups the state gradient's four terms differently.
+        A weight entry sums up to 6 rows x 48 steps x 64 terms, so with
+        float32's unit roundoff of 6e-8 its rounding error is of order
+        sqrt(18,000) x 6e-8, about 8e-6 in the worst case and far less for
+        the typical entry; 1e-5 is about 170 roundoffs. Measured, the worst
+        parameter stays under 1e-6. A wrong term, such as a mask dropped on
+        a short row, gives errors of order 1.
+        """
+        cfg = LangConfig()
+        lengths = [1, 7, cfg.max_len, 3, 1, 12]
+        up = T.constant(np.random.default_rng(18).normal(size=(len(lengths), 1, 2 * cfg.hidden_dim)))
+        grads = []
+        for encode in (bigru_encode, oracles.bigru_chain):
+            params, ids = self.batch(17, lengths, cfg)
+            T.backward(T.tensor_sum(T.mul(encode(embed(ids, params), lengths, params, cfg), up)))
+            grads.append({name: p.grad for name, p in params.items()})
+        for name, want in grads[1].items():
+            got = grads[0][name]
+            assert got.dtype == want.dtype == T.DTYPE, name
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max(), name
 
     def test_bad_lengths_rejected(self):
         params, ids = self.batch(13, [2, 3], CFG)

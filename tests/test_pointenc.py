@@ -626,7 +626,7 @@ class TestCandidateGeneration:
         enc.params["enc.shift.w1"].data[:] = 0.0
         enc.params["enc.shift.b1"].data[:] = 0.0
         pts = rng.uniform(-2, 2, size=(20, 3))
-        out = enc.forward([(pts, T.constant(rng.normal(size=(20, 2))), enc.precompute_plan([pts])[0])])[0]
+        out = next(enc.forward([(pts, T.constant(rng.normal(size=(20, 2))), enc.precompute_plan([pts])[0])]))
         np.testing.assert_array_equal(out.positions.data, out.seeds.astype(T.DTYPE))
         np.testing.assert_array_equal(out.shifts.data, 0.0)
 
@@ -635,7 +635,7 @@ class TestCandidateGeneration:
         rng = np.random.default_rng(12)
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(n_points, 3))
-        out = enc.forward([(pts, T.constant(rng.normal(size=(n_points, 2))), enc.precompute_plan([pts])[0])])[0]
+        out = next(enc.forward([(pts, T.constant(rng.normal(size=(n_points, 2))), enc.precompute_plan([pts])[0])]))
         m = enc.config.m_candidates
         assert out.positions.shape == (m, 3)
         assert out.features.shape == (m, enc.config.feature_dim)
@@ -652,7 +652,7 @@ class TestCandidateGeneration:
         plan = enc.precompute_plan([pts])[0]
 
         def loss():
-            out = enc.forward([(pts, T.constant(feats_np), plan)])[0]
+            out = next(enc.forward([(pts, T.constant(feats_np), plan)]))
             return T.mean(out.features)
 
         finite_diff_check(loss, shift_params, max_coords=6, rng=rng)
@@ -662,8 +662,8 @@ class TestCandidateGeneration:
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(25, 3))
         feats_np = rng.normal(size=(25, 2))
-        a = enc.forward([(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])])[0]
-        b = enc.forward([(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])])[0]
+        a = next(enc.forward([(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])]))
+        b = next(enc.forward([(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])]))
         np.testing.assert_array_equal(a.features.data, b.features.data)
         np.testing.assert_array_equal(a.positions.data, b.positions.data)
 
@@ -674,7 +674,7 @@ class TestMultiSceneForward:
     @staticmethod
     def assert_each_alone(enc, clouds, feats):
         plans = enc.precompute_plan(clouds)
-        together = enc.forward([(c, T.constant(f), plan) for c, f, plan in zip(clouds, feats, plans)])
+        together = list(enc.forward([(c, T.constant(f), plan) for c, f, plan in zip(clouds, feats, plans)]))
         assert len(together) == len(clouds)
         for c, f, plan, got in zip(clouds, feats, plans, together):
             (alone,) = enc.forward([(c, T.constant(f), plan)])
@@ -693,6 +693,46 @@ class TestMultiSceneForward:
         rng = np.random.default_rng(35)
         enc = encoder(EncoderConfig(), 4, rng)
         self.assert_each_alone(enc, generated_clouds, [rng.uniform(0, 1, size=(len(c), 4)) for c in generated_clouds])
+
+
+class TestShortClouds:
+    """Clouds with fewer points than SA0's 512 seeds, and than SA1's 128
+    D-FPS picks, at the default sizes."""
+
+    SIZES = (1, 40, 127, 128, 300, 511, 512, 700)
+
+    @staticmethod
+    def clouds():
+        rng = np.random.default_rng(36)
+        return [rng.uniform(-20, 20, size=(n, 3)) for n in TestShortClouds.SIZES]
+
+    def test_sa0_picks_capped_at_the_cloud(self):
+        enc = encoder(EncoderConfig(), 4, np.random.default_rng(37))
+        clouds = self.clouds()
+        plans = enc.precompute_plan(clouds)
+        for cloud, plan in zip(clouds, plans):
+            n = len(cloud)
+            # a cloud's first min(512, n) D-FPS picks, each point at most once
+            assert np.array_equal(plan.sa0_picks, fps_one(cloud, 512)[: min(512, n)])
+            assert len(np.unique(plan.sa0_picks)) == len(plan.sa0_picks) == min(512, n)
+            assert plan.sa0_groups.shape == (min(512, n), 4)
+            # SA1's D-FPS half still has 128 picks, padded with SA0's point 0
+            assert np.array_equal(plan.sa1_distance, fps_one(cloud[plan.sa0_picks], 128))
+
+    def test_forward_keeps_out_points_seeds(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        enc = encoder(EncoderConfig(), 4, rng)
+        clouds = self.clouds()
+        feats = [rng.uniform(0, 1, size=(len(c), 4)) for c in clouds]
+        sampled = []
+        ffps = pointenc.fps_feature
+        monkeypatch.setattr(pointenc, "fps_feature", lambda c, *args: sampled.extend(map(len, c)) or ffps(c, *args))
+        TestMultiSceneForward.assert_each_alone(enc, clouds, feats)
+        # F-FPS runs over each SA0 output, min(512, n) points wide
+        assert sampled[: len(clouds)] == [min(512, len(c)) for c in clouds]
+        for c, f, plan in zip(clouds, feats, enc.precompute_plan(clouds)):
+            cand = next(enc.forward([(c, T.constant(f), plan)]))
+            assert cand.positions.shape == (64, 3) and cand.features.shape == (64, 128)
 
 
 class TestModalities:

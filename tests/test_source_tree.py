@@ -151,3 +151,28 @@ def test_only_tensor_names_float32():
         or (isinstance(node, ast.Constant) and node.value == "float32")
     )
     assert not naming, f"modules other than tensor.py that name float32: {sorted(set(naming))}"
+
+
+def test_every_tensor_op_has_a_finite_difference_check():
+    """Every autodiff op, a public `tensor` function that builds a node with
+    `_node`, is named (as `T.<op>`) in a test of tests/test_tensor.py that
+    calls `finite_diff_check`, so no op, fused ones included, goes without a
+    check of its analytic gradient against central differences."""
+    ops = {
+        node.name
+        for node in source_trees()["tensor.py"].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and any(isinstance(n, ast.Name) and n.id == "_node" for n in ast.walk(node))
+    }
+    checked = set()
+    tests = ast.parse((ROOT / "tests" / "test_tensor.py").read_text(encoding="utf-8"))
+    for test in ast.walk(tests):
+        if not (isinstance(test, ast.FunctionDef) and test.name.startswith("test_")):
+            continue
+        inside = list(ast.walk(test))
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "finite_diff_check"
+               for n in inside):
+            checked.update(n.attr for n in inside
+                           if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "T")
+    assert {"linear", "pooled_mlp", "gru"} <= ops, sorted(ops)
+    assert not ops - checked, f"ops with no finite-difference test: {sorted(ops - checked)}"

@@ -15,6 +15,16 @@ def param(rng, *shape):
     return T.Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+def identity_layer(width):
+    """One `pooled_mlp` layer that passes its input through exactly."""
+    return [(T.constant(np.eye(width)), T.constant(np.zeros((1, width))))]
+
+
+def mlp_layers(rng, widths):
+    """`pooled_mlp` layers of the given widths, from the first input width on."""
+    return [(param(rng, k, n), param(rng, 1, n)) for k, n in zip(widths[:-1], widths[1:])]
+
+
 class TestForwardValues:
     def test_row_softmax_uniform(self):
         np.testing.assert_allclose(G.softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
@@ -64,8 +74,9 @@ class TestForwardValues:
             T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((4, 2))))
 
     def test_max_pool_rows_values(self):
+        # the pooling of `pooled_mlp`, through one identity layer
         a = T.constant([[1.0, 5.0], [2.0, 4.0], [9.0, 0.0], [8.0, 1.0]])
-        np.testing.assert_array_equal(T.max_pool_rows(a, 2).data, [[2.0, 5.0], [9.0, 1.0]])
+        np.testing.assert_array_equal(T.pooled_mlp(a, identity_layer(2), 2).data, [[2.0, 5.0], [9.0, 1.0]])
 
     def test_gather_and_repeat(self):
         a = T.constant([[1.0], [2.0], [3.0]])
@@ -126,11 +137,12 @@ class TestBatchedBits:
         assert a.grad.dtype == T.DTYPE and np.array_equal(a.grad, reference)
 
     def test_max_pool_rows_matches_block_max(self):
+        # `pooled_mlp` with and without the argmax it keeps for backward
         rng = np.random.default_rng(32)
         x = np.round(rng.normal(size=(40, 6)), 1).astype(T.DTYPE)  # rounding makes ties
         for requires_grad in (False, True):
-            out = T.max_pool_rows(T.Tensor(x, requires_grad=requires_grad), 8)
-            assert np.array_equal(out.data, x.reshape(5, 8, 6).max(axis=1))
+            out = T.pooled_mlp(T.Tensor(x, requires_grad=requires_grad), identity_layer(6), 8)
+            assert np.array_equal(out.data, np.maximum(x.reshape(5, 8, 6).max(axis=1), 0.0))
 
 
 class TestFusedLinear:
@@ -163,13 +175,14 @@ class TestFusedLinear:
 
 
 class TestMaxPoolRows:
-    """The running argmax and flat-scatter backward against `argmax` and
+    """The pooling inside `pooled_mlp`, through one identity layer: its
+    running argmax and flat-scatter backward against `argmax` and
     `put_along_axis` (tests/oracles.py), on inputs full of ties."""
 
     @staticmethod
     def pooled(x, group, up):
         a = T.Tensor(x, requires_grad=True)
-        out = T.max_pool_rows(a, group)
+        out = T.pooled_mlp(a, identity_layer(x.shape[1]), group)
         T.backward(T.tensor_sum(T.mul(out, T.constant(up))))
         return out.data, a.grad
 
@@ -189,22 +202,89 @@ class TestMaxPoolRows:
             x = x.astype(T.DTYPE)
             up = np.random.default_rng(39).normal(size=(len(x) // group, x.shape[1])).astype(T.DTYPE)
             out, grad = self.pooled(x, group, up)
-            want_out, want_grad = oracles.max_pool_rows(x, group, up)
-            assert np.array_equal(out, want_out), name
+            block_max, _ = oracles.max_pool_rows(x, group, up)
+            _, want_grad = oracles.max_pool_rows(x, group, up * (block_max > 0))  # the final ReLU's mask
+            assert np.array_equal(out, np.maximum(block_max, 0.0)), name
             assert np.array_equal(grad, want_grad), name
 
     def test_relu_commutes_with_pooling(self):
-        # pooling before ReLU (as the encoder does) equals pooling after it,
+        # pooling before ReLU (as pooled_mlp does) equals pooling after it,
         # in value and in input gradient, also on blocks with no positive entry
         for name, x, group in self.cases():
             up = T.constant(np.random.default_rng(40).normal(size=(len(x) // group, x.shape[1])))
             a, b = T.Tensor(x, requires_grad=True), T.Tensor(x, requires_grad=True)
-            before = T.relu(T.max_pool_rows(a, group))
-            after = T.max_pool_rows(T.relu(b), group)
+            before = T.pooled_mlp(a, identity_layer(x.shape[1]), group)
+            after = oracles.max_pool_node(T.relu(b), group)
             T.backward(T.tensor_sum(T.mul(before, up)))
             T.backward(T.tensor_sum(T.mul(after, up)))
             assert np.array_equal(before.data, after.data), name
             assert np.array_equal(a.grad, b.grad), name
+
+
+class TestPooledMLP:
+    """`pooled_mlp` against the chain of nodes it fuses (tests/oracles.py)."""
+
+    @staticmethod
+    def run(op, x0, layers0, group, up, gather=None):
+        x = T.Tensor(x0, requires_grad=True)
+        layers = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in layers0]
+        rows = x if gather is None else T.gather_rows(x, gather)
+        out = op(rows, layers, group)
+        T.backward(T.tensor_sum(T.mul(out, T.constant(up))))
+        return [out.data, x.grad] + [t.grad for layer in layers for t in layer]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("group", [1, 4])
+    def test_bit_identical_to_linear_relu_pool_chain(self, depth, group):
+        rng = np.random.default_rng(41 + depth)
+        widths = [7, 16, 32, 24][: depth + 1]
+        # rounded weights and inputs make tied activations; gathering row 0
+        # again and again makes tied rows within a block
+        x = np.round(rng.normal(size=(12, widths[0])), 1)
+        layers = [(np.round(rng.normal(size=(k, n)), 1), np.round(rng.normal(size=(1, n)), 1))
+                  for k, n in zip(widths[:-1], widths[1:])]
+        gather = np.concatenate([np.zeros(4 * group, dtype=np.intp), rng.integers(0, 12, size=8 * group)])
+        up = rng.normal(size=(12, widths[-1]))
+        fused = self.run(T.pooled_mlp, x, layers, group, up, gather)
+        chain = self.run(oracles.pooled_mlp_chain, x, layers, group, up, gather)
+        for i, (got, want) in enumerate(zip(fused, chain)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), i
+
+    def test_bit_identical_at_the_encoders_shapes(self):
+        # SA0's default layer: 512 groups of 4 rows, 7 -> 32 -> 64
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(2048, 7))
+        layers = [(rng.normal(size=(7, 32)) * 0.3, rng.normal(size=(1, 32))),
+                  (rng.normal(size=(32, 64)) * 0.2, rng.normal(size=(1, 64)))]
+        up = rng.normal(size=(512, 64))
+        for got, want in zip(self.run(T.pooled_mlp, x, layers, 4, up), self.run(oracles.pooled_mlp_chain, x, layers, 4, up)):
+            assert np.array_equal(got, want)
+
+    def test_shape_mismatch_rejected(self):
+        x = T.constant(np.ones((8, 3)))
+        with pytest.raises(T.ShapeError, match="not divisible"):
+            T.pooled_mlp(x, identity_layer(3), 3)
+        with pytest.raises(T.ShapeError, match="not divisible"):
+            T.pooled_mlp(x, [], 4)
+        for w, b in ((np.ones((4, 2)), np.ones((1, 2))), (np.ones((3, 2)), np.ones((1, 3))), (np.ones((3, 2)), np.ones(2))):
+            with pytest.raises(T.ShapeError, match="layer 0"):
+                T.pooled_mlp(x, [(T.constant(w), T.constant(b))], 4)
+
+
+class TestGRU:
+    def test_shape_and_length_mismatch_rejected(self):
+        rng = np.random.default_rng(45)
+        w = [T.constant(rng.normal(size=(3, 2))) for _ in range(3)]
+        u = [T.constant(rng.normal(size=(2, 2))) for _ in range(3)]
+        b = [T.constant(rng.normal(size=(1, 2))) for _ in range(3)]
+        x = T.constant(rng.normal(size=(2, 4, 3)))
+        for lengths in ([4], [0, 2], [2, 5]):
+            with pytest.raises(T.ShapeError, match="lengths"):
+                T.gru(x, w, u, b, np.array(lengths), reverse=False)
+        with pytest.raises(T.ShapeError, match="gru mismatch"):
+            T.gru(T.constant(rng.normal(size=(2, 4, 5))), w, u, b, np.array([1, 2]), reverse=False)
+        with pytest.raises(T.ShapeError, match="gru mismatch"):
+            T.gru(x, w, u, [*b[:2], T.constant(np.ones((2, 2)))], np.array([1, 2]), reverse=True)
 
 
 class TestBackward:
@@ -291,10 +371,11 @@ class TestFiniteDifferences:
         finite_diff_check(lambda: T.mean(T.relu(a)), [a])
 
     def test_sigmoid_tanh(self):
+        # the gate nodes of the per-step GRU chain that test_gru_matches_the_chain compares against
         rng = np.random.default_rng(16)
         a = param(rng, 4, 4)
-        finite_diff_check(lambda: T.mean(T.sigmoid(a)), [a])
-        finite_diff_check(lambda: T.mean(T.tanh(a)), [a])
+        finite_diff_check(lambda: T.mean(oracles.sigmoid_node(a)), [a])
+        finite_diff_check(lambda: T.mean(oracles.tanh_node(a)), [a])
 
     def test_sum(self):
         rng = np.random.default_rng(19)
@@ -336,19 +417,57 @@ class TestFiniteDifferences:
         finite_diff_check(lambda: T.tensor_sum(T.mul(T.repeat_rows(a, 3), w)), [a])
 
     def test_max_pool_rows(self):
+        # the pooling of `pooled_mlp` alone, through one identity layer
         rng = np.random.default_rng(25)
         a = param(rng, 8, 4)
-        finite_diff_check(lambda: T.mean(T.max_pool_rows(a, 4)), [a])
+        finite_diff_check(lambda: T.mean(T.pooled_mlp(a, identity_layer(4), 4)), [a])
 
     def test_max_pool_with_duplicated_rows_not_double_counted(self):
         # gather duplicates a row, pool over the duplicates: d(out)/d(source) = 1
-        a = T.Tensor([[2.0, -1.0]], requires_grad=True)
-        pooled = T.max_pool_rows(T.gather_rows(a, [0, 0, 0]), 3)
+        a = T.Tensor([[2.0, 1.0]], requires_grad=True)
+        pooled = T.pooled_mlp(T.gather_rows(a, [0, 0, 0]), identity_layer(2), 3)
         T.backward(T.tensor_sum(pooled))
         np.testing.assert_allclose(a.grad, [[1.0, 1.0]])
         finite_diff_check(
-            lambda: T.tensor_sum(T.max_pool_rows(T.gather_rows(a, [0, 0, 0]), 3)), [a]
+            lambda: T.tensor_sum(T.pooled_mlp(T.gather_rows(a, [0, 0, 0]), identity_layer(2), 3)), [a]
         )
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("group", [1, 4])
+    def test_pooled_mlp(self, depth, group):
+        # tied rows: a block repeats source row 0, so a step in a source
+        # entry moves every copy and keeps the tie
+        rng = np.random.default_rng(50 + 2 * depth + group)
+        src = param(rng, 6, 5)
+        idx = np.concatenate([np.zeros(group, dtype=np.intp), rng.integers(0, 6, size=3 * group)])
+        layers = mlp_layers(rng, [5, 7, 6, 4][: depth + 1])
+        up = T.constant(rng.normal(size=(4, layers[-1][0].shape[1])))
+        params = [src] + [t for layer in layers for t in layer]
+        finite_diff_check(lambda: T.tensor_sum(T.mul(T.pooled_mlp(T.gather_rows(src, idx), layers, group), up)),
+                          params)
+
+    @pytest.mark.parametrize("lengths", [[3], [1, 4, 2]])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gru(self, lengths, reverse):
+        # B = 1 and B = 3 with mixed lengths, in both directions; rows past
+        # a length are padding that must get no gradient
+        rng = np.random.default_rng(60 + len(lengths) + 2 * reverse)
+        x = param(rng, len(lengths), 4, 3)
+        w, u, b = ([param(rng, *shape) for _ in range(3)] for shape in ((3, 2), (2, 2), (1, 2)))
+        up = T.constant(rng.normal(size=(len(lengths), 1, 2)))
+
+        def loss():
+            return T.tensor_sum(T.mul(T.gru(x, w, u, b, np.array(lengths), reverse), up))
+
+        finite_diff_check(loss, [x, *w, *u, *b])
+        for row, length in enumerate(lengths):
+            assert not x.grad[row, length:].any()
+
+    def test_unbatched_gru(self):
+        rng = np.random.default_rng(64)
+        x = param(rng, 3, 2)
+        w, u, b = ([param(rng, *shape) for _ in range(3)] for shape in ((2, 3), (3, 3), (1, 3)))
+        finite_diff_check(lambda: T.mean(T.gru(x, w, u, b, np.array([3]), reverse=True)), [x, *w, *u, *b])
 
     def test_reshape(self):
         rng = np.random.default_rng(26)
