@@ -3,8 +3,9 @@
 One flat key=value config schema drives every command; a config file can
 set any key and CLI flags win over the file. All randomness flows from the
 single --seed through named sub-streams, so every command is reproducible.
-Exit codes: 0 success, 2 usage or config error, 3 data or checkpoint
-incompatibility, 4 internal invariant violation or diverged training.
+Exit codes: 0 success, 2 usage or config error or an output path that
+cannot be written, 3 data or checkpoint incompatibility (a stored report
+included), 4 internal invariant violation or diverged training.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 
-from . import evalbench, synthdata
+from . import evalbench, synthdata, tensor as T
 from .evalbench import NoiseConfig
 from .grounder import (
     LOSS_TERMS,
@@ -298,21 +299,24 @@ def cmd_report(cfg: RunConfig, report_path: str, out) -> int:
         with open(report_path, encoding="utf-8") as f:
             doc = json.load(f)
         rows = doc["subsets"]
-        subsets = {
-            name: evalbench.SubsetStats(int(rows[name]["count"]), float(rows[name]["acc25"]),
-                                        float(rows[name]["acc50"]))
-            for name in evalbench.SUBSET_ORDER
-        }
+        subsets = {}
+        for name in evalbench.SUBSET_ORDER:
+            count, accuracies = rows[name]["count"], (rows[name]["acc25"], rows[name]["acc50"])
+            if type(count) is not int or count < 0 or not all(
+                    T.are_reals(acc) and 0 <= acc <= 100 for acc in accuracies):
+                raise ValueError(f"subset {name} needs a count >= 0 and accuracies in [0, 100], got {rows[name]}")
+            subsets[name] = evalbench.SubsetStats(count, *map(float, accuracies))
         warnings = doc.get("warnings", [])
-        if not isinstance(warnings, list):
-            raise TypeError(f"warnings is a {type(warnings).__name__}, not a list")
-    except (ValueError, KeyError, TypeError) as exc:
+        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+            raise TypeError(f"warnings must be a list of strings, got {warnings!r}")
+        report = evalbench.EvalReport(
+            subsets,
+            warnings,
+            {"split": doc.get("split"), "predictor-id": doc.get("predictor-id")},
+        )
+        evalbench.check_report_invariants(report)
+    except (ValueError, KeyError, TypeError, evalbench.ReportInvariantError) as exc:
         raise DatasetIOError(f"malformed report {report_path!r} ({type(exc).__name__}: {exc})") from exc
-    report = evalbench.EvalReport(
-        subsets,
-        warnings,
-        {"split": doc.get("split"), "predictor-id": doc.get("predictor-id")},
-    )
     print(evalbench.render_report(report), file=out)
     return EXIT_OK
 
@@ -405,6 +409,9 @@ def main(argv=None, out=None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except OSError as exc:  # such as an output path that is a directory, or under a file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

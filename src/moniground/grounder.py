@@ -13,32 +13,29 @@ candidate. `LOSS_TERMS` names the terms once, for the loss, the epoch
 curve and the CLI.
 
 Training and inference take one path, `GroundingModel.forward`, on each
-scene's inputs (features and sampling plan, from `scene_inputs`) and the
-token lists of its B expressions. A model carries its vocabulary and
-encodes the tokens into a padded (B, L) id matrix itself. The visual half
-never reads the text: one `pointenc.PointEncoder.forward` encodes the
-scenes together, so that SA1's F-FPS runs in lockstep over a block of
-them, and yields each scene's candidates in turn; `forward` yields each
-scene's output as its candidates come. The text half (`ground_text`)
-grounds each scene's B expressions against its candidates in one pass,
-which gives every text tensor a leading batch axis B. Each row is
-bit-identical to that expression grounded alone: a row keeps a singleton
-axis where a lone expression has one row, so numpy makes the same BLAS
-call per row (see `tensor.matmul`), and the BiGRU masks rows past their
-length (see `langenc.bigru_encode`). Training builds each scene's inputs
-once and makes one `forward` per minibatch over its scene groups. It runs
-each group's backward before it asks for the next group's output, so
-only one block of SA0 outputs and one group's later graph are alive, and
-gives each row its own B = 1 loss. Inference (`model_predictor`) makes
-one `forward` per block of scenes and decodes each scene's rows with
-`predict`. A plan holds a scene's sampling decisions that read positions
-only: SA0's D-FPS picks and ball groups and SA1's D-FPS half. Both D-FPS
-passes run in lockstep over the scenes of one `scene_inputs` call, so
-callers plan many scenes at once: training all of its scenes, evaluation a
-block of them at a time. `save_model` writes a model, vocabulary included,
-as checkpoint.bin and config.json. A model from `load_model` holds
-parameters that do not require gradients, so inference builds no autodiff
-graph.
+scene's `pointenc.ScenePlan` (its cloud, input features and sampling
+plan, from `scene_inputs`) and the token lists of its B expressions. A
+model carries its vocabulary and encodes the tokens into a padded (B, L)
+id matrix itself. The visual half never reads the text: one
+`pointenc.PointEncoder.forward` encodes the scenes together and yields
+each scene's candidates in turn, and `forward` yields each scene's output
+as its candidates come; how the encoder blocks and stages the scenes is
+`pointenc`'s decision alone. The text half (`ground_text`) grounds each
+scene's B expressions against its candidates in one pass, which gives
+every text tensor a leading batch axis B. Each row is bit-identical to
+that expression grounded alone: a row keeps a singleton axis where a lone
+expression has one row, so numpy makes the same BLAS call per row (see
+`tensor.matmul`), and the BiGRU masks rows past their length (see
+`langenc.bigru_encode`). Both callers build all of their scenes' plans in
+one `scene_inputs` call and consume one `forward` scene by scene.
+Training plans every scene once and makes one `forward` per minibatch
+over its scene groups; it runs each group's backward before it asks for
+the next group's output, and gives each row its own B = 1 loss.
+Inference (`model_predictor`) makes one `forward` per call and decodes
+each scene's rows with `predict` before it asks for the next.
+`save_model` writes a model, vocabulary included, as checkpoint.bin and
+config.json. A model from `load_model` holds parameters that do not
+require gradients, so inference builds no autodiff graph.
 
 The network computes in `tensor.DTYPE` (float32); geometry is float64.
 Candidate positions come out of the graph in float32, and `assign_targets`
@@ -55,7 +52,6 @@ import os
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +68,6 @@ from .pointenc import (
     assemble_features,
     encoder_layout,
     modality_feature_dim,
-    point_blocks,
 )
 from .seeding import substream
 from .synthdata import CATEGORIES, CATEGORY_INDEX, GroundingSample, SIZE_PRIORS, Scene, atomic_write
@@ -145,14 +140,6 @@ class TrainConfig:
         epoch, so one at or past the last epoch never applies."""
         drops = sum(1 for d in self.decay_epochs if epoch > d)
         return self.learning_rate * self.decay_factor**drops
-
-
-class SceneInputs(NamedTuple):
-    """What the model reads from one scene; built by `scene_inputs`."""
-
-    scene: Scene
-    feats: np.ndarray         # (N, in_dim) per-point features for the model's modality
-    plan: ScenePlan           # the encoder's sampling plan for the scene's points
 
 
 @dataclass
@@ -333,44 +320,41 @@ class GroundingModel:
         lang_logits = T.linear(f_l, self.params["head.lang.w"], self.params["head.lang.b"])
         return ModelOutput(cand, raw, cls_logits, residuals, lang_logits)
 
-    def forward(self, inputs: list[SceneInputs], tokens: list[list[list[str]]]) -> Iterator[ModelOutput]:
+    def forward(self, plans: list[ScenePlan], tokens: list[list[list[str]]]) -> Iterator[ModelOutput]:
         """Each scene's expressions grounded in it, yielded scene by scene:
-        `tokens[s]` holds the token list of each of scene s's expressions.
+        `plans[s]` is scene s as the encoder reads it, and `tokens[s]` holds
+        the token list of each of its expressions.
 
-        The scenes are encoded together by one `PointEncoder.forward`, which
-        never reads the text and yields each scene's candidates in turn;
-        one `ground_text` per scene grounds its expressions' ids
-        (`encode_expressions`) against them. A scene's output is built only
-        when the caller asks for it, so training runs each scene's backward
-        before the next scene's SA1. The encoder's ValueError, such as
-        F-FPS's on non-finite features, surfaces there."""
-        if len(inputs) != len(tokens):
-            raise ValueError(f"forward got token lists for {len(tokens)} scenes and inputs for {len(inputs)}")
-        candidates = self.encoder.forward([(sc.scene.points.xyz, T.constant(sc.feats), sc.plan) for sc in inputs])
+        One `PointEncoder.forward` encodes the scenes, never reads the text
+        and yields each scene's candidates in turn; one `ground_text` per
+        scene grounds its expressions' ids (`encode_expressions`) against
+        them. A scene's output is built only when the caller asks for it,
+        so a caller finishes with one scene before the next scene's SA1.
+        The encoder's ValueError, such as F-FPS's on non-finite features,
+        surfaces there."""
+        if len(plans) != len(tokens):
+            raise ValueError(f"forward got token lists for {len(tokens)} scenes and plans for {len(plans)}")
+        candidates = self.encoder.forward(plans)
         max_len = self.config.lang.max_len
         for token_lists in tokens:
             # no name here holds a scene's candidates while the next scene's are built
             yield self.ground_text(next(candidates), *encode_expressions(self.vocab, token_lists, max_len))
 
 
-def scene_inputs(model: GroundingModel, scenes: list[Scene]) -> list[SceneInputs]:
-    """Each scene's features for the model's input modality and its sampling plan.
+def scene_inputs(model: GroundingModel, scenes: list[Scene]) -> list[ScenePlan]:
+    """Each scene as the model's encoder reads it: its cloud, its features
+    for the model's input modality and its sampling plan.
 
-    A plan depends only on point positions, so one SceneInputs serves every
-    forward pass over its scene. The scenes are planned in one
-    `precompute_plan` call, whose two D-FPS passes each advance all of their
-    clouds in lockstep, in blocks of a fixed point budget
-    (`pointenc.point_blocks`); each plan equals that of its scene planned
-    alone, bit for bit.
+    A plan depends only on the scene, so one serves every forward pass over
+    it. The scenes are planned together, in one `precompute_plan` call.
     """
     for scene in scenes:
         if scene.points is None:
             raise ValueError(f"scene {scene.scene_id} has no point cloud")
-    plans = model.encoder.precompute_plan([scene.points.xyz for scene in scenes])
-    return [
-        SceneInputs(scene, assemble_features(scene.points.rgb, scene.points.intensity, model.config.modality), plan)
-        for scene, plan in zip(scenes, plans)
-    ]
+    return model.encoder.precompute_plan(
+        [scene.points.xyz for scene in scenes],
+        [assemble_features(scene.points.rgb, scene.points.intensity, model.config.modality) for scene in scenes],
+    )
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -455,20 +439,20 @@ def _output_row(out: ModelOutput, row: int) -> ModelOutput:
                        take(out.residuals), take(out.lang_logits))
 
 
-def _minibatch_gradients(model: GroundingModel, inputs: dict[str, SceneInputs], batch: list[GroundingSample],
-                         weights: LossWeights, epoch: int) -> list[dict[str, float]]:
+def _minibatch_gradients(model: GroundingModel, scenes: dict[str, Scene], plans: dict[str, ScenePlan],
+                         batch: list[GroundingSample], weights: LossWeights, epoch: int) -> list[dict[str, float]]:
     """Zero the gradients, then accumulate those of the mean loss of `batch`.
 
     The batch is split into one group per scene, in order of first
-    appearance. One `forward` takes every group's scene and expressions and
-    yields the groups' outputs in turn: SA0 and SA1's F-FPS run over a
-    block of scenes at a time (see `PointEncoder.forward`), the rest per
-    group. A group computes the scene-level targets once. Each expression
-    gets its own B = 1 loss, whose values equal those of that sample run
-    alone, bit for bit. One backward per group runs on the sum of its
-    losses scaled by 1 / len(batch) before the next group's SA1 is built,
-    so a group of one back-propagates the graph of a sample run alone, and
-    at most one block of SA0 outputs and one group's graph are alive.
+    appearance. One `forward` takes every group's plan and expressions and
+    yields the groups' outputs in turn (the encoder stages its layers over
+    the scenes, see `PointEncoder.forward`). A group computes the
+    scene-level targets once. Each expression gets its own B = 1 loss,
+    whose values equal those of that sample run alone, bit for bit. One
+    backward per group runs on the sum of its losses scaled by
+    1 / len(batch) before the next group's SA1 is built, so a group of one
+    back-propagates the graph of a sample run alone, and one group's later
+    graph is alive at a time.
     Several rows share one encoder backward and sum their gradients before
     its products, which rounds differently in the last bits. A ValueError
     from the encoder, which only weights grown without bound cause, raises
@@ -481,10 +465,10 @@ def _minibatch_gradients(model: GroundingModel, inputs: dict[str, SceneInputs], 
         groups.setdefault(sample.scene_id, []).append(pos)
     inv = 1.0 / len(batch)
     comps: list = [None] * len(batch)
-    outputs = model.forward([inputs[scene_id] for scene_id in groups],
+    outputs = model.forward([plans[scene_id] for scene_id in groups],
                             [[batch[pos].tokens for pos in positions] for positions in groups.values()])
     for scene_id, positions in groups.items():
-        sc = inputs[scene_id]
+        scene = scenes[scene_id]
         members = [batch[pos] for pos in positions]
         try:
             out = next(outputs)
@@ -493,11 +477,11 @@ def _minibatch_gradients(model: GroundingModel, inputs: dict[str, SceneInputs], 
             # without bound: F-FPS rejects the non-finite features they make
             raise TrainingDivergedError(f"{exc} at epoch {epoch} (scene {scene_id!r})") from exc
         cand_xyz = out.candidates.positions.data
-        targets = assign_targets(cand_xyz, out.candidates.seeds, sc.scene, members[0].target_id)
+        targets = assign_targets(cand_xyz, out.candidates.seeds, scene, members[0].target_id)
         total = None
         for row, (pos, member) in enumerate(zip(positions, members)):
             if row:
-                targets = replace(targets, **_expression_targets(cand_xyz, sc.scene, member.target_id))
+                targets = replace(targets, **_expression_targets(cand_xyz, scene, member.target_id))
             loss, comps[pos] = compute_loss(_output_row(out, row), targets, weights)
             if not np.isfinite(loss.data):
                 raise TrainingDivergedError(
@@ -521,7 +505,7 @@ def train_model(
 ) -> TrainResult:
     """Seeded, bit-deterministic training loop over grounding samples.
 
-    Every scene's inputs are built once, in one `scene_inputs` call, before
+    Every scene's plan is built once, in one `scene_inputs` call, before
     the first epoch. Each epoch shuffles the samples with a seeded
     permutation and cuts it into minibatches of `batch_size`. A minibatch
     makes one `forward` over its distinct scenes, each scene's expressions
@@ -538,7 +522,7 @@ def train_model(
     started = time.perf_counter()
     model = GroundingModel(model_config, Vocabulary.build(s.tokens for s in samples), seed=train_config.seed)
     scene_ids = list(dict.fromkeys(s.scene_id for s in samples))
-    inputs = dict(zip(scene_ids, scene_inputs(model, [scenes[sid] for sid in scene_ids])))
+    plans = dict(zip(scene_ids, scene_inputs(model, [scenes[sid] for sid in scene_ids])))
     state = T.AdamState(
         learning_rate=train_config.learning_rate, weight_decay=train_config.weight_decay
     )
@@ -554,7 +538,7 @@ def train_model(
         sums = np.zeros(len(columns))
         for start in range(0, len(order), train_config.batch_size):
             batch = [samples[i] for i in order[start : start + train_config.batch_size]]
-            for comps in _minibatch_gradients(model, inputs, batch, weights, epoch):
+            for comps in _minibatch_gradients(model, scenes, plans, batch, weights, epoch):
                 sums += [comps[name] for name in columns]
             if emb.grad is not None:
                 emb.grad[langenc.PAD_ID, :] = 0.0  # keep the padding row frozen at zero
@@ -583,29 +567,25 @@ def predict(out: ModelOutput) -> list[tuple[Box7, np.ndarray, int]]:
 def model_predictor(model: GroundingModel) -> Predictor:
     """The grounding model as an `evalbench.Predictor`.
 
-    A call works through its scenes block by block (`pointenc.point_blocks`),
-    so at most one block of plans and outputs is alive at a time. A block
-    takes one `scene_inputs` and one `GroundingModel.forward`, on the
-    samples' tokens as training reads them, and each of its scenes one
-    `predict`. Nothing is kept between calls. Each box equals that of the sample's
-    expression grounded alone, bit for bit. Weights that make the encoder's
-    features non-finite, so that F-FPS cannot sample them, raise
-    CheckpointCompatError.
+    A call plans all of its scenes in one `scene_inputs` and grounds them in
+    one `GroundingModel.forward`, on the samples' tokens as training reads
+    them, and consumes it as training does: it decodes each scene's output
+    with `predict` as it arrives, before it asks for the next. So a call
+    holds every scene's plan and one scene's output at a time; nothing is
+    kept between calls. Each box equals that of the sample's expression
+    grounded alone, bit for bit. Weights that make the encoder's features
+    non-finite, so that F-FPS cannot sample them, or that decode a
+    non-finite box, raise CheckpointCompatError.
     """
 
     def run(groups: list[SceneGroup]) -> list[list[Box7]]:
-        counts = [0 if scene.points is None else len(scene.points.xyz) for scene, _, _ in groups]
-        boxes = []
-        for block in point_blocks(counts):
-            inputs = scene_inputs(model, [scene for scene, _, _ in groups[block]])
-            tokens = [[s.tokens for s in samples] for _, samples, _ in groups[block]]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
-                    outputs = list(model.forward(inputs, tokens))
-            except ValueError as exc:  # `scene_inputs` checked the scenes, so the weights are at fault
-                raise CheckpointCompatError(f"the model's weights break its encoder: {exc}") from exc
-            boxes += [[box for box, _, _ in predict(out)] for out in outputs]
-        return boxes
+        plans = scene_inputs(model, [scene for scene, _, _ in groups])
+        outputs = model.forward(plans, [[s.tokens for s in samples] for _, samples, _ in groups])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+                return [[box for box, _, _ in predict(out)] for out in outputs]
+        except ValueError as exc:  # `scene_inputs` checked the scenes, so the weights are at fault
+            raise CheckpointCompatError(f"the model's weights break its encoder or heads: {exc}") from exc
 
     return run
 

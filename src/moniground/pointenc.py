@@ -18,32 +18,33 @@ FPS and ball query share one squared distance, `(dx*dx + dy*dy) + dz*dz`
 per column. One greedy loop serves both FPS kinds, run in lockstep over S
 clouds: the clouds are padded into (3, S, width) coordinate planes, and
 each step is one `argmax` and one `np.minimum` over all S rows, so Python's
-per-step cost is paid once per block, not once per cloud. D-FPS runs it
-over every cloud a plan covers, in blocks of at most `_BLOCK_POINTS` padded
-points (see `point_blocks`); F-FPS over the SA0 outputs of a block of
-the scenes one forward encodes, at most `_BLOCK_FEATURE_VALUES` padded
-feature values. Both working sets stay in L2. Each row's picks equal that
-cloud's run alone, bit for bit. A step writes its S centers across a
-reused difference buffer and then subtracts the planes from it in one
-same-shape pass, which numpy runs faster than one broadcasting
-subtract; F-FPS makes one gemv per cloud on the cloud's own rows,
-the BLAS call of its run alone. Ball query bins the points into xy cells
-and measures only the pairs in each center's 3 x 3 cell block, so it
-builds no M x N array; its cost grows with the candidate pairs, not with
-centers times points.
+per-step cost is paid once per block, not once per cloud. Only this
+module blocks scenes: D-FPS takes the clouds it is given in blocks of at
+most `_BLOCK_POINTS` padded points, F-FPS the SA0 outputs of one forward's
+scenes in blocks of at most `_BLOCK_FEATURE_VALUES` padded feature values,
+so both working sets stay in L2. Each row's picks equal that cloud's run
+alone, bit for bit. A step writes its S centers across a reused
+difference buffer and then subtracts the planes from it in one same-shape
+pass, which numpy runs faster than one broadcasting subtract; F-FPS makes
+one gemv per cloud on the cloud's own rows, the BLAS call of its run
+alone. Ball query bins the points into xy cells and measures only the
+pairs in each center's 3 x 3 cell block, so it builds no M x N array; its
+cost grows with the candidate pairs, not with centers times points.
 
-Both D-FPS runs and SA0's ball query read positions only, so
-`PointEncoder.precompute_plan` does them once per cloud. SA0 takes a
-cloud's first min(out_points, n) D-FPS picks: a cloud of n points has n distinct
-picks, and FPS would pad the rest with point 0, which only repeats SA0's
-first output row. So a short cloud's SA0, its F-FPS and SA1's ball query
-shrink with it, and SA1 still has its full seed count, padded by FPS.
-F-FPS reads SA0's features, so `PointEncoder.forward` runs it, once per
-block of scenes after the block's SA0; then it yields each scene's
-candidates in turn, running SA1 and candidate generation for a scene
-only when the caller asks for it. Training runs a scene's backward before
-the next scene's SA1, so at most one block of SA0 outputs and one scene's
-later layers are alive.
+A `ScenePlan` is a scene as the encoder reads it: its cloud, its input
+features as a graph constant, and the decisions that read positions only,
+both D-FPS runs and SA0's ball query, which `PointEncoder.precompute_plan`
+makes once per cloud. SA0 takes a cloud's first min(out_points, n) D-FPS
+picks: a cloud of n points has n distinct picks, and FPS would pad the
+rest with point 0, which only repeats SA0's first output row. So a short
+cloud's SA0, its F-FPS and SA1's ball query shrink with it, and SA1 still
+has its full seed count, padded by FPS. F-FPS reads SA0's features, so
+`PointEncoder.forward` runs it over a list of plans, once per block of
+scenes after the block's SA0; then it yields each scene's candidates in
+turn, running SA1 and candidate generation for a scene only when the
+caller asks for it. Callers finish with a scene before they ask for the
+next, so at most one block of SA0 outputs and one scene's later layers
+are alive.
 
 Geometry is float64; what enters the autodiff graph is `tensor.DTYPE`
 (float32). Clouds, plans, D-FPS and ball query work on float64 positions.
@@ -214,13 +215,6 @@ _BLOCK_POINTS = 24_000
 _BLOCK_FEATURE_VALUES = 1 << 17
 
 
-def point_blocks(counts: Sequence[int]) -> list[slice]:
-    """Consecutive runs of clouds with `counts` points each, as long as the
-    run's length times its largest count stays within _BLOCK_POINTS; a
-    cloud above that is a block of its own."""
-    return _blocks(counts, _BLOCK_POINTS)
-
-
 def _blocks(sizes: Sequence[int], budget: int) -> list[slice]:
     """Consecutive runs of items, as long as the run's length times its
     largest size stays within `budget`; an item above that is a run of its
@@ -239,7 +233,8 @@ def _blocks(sizes: Sequence[int], budget: int) -> list[slice]:
 
 def fps_distance(clouds: Sequence[np.ndarray], k: int) -> np.ndarray:
     """D-FPS of S clouds in lockstep: (S, k) farthest-point indices under
-    euclidean distance (see _greedy_fps), one `point_blocks` block at a time.
+    euclidean distance (see _greedy_fps), one block of at most _BLOCK_POINTS
+    padded points at a time.
 
     Distances are squared and bit-identical to
     `np.sum((points - points[i]) ** 2, axis=1)` (see _sq_distance_to), so each
@@ -250,7 +245,7 @@ def fps_distance(clouds: Sequence[np.ndarray], k: int) -> np.ndarray:
         _check_points(points, "fps_distance")
     lengths = np.array([len(c) for c in clouds], dtype=np.intp)
     chosen = np.zeros((len(clouds), k), dtype=np.intp)
-    for block in point_blocks(lengths):
+    for block in _blocks(lengths, _BLOCK_POINTS):
         chosen[block] = _greedy_fps(_sq_distance_to(_planes(clouds[block])), lengths[block], k)
     return chosen
 
@@ -465,11 +460,14 @@ def encoder_layout(config: EncoderConfig, in_dim: int) -> T.Layout:
 
 
 class ScenePlan(NamedTuple):
-    """One cloud's sampling decisions that read positions only; built by
+    """A scene as the encoder reads it: its cloud, its input features and
+    the sampling decisions that read positions only; built by
     `PointEncoder.precompute_plan`."""
 
-    sa0_picks: np.ndarray     # (SA0 out_points,) D-FPS indices into the cloud
-    sa0_groups: np.ndarray    # (SA0 out_points, cap) ball groups around those points
+    positions: np.ndarray     # (N, 3) float64 cloud
+    features: T.Tensor        # (N, in_dim) per-point input features, a `tensor.DTYPE` constant
+    sa0_picks: np.ndarray     # (min(SA0 out_points, N),) D-FPS indices into the cloud
+    sa0_groups: np.ndarray    # (len(sa0_picks), cap) ball groups around those points
     sa1_distance: np.ndarray  # (SA1 out_points / 2,) D-FPS indices into SA0's points
 
 
@@ -481,27 +479,29 @@ class PointEncoder:
         self.config = config
         self.params = params
 
-    def precompute_plan(self, clouds: list[np.ndarray]) -> list[ScenePlan]:
-        """Each cloud's plan: the sampling decisions that do not depend on
-        parameters, so one plan serves every forward pass over its points.
+    def precompute_plan(self, clouds: list[np.ndarray], features: list[np.ndarray]) -> list[ScenePlan]:
+        """Each scene's plan, from its (N, 3) cloud and (N, in_dim) input
+        features. Nothing in it depends on parameters, so one plan serves
+        every forward pass over its scene.
 
         SA0's D-FPS runs in lockstep over all the clouds (see fps_distance)
         and keeps a cloud's first min(out_points, n) picks: a cloud of n
         points has n distinct D-FPS picks, and the padding after them would
         only repeat point 0. Then SA0's ball query runs per cloud, then SA1's
-        D-FPS half in lockstep over SA0's points of every cloud.
+        D-FPS half in lockstep over SA0's points of every cloud. Each plan
+        equals that of its scene planned alone, bit for bit.
         """
         sa0, sa1 = self.config.sa_layers
         picks = [idx[: len(cloud)] for cloud, idx in zip(clouds, fps_distance(clouds, sa0.out_points))]
         centers = [cloud[idx] for cloud, idx in zip(clouds, picks)]
         groups = [ball_group(c, cloud, sa0.radius, sa0.cap) for c, cloud in zip(centers, clouds)]
         halves = fps_distance(centers, sa1.out_points // 2)
-        return [ScenePlan(*plan) for plan in zip(picks, groups, halves)]
+        return [ScenePlan(cloud, T.constant(feats), *plan)
+                for cloud, feats, *plan in zip(clouds, features, picks, groups, halves, strict=True)]
 
-    def forward(self, scenes: Sequence[tuple[np.ndarray, T.Tensor, ScenePlan]]) -> Iterator[CandidateSet]:
-        """Candidates of each scene, given as (positions, features, plan)
-        with its plan from `precompute_plan`; yields one CandidateSet per
-        scene, in order.
+    def forward(self, plans: Sequence[ScenePlan]) -> Iterator[CandidateSet]:
+        """Candidates of each scene, given by its plan from `precompute_plan`;
+        yields one CandidateSet per scene, in order.
 
         The scenes run in blocks of at most _BLOCK_FEATURE_VALUES SA0 output
         values (scenes x SA0 points of the largest x channels). A block
@@ -510,20 +510,20 @@ class PointEncoder:
         fps_feature). Then each scene in turn runs SA1, which interleaves its
         D-FPS and F-FPS halves, groups them by ball query and encodes them,
         and candidate generation, and is yielded. A scene's SA1 runs only
-        when the caller asks for its candidates, so a caller can run the
-        previous scene's backward, and free its graph, first; at most one
-        block of SA0 outputs is alive. Each scene's candidates equal those
-        of its forward alone, bit for bit.
+        when the caller asks for its candidates, so a caller can finish with
+        the previous scene, and free its graph, first; at most one block of
+        SA0 outputs is alive. Each scene's candidates equal those of its
+        forward alone, bit for bit.
         """
         sa0, sa1 = self.config.sa_layers
-        sizes = [len(plan.sa0_picks) * sa0.mlp[-1] for _, _, plan in scenes]
+        sizes = [len(plan.sa0_picks) * sa0.mlp[-1] for plan in plans]
         for block in _blocks(sizes, _BLOCK_FEATURE_VALUES):
-            layer0 = [self._sa_forward(0, pos, feats, pos[plan.sa0_picks], plan.sa0_groups)
-                      for pos, feats, plan in scenes[block]]
+            layer0 = [self._sa_forward(0, p.positions, p.features, p.positions[p.sa0_picks], p.sa0_groups)
+                      for p in plans[block]]
             by_feature = fps_feature([pos for pos, _ in layer0], [feats.data for _, feats in layer0],
                                      sa1.out_points // 2, self.config.lambda_fps)
             layer0.reverse()
-            for (_, _, plan), f_picks in zip(scenes[block], by_feature):
+            for plan, f_picks in zip(plans[block], by_feature):
                 # popped, so that nothing here holds a yielded scene's graph
                 yield self._candidate_generate(*self._sa1_forward(*layer0.pop(), plan.sa1_distance, f_picks))
 

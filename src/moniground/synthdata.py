@@ -145,9 +145,6 @@ class PointCloud:
     rgb: np.ndarray        # (N, 3) in [0, 1]
     intensity: np.ndarray  # (N,) in [0, 1]
 
-    def __len__(self) -> int:
-        return len(self.xyz)
-
 
 @dataclass
 class ObjectSpec:
@@ -664,11 +661,18 @@ def _box_from_json(d: dict) -> Box7:
 
 def atomic_write(path: str, data: bytes | str) -> None:
     """Write to a sibling .tmp file, then rename it over `path`, so readers
-    never see a partial file. Text is encoded as UTF-8."""
+    never see a partial file. Text is encoded as UTF-8. If the write or the
+    rename fails, the .tmp file is removed and the OSError raised."""
+    blob = data.encode("utf-8") if isinstance(data, str) else data
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data.encode("utf-8") if isinstance(data, str) else data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.isfile(tmp):  # absent when `open` failed
+            os.remove(tmp)
+        raise
 
 
 def _dump_json(path: str, obj) -> None:

@@ -204,9 +204,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a (..., M, K) x, a (K, N) w and a (1, N) bias row.
 
-    One node with the values and gradients of `add(matmul(x, w), b)`, bit
-    for bit: the same product, the same bias sum, and in backward the same
-    three arrays that chain gives its inputs.
+    One node with the values and gradients of a product node and a
+    bias-row node, bit for bit (tests/oracles.py's `linear_chain`): the
+    same product, the same bias sum, and in backward the same three
+    arrays that chain gives its inputs.
     """
     if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear mismatch: {x.data.shape} @ {w.data.shape}")
@@ -225,13 +226,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(x.data @ w.data + b.data, (x, w, b), bwd)
 
 
-def _check_addlike(a: Tensor, b: Tensor, op: str) -> bool:
-    """Returns True when b is a (1, C) row broadcast over every row of a (..., C)."""
-    if a.data.shape == b.data.shape:
-        return False
-    if a.data.ndim >= 2 and b.data.shape == (1, a.data.shape[-1]):
-        return True
-    raise ShapeError(f"{op} mismatch: {a.data.shape} vs {b.data.shape}")
+def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op} mismatch: {a.data.shape} vs {b.data.shape}")
 
 
 def _row_sum(grad: np.ndarray) -> np.ndarray:
@@ -240,25 +237,25 @@ def _row_sum(grad: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    row_broadcast = _check_addlike(a, b, "add")
+    _check_same_shape(a, b, "add")
 
     def bwd(grad):
         if a.requires_grad:
             a._accumulate(grad)
         if b.requires_grad:
-            b._accumulate(_row_sum(grad) if row_broadcast else grad.copy())
+            b._accumulate(grad.copy())
 
     return _node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    row_broadcast = _check_addlike(a, b, "sub")
+    _check_same_shape(a, b, "sub")
 
     def bwd(grad):
         if a.requires_grad:
             a._accumulate(grad)
         if b.requires_grad:
-            b._accumulate(-(_row_sum(grad) if row_broadcast else grad))
+            b._accumulate(-grad)
 
     return _node(a.data - b.data, (a, b), bwd)
 
@@ -399,24 +396,21 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows, the second-to-last axis, by integer index (repeats allowed):
-    (..., R, C) -> (..., K, C). Leading axes are a batch; every entry takes
-    the same rows."""
+    """Select rows of a matrix by integer index (repeats allowed): (R, C) -> (K, C)."""
     idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-    if a.data.ndim < 2:
+    if a.data.ndim != 2:
         raise ShapeError(f"gather_rows needs a matrix, got {a.data.shape}")
 
     def bwd(grad):
-        # one bincount over the flat (entry, row, column) positions; it adds
-        # each position's weights in index order, as a bincount per column
-        # does, in float64, and the sums are rounded to the gradient's dtype
-        rows, cols = a.data.shape[-2:]
-        entries = a.data.size // (rows * cols)
-        pos = (np.arange(entries)[:, None, None] * rows + idx[:, None]) * cols + np.arange(cols)
+        # one bincount over the flat (row, column) positions; it adds each
+        # position's weights in index order, as a bincount per column does,
+        # in float64, and the sums are rounded to the gradient's dtype
+        cols = a.data.shape[1]
+        pos = idx[:, None] * cols + np.arange(cols)
         flat = np.bincount(pos.reshape(-1), weights=grad.reshape(-1), minlength=a.data.size)
         a._accumulate(flat.astype(grad.dtype).reshape(a.data.shape))
 
-    return _node(a.data[..., idx, :], (a,), bwd)
+    return _node(a.data[idx], (a,), bwd)
 
 
 def repeat_rows(a: Tensor, k: int) -> Tensor:

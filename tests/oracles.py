@@ -146,7 +146,7 @@ def _ranked_groups(d2: np.ndarray, radius: float, cap: int) -> np.ndarray:
     return np.where(groups < 0, first[:, None], groups)
 
 
-def per_sample_gradients(model, inputs, batch, weights) -> list[dict[str, float]]:
+def per_sample_gradients(model, scenes, plans, batch, weights) -> list[dict[str, float]]:
     """Gradients of a minibatch's mean loss, one forward, loss and backward
     per sample in batch order, each sample encoding its scene anew.
     Returns each sample's loss components."""
@@ -154,10 +154,9 @@ def per_sample_gradients(model, inputs, batch, weights) -> list[dict[str, float]
     inv = 1.0 / len(batch)
     comps = []
     for item in batch:
-        sc = inputs[item.scene_id]
-        (out,) = model.forward([sc], [[item.tokens]])
+        (out,) = model.forward([plans[item.scene_id]], [[item.tokens]])
         cand = out.candidates
-        targets = G.assign_targets(cand.positions.data, cand.seeds, sc.scene, item.target_id)
+        targets = G.assign_targets(cand.positions.data, cand.seeds, scenes[item.scene_id], item.target_id)
         loss, sample_comps = G.compute_loss(out, targets, weights)
         T.backward(T.scale(loss, inv))
         comps.append(sample_comps)
@@ -166,7 +165,21 @@ def per_sample_gradients(model, inputs, batch, weights) -> list[dict[str, float]
 
 def linear_chain(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
     """`tensor.linear` as the two graph nodes it fuses: a product, then a bias row."""
-    return T.add(T.matmul(x, w), b)
+    return add_row_node(T.matmul(x, w), b)
+
+
+def add_row_node(a: T.Tensor, row: T.Tensor) -> T.Tensor:
+    """A (1, C) row added to every row of a (..., C) tensor, as a graph node
+    of its own: `tensor.add` as it was before it took operands of one shape
+    only, the row's gradient summed over every row."""
+
+    def bwd(grad):
+        if a.requires_grad:
+            a._accumulate(grad)
+        if row.requires_grad:
+            row._accumulate(grad.reshape(-1, grad.shape[-1]).sum(axis=0, keepdims=True))
+
+    return T._node(a.data + row.data, (a, row), bwd)
 
 
 def max_pool_rows(x: np.ndarray, group: int, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,15 +250,16 @@ def bigru_chain(token_embeddings: T.Tensor, lengths, params: dict, cfg) -> T.Ten
     sigmoid, tanh, `mul` and `sub` nodes, masked where a row is past its
     length."""
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
-    *lead, _, _ = token_embeddings.shape
+    *lead, length, width = token_embeddings.shape
+    rows = T.reshape(token_embeddings, (math.prod(lead) * length, width))
     state = (*lead, 1, cfg.hidden_dim)
     steps = int(lengths.max())
 
     def cell(x, h, prefix, t):
         p = {k: params[f"{prefix}.{k}"] for k in ("wz", "wr", "wn", "uz", "ur", "un", "bz", "br", "bn")}
-        z = sigmoid_node(T.add(T.add(T.matmul(x, p["wz"]), T.matmul(h, p["uz"])), p["bz"]))
-        r = sigmoid_node(T.add(T.add(T.matmul(x, p["wr"]), T.matmul(h, p["ur"])), p["br"]))
-        n = tanh_node(T.add(T.add(T.matmul(x, p["wn"]), T.matmul(T.mul(r, h), p["un"])), p["bn"]))
+        z = sigmoid_node(add_row_node(T.add(T.matmul(x, p["wz"]), T.matmul(h, p["uz"])), p["bz"]))
+        r = sigmoid_node(add_row_node(T.add(T.matmul(x, p["wr"]), T.matmul(h, p["ur"])), p["br"]))
+        n = tanh_node(add_row_node(T.add(T.matmul(x, p["wn"]), T.matmul(T.mul(r, h), p["un"])), p["bn"]))
         step = T.mul(z, T.sub(n, h))
         active = lengths > t
         if not active.all():
@@ -257,6 +271,7 @@ def bigru_chain(token_embeddings: T.Tensor, lengths, params: dict, cfg) -> T.Ten
     for prefix, order in (("lang.gru.fwd", range(steps)), ("lang.gru.bwd", range(steps - 1, -1, -1))):
         h = T.constant(np.zeros(state))
         for t in order:
-            h = cell(T.gather_rows(token_embeddings, np.array([t])), h, prefix, t)
+            step = T.gather_rows(rows, np.arange(math.prod(lead)) * length + t)
+            h = cell(T.reshape(step, (*lead, 1, width)), h, prefix, t)
         halves.append(h)
     return T.concat(halves)

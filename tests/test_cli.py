@@ -392,6 +392,12 @@ class TestEval:
             corrupt.__name__ = f"{name}_{value}"
             return corrupt
 
+        def huge_box_regression(blob):
+            # finite in float32, but every decoded box center overflows
+            arrays = grounder.T.checkpoint_load(blob)
+            arrays["head.reg.w"][...] = 3e38
+            return grounder.T.checkpoint_save(arrays)
+
         corruptions = [
             ("config.json", reshaped_config),
             ("config.json", dropped_config_field),
@@ -423,6 +429,7 @@ class TestEval:
             ("checkpoint.bin", parameter_edit("enc.sa1.w0", np.inf)),
             # finite in float32, but the features F-FPS samples from overflow
             ("checkpoint.bin", parameter_edit("enc.sa0.w0", 3e38)),
+            ("checkpoint.bin", huge_box_regression),
         ]
         for name, corrupt in corruptions:
             broken = str(tmp_path / f"{corrupt.__name__}-{name}")
@@ -463,6 +470,22 @@ class TestEval:
         code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", str(v1), "--split", "val")
         assert code == 3
         assert "checkpoint version 1, expected 2" in assert_one_line_error(capsys)
+
+    def test_unwritable_output_path_is_exit_2(self, dataset_dir, trained_run, tmp_path, capsys):
+        taken = tmp_path / "a_directory"
+        taken.mkdir()
+        capsys.readouterr()
+        code, _ = run_cli("eval", "--data", dataset_dir, "--checkpoint", trained_run, "--split", "val",
+                          "--report-out", str(taken))
+        assert code == 2
+        assert str(taken) in assert_one_line_error(capsys)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        code, _ = run_cli("gen", "--out", str(a_file), *GEN_ARGS)
+        assert code == 2
+        assert str(a_file) in assert_one_line_error(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "a_file"]  # no .tmp left
+        assert not any(taken.iterdir()) and a_file.read_text() == ""
 
     def test_broken_report_is_exit_4(self, dataset_dir, tmp_path, monkeypatch, capsys):
         evaluate = cli.evalbench.evaluate
@@ -677,8 +700,29 @@ class TestReport:
         code, _ = run_cli("report", "--report", str(tmp_path / "none.json"))
         assert code == 3
 
-    def test_malformed_report_is_exit_3(self, tmp_path, capsys):
+    def test_malformed_report_is_exit_3(self, dataset_dir, tmp_path, capsys):
+        real = tmp_path / "real.json"
+        code, _ = run_cli("baseline", "--data", dataset_dir, "--which", "detbest", "--split", "val",
+                          "--report-out", str(real))
+        assert code == 0
+
+        def edited(edit):
+            doc = json.loads(real.read_text())
+            edit(doc)
+            return json.dumps(doc)
+
+        def overall(field, value):
+            return edited(lambda doc: doc["subsets"]["Overall"].__setitem__(field, value))
+
         documents = {
+            "partitions_do_not_sum": edited(lambda doc: doc["subsets"]["Unique"].__setitem__("count", 999)),
+            "accuracy_string": overall("acc25", "nan"),
+            "accuracy_nan": overall("acc50", math.nan),
+            "accuracy_above_100": overall("acc25", 100.5),
+            "count_bool": overall("count", True),
+            "count_float": overall("count", 2.7),
+            "count_negative": overall("count", -1),
+            "warnings_not_strings": edited(lambda doc: doc.__setitem__("warnings", [1, {"a": 2}])),
             "garbled": '{"subsets": {"Overall": ',
             "no_subsets": '{"split": "val"}',
             "subsets_list": '{"subsets": [1, 2, 3]}',

@@ -332,9 +332,9 @@ class TestModelPredictor:
         encoded = []  # (candidates, cloud) of every scene the encoder encoded
         encode = model.encoder.forward
 
-        def encoding(scenes):
-            candidates = list(encode(scenes))
-            encoded.extend((cand, xyz) for cand, (xyz, _, _) in zip(candidates, scenes))
+        def encoding(plans):
+            candidates = list(encode(plans))
+            encoded.extend((cand, plan.positions) for cand, plan in zip(candidates, plans))
             return iter(candidates)
 
         monkeypatch.setattr(model.encoder, "forward", encoding)
@@ -374,14 +374,14 @@ class TestModelPredictor:
         encodes, planned = [], []  # the clouds of each encoder call; the clouds planned
         encode = model.encoder.forward
         monkeypatch.setattr(model.encoder, "forward",
-                            lambda scenes: encodes.append([id(xyz) for xyz, _, _ in scenes]) or encode(scenes))
+                            lambda plans: encodes.append([id(p.positions) for p in plans]) or encode(plans))
         plan = PointEncoder.precompute_plan
-        monkeypatch.setattr(PointEncoder, "precompute_plan",
-                            lambda self, clouds: planned.extend(map(id, clouds)) or plan(self, clouds))
+        monkeypatch.setattr(PointEncoder, "precompute_plan", lambda self, clouds, features: planned.extend(
+            map(id, clouds)) or plan(self, clouds, features))
         forwards = []  # per model call: each scene's cloud and token lists
         forward = G.GroundingModel.forward
-        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, tokens: forwards.append(
-            list(zip([id(sc.scene.points.xyz) for sc in inputs], tokens))) or forward(self, inputs, tokens))
+        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, plans, tokens: forwards.append(
+            list(zip([id(p.positions) for p in plans], tokens))) or forward(self, plans, tokens))
         model_run = G.model_predictor(model)
         calls = []
 
@@ -406,31 +406,59 @@ class TestModelPredictor:
         for (_, tokens), scene_id in zip(forwards[0], sorted(dataset.scenes), strict=True):
             assert tokens == [s.tokens for s in ordered if s.scene_id == scene_id]
 
-    def test_scenes_planned_block_by_block(self, monkeypatch):
+    @staticmethod
+    def four_scenes():
         dataset = S.gen_dataset(7, S.GenConfig(scene_count=4, objects_min=1, objects_max=2))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         model = G.GroundingModel(tiny_model_config(), vocab, seed=2)
         groups = [(dataset.scenes[sid], [s for s in dataset.samples if s.scene_id == sid], [])
                   for sid in sorted(dataset.scenes)]
+        return model, groups
+
+    @staticmethod
+    def one_scene_per_block(monkeypatch):
+        """Budgets that put every scene in a block of its own, in D-FPS and
+        in F-FPS; returns the number of clouds of each lockstep FPS block."""
+        blocks = []
+        greedy = pointenc._greedy_fps
+        monkeypatch.setattr(pointenc, "_greedy_fps",
+                            lambda dist_to, lengths, k: blocks.append(len(lengths)) or greedy(dist_to, lengths, k))
+        monkeypatch.setattr(pointenc, "_BLOCK_POINTS", 1)
+        monkeypatch.setattr(pointenc, "_BLOCK_FEATURE_VALUES", 1)
+        return blocks
+
+    def test_one_plan_and_one_forward_per_call(self, monkeypatch):
+        # the scenes run in blocks inside the encoder, which the caller does not see
+        model, groups = self.four_scenes()
+        calls = []  # (function, the clouds it was given) in call order
+        scene_inputs = G.scene_inputs
+        monkeypatch.setattr(G, "scene_inputs", lambda model, scenes: calls.append(
+            ("scene_inputs", [id(s.points.xyz) for s in scenes])) or scene_inputs(model, scenes))
+        plan = PointEncoder.precompute_plan
+        monkeypatch.setattr(PointEncoder, "precompute_plan", lambda self, clouds, features: calls.append(
+            ("precompute_plan", list(map(id, clouds)))) or plan(self, clouds, features))
+        forward = G.GroundingModel.forward
+        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, plans, tokens: calls.append(
+            ("forward", [id(p.positions) for p in plans])) or forward(self, plans, tokens))
+        fps = self.one_scene_per_block(monkeypatch)
+        boxes = G.model_predictor(model)(groups)
+        clouds = [id(scene.points.xyz) for scene, _, _ in groups]
+        assert calls == [("scene_inputs", clouds), ("precompute_plan", clouds), ("forward", clouds)]
+        assert [len(scene_boxes) for scene_boxes in boxes] == [len(samples) for _, samples, _ in groups]
+        # two D-FPS passes and one F-FPS pass, each a block per scene
+        assert fps == [1] * 3 * len(groups)
+
+    def test_blocks_leave_the_boxes_unchanged(self, monkeypatch):
+        model, groups = self.four_scenes()
 
         def boxes():
             return [[(*box.center, box.l, box.w, box.h, box.yaw) for box in scene_boxes]
                     for scene_boxes in G.model_predictor(model)(groups)]
 
         whole = boxes()
-        blocks, forwards = [], []  # the clouds of each plan call and of each model call
-        plan = PointEncoder.precompute_plan
-        monkeypatch.setattr(PointEncoder, "precompute_plan",
-                            lambda self, clouds: blocks.append(list(map(id, clouds))) or plan(self, clouds))
-        forward = G.GroundingModel.forward
-        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, tokens: forwards.append(
-            [id(sc.scene.points.xyz) for sc in inputs]) or forward(self, inputs, tokens))
-        clouds = [scene.points.xyz for scene, _, _ in groups]
-        monkeypatch.setattr(pointenc, "_BLOCK_POINTS", max(len(c) for c in clouds))
-        split = boxes()
-        expected = [[id(c) for c in clouds[block]] for block in pointenc.point_blocks([len(c) for c in clouds])]
-        assert blocks == forwards == expected and len(blocks) > 1
-        assert split == whole
+        fps = self.one_scene_per_block(monkeypatch)
+        assert boxes() == whole
+        assert len(fps) == 3 * len(groups) > 3
 
 
 class TestEvaluateCost:

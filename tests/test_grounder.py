@@ -356,15 +356,15 @@ class TestGradientFlow:
             S.PointCloud(xyz, np.full((20, 3), 0.5), np.full(20, 0.5)),
         )
         model = tiny_model(seed=4, vocab=word_vocab(40))
-        inputs = G.scene_inputs(model, [scene])
+        plans = G.scene_inputs(model, [scene])
         tokens = [[["w0", "w1"]]]  # ids 2 and 3
-        (out0,) = model.forward(inputs, tokens)
+        (out0,) = model.forward(plans, tokens)
         tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene, "obj_00")
         assert tg.cls.sum() >= 1 and tg.shift_mask.sum() >= 1
         weights = G.LossWeights()
 
         def loss():
-            (out,) = model.forward(inputs, tokens)
+            (out,) = model.forward(plans, tokens)
             return G.compute_loss(out, tg, weights)[0]
 
         worst = finite_diff_check(loss, model.params.values(), max_coords=3,
@@ -429,14 +429,14 @@ class TestSceneGroupedStep:
         dataset = S.gen_dataset(4, S.GenConfig(scene_count=3, objects_min=3, objects_max=3))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         models = [G.GroundingModel(G.ModelConfig(), vocab, seed=6) for _ in range(2)]
-        inputs = dict(zip(dataset.scenes, G.scene_inputs(models[0], list(dataset.scenes.values()))))
+        plans = dict(zip(dataset.scenes, G.scene_inputs(models[0], list(dataset.scenes.values()))))
         by_scene = {}
         for sample in dataset.samples:
             by_scene.setdefault(sample.scene_id, []).append(sample)
         batch = pick(list(by_scene.values()))
         weights = G.LossWeights()
-        grouped = G._minibatch_gradients(models[0], inputs, batch, weights, epoch=1)
-        reference = oracles.per_sample_gradients(models[1], inputs, batch, weights)
+        grouped = G._minibatch_gradients(models[0], dataset.scenes, plans, batch, weights, epoch=1)
+        reference = oracles.per_sample_gradients(models[1], dataset.scenes, plans, batch, weights)
         return batch, models, grouped, reference
 
     @staticmethod
@@ -480,10 +480,10 @@ class TestSceneGroupedStep:
         assert max(len(scene.points.xyz) for scene in dataset.scenes.values()) < 128
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         models = [G.GroundingModel(G.ModelConfig(), vocab, seed=6) for _ in range(2)]
-        inputs = dict(zip(dataset.scenes, G.scene_inputs(models[0], list(dataset.scenes.values()))))
+        plans = dict(zip(dataset.scenes, G.scene_inputs(models[0], list(dataset.scenes.values()))))
         batch = [samples[0] for samples in self.by_scene(dataset).values()]
-        grouped = G._minibatch_gradients(models[0], inputs, batch, G.LossWeights(), epoch=1)
-        assert grouped == oracles.per_sample_gradients(models[1], inputs, batch, G.LossWeights())
+        grouped = G._minibatch_gradients(models[0], dataset.scenes, plans, batch, G.LossWeights(), epoch=1)
+        assert grouped == oracles.per_sample_gradients(models[1], dataset.scenes, plans, batch, G.LossWeights())
         grads = [self.grads(m) for m in models]
         assert grads[0].keys() == grads[1].keys() and len(grads[0]) == len(models[0].params)
         for name, g in grads[0].items():
@@ -507,10 +507,10 @@ class TestSceneGroupedStep:
         batch = [dataset.samples[i] for i in np.random.default_rng(0).permutation(len(dataset.samples))[:10]]
         assert len({sample.scene_id for sample in batch}) == 4
         model = G.GroundingModel(G.ModelConfig(), Vocabulary.build(s.tokens for s in dataset.samples), seed=3)
-        inputs = dict(zip(dataset.scenes, G.scene_inputs(model, list(dataset.scenes.values()))))
+        plans = dict(zip(dataset.scenes, G.scene_inputs(model, list(dataset.scenes.values()))))
         tracemalloc.start()
         try:
-            G._minibatch_gradients(model, inputs, batch, G.LossWeights(), epoch=1)
+            G._minibatch_gradients(model, dataset.scenes, plans, batch, G.LossWeights(), epoch=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -522,8 +522,8 @@ class TestSceneGroupedStep:
         dataset = S.gen_dataset(5, S.GenConfig(scene_count=2, objects_min=2, objects_max=3))
         vocab = Vocabulary.build(s.tokens for s in dataset.samples)
         model = G.GroundingModel(tiny_model_config(), vocab, seed=3)
-        inputs = dict(zip(dataset.scenes, G.scene_inputs(model, list(dataset.scenes.values()))))
-        G._minibatch_gradients(model, inputs, dataset.samples, G.LossWeights(), epoch=1)
+        plans = dict(zip(dataset.scenes, G.scene_inputs(model, list(dataset.scenes.values()))))
+        G._minibatch_gradients(model, dataset.scenes, plans, dataset.samples, G.LossWeights(), epoch=1)
         grads = list(self.grads(model).items())
         assert len(dataset.scenes) == 2 and len(grads) > 40
         for i, (name, g) in enumerate(grads):
@@ -602,9 +602,9 @@ class TestTraining:
         planned, encodes, sampled = [], [], []
         plan = PointEncoder.precompute_plan
         monkeypatch.setattr(PointEncoder, "precompute_plan",
-                            lambda self, clouds: planned.extend(map(id, clouds)) or plan(self, clouds))
+                            lambda self, clouds, features: planned.extend(map(id, clouds)) or plan(self, clouds, features))
         encode = PointEncoder.forward
-        monkeypatch.setattr(PointEncoder, "forward", lambda self, scenes: encodes.append(1) or encode(self, scenes))
+        monkeypatch.setattr(PointEncoder, "forward", lambda self, plans: encodes.append(1) or encode(self, plans))
         fps_feature = pointenc.fps_feature
         monkeypatch.setattr(pointenc, "fps_feature",
                             lambda clouds, *args: sampled.append(len(clouds)) or fps_feature(clouds, *args))
@@ -629,9 +629,10 @@ class TestTraining:
                                                expressions_per_object=2))
         events = []  # model calls, F-FPS runs, SA1 layers and backwards, in order
         forward = G.GroundingModel.forward
-        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, inputs, tokens: events.append(
-            ("forward", [(sc.scene.scene_id, len(token_lists)) for sc, token_lists in zip(inputs, tokens)]))
-            or forward(self, inputs, tokens))
+        clouds = {id(scene.points.xyz): scene_id for scene_id, scene in dataset.scenes.items()}
+        monkeypatch.setattr(G.GroundingModel, "forward", lambda self, plans, tokens: events.append(
+            ("forward", [(clouds[id(plan.positions)], len(token_lists)) for plan, token_lists in zip(plans, tokens)]))
+            or forward(self, plans, tokens))
         fps_feature = pointenc.fps_feature
         monkeypatch.setattr(pointenc, "fps_feature",
                             lambda clouds, *args: events.append(("fps_feature", len(clouds))) or fps_feature(clouds, *args))
@@ -692,11 +693,11 @@ class TestComputeDtype:
         # regression loss's float64 targets too
         dataset = self.dataset(4)
         model = G.GroundingModel(tiny_model_config(), _vocab_for(dataset.samples), seed=3)
-        inputs = dict(zip(dataset.scenes, G.scene_inputs(model, list(dataset.scenes.values()))))
+        plans = dict(zip(dataset.scenes, G.scene_inputs(model, list(dataset.scenes.values()))))
         made, handed, targeted, outputs = [], [], [], []
         self.record_dtypes(monkeypatch, made, handed)
         self.spy(monkeypatch, G, "assign_targets", targeted)
-        G._minibatch_gradients(model, inputs, dataset.samples, G.LossWeights(), epoch=1)
+        G._minibatch_gradients(model, dataset.scenes, plans, dataset.samples, G.LossWeights(), epoch=1)
         assert len(made) > 250 and len(handed) > 300
         assert set(made) == set(handed) == {np.dtype(T.DTYPE)}
         assert all(p.data.dtype == p.grad.dtype == T.DTYPE for p in model.params.values())
@@ -708,9 +709,9 @@ class TestComputeDtype:
             assert all(a.dtype == np.float64 for a in table.values())
         assert all(p.data.dtype == T.DTYPE for p in model.params.values())
 
-        for sc in inputs.values():
-            assert sc.scene.points.xyz.dtype == sc.feats.dtype == np.float64
-            assert all(a.dtype == np.intp for a in sc.plan)  # indices: no float to promote
+        for plan in plans.values():
+            assert plan.positions.dtype == np.float64 and plan.features.data.dtype == T.DTYPE
+            assert all(a.dtype == np.intp for a in plan[2:])  # indices: no float to promote
         for candidates, seeds, *_ in targeted:
             assert candidates.dtype == T.DTYPE and seeds.dtype == np.float64
 
@@ -748,7 +749,6 @@ class TestComputeDtype:
         vocab = _vocab_for(dataset.samples)
         # the default dimensions, so every BLAS call is the one training makes
         drawn = G.GroundingModel(G.ModelConfig(), vocab, seed=3)
-        inputs = dict(zip(dataset.scenes, G.scene_inputs(drawn, list(dataset.scenes.values()))))
         batch = dataset.samples[:10]
         targeted, models = {np.float32: [], np.float64: []}, {}
         for dtype, seen in targeted.items():
@@ -757,7 +757,9 @@ class TestComputeDtype:
                 self.spy(m, G, "assign_targets", seen)
                 params = {k: T.Tensor(p.data, requires_grad=True) for k, p in drawn.params.items()}
                 models[dtype] = G.GroundingModel(G.ModelConfig(), vocab, params=params)
-                G._minibatch_gradients(models[dtype], inputs, batch, G.LossWeights(), epoch=1)
+                # planned in the dtype, so that the input features are of that dtype too
+                plans = dict(zip(dataset.scenes, G.scene_inputs(models[dtype], list(dataset.scenes.values()))))
+                G._minibatch_gradients(models[dtype], dataset.scenes, plans, batch, G.LossWeights(), epoch=1)
         assert len(targeted[np.float32]) == len(targeted[np.float64]) == len({s.scene_id for s in batch})
         for (c32, seeds32, *_), (c64, seeds64, *_) in zip(targeted[np.float32], targeted[np.float64]):
             assert np.array_equal(seeds32, seeds64)

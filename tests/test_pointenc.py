@@ -321,7 +321,7 @@ class TestLockstepFPS:
     def test_sizes_far_apart_in_one_block(self, generated_clouds):
         rng = np.random.default_rng(28)
         clouds = [generated_clouds[-1], rng.normal(size=(1, 3)), generated_clouds[0][:3], generated_clouds[-2]]
-        assert len(pointenc.point_blocks([len(c) for c in clouds])) == 1
+        assert len(pointenc._blocks([len(c) for c in clouds], pointenc._BLOCK_POINTS)) == 1
         got = fps_distance(clouds, 512)
         for row, pts in zip(got, clouds):
             assert np.array_equal(row, oracles.fps_distance(pts, 512))
@@ -330,7 +330,7 @@ class TestLockstepFPS:
         whole = fps_distance(generated_clouds, 256)
         widest = max(len(c) for c in generated_clouds)
         monkeypatch.setattr(pointenc, "_BLOCK_POINTS", 2 * widest)
-        assert len(pointenc.point_blocks([len(c) for c in generated_clouds])) == 2
+        assert len(pointenc._blocks([len(c) for c in generated_clouds], pointenc._BLOCK_POINTS)) == 2
         assert np.array_equal(fps_distance(generated_clouds, 256), whole)
         assert np.array_equal(fps_distance(generated_clouds[::-1], 256), whole[::-1])
 
@@ -341,9 +341,8 @@ class TestLockstepFPS:
         ([1, 5, 1], 9, [(0, 1), (1, 2), (2, 3)]),
         ([20, 1, 1], 9, [(0, 1), (1, 3)]),
     ])
-    def test_point_blocks(self, counts, budget, expected, monkeypatch):
-        monkeypatch.setattr(pointenc, "_BLOCK_POINTS", budget)
-        assert [(b.start, b.stop) for b in pointenc.point_blocks(counts)] == expected
+    def test_point_blocks(self, counts, budget, expected):
+        assert [(b.start, b.stop) for b in pointenc._blocks(counts, budget)] == expected
 
     def test_empty_batch(self):
         assert fps_distance([], 4).shape == (0, 4)
@@ -626,7 +625,7 @@ class TestCandidateGeneration:
         enc.params["enc.shift.w1"].data[:] = 0.0
         enc.params["enc.shift.b1"].data[:] = 0.0
         pts = rng.uniform(-2, 2, size=(20, 3))
-        out = next(enc.forward([(pts, T.constant(rng.normal(size=(20, 2))), enc.precompute_plan([pts])[0])]))
+        out = next(enc.forward(enc.precompute_plan([pts], [rng.normal(size=(20, 2))])))
         np.testing.assert_array_equal(out.positions.data, out.seeds.astype(T.DTYPE))
         np.testing.assert_array_equal(out.shifts.data, 0.0)
 
@@ -635,7 +634,7 @@ class TestCandidateGeneration:
         rng = np.random.default_rng(12)
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(n_points, 3))
-        out = next(enc.forward([(pts, T.constant(rng.normal(size=(n_points, 2))), enc.precompute_plan([pts])[0])]))
+        out = next(enc.forward(enc.precompute_plan([pts], [rng.normal(size=(n_points, 2))])))
         m = enc.config.m_candidates
         assert out.positions.shape == (m, 3)
         assert out.features.shape == (m, enc.config.feature_dim)
@@ -649,10 +648,10 @@ class TestCandidateGeneration:
         pts = rng.uniform(-2, 2, size=(16, 3))
         feats_np = rng.normal(size=(16, 2))
         shift_params = [enc.params[k] for k in enc.params if k.startswith("enc.shift")]
-        plan = enc.precompute_plan([pts])[0]
+        plans = enc.precompute_plan([pts], [feats_np])
 
         def loss():
-            out = next(enc.forward([(pts, T.constant(feats_np), plan)]))
+            out = next(enc.forward(plans))
             return T.mean(out.features)
 
         finite_diff_check(loss, shift_params, max_coords=6, rng=rng)
@@ -662,8 +661,8 @@ class TestCandidateGeneration:
         enc = tiny_encoder(rng)
         pts = rng.uniform(-2, 2, size=(25, 3))
         feats_np = rng.normal(size=(25, 2))
-        a = next(enc.forward([(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])]))
-        b = next(enc.forward([(pts, T.constant(feats_np), enc.precompute_plan([pts])[0])]))
+        a = next(enc.forward(enc.precompute_plan([pts], [feats_np])))
+        b = next(enc.forward(enc.precompute_plan([pts], [feats_np])))
         np.testing.assert_array_equal(a.features.data, b.features.data)
         np.testing.assert_array_equal(a.positions.data, b.positions.data)
 
@@ -673,11 +672,11 @@ class TestMultiSceneForward:
 
     @staticmethod
     def assert_each_alone(enc, clouds, feats):
-        plans = enc.precompute_plan(clouds)
-        together = list(enc.forward([(c, T.constant(f), plan) for c, f, plan in zip(clouds, feats, plans)]))
+        plans = enc.precompute_plan(clouds, feats)
+        together = list(enc.forward(plans))
         assert len(together) == len(clouds)
-        for c, f, plan, got in zip(clouds, feats, plans, together):
-            (alone,) = enc.forward([(c, T.constant(f), plan)])
+        for c, f, got in zip(clouds, feats, together):
+            (alone,) = enc.forward(enc.precompute_plan([c], [f]))
             for name in ("positions", "shifts", "features"):
                 assert np.array_equal(getattr(got, name).data, getattr(alone, name).data), name
             assert np.array_equal(got.seeds, alone.seeds)
@@ -709,7 +708,7 @@ class TestShortClouds:
     def test_sa0_picks_capped_at_the_cloud(self):
         enc = encoder(EncoderConfig(), 4, np.random.default_rng(37))
         clouds = self.clouds()
-        plans = enc.precompute_plan(clouds)
+        plans = enc.precompute_plan(clouds, [np.ones((len(c), 4)) for c in clouds])
         for cloud, plan in zip(clouds, plans):
             n = len(cloud)
             # a cloud's first min(512, n) D-FPS picks, each point at most once
@@ -730,8 +729,8 @@ class TestShortClouds:
         TestMultiSceneForward.assert_each_alone(enc, clouds, feats)
         # F-FPS runs over each SA0 output, min(512, n) points wide
         assert sampled[: len(clouds)] == [min(512, len(c)) for c in clouds]
-        for c, f, plan in zip(clouds, feats, enc.precompute_plan(clouds)):
-            cand = next(enc.forward([(c, T.constant(f), plan)]))
+        for plan in enc.precompute_plan(clouds, feats):
+            cand = next(enc.forward([plan]))
             assert cand.positions.shape == (64, 3) and cand.features.shape == (64, 128)
 
 

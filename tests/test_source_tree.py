@@ -176,3 +176,25 @@ def test_every_tensor_op_has_a_finite_difference_check():
                            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "T")
     assert {"linear", "pooled_mlp", "gru"} <= ops, sorted(ops)
     assert not ops - checked, f"ops with no finite-difference test: {sorted(ops - checked)}"
+
+
+def test_only_pointenc_blocks_scenes():
+    """How scenes are split into blocks for lockstep FPS is `pointenc`'s
+    decision alone: its callers hand it every scene of a call and consume
+    its outputs scene by scene. So no other module in src names the block
+    helper or a block budget: not as a name, an attribute, an import or a
+    string constant."""
+    blocking = {"_blocks", "_BLOCK_POINTS", "_BLOCK_FEATURE_VALUES"}
+    trees = source_trees()
+    assert blocking <= {n.id for n in ast.walk(trees["pointenc.py"]) if isinstance(n, ast.Name)}
+    naming = sorted(
+        module
+        for module, tree in trees.items()
+        if module != "pointenc.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in blocking)
+        or (isinstance(node, ast.Attribute) and node.attr in blocking)
+        or (isinstance(node, ast.alias) and node.name in blocking)
+        or (isinstance(node, ast.Constant) and node.value in blocking)
+    )
+    assert not naming, f"modules other than pointenc.py that name a block budget: {sorted(set(naming))}"

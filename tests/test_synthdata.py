@@ -92,7 +92,7 @@ class TestSamplePoints:
         mk = lambda box: S.Scene("s", {"time_of_day": "dusk"}, [S.ObjectSpec("obj_00", "car", box, dict(attrs))])
         near = S.sample_points(mk(box_near), cfg, 0)
         far = S.sample_points(mk(box_far), cfg, 0)
-        assert len(near) > len(far)
+        assert len(near.xyz) > len(far.xyz)
 
     def test_values_in_unit_interval_and_finite(self):
         cfg = small_config()
@@ -101,7 +101,7 @@ class TestSamplePoints:
         assert np.all(np.isfinite(pc.xyz))
         assert np.all((pc.rgb >= 0) & (pc.rgb <= 1))
         assert np.all((pc.intensity >= 0) & (pc.intensity <= 1))
-        assert len(pc) >= 1
+        assert len(pc.xyz) >= 1
 
 
 class TestExpressions:

@@ -65,9 +65,12 @@ class TestForwardValues:
         np.testing.assert_allclose(out, naive, atol=1e-12)
 
     def test_add_row_broadcast(self):
+        # `linear` adds the bias rows; `add` and `sub` take operands of one shape
         a = T.constant(np.ones((3, 2)))
         b = T.constant([[1.0, 2.0]])
-        np.testing.assert_array_equal(T.add(a, b).data, [[2.0, 3.0]] * 3)
+        for op in (T.add, T.sub):
+            with pytest.raises(T.ShapeError, match=r"\(3, 2\) vs \(1, 2\)"):
+                op(a, b)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
@@ -345,9 +348,9 @@ class TestFiniteDifferences:
 
     def test_add_sub_broadcast(self):
         rng = np.random.default_rng(11)
-        a, row = param(rng, 5, 3), param(rng, 1, 3)
-        finite_diff_check(lambda: T.mean(T.add(a, row)), [a, row])
-        finite_diff_check(lambda: T.mean(T.sub(a, row)), [a, row])
+        a, b = param(rng, 5, 3), param(rng, 5, 3)
+        finite_diff_check(lambda: T.mean(T.add(a, b)), [a, b])
+        finite_diff_check(lambda: T.mean(T.sub(a, b)), [a, b])
 
     def test_mul(self):
         rng = np.random.default_rng(12)
@@ -476,24 +479,26 @@ class TestFiniteDifferences:
         finite_diff_check(lambda: T.tensor_sum(T.mul(T.reshape(a, (3, 4)), w)), [a])
 
     def test_batched_matmul_add_and_concat(self):
-        # a (B, M, K) batch times a shared (K, N) weight plus a (1, N) bias,
+        # a (B, M, K) batch times a shared (K, N) weight plus a (B, M, N) batch,
         # concatenated with an unbatched (M, C) input broadcast over B
         rng = np.random.default_rng(28)
-        a, b, row, shared = param(rng, 2, 3, 4), param(rng, 4, 5), param(rng, 1, 5), param(rng, 3, 2)
+        a, b, c, shared = param(rng, 2, 3, 4), param(rng, 4, 5), param(rng, 2, 3, 5), param(rng, 3, 2)
         w = T.constant(rng.normal(size=(2, 3, 7)))
 
         def loss():
-            out = T.concat([shared, T.sub(T.add(T.matmul(a, b), row), row)])
+            out = T.concat([shared, T.sub(T.add(T.matmul(a, b), c), c)])
             return T.tensor_sum(T.mul(out, w))
 
-        finite_diff_check(loss, [a, b, row, shared])
+        finite_diff_check(loss, [a, b, c, shared])
 
     def test_batched_gather_and_repeat(self):
+        # `repeat_rows` takes a batch; `gather_rows` a matrix only
         rng = np.random.default_rng(29)
-        a = param(rng, 2, 4, 3)
+        a = param(rng, 2, 1, 3)
         w = T.constant(rng.normal(size=(2, 6, 3)))
-        finite_diff_check(lambda: T.tensor_sum(T.mul(T.gather_rows(a, [3, 0, 0, 1, 3, 3]), w)), [a])
-        finite_diff_check(lambda: T.tensor_sum(T.mul(T.repeat_rows(T.gather_rows(a, [2]), 6), w)), [a])
+        finite_diff_check(lambda: T.tensor_sum(T.mul(T.repeat_rows(a, 6), w)), [a])
+        with pytest.raises(T.ShapeError, match="matrix"):
+            T.gather_rows(param(rng, 2, 4, 3), [0])
 
     def test_linear(self):
         rng = np.random.default_rng(35)
@@ -515,8 +520,8 @@ class TestFiniteDifferences:
         w2, b2 = param(rng, 8, 3), param(rng, 1, 3)
 
         def loss():
-            h = T.relu(T.add(T.matmul(x, w1), b1))
-            out = T.add(T.matmul(h, w2), b2)
+            h = T.relu(T.linear(x, w1, b1))
+            out = T.linear(h, w2, b2)
             return T.mean(T.mul(out, out))
 
         finite_diff_check(loss, [w1, b1, w2, b2])
