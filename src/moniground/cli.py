@@ -326,6 +326,16 @@ def cmd_report(cfg: RunConfig, report_path: str, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors, like every other usage error, are one
+    `error:` line on stderr and exit 2; its subcommand parsers are of this
+    class too."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file; flags override it")
     parser.add_argument("--seed", type=int, dest="seed")
@@ -333,8 +343,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="moniground",
-                                     description="synthetic roadside 3D grounding benchmark")
+    parser = _ArgumentParser(prog="moniground", description="synthetic roadside 3D grounding benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a dataset directory")

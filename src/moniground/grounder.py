@@ -37,7 +37,8 @@ each scene's rows with `predict` before it asks for the next.
 config.json. A model from `load_model` holds parameters that do not
 require gradients, so inference builds no autodiff graph.
 
-The network computes in `tensor.DTYPE` (float32); geometry is float64.
+The network and farthest-point sampling compute in `tensor.DTYPE`
+(float32); the rest of the geometry is float64.
 Candidate positions come out of the graph in float32, and `assign_targets`
 and `decode_box_residual` read them as float64, so targets, decoded boxes
 and their IoU are float64. Adam updates float64 master weights (see
@@ -555,7 +556,12 @@ def train_model(
 
 def predict(out: ModelOutput) -> list[tuple[Box7, np.ndarray, int]]:
     """Decode one scene's output: (box, confidences, candidate index) per
-    expression, in row order, each by `ground` on the softmax of the scores."""
+    expression, in row order, each by `ground` on the softmax of the scores.
+    Scores that are not finite, from weights whose products overflow,
+    raise ValueError: their softmax is NaN, and its argmax would pick
+    candidate 0 for every expression."""
+    if not np.isfinite(out.raw_scores.data).all():
+        raise ValueError("non-finite candidate scores")
     confidences = softmax(out.raw_scores.data)
     results = []
     for row in range(len(confidences)):
@@ -574,8 +580,9 @@ def model_predictor(model: GroundingModel) -> Predictor:
     holds every scene's plan and one scene's output at a time; nothing is
     kept between calls. Each box equals that of the sample's expression
     grounded alone, bit for bit. Weights that make the encoder's features
-    non-finite, so that F-FPS cannot sample them, or that decode a
-    non-finite box, raise CheckpointCompatError.
+    non-finite, so that F-FPS cannot sample them, that make a score
+    non-finite or that decode a non-finite box, raise
+    CheckpointCompatError.
     """
 
     def run(groups: list[SceneGroup]) -> list[list[Box7]]:

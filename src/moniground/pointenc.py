@@ -14,11 +14,12 @@ toward object centers and extracts features around the shifted
 positions. Sampling decisions are made on plain numpy values; gradients
 flow through feature extraction and through the predicted shifts.
 
-FPS and ball query share one squared distance, `(dx*dx + dy*dy) + dz*dz`
-per column. One greedy loop serves both FPS kinds, run in lockstep over S
-clouds: the clouds are padded into (3, S, width) coordinate planes, and
-each step is one `argmax` and one `np.minimum` over all S rows, so Python's
-per-step cost is paid once per block, not once per cloud. Only this
+FPS and ball query compute one squared distance, `(dx*dx + dy*dy) + dz*dz`
+per column, FPS in `tensor.DTYPE` and ball query in float64. One greedy
+loop serves both FPS kinds, run in lockstep over S clouds: the clouds are
+padded into (3, S, width) coordinate planes, and each step is one
+`argmax` and one `np.minimum` over all S rows, so Python's per-step cost
+is paid once per block, not once per cloud. Only this
 module blocks scenes: D-FPS takes the clouds it is given in blocks of at
 most `_BLOCK_POINTS` padded points, F-FPS the SA0 outputs of one forward's
 scenes in blocks of at most `_BLOCK_FEATURE_VALUES` padded feature values,
@@ -33,25 +34,32 @@ cost grows with the candidate pairs, not with centers times points.
 
 A `ScenePlan` is a scene as the encoder reads it: its cloud, its input
 features as a graph constant, and the decisions that read positions only,
-both D-FPS runs and SA0's ball query, which `PointEncoder.precompute_plan`
-makes once per cloud. SA0 takes a cloud's first min(out_points, n) D-FPS
-picks: a cloud of n points has n distinct picks, and FPS would pad the
-rest with point 0, which only repeats SA0's first output row. So a short
-cloud's SA0, its F-FPS and SA1's ball query shrink with it, and SA1 still
-has its full seed count, padded by FPS. F-FPS reads SA0's features, so
-`PointEncoder.forward` runs it over a list of plans, once per block of
-scenes after the block's SA0; then it yields each scene's candidates in
-turn, running SA1 and candidate generation for a scene only when the
-caller asks for it. Callers finish with a scene before they ask for the
-next, so at most one block of SA0 outputs and one scene's later layers
-are alive.
+SA0's D-FPS and ball query, which `PointEncoder.precompute_plan` makes
+once per cloud. SA0 takes a cloud's first min(out_points, n) D-FPS picks:
+a cloud of n points has n distinct picks, and FPS would pad the rest with
+point 0, which only repeats SA0's first output row. So a short cloud's
+SA0, its F-FPS and SA1's ball query shrink with it, and SA1 still has its
+full seed count, padded by FPS. SA1's D-FPS half runs no FPS of its own:
+D-FPS over SA0's points, the cloud's D-FPS picks in pick order, picks them
+in that order, so the half is read off SA0's picks (see `_distance_half`).
+F-FPS reads SA0's features, so `PointEncoder.forward` runs it over a list
+of plans, once per block of scenes after the block's SA0; then it yields
+each scene's candidates in turn, running SA1 and candidate generation for
+a scene only when the caller asks for it. Callers finish with a scene
+before they ask for the next, so at most one block of SA0 outputs and one
+scene's later layers are alive.
 
-Geometry is float64; what enters the autodiff graph is `tensor.DTYPE`
-(float32). Clouds, plans, D-FPS and ball query work on float64 positions.
-F-FPS reads SA0's float32 features as float64, so its distance arithmetic
-is float64. Positions relative to a center are computed in float64 and
-enter the graph as `DTYPE` constants. A candidate position is a seed plus
-its predicted shift, a graph value of `DTYPE`; ball query and
+Geometry is float64, and what enters the autodiff graph is
+`tensor.DTYPE` (float32); FPS computes in `DTYPE` too. Clouds, plans and
+ball query work on float64 positions. Both FPS kinds read their points as
+`DTYPE` coordinate planes, and F-FPS reads SA0's features as they are, in
+`DTYPE`: the clouds are float32 on disk and SA0 writes float32 features,
+so float64 arithmetic would add no precision to FPS's inputs and would
+double the bytes each step streams. Its picks can differ from float64
+picks only where two candidates tie within `DTYPE` rounding, and either
+is a farthest point then. Positions relative to a center are computed in
+float64 and enter the graph as `DTYPE` constants. A candidate position is
+a seed plus its predicted shift, a graph value of `DTYPE`; ball query and
 `grounder.assign_targets` read it as float64.
 """
 
@@ -152,8 +160,9 @@ def _greedy_fps(dist_to, lengths: np.ndarray, k: int) -> np.ndarray:
 
 
 def _planes(clouds: list[np.ndarray]) -> np.ndarray:
-    """(3, S, width) coordinate planes of S clouds, zero past each cloud's end."""
-    planes = np.zeros((3, len(clouds), max(len(c) for c in clouds)))
+    """(3, S, width) coordinate planes of S clouds in `tensor.DTYPE`, zero
+    past each cloud's end."""
+    planes = np.zeros((3, len(clouds), max(len(c) for c in clouds)), dtype=T.DTYPE)
     for s, cloud in enumerate(clouds):
         planes[:, s, : len(cloud)] = cloud.T
     return planes
@@ -163,10 +172,11 @@ def _sq_distance_to(planes: np.ndarray):
     """`dist_to(idx)` for squared euclidean distance over `_planes`,
     writing into one buffer.
 
-    Each call returns the same (S, width) buffer, whose row s holds
-    `(dx*dx + dy*dy) + dz*dz` with `dx = x - x[idx[s]]`: the same operations
-    in the same summation order as `np.sum((points - points[i]) ** 2, axis=1)`
-    for each cloud, so the values are bit-identical to it, without the slow
+    Each call returns the same (S, width) buffer, in the planes' dtype,
+    whose row s holds `(dx*dx + dy*dy) + dz*dz` with `dx = x - x[idx[s]]`:
+    the same operations in the same summation order as
+    `np.sum((points - points[i]) ** 2, axis=1)` for each cloud read in that
+    dtype, so the values are bit-identical to it, without the slow
     reduction over 3-wide rows. The step gathers its S centers with `take`
     and writes them across the difference buffer before one same-shape
     subtract: numpy runs a subtract that broadcasts a (3, S, 1) operand
@@ -176,7 +186,7 @@ def _sq_distance_to(planes: np.ndarray):
     _, s, width = planes.shape
     flat = planes.reshape(3, s * width)
     offsets = np.arange(s) * width
-    centers = np.empty((3, s))
+    centers = np.empty((3, s), dtype=planes.dtype)
     diff = np.empty_like(planes)
     out = diff[0]
 
@@ -207,11 +217,15 @@ def _check_points(points: np.ndarray, where: str) -> None:
 
 # Lockstep D-FPS takes its clouds in blocks of at most this many padded points
 # (clouds x points of the largest), so that its planes, their differences and
-# its running minimum, about 1.3 MB in all, stay in L2.
+# its running minimum, about 0.7 MB in all in float32, stay in L2. On one
+# 2-CPU Xeon with 2 MB of L2 per core, D-FPS of 48 clouds of about 1,500
+# points took 75-88 ms at this budget and 71-112 ms at 12k, 48k and 96k.
 _BLOCK_POINTS = 24_000
 # Lockstep F-FPS takes its clouds in blocks of at most this many padded
-# feature values (clouds x points of the largest x channels), about 1 MB, so
-# that the features each step's products read stay in L2.
+# feature values (clouds x points of the largest x channels), 0.5 MB in
+# float32, so that the features each step's products read stay in L2. On
+# the same host, F-FPS of 48 x 512 x 64 features (k = 128) took 51 ms at
+# this budget, 70 ms at 1 << 16 and 68 ms at 1 << 18.
 _BLOCK_FEATURE_VALUES = 1 << 17
 
 
@@ -231,14 +245,19 @@ def _blocks(sizes: Sequence[int], budget: int) -> list[slice]:
     return blocks
 
 
+# FPS reports a NaN distance itself (see _greedy_fps), and an overflow is an inf distance
+@np.errstate(over="ignore", invalid="ignore")
 def fps_distance(clouds: Sequence[np.ndarray], k: int) -> np.ndarray:
     """D-FPS of S clouds in lockstep: (S, k) farthest-point indices under
     euclidean distance (see _greedy_fps), one block of at most _BLOCK_POINTS
     padded points at a time.
 
-    Distances are squared and bit-identical to
-    `np.sum((points - points[i]) ** 2, axis=1)` (see _sq_distance_to), so each
-    row equals the cloud's D-FPS run alone.
+    Distances are squared, computed in `tensor.DTYPE` on the cloud read in
+    it, and bit-identical to `np.sum((points - points[i]) ** 2, axis=1)` on
+    those values (see _sq_distance_to), so each row equals the cloud's
+    D-FPS run alone. A squared distance that overflows the dtype is inf,
+    without a warning: points more than about 1.8e19 apart in float32 tie
+    at inf, and the tie picks the lowest index.
     """
     clouds = list(clouds)
     for points in clouds:
@@ -250,6 +269,27 @@ def fps_distance(clouds: Sequence[np.ndarray], k: int) -> np.ndarray:
     return chosen
 
 
+def _distance_half(sa0_picks: np.ndarray, k: int) -> np.ndarray:
+    """SA1's D-FPS half, (k,) indices into SA0's points, read off SA0's pick
+    order: it equals `fps_distance` over those points, `cloud[sa0_picks]`.
+
+    Pick i is i while i < len(sa0_picks) and, past i == 0, sa0_picks[i] is
+    not 0; it is 0 from there on. Both runs measure the same distances
+    between the same points, so after the same i picks every point has the
+    same running minimum in both. While the largest minimum is above 0, the
+    cloud's run picks `sa0_picks[i]`, a point with the largest one; among
+    SA0's points only picks come before it, and their minimum is 0, so the
+    run over SA0's points picks it too, as its point i. Once the largest
+    minimum is 0, the cloud's run repeats its point 0, and the run over
+    SA0's points its point 0, the same point; before that, FPS never picks
+    point 0, whose minimum is 0.
+    """
+    half = np.arange(k)
+    half[half > np.count_nonzero(sa0_picks[1:])] = 0
+    return half
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as fps_distance
 def fps_feature(clouds: Sequence[np.ndarray], features: Sequence[np.ndarray], k: int,
                 lambda_fps: float) -> np.ndarray:
     """F-FPS of S clouds in lockstep: (S, k) farthest-point indices under
@@ -257,13 +297,14 @@ def fps_feature(clouds: Sequence[np.ndarray], features: Sequence[np.ndarray], k:
     at most _BLOCK_FEATURE_VALUES padded feature values at a time.
 
     Cloud s has (n_s, 3) points and (n_s, C) features, with one C for all
-    clouds. The features are read as float64, so the distances are
-    computed in float64 whatever the features' dtype. Each row equals that
-    cloud's F-FPS run alone, bit for bit (see _feature_distance_to).
-    Non-finite features raise ValueError, as non-finite points do.
+    clouds. Points and features are read in `tensor.DTYPE`, the dtype SA0
+    writes its features in, so they are not copied and the distances are
+    computed in it. Each row equals that cloud's F-FPS run alone, bit for
+    bit (see _feature_distance_to). Non-finite features raise ValueError,
+    as non-finite points do, and so do features whose squares overflow.
     """
     clouds = list(clouds)
-    features = [np.asarray(f, dtype=np.float64) for f in features]
+    features = [np.asarray(f, dtype=T.DTYPE) for f in features]
     if len(features) != len(clouds):
         raise ValueError(f"fps_feature needs one feature array per cloud, got {len(features)} for {len(clouds)}")
     for points, feats in zip(clouds, features):
@@ -282,7 +323,7 @@ def fps_feature(clouds: Sequence[np.ndarray], features: Sequence[np.ndarray], k:
 
 def _feature_distance_to(planes: np.ndarray, features: list[np.ndarray], lambda_fps: float):
     """`dist_to(idx)` for F-FPS over `_planes` and the clouds' features,
-    writing into one buffer.
+    writing into one buffer of the planes' dtype, which the features share.
 
     Row s holds `sqrt(max(q + q[i] - 2.0 * (f @ f[i]), 0)) + lambda * sqrt(d2)`
     with `f` cloud s's features, `q = np.sum(f**2, axis=1)`, `i = idx[s]`
@@ -295,10 +336,12 @@ def _feature_distance_to(planes: np.ndarray, features: list[np.ndarray], lambda_
     matrix into, so one stacked gemv over zero-padded clouds changes the
     last bits of a cloud's last rows when its length is not the width.
     A non-finite feature, or one whose square overflows, raises ValueError.
+    `lambda_fps` and the 2.0 are Python floats, which do not promote a
+    float32 buffer as a numpy float64 would.
     """
     s, width = planes.shape[1:]
-    feat_sq = np.zeros((s, width))
-    products = np.zeros((s, width))
+    feat_sq = np.zeros((s, width), dtype=planes.dtype)
+    products = np.zeros((s, width), dtype=planes.dtype)
     for row, feats in enumerate(features):
         feat_sq[row, : len(feats)] = np.sum(feats**2, axis=1)
     if not np.isfinite(feat_sq).all():
@@ -306,7 +349,7 @@ def _feature_distance_to(planes: np.ndarray, features: list[np.ndarray], lambda_
     gemvs = [(feats, products[row, : len(feats)]) for row, feats in enumerate(features)]
     flat_sq = feat_sq.reshape(-1)
     offsets = np.arange(s) * width
-    out = np.empty((s, width))
+    out = np.empty((s, width), dtype=planes.dtype)
     sq_dist_to = _sq_distance_to(planes)
 
     def dist_to(idx: np.ndarray) -> np.ndarray:
@@ -344,10 +387,12 @@ def ball_group(centers: np.ndarray, points: np.ndarray, radius: float, cap: int)
     are read as float64, which every float32 value is exactly.
 
     A pair is in radius when `d2 <= radius * radius`, with `d2` the
-    `(dx*dx + dy*dy) + dz*dz` of `dx = px - cx` per column that
-    `_sq_distance_to` computes for FPS. No M x N array is built: points are
-    binned into xy cells of side `s >= radius * (1 + _CELL_SLACK)` by a
-    stable sort of their cell keys, each center's candidates are the three
+    `(dx*dx + dy*dy) + dz*dz` of `dx = px - cx` per column: FPS's distance,
+    but in float64, from the ball query's own `_sq_distance`, since FPS
+    computes in `tensor.DTYPE` and the bound below rests on float64's
+    roundoff. No M x N array is built: points are binned into xy cells of
+    side `s >= radius * (1 + _CELL_SLACK)` by a stable sort of their cell
+    keys, each center's candidates are the three
     key ranges of its 3 x 3 cell block, and only candidate pairs get a
     `d2`. Kept pairs are sorted by (center, point) and ranked within their
     center, so the groups equal those of the dense reference in
@@ -468,7 +513,6 @@ class ScenePlan(NamedTuple):
     features: T.Tensor        # (N, in_dim) per-point input features, a `tensor.DTYPE` constant
     sa0_picks: np.ndarray     # (min(SA0 out_points, N),) D-FPS indices into the cloud
     sa0_groups: np.ndarray    # (len(sa0_picks), cap) ball groups around those points
-    sa1_distance: np.ndarray  # (SA1 out_points / 2,) D-FPS indices into SA0's points
 
 
 class PointEncoder:
@@ -487,17 +531,15 @@ class PointEncoder:
         SA0's D-FPS runs in lockstep over all the clouds (see fps_distance)
         and keeps a cloud's first min(out_points, n) picks: a cloud of n
         points has n distinct D-FPS picks, and the padding after them would
-        only repeat point 0. Then SA0's ball query runs per cloud, then SA1's
-        D-FPS half in lockstep over SA0's points of every cloud. Each plan
+        only repeat point 0. Then SA0's ball query runs per cloud. SA1's
+        D-FPS half needs no run of its own (see _distance_half). Each plan
         equals that of its scene planned alone, bit for bit.
         """
-        sa0, sa1 = self.config.sa_layers
+        sa0 = self.config.sa_layers[0]
         picks = [idx[: len(cloud)] for cloud, idx in zip(clouds, fps_distance(clouds, sa0.out_points))]
-        centers = [cloud[idx] for cloud, idx in zip(clouds, picks)]
-        groups = [ball_group(c, cloud, sa0.radius, sa0.cap) for c, cloud in zip(centers, clouds)]
-        halves = fps_distance(centers, sa1.out_points // 2)
+        groups = [ball_group(cloud[idx], cloud, sa0.radius, sa0.cap) for cloud, idx in zip(clouds, picks)]
         return [ScenePlan(cloud, T.constant(feats), *plan)
-                for cloud, feats, *plan in zip(clouds, features, picks, groups, halves, strict=True)]
+                for cloud, feats, *plan in zip(clouds, features, picks, groups, strict=True)]
 
     def forward(self, plans: Sequence[ScenePlan]) -> Iterator[CandidateSet]:
         """Candidates of each scene, given by its plan from `precompute_plan`;
@@ -525,7 +567,8 @@ class PointEncoder:
             layer0.reverse()
             for plan, f_picks in zip(plans[block], by_feature):
                 # popped, so that nothing here holds a yielded scene's graph
-                yield self._candidate_generate(*self._sa1_forward(*layer0.pop(), plan.sa1_distance, f_picks))
+                by_distance = _distance_half(plan.sa0_picks, sa1.out_points // 2)
+                yield self._candidate_generate(*self._sa1_forward(*layer0.pop(), by_distance, f_picks))
 
     def _sa1_forward(self, positions: np.ndarray, features: T.Tensor, by_distance: np.ndarray,
                      by_feature: np.ndarray) -> tuple[np.ndarray, T.Tensor]:

@@ -6,9 +6,10 @@ enter the graph all take it. Every op computes its values and gradients
 in it too. numpy promotes float32 combined with a float64 array or numpy
 float64 scalar, and the cast would hide that, so an operand from outside
 the graph is read in the tensor's dtype first. The model's geometry
-(clouds, sampling, ball query, targets, box decoding, IoU) stays float64
-outside the graph. The tests set `DTYPE` to float64 for their
-finite-difference checks.
+(clouds, ball query, targets, box decoding, IoU) stays float64 outside
+the graph. `DTYPE` also sets the dtype farthest-point sampling computes
+in, outside the graph too (see `pointenc`). The tests set `DTYPE` to
+float64 for their finite-difference checks.
 
 Every op builds a node in an implicit graph (parent links + a backward
 closure); `backward` runs each node reached from the loss once, in reverse

@@ -85,7 +85,9 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sq_distances(points: np.ndarray, i: int) -> np.ndarray:
-    """Squared euclidean distances from point i, as one row-wise reduction."""
+    """Squared euclidean distances from point i, as one row-wise reduction
+    on the points read in `tensor.DTYPE`, the dtype FPS computes in."""
+    points = np.asarray(points, dtype=T.DTYPE)
     return np.sum((points - points[i]) ** 2, axis=1)
 
 
@@ -105,7 +107,9 @@ def fps_distance(points: np.ndarray, k: int) -> np.ndarray:
 
 
 def feature_distances(points: np.ndarray, features: np.ndarray, i: int, lambda_fps: float) -> np.ndarray:
-    """F-FPS distances from point i: feature-L2 + lambda * euclidean-L2."""
+    """F-FPS distances from point i: feature-L2 + lambda * euclidean-L2,
+    on the features read in `tensor.DTYPE`."""
+    features = np.asarray(features, dtype=T.DTYPE)
     feat_sq = np.sum(features**2, axis=1)
     df = np.sqrt(np.maximum(feat_sq + feat_sq[i] - 2.0 * (features @ features[i]), 0.0))
     return df + lambda_fps * np.sqrt(sq_distances(points, i))

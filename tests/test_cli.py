@@ -219,7 +219,9 @@ class TestTrain:
             ("nan_loss", (), (grounder, "compute_loss", nan_loss), "training diverged: loss nan"),
             ("nan_gradient", (), (grounder.T, "zero_grads", nan_gradient),
              "training diverged: non-finite gradient of head.loc.w"),
-            ("huge_lr", ("--lr", "1e10"), None, "training diverged: loss nan"),
+            # F-FPS squares SA0's features in float32, where they overflow
+            # before the loss turns NaN
+            ("huge_lr", ("--lr", "1e10"), None, "training diverged: fps_feature on non-finite features"),
             # weights this large make the features F-FPS samples from overflow
             ("huger_lr", ("--lr", "1e100"), None, "training diverged: fps_feature on non-finite features"),
         ]
@@ -392,11 +394,14 @@ class TestEval:
             corrupt.__name__ = f"{name}_{value}"
             return corrupt
 
-        def huge_box_regression(blob):
-            # finite in float32, but every decoded box center overflows
-            arrays = grounder.T.checkpoint_load(blob)
-            arrays["head.reg.w"][...] = 3e38
-            return grounder.T.checkpoint_save(arrays)
+        def parameter_fill(name, value):
+            def corrupt(blob):
+                arrays = grounder.T.checkpoint_load(blob)
+                arrays[name][...] = value
+                return grounder.T.checkpoint_save(arrays)
+
+            corrupt.__name__ = f"all_{name}_{value}"
+            return corrupt
 
         corruptions = [
             ("config.json", reshaped_config),
@@ -429,7 +434,10 @@ class TestEval:
             ("checkpoint.bin", parameter_edit("enc.sa1.w0", np.inf)),
             # finite in float32, but the features F-FPS samples from overflow
             ("checkpoint.bin", parameter_edit("enc.sa0.w0", 3e38)),
-            ("checkpoint.bin", huge_box_regression),
+            # finite in float32, but every decoded box center overflows
+            ("checkpoint.bin", parameter_fill("head.reg.w", 3e38)),
+            # finite in float32, but every candidate score overflows
+            ("checkpoint.bin", parameter_fill("head.loc.w", 3e38)),
         ]
         for name, corrupt in corruptions:
             broken = str(tmp_path / f"{corrupt.__name__}-{name}")
@@ -742,3 +750,13 @@ class TestReport:
     def test_no_command_is_exit_2(self):
         code, _ = run_cli()
         assert code == 2
+
+    def test_argument_errors_are_one_line(self, capsys):
+        """argparse's errors print one `error:` line, without its usage
+        block, and exit 2."""
+        for argv in (("baseline", "--which", "nope"), ("report",), ("eval", "--modality", "xyz"),
+                     ("train", "--epochs", "x"), ()):
+            capsys.readouterr()
+            code, out = run_cli(*argv)
+            assert code == 2 and not out, argv
+            assert "usage" not in assert_one_line_error(capsys), argv

@@ -445,8 +445,9 @@ class TestModelPredictor:
         clouds = [id(scene.points.xyz) for scene, _, _ in groups]
         assert calls == [("scene_inputs", clouds), ("precompute_plan", clouds), ("forward", clouds)]
         assert [len(scene_boxes) for scene_boxes in boxes] == [len(samples) for _, samples, _ in groups]
-        # two D-FPS passes and one F-FPS pass, each a block per scene
-        assert fps == [1] * 3 * len(groups)
+        # one D-FPS pass (SA1's D-FPS half is read off SA0's) and one F-FPS
+        # pass, each a block per scene
+        assert fps == [1] * 2 * len(groups)
 
     def test_blocks_leave_the_boxes_unchanged(self, monkeypatch):
         model, groups = self.four_scenes()
@@ -458,7 +459,7 @@ class TestModelPredictor:
         whole = boxes()
         fps = self.one_scene_per_block(monkeypatch)
         assert boxes() == whole
-        assert len(fps) == 3 * len(groups) > 3
+        assert len(fps) == 2 * len(groups) > 2
 
 
 class TestEvaluateCost:

@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ from moniground.pointenc import (
     fps_feature,
     modality_feature_dim,
 )
+
+
+# The dtypes the FPS kernels are checked in: the default `tensor.DTYPE`
+# they compute in, and float64, the dtype of the finite-difference tests.
+FPS_DTYPES = (T.DTYPE, np.float64)
+
+
+@contextmanager
+def compute_dtype(dtype):
+    """`tensor.DTYPE` set to `dtype` inside the block; yields the
+    MonkeyPatch that set it, which undoes its other patches there too."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "DTYPE", dtype)
+        yield m
 
 
 def fps_one(points, k):
@@ -222,51 +237,60 @@ def generated_clouds():
 
 class TestKernelsMatchReferences:
     """The sampling kernels equal the plain-numpy references in
-    tests/oracles.py bit for bit (np.array_equal, no tolerance)."""
+    tests/oracles.py bit for bit (np.array_equal, no tolerance); the FPS
+    kernels in each of FPS_DTYPES."""
 
     def test_every_distance_vector(self, generated_clouds):
         # all clouds in one lockstep batch; a shorter cloud repeats its last point
         lengths = np.array([len(pts) for pts in generated_clouds])
-        dist_to = _sq_distance_to(_planes(generated_clouds))
-        for i in range(lengths.max()):
-            idx = np.minimum(i, lengths - 1)
-            rows = dist_to(idx)
-            for s, pts in enumerate(generated_clouds):
-                assert np.array_equal(rows[s, : len(pts)], oracles.sq_distances(pts, idx[s])), (s, i)
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype):
+                dist_to = _sq_distance_to(_planes(generated_clouds))
+                for i in range(lengths.max()):
+                    idx = np.minimum(i, lengths - 1)
+                    rows = dist_to(idx)
+                    assert rows.dtype == dtype
+                    for s, pts in enumerate(generated_clouds):
+                        assert np.array_equal(rows[s, : len(pts)], oracles.sq_distances(pts, idx[s])), (dtype, s, i)
 
     def test_generated_scenes(self, generated_clouds):
         rng = np.random.default_rng(23)
         sa0, sa1 = EncoderConfig().sa_layers
+        half = sa1.out_points // 2
         for pts in generated_clouds:
-            idx = fps_one(pts, sa0.out_points)
-            assert np.array_equal(idx, oracles.fps_distance(pts, sa0.out_points))
-            centers = pts[idx]
+            centers = pts[fps_one(pts, sa0.out_points)]
             for radius, cap in ((sa0.radius, sa0.cap), (sa1.radius, sa1.cap), (8.0, 8)):
                 groups = ball_group(centers, pts, radius, cap)
                 assert np.array_equal(groups, oracles.ball_group(centers, pts, radius, cap))
                 assert np.array_equal(groups, oracles.gemm_ball_group(centers, pts, radius, cap))
             feats = np.maximum(rng.normal(size=(len(centers), 64)), 0.0)
-            half = sa1.out_points // 2
-            assert np.array_equal(fps_one(centers, half), oracles.fps_distance(centers, half))
-            assert np.array_equal(ffps_one(centers, feats, half, 1.0),
-                                  oracles.fps_feature(centers, feats, half, 1.0))
+            for dtype in FPS_DTYPES:
+                with compute_dtype(dtype):
+                    assert np.array_equal(fps_one(pts, sa0.out_points), oracles.fps_distance(pts, sa0.out_points))
+                    assert np.array_equal(fps_one(centers, half), oracles.fps_distance(centers, half))
+                    assert np.array_equal(ffps_one(centers, feats, half, 1.0),
+                                          oracles.fps_feature(centers, feats, half, 1.0))
 
     def test_k_above_n_pads_with_zero(self):
         pts = np.random.default_rng(24).normal(size=(5, 3))
         feats = np.random.default_rng(25).normal(size=(5, 4))
-        got = fps_one(pts, 9)
-        assert np.array_equal(got, oracles.fps_distance(pts, 9))
-        assert sorted(got[:5]) == list(range(5)) and list(got[5:]) == [0] * 4
-        assert np.array_equal(ffps_one(pts, feats, 9, 0.5), oracles.fps_feature(pts, feats, 9, 0.5))
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype):
+                got = fps_one(pts, 9)
+                assert np.array_equal(got, oracles.fps_distance(pts, 9))
+                assert sorted(got[:5]) == list(range(5)) and list(got[5:]) == [0] * 4
+                assert np.array_equal(ffps_one(pts, feats, 9, 0.5), oracles.fps_feature(pts, feats, 9, 0.5))
 
     def test_duplicate_points_tie_to_lowest_index(self):
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [2.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        got = fps_one(pts, 5)
-        # 1 beats its copies 2 and 5; once every point is at distance 0, index 0 repeats
-        np.testing.assert_array_equal(got, [0, 1, 4, 0, 0])
-        assert np.array_equal(got, oracles.fps_distance(pts, 5))
         feats = np.ones((6, 2))
-        assert np.array_equal(ffps_one(pts, feats, 5, 1.0), oracles.fps_feature(pts, feats, 5, 1.0))
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype):
+                got = fps_one(pts, 5)
+                # 1 beats its copies 2 and 5; once every point is at distance 0, index 0 repeats
+                np.testing.assert_array_equal(got, [0, 1, 4, 0, 0])
+                assert np.array_equal(got, oracles.fps_distance(pts, 5))
+                assert np.array_equal(ffps_one(pts, feats, 5, 1.0), oracles.fps_feature(pts, feats, 5, 1.0))
         groups = ball_group(pts[[1, 4]], pts, 0.5, 3)
         np.testing.assert_array_equal(groups, [[1, 2, 5], [4, 4, 4]])
         assert np.array_equal(groups, oracles.ball_group(pts[[1, 4]], pts, 0.5, 3))
@@ -301,7 +325,8 @@ def _fps_cloud(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TestLockstepFPS:
-    """D-FPS of a ragged batch equals each cloud's reference run alone."""
+    """D-FPS of a ragged batch equals each cloud's reference run alone, in
+    each of FPS_DTYPES."""
 
     @given(st.lists(st.tuples(st.sampled_from(["normal", "lattice", "duplicates"]), st.integers(1, 40)),
                     min_size=1, max_size=6),
@@ -310,29 +335,35 @@ class TestLockstepFPS:
     def test_ragged_batch_matches_reference(self, shapes, k, seed):
         rng = np.random.default_rng(seed)
         clouds = [_fps_cloud(kind, n, rng) for kind, n in shapes]
-        got = fps_distance(clouds, k)
-        assert got.shape == (len(clouds), k)
-        for row, pts in zip(got, clouds):
-            assert np.array_equal(row, oracles.fps_distance(pts, k))
         pts = clouds[0]
         feats = rng.integers(0, 3, size=(len(pts), 2)).astype(float)
-        assert np.array_equal(ffps_one(pts, feats, k, 1.0), oracles.fps_feature(pts, feats, k, 1.0))
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype):
+                got = fps_distance(clouds, k)
+                assert got.shape == (len(clouds), k)
+                for row, cloud in zip(got, clouds):
+                    assert np.array_equal(row, oracles.fps_distance(cloud, k))
+                assert np.array_equal(ffps_one(pts, feats, k, 1.0), oracles.fps_feature(pts, feats, k, 1.0))
 
     def test_sizes_far_apart_in_one_block(self, generated_clouds):
         rng = np.random.default_rng(28)
         clouds = [generated_clouds[-1], rng.normal(size=(1, 3)), generated_clouds[0][:3], generated_clouds[-2]]
         assert len(pointenc._blocks([len(c) for c in clouds], pointenc._BLOCK_POINTS)) == 1
-        got = fps_distance(clouds, 512)
-        for row, pts in zip(got, clouds):
-            assert np.array_equal(row, oracles.fps_distance(pts, 512))
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype):
+                got = fps_distance(clouds, 512)
+                for row, pts in zip(got, clouds):
+                    assert np.array_equal(row, oracles.fps_distance(pts, 512))
 
-    def test_blocks_split_the_batch_without_changing_it(self, generated_clouds, monkeypatch):
-        whole = fps_distance(generated_clouds, 256)
+    def test_blocks_split_the_batch_without_changing_it(self, generated_clouds):
         widest = max(len(c) for c in generated_clouds)
-        monkeypatch.setattr(pointenc, "_BLOCK_POINTS", 2 * widest)
-        assert len(pointenc._blocks([len(c) for c in generated_clouds], pointenc._BLOCK_POINTS)) == 2
-        assert np.array_equal(fps_distance(generated_clouds, 256), whole)
-        assert np.array_equal(fps_distance(generated_clouds[::-1], 256), whole[::-1])
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype) as m:
+                whole = fps_distance(generated_clouds, 256)
+                m.setattr(pointenc, "_BLOCK_POINTS", 2 * widest)
+                assert len(pointenc._blocks([len(c) for c in generated_clouds], pointenc._BLOCK_POINTS)) == 2
+                assert np.array_equal(fps_distance(generated_clouds, 256), whole)
+                assert np.array_equal(fps_distance(generated_clouds[::-1], 256), whole[::-1])
 
     @pytest.mark.parametrize("counts, budget, expected", [
         ([], 10, []),
@@ -357,7 +388,8 @@ def _fps_features(kind: str, n: int, width: int, rng: np.random.Generator) -> np
 
 
 class TestLockstepFeatureFPS:
-    """F-FPS of a ragged batch equals each cloud's reference run alone."""
+    """F-FPS of a ragged batch equals each cloud's reference run alone, in
+    each of FPS_DTYPES."""
 
     @given(st.lists(st.tuples(st.sampled_from(["normal", "lattice", "duplicates"]), st.integers(1, 40)),
                     min_size=1, max_size=6),
@@ -369,13 +401,14 @@ class TestLockstepFeatureFPS:
         clouds = [_fps_cloud(kind, n, rng) for kind, n in shapes]
         width = int(rng.integers(1, 9))
         feats = [_fps_features(feature_kind, len(pts), width, rng) for pts in clouds]
-        with pytest.MonkeyPatch.context() as m:
-            if budget is not None:  # blocks of one or a few clouds
-                m.setattr(pointenc, "_BLOCK_FEATURE_VALUES", budget * width)
-            got = fps_feature(clouds, feats, k, lam)
-        assert got.shape == (len(clouds), k)
-        for row, pts, f in zip(got, clouds, feats):
-            assert np.array_equal(row, oracles.fps_feature(pts, f, k, lam))
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype) as m:
+                if budget is not None:  # blocks of one or a few clouds
+                    m.setattr(pointenc, "_BLOCK_FEATURE_VALUES", budget * width)
+                got = fps_feature(clouds, feats, k, lam)
+                assert got.shape == (len(clouds), k)
+                for row, pts, f in zip(got, clouds, feats):
+                    assert np.array_equal(row, oracles.fps_feature(pts, f, k, lam))
 
     def test_sizes_far_apart_in_one_block(self, generated_clouds):
         rng = np.random.default_rng(30)
@@ -383,51 +416,84 @@ class TestLockstepFeatureFPS:
                   generated_clouds[2][:37]]
         feats = [np.maximum(rng.normal(size=(len(c), 64)), 0.0) for c in clouds]
         assert len(pointenc._blocks([len(c) * 64 for c in clouds], pointenc._BLOCK_FEATURE_VALUES)) == 1
-        got = fps_feature(clouds, feats, 128, 1.0)
-        for row, pts, f in zip(got, clouds, feats):
-            assert np.array_equal(row, oracles.fps_feature(pts, f, 128, 1.0))
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype):
+                got = fps_feature(clouds, feats, 128, 1.0)
+                for row, pts, f in zip(got, clouds, feats):
+                    assert np.array_equal(row, oracles.fps_feature(pts, f, 128, 1.0))
 
-    def test_blocks_split_the_batch_without_changing_it(self, generated_clouds, monkeypatch):
+    def test_blocks_split_the_batch_without_changing_it(self, generated_clouds):
         rng = np.random.default_rng(31)
         clouds = [c[:300] for c in generated_clouds]
         feats = [np.maximum(rng.normal(size=(len(c), 16)), 0.0) for c in clouds]
-        whole = fps_feature(clouds, feats, 100, 1.0)
-        monkeypatch.setattr(pointenc, "_BLOCK_FEATURE_VALUES", 2 * 300 * 16)
-        assert len(pointenc._blocks([len(c) * 16 for c in clouds], pointenc._BLOCK_FEATURE_VALUES)) == 2
-        assert np.array_equal(fps_feature(clouds, feats, 100, 1.0), whole)
-        assert np.array_equal(fps_feature(clouds[::-1], feats[::-1], 100, 1.0), whole[::-1])
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype) as m:
+                whole = fps_feature(clouds, feats, 100, 1.0)
+                m.setattr(pointenc, "_BLOCK_FEATURE_VALUES", 2 * 300 * 16)
+                assert len(pointenc._blocks([len(c) * 16 for c in clouds], pointenc._BLOCK_FEATURE_VALUES)) == 2
+                assert np.array_equal(fps_feature(clouds, feats, 100, 1.0), whole)
+                assert np.array_equal(fps_feature(clouds[::-1], feats[::-1], 100, 1.0), whole[::-1])
 
     def test_every_feature_distance_vector(self, generated_clouds):
         """Distance rows, not just picks: lengths that leave 0 to 3 rows past
-        a multiple of 4 and widths past a BLAS kernel's blocks."""
+        a multiple of 4 and widths past a BLAS kernel's blocks. The features
+        are of the planes' dtype, as `fps_feature` passes them."""
         rng = np.random.default_rng(36)
-        for width in (1, 3, 64, 80, 130):
-            clouds = [generated_clouds[s % 4][:n] for s, n in enumerate((227, 512, 37, 1, 230, 5))]
-            feats = [np.maximum(rng.normal(size=(len(c), width)), 0.0) for c in clouds]
-            lengths = np.array([len(c) for c in clouds])
-            dist_to = pointenc._feature_distance_to(_planes(clouds), feats, 0.5)
-            for _ in range(5):
-                idx = rng.integers(0, lengths)
-                rows = dist_to(idx)
-                for s, (pts, f) in enumerate(zip(clouds, feats)):
-                    expected = oracles.feature_distances(pts, f, idx[s], 0.5)
-                    assert np.array_equal(rows[s, : len(pts)], expected), (width, s)
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype):
+                for width in (1, 3, 64, 80, 130):
+                    clouds = [generated_clouds[s % 4][:n] for s, n in enumerate((227, 512, 37, 1, 230, 5))]
+                    feats = [np.maximum(rng.normal(size=(len(c), width)), 0.0).astype(dtype) for c in clouds]
+                    lengths = np.array([len(c) for c in clouds])
+                    dist_to = pointenc._feature_distance_to(_planes(clouds), feats, 0.5)
+                    for _ in range(5):
+                        idx = rng.integers(0, lengths)
+                        rows = dist_to(idx)
+                        assert rows.dtype == dtype
+                        for s, (pts, f) in enumerate(zip(clouds, feats)):
+                            expected = oracles.feature_distances(pts, f, idx[s], 0.5)
+                            assert np.array_equal(rows[s, : len(pts)], expected), (dtype, width, s)
 
     def test_products_equal_the_gemv_of_a_cloud_alone(self):
         """The one BLAS call F-FPS makes per cloud: `f @ f[i]` written into a
-        cloud's slice of a wider row equals it on a fresh (n, C) array. A
-        numpy or BLAS change that breaks this fails here first."""
+        cloud's slice of a wider row equals it on a fresh (n, C) array, for
+        the sgemv of the default dtype and the dgemv of float64. A numpy or
+        BLAS change that breaks this fails here first."""
         rng = np.random.default_rng(32)
-        for _ in range(300):
-            n, c = int(rng.integers(1, 700)), int(rng.integers(1, 200))
-            f = rng.normal(size=(n, c)) * rng.choice([1e-3, 1.0, 1e3])
-            i = int(rng.integers(n))
-            products = np.zeros((2, n + int(rng.integers(0, 9))))
-            np.matmul(f, f[i], out=products[1, :n])
-            assert np.array_equal(products[1, :n], f.copy() @ f.copy()[i]), (n, c)
+        for dtype in FPS_DTYPES:
+            for _ in range(300):
+                n, c = int(rng.integers(1, 700)), int(rng.integers(1, 200))
+                f = (rng.normal(size=(n, c)) * rng.choice([1e-3, 1.0, 1e3])).astype(dtype)
+                i = int(rng.integers(n))
+                products = np.zeros((2, n + int(rng.integers(0, 9))), dtype=dtype)
+                np.matmul(f, f[i], out=products[1, :n])
+                assert np.array_equal(products[1, :n], f.copy() @ f.copy()[i]), (dtype, n, c)
 
     def test_empty_batch(self):
         assert fps_feature([], [], 4, 1.0).shape == (0, 4)
+
+
+class TestPicksInEachDtype:
+    """FPS picks in the default `tensor.DTYPE` equal float64 picks on
+    generated scenes. They may differ only where two candidates tie within
+    the dtype's rounding, and either is a farthest point then; these scenes
+    have no such tie."""
+
+    def test_generated_scenes(self, generated_clouds):
+        rng = np.random.default_rng(39)
+        more = S.gen_dataset(40, S.GenConfig(scene_count=6))
+        clouds = generated_clouds + [scene.points.xyz for scene in more.scenes.values()]
+        enc = encoder(EncoderConfig(), 4, rng)
+        plans = enc.precompute_plan(clouds, [rng.uniform(0, 1, size=(len(c), 4)) for c in clouds])
+        # SA0's outputs, which F-FPS samples: float32 values, which float64 holds exactly
+        layer0 = [enc._sa_forward(0, p.positions, p.features, p.positions[p.sa0_picks], p.sa0_groups) for p in plans]
+        picks = []
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype):
+                picks.append((fps_distance(clouds, 512),
+                              fps_feature([pos for pos, _ in layer0], [f.data for _, f in layer0], 128, 1.0)))
+        (distance, feature), (distance64, feature64) = picks
+        assert np.array_equal(distance, distance64) and np.array_equal(feature, feature64)
 
 
 class TestFPSInputs:
@@ -459,6 +525,16 @@ class TestFPSInputs:
         pts = np.array([[0.0, 0, 0], [1e200, 0, 0], [-1e200, 0, 0]])
         with pytest.raises(ValueError, match="NaN distance"), np.errstate(over="ignore", invalid="ignore"):
             fps_feature([np.zeros((5, 3)), pts], [np.ones((5, 1)), np.ones((3, 1))], 3, 0.0)
+
+    def test_distances_that_overflow_are_inf(self):
+        """Points finite in float32 whose squared distances overflow it, as
+        a crafted dataset file can hold: the overflowed distances are inf,
+        without a warning (pytest makes one an error), so the two far
+        points tie at inf and the tie picks the lowest index. float64 would
+        pick 3 first."""
+        pts = np.array([[0.0, 0, 0], [1e25, 0, 0], [2.0, 0, 0], [-3e38, 0, 0]])
+        np.testing.assert_array_equal(fps_one(pts, 4), [0, 1, 3, 2])
+        np.testing.assert_array_equal(ffps_one(pts, np.ones((4, 2)), 4, 1.0), [0, 1, 3, 2])
 
     def test_features_that_do_not_fit_rejected(self):
         with pytest.raises(ValueError, match="one feature array per cloud"):
@@ -716,7 +792,22 @@ class TestShortClouds:
             assert len(np.unique(plan.sa0_picks)) == len(plan.sa0_picks) == min(512, n)
             assert plan.sa0_groups.shape == (min(512, n), 4)
             # SA1's D-FPS half still has 128 picks, padded with SA0's point 0
-            assert np.array_equal(plan.sa1_distance, fps_one(cloud[plan.sa0_picks], 128))
+            assert np.array_equal(pointenc._distance_half(plan.sa0_picks, 128), fps_one(cloud[plan.sa0_picks], 128))
+
+    @given(st.sampled_from(["normal", "lattice", "duplicates"]), st.integers(1, 300),
+           st.sampled_from([(512, 128), (64, 16), (8, 20)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_sa1_distance_half_is_fps_over_sa0_points(self, kind, n, sizes, seed):
+        """SA1's D-FPS half, read off SA0's picks, equals D-FPS over SA0's
+        points, in each of FPS_DTYPES: on clouds with duplicates or exact
+        distance ties, on clouds shorter than either layer, and with a half
+        larger than SA0."""
+        sa0, half = sizes
+        cloud = _fps_cloud(kind, n, np.random.default_rng(seed))
+        for dtype in FPS_DTYPES:
+            with compute_dtype(dtype):
+                picks = fps_one(cloud, sa0)[: min(sa0, n)]
+                assert np.array_equal(pointenc._distance_half(picks, half), fps_one(cloud[picks], half))
 
     def test_forward_keeps_out_points_seeds(self, monkeypatch):
         rng = np.random.default_rng(38)
