@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import evalbench, synthdata, tensor as T
+from . import evalbench, synthdata
 from .evalbench import NoiseConfig
 from .grounder import (
     LOSS_TERMS,
@@ -221,7 +221,7 @@ def _evaluate_and_report(cfg: RunConfig, dataset: synthdata.Dataset, samples, pr
     evalbench.check_report_invariants(report)
     path = cfg.report_out or default_path
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    synthdata.atomic_write(path, json.dumps(evalbench.report_to_json(report), sort_keys=True, indent=1) + "\n")
+    synthdata.write_json(path, report)
     print(evalbench.render_report(report), file=out)
     print(f"report: {path}", file=out)
     return EXIT_OK
@@ -293,27 +293,11 @@ def cmd_baseline(cfg: RunConfig, out) -> int:
 
 
 def cmd_report(cfg: RunConfig, report_path: str, out) -> int:
-    if not os.path.isfile(report_path):
-        raise DatasetIOError(f"report file not found: {report_path}")
     try:
+        if not os.path.isfile(report_path):
+            raise DatasetIOError(f"report file not found: {report_path}")
         with open(report_path, encoding="utf-8") as f:
-            doc = json.load(f)
-        rows = doc["subsets"]
-        subsets = {}
-        for name in evalbench.SUBSET_ORDER:
-            count, accuracies = rows[name]["count"], (rows[name]["acc25"], rows[name]["acc50"])
-            if type(count) is not int or count < 0 or not all(
-                    T.are_reals(acc) and 0 <= acc <= 100 for acc in accuracies):
-                raise ValueError(f"subset {name} needs a count >= 0 and accuracies in [0, 100], got {rows[name]}")
-            subsets[name] = evalbench.SubsetStats(count, *map(float, accuracies))
-        warnings = doc.get("warnings", [])
-        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
-            raise TypeError(f"warnings must be a list of strings, got {warnings!r}")
-        report = evalbench.EvalReport(
-            subsets,
-            warnings,
-            {"split": doc.get("split"), "predictor-id": doc.get("predictor-id")},
-        )
+            report = json.load(f)
         evalbench.check_report_invariants(report)
     except (ValueError, KeyError, TypeError, evalbench.ReportInvariantError) as exc:
         raise DatasetIOError(f"malformed report {report_path!r} ({type(exc).__name__}: {exc})") from exc

@@ -1,9 +1,11 @@
 """Rotated-box Acc@K evaluation and the constructive baselines.
 
 Accuracy counts predictions whose 3D IoU with the ground truth strictly
-exceeds the threshold. Reports partition samples by the stored subset tags
-(Unique/Multiple and Near/Medium/Far) plus Overall, and render both as a
-fixed-width text table and a machine-readable JSON document. Baselines:
+exceeds the threshold. A report partitions samples by the stored subset
+tags (Unique/Multiple and Near/Medium/Far) plus Overall. It has one form,
+its JSON document: `evaluate` returns it, the CLI writes and reads it back
+as is, `check_report_invariants` validates it on both paths and
+`render_report` prints it as a fixed-width text table. Baselines:
 a category-level random pick over ground-truth boxes, and random/best picks
 over detector-style proposals synthesized by perturbing the ground truth.
 """
@@ -39,20 +41,6 @@ class EvalSample:
 
     def __post_init__(self):
         self.iou = iou_3d(self.predicted, self.ground_truth)
-
-
-@dataclass
-class SubsetStats:
-    count: int
-    acc25: float  # percent
-    acc50: float  # percent
-
-
-@dataclass
-class EvalReport:
-    subsets: dict[str, SubsetStats]
-    warnings: list[str]
-    meta: dict
 
 
 @dataclass(frozen=True)
@@ -189,14 +177,16 @@ def evaluate(
     samples: list[GroundingSample],
     seed: int,
     meta: dict | None = None,
-) -> EvalReport:
+) -> dict:
     """Run the predictor over samples and aggregate Acc@0.25 / Acc@0.5 per subset.
 
     Samples are processed in a deterministic order (sorted by scene id,
     target id, then position) with one named random sub-stream each, so
     reports are bit-identical across runs with the same seed. The predictor
     is called once, with one group per scene holding that scene's samples
-    in this order.
+    in this order. Returns the report's JSON document: `meta`'s keys, plus
+    "subsets", each subset of SUBSET_ORDER's count and Acc@0.25 and
+    Acc@0.5 in percent ("count", "acc25", "acc50"), and "warnings".
     """
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
@@ -233,56 +223,45 @@ def evaluate(
         part = members(name)
         if not part:
             warnings.append(f"subset {name} is empty; accuracy reported as 0")
-            subsets[name] = SubsetStats(0, 0.0, 0.0)
-        else:
-            subsets[name] = SubsetStats(
-                len(part), 100.0 * acc_at_k(part, 0.25), 100.0 * acc_at_k(part, 0.5)
-            )
-    return EvalReport(subsets, warnings, dict(meta or {}))
+        subsets[name] = {"count": len(part), "acc25": 100.0 * acc_at_k(part, 0.25),
+                         "acc50": 100.0 * acc_at_k(part, 0.5)}
+    return {**(meta or {}), "subsets": subsets, "warnings": warnings}
 
 
-def render_report(report: EvalReport) -> str:
+def render_report(report: dict) -> str:
     """Fixed-width table: Unique/Multiple block, then the distance block."""
-    lines = []
-    title = report.meta.get("predictor-id", "predictor")
-    lines.append(f"results for {title} (split={report.meta.get('split', '?')})")
     header = f"{'subset':<10}{'count':>8}{'Acc@0.25':>12}{'Acc@0.5':>12}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [f"results for {report.get('predictor-id', 'predictor')} (split={report.get('split', '?')})",
+             header, "-" * len(header)]
     for name in SUBSET_ORDER:
-        s = report.subsets[name]
-        lines.append(f"{name:<10}{s.count:>8}{s.acc25:>12.2f}{s.acc50:>12.2f}")
-    for w in report.warnings:
-        lines.append(f"warning: {w}")
+        s = report["subsets"][name]
+        lines.append(f"{name:<10}{s['count']:>8}{s['acc25']:>12.2f}{s['acc50']:>12.2f}")
+    lines += [f"warning: {w}" for w in report.get("warnings", [])]
     return "\n".join(lines)
 
 
-def report_to_json(report: EvalReport) -> dict:
-    doc = {
-        "split": report.meta.get("split"),
-        "seed": report.meta.get("seed"),
-        "subsets": {
-            name: {"count": s.count, "acc25": s.acc25, "acc50": s.acc50}
-            for name, s in report.subsets.items()
-        },
-        "predictor-id": report.meta.get("predictor-id"),
-        "checkpoint-hash": report.meta.get("checkpoint-hash"),
-        "warnings": list(report.warnings),
-    }
-    for key, value in report.meta.items():
-        if key not in ("split", "seed", "predictor-id", "checkpoint-hash"):
-            doc[key] = value
-    return doc
+def check_report_invariants(report: dict) -> None:
+    """Raise ReportInvariantError unless every subset of SUBSET_ORDER has a
+    count that is an int >= 0 (not a bool) and accuracies that are reals in
+    [0, 100], `warnings` (absent: none) is a list of strings, no subset has
+    Acc@0.25 < Acc@0.5 and each partition's counts sum to Overall's.
 
-
-def check_report_invariants(report: EvalReport) -> None:
-    """Raise ReportInvariantError when partition sums or accuracy ordering break."""
-    subs = report.subsets
-    for name, s in subs.items():
-        if s.acc25 < s.acc50 - 1e-9:
+    A fresh report from `evaluate` and one read back from disk take the
+    same check. A missing key raises KeyError, and a document or row that
+    is not a dict TypeError, as reading it does.
+    """
+    rows = {name: report["subsets"][name] for name in SUBSET_ORDER}
+    for name, row in rows.items():
+        count, accuracies = row["count"], (row["acc25"], row["acc50"])
+        if type(count) is not int or count < 0 or not all(T.are_reals(a) and 0 <= a <= 100 for a in accuracies):
+            raise ReportInvariantError(f"subset {name} needs a count >= 0 and accuracies in [0, 100], got {row}")
+        if accuracies[0] < accuracies[1] - 1e-9:
             raise ReportInvariantError(f"Acc@0.25 < Acc@0.5 in subset {name}")
-    overall = subs["Overall"].count
+    warnings = report.get("warnings", [])
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise ReportInvariantError(f"warnings must be a list of strings, got {warnings!r}")
+    overall = rows["Overall"]["count"]
     for parts in (UNIQUENESS_TAGS, DISTANCE_BINS):
-        total = sum(subs[p].count for p in parts)
+        total = sum(rows[p]["count"] for p in parts)
         if total != overall:
             raise ReportInvariantError(f"{' + '.join(parts)} counts sum to {total}, Overall has {overall}")

@@ -71,7 +71,7 @@ from .pointenc import (
     modality_feature_dim,
 )
 from .seeding import substream
-from .synthdata import CATEGORIES, CATEGORY_INDEX, GroundingSample, SIZE_PRIORS, Scene, atomic_write
+from .synthdata import CATEGORIES, CATEGORY_INDEX, GroundingSample, SIZE_PRIORS, Scene, atomic_write, write_json
 
 RESIDUAL_DIM = 8  # dx, dy, dz, 3 log size ratios, sin yaw, cos yaw
 
@@ -631,7 +631,7 @@ def save_model(directory: str, model: GroundingModel, extra_meta: dict | None = 
     atomic_write(ckpt_path, T.checkpoint_save(model.params))
     meta = {"model": asdict(model.config), "vocab": model.vocab.token_to_id}
     meta.update(extra_meta or {})
-    atomic_write(os.path.join(directory, "config.json"), json.dumps(meta, sort_keys=True, indent=1))
+    write_json(os.path.join(directory, "config.json"), meta)
     return ckpt_path
 
 

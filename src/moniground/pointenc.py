@@ -221,11 +221,11 @@ def _check_points(points: np.ndarray, where: str) -> None:
 # 2-CPU Xeon with 2 MB of L2 per core, D-FPS of 48 clouds of about 1,500
 # points took 75-88 ms at this budget and 71-112 ms at 12k, 48k and 96k.
 _BLOCK_POINTS = 24_000
-# Lockstep F-FPS takes its clouds in blocks of at most this many padded
-# feature values (clouds x points of the largest x channels), 0.5 MB in
-# float32, so that the features each step's products read stay in L2. On
-# the same host, F-FPS of 48 x 512 x 64 features (k = 128) took 51 ms at
-# this budget, 70 ms at 1 << 16 and 68 ms at 1 << 18.
+# `PointEncoder.forward` runs its scenes in blocks of at most this many
+# padded SA0 output values (scenes x points of the largest x channels),
+# 0.5 MB in float32, so that the features each step of a block's F-FPS
+# reads stay in L2. On the same host, F-FPS of 48 x 512 x 64 features
+# (k = 128) took 51 ms at this budget, 70 ms at 1 << 16 and 68 ms at 1 << 18.
 _BLOCK_FEATURE_VALUES = 1 << 17
 
 
@@ -293,8 +293,8 @@ def _distance_half(sa0_picks: np.ndarray, k: int) -> np.ndarray:
 def fps_feature(clouds: Sequence[np.ndarray], features: Sequence[np.ndarray], k: int,
                 lambda_fps: float) -> np.ndarray:
     """F-FPS of S clouds in lockstep: (S, k) farthest-point indices under
-    d = feature-L2 + lambda * euclidean-L2 (see _greedy_fps), one block of
-    at most _BLOCK_FEATURE_VALUES padded feature values at a time.
+    d = feature-L2 + lambda * euclidean-L2 (see _greedy_fps), all S at
+    once; `PointEncoder.forward` hands it one block of scenes.
 
     Cloud s has (n_s, 3) points and (n_s, C) features, with one C for all
     clouds. Points and features are read in `tensor.DTYPE`, the dtype SA0
@@ -312,13 +312,10 @@ def fps_feature(clouds: Sequence[np.ndarray], features: Sequence[np.ndarray], k:
         if feats.ndim != 2 or len(feats) != len(points) or feats.shape[1] != features[0].shape[1]:
             raise ValueError(f"fps_feature needs (n, C) features with one C, got {feats.shape} "
                              f"for {len(points)} points")
+    if not clouds:
+        return np.zeros((0, k), dtype=np.intp)
     lengths = np.array([len(c) for c in clouds], dtype=np.intp)
-    chosen = np.zeros((len(clouds), k), dtype=np.intp)
-    width = features[0].shape[1] if features else 0
-    for block in _blocks(lengths * width, _BLOCK_FEATURE_VALUES):
-        dist_to = _feature_distance_to(_planes(clouds[block]), features[block], lambda_fps)
-        chosen[block] = _greedy_fps(dist_to, lengths[block], k)
-    return chosen
+    return _greedy_fps(_feature_distance_to(_planes(clouds), features, lambda_fps), lengths, k)
 
 
 def _feature_distance_to(planes: np.ndarray, features: list[np.ndarray], lambda_fps: float):

@@ -500,7 +500,7 @@ class TestEval:
 
         def inverted(*args, **kwargs):
             report = evaluate(*args, **kwargs)
-            report.subsets["Overall"].acc25 = report.subsets["Overall"].acc50 - 1.0
+            report["subsets"]["Overall"]["acc25"] = report["subsets"]["Overall"]["acc50"] - 1.0
             return report
 
         monkeypatch.setattr(cli.evalbench, "evaluate", inverted)
@@ -625,6 +625,9 @@ class TestDatasetFaults:
             ("eval", "point_file_5_bytes_short", first_points, cut_5_bytes),
             ("train", "nan_point", first_points, put_value(np.nan)),
             ("eval", "infinite_point", first_points, put_value(np.inf)),
+            # finite in the file, but FPS's squared distances overflow
+            ("eval", "huge_point", first_points, put_value(1e25)),
+            ("train", "huge_point", first_points, put_value(1e25)),
             ("baseline", "nan_point", first_points, put_value(np.nan)),
             ("baseline", "unknown_uniqueness", expressions, edit_sample("val", "uniqueness", "Sometimes")),
             ("eval", "null_uniqueness", expressions, edit_sample("val", "uniqueness", None)),
@@ -697,12 +700,20 @@ class TestBaseline:
 class TestReport:
     def test_render_from_json(self, dataset_dir, tmp_path):
         report = str(tmp_path / "r.json")
-        code, _ = run_cli("baseline", "--data", dataset_dir, "--which", "catrandgt",
-                          "--split", "val", "--report-out", report, "--seed", "8")
+        code, printed = run_cli("baseline", "--data", dataset_dir, "--which", "catrandgt",
+                                "--split", "val", "--report-out", report, "--seed", "8")
         assert code == 0
         code, out = run_cli("report", "--report", report)
         assert code == 0
         assert "Acc@0.25" in out and "Overall" in out
+        # the stored report prints the table the fresh one printed
+        assert printed == out + f"report: {report}\n"
+
+    def test_golden_report_prints_the_golden_table(self):
+        data = Path(__file__).parent / "data"
+        code, out = run_cli("report", "--report", str(data / "golden_report.json"))
+        assert code == 0
+        assert out == (data / "golden_report.txt").read_text()
 
     def test_missing_report_is_exit_3(self, tmp_path):
         code, _ = run_cli("report", "--report", str(tmp_path / "none.json"))

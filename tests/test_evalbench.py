@@ -161,7 +161,7 @@ class TestOracleProposals:
             noise = E.NoiseConfig(center_sigma=sigma, size_sigma=0.02 + 0.1 * level, yaw_sigma=0.02 + 0.1 * level)
             predictor = E.baseline_predictor("detbest", noise, seed=7)
             report = E.evaluate(predictor, scenes, samples, seed=7)
-            accs.append(report.subsets["Overall"].acc25)
+            accs.append(report["subsets"]["Overall"]["acc25"])
         assert accs[0] >= accs[1] - 2.0 and accs[1] >= accs[2] - 2.0
 
 
@@ -211,8 +211,8 @@ class TestDetRandAndDominance:
         best = E.evaluate(E.baseline_predictor("detbest", noise, seed), scenes, samples, seed)
         rand = E.evaluate(E.baseline_predictor("detrand", noise, seed), scenes, samples, seed)
         for name in E.SUBSET_ORDER:
-            assert best.subsets[name].acc25 >= rand.subsets[name].acc25
-            assert best.subsets[name].acc50 >= rand.subsets[name].acc50
+            assert best["subsets"][name]["acc25"] >= rand["subsets"][name]["acc25"]
+            assert best["subsets"][name]["acc50"] >= rand["subsets"][name]["acc50"]
 
 
 class TestEvaluateAndReport:
@@ -228,12 +228,10 @@ class TestEvaluateAndReport:
     def test_single_unique_near_sample_scores_100(self):
         report = self._tiny_eval()
         for name in ("Unique", "Near", "Overall"):
-            assert report.subsets[name].count == 1
-            assert report.subsets[name].acc25 == 100.0
-            assert report.subsets[name].acc50 == 100.0
+            assert report["subsets"][name] == {"count": 1, "acc25": 100.0, "acc50": 100.0}
         for name in ("Multiple", "Medium", "Far"):
-            assert report.subsets[name].count == 0
-        assert any("empty" in w for w in report.warnings)
+            assert report["subsets"][name] == {"count": 0, "acc25": 0.0, "acc50": 0.0}
+        assert any("empty" in w for w in report["warnings"])
 
     def test_partition_invariants(self):
         rng = np.random.default_rng(8)
@@ -248,20 +246,25 @@ class TestEvaluateAndReport:
         E.check_report_invariants(report)
 
         inverted = copy.deepcopy(report)
-        inverted.subsets["Near"].acc25 = inverted.subsets["Near"].acc50 - 1.0
+        inverted["subsets"]["Near"]["acc25"] = inverted["subsets"]["Near"]["acc50"] - 1.0
         with pytest.raises(E.ReportInvariantError, match="Acc@0.25 < Acc@0.5"):
             E.check_report_invariants(inverted)
         for part in ("Multiple", "Far"):
             miscounted = copy.deepcopy(report)
-            miscounted.subsets[part].count += 1
+            miscounted["subsets"][part]["count"] += 1
             with pytest.raises(E.ReportInvariantError, match="Overall"):
                 E.check_report_invariants(miscounted)
+        for field, value in (("count", True), ("count", 1.0), ("acc50", math.nan), ("acc25", 100.5)):
+            mistyped = copy.deepcopy(report)
+            mistyped["subsets"]["Far"][field] = value
+            with pytest.raises(E.ReportInvariantError, match="subset Far needs"):
+                E.check_report_invariants(mistyped)
 
     def test_invariants_hold_under_optimize(self):
         # python -O strips assert statements; the check must not rely on them
         code = (
             "from moniground import evalbench as E\n"
-            "r = E.EvalReport({n: E.SubsetStats(1, 10.0, 50.0) for n in E.SUBSET_ORDER}, [], {})\n"
+            "r = {'subsets': {n: {'count': 1, 'acc25': 10.0, 'acc50': 50.0} for n in E.SUBSET_ORDER}}\n"
             "try:\n"
             "    E.check_report_invariants(r)\n"
             "except E.ReportInvariantError:\n"
@@ -277,19 +280,18 @@ class TestEvaluateAndReport:
         predictor = E.baseline_predictor("detrand", E.NoiseConfig(), 9)
         r1 = E.evaluate(predictor, {scene.scene_id: scene}, samples, seed=9)
         r2 = E.evaluate(predictor, {scene.scene_id: scene}, samples, seed=9)
-        assert E.report_to_json(r1) == E.report_to_json(r2)
+        assert r1 == r2
 
     def test_tag_mismatch_reported(self):
         scene = make_scene(["car"], [5.0])
         bad = S.GroundingSample(scene.scene_id, "obj_00", "t", ["t"], "Multiple", "Far")
         predictor = lambda groups: [[sc.objects[0].box for _ in sms] for sc, sms, _ in groups]
         report = E.evaluate(predictor, {scene.scene_id: scene}, [bad], seed=1)
-        assert any("tag mismatch" in w for w in report.warnings)
+        assert any("tag mismatch" in w for w in report["warnings"])
 
     def test_golden_fixture_json_and_table_agree(self, tmp_path):
-        report = self._tiny_eval()
-        doc = E.report_to_json(report)
-        table = E.render_report(report)
+        doc = self._tiny_eval()
+        table = E.render_report(doc)
         golden = json.loads(Path("tests/data/golden_report.json").read_text())
         assert doc == golden
         assert table == Path("tests/data/golden_report.txt").read_text().rstrip("\n")

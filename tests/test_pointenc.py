@@ -394,17 +394,15 @@ class TestLockstepFeatureFPS:
     @given(st.lists(st.tuples(st.sampled_from(["normal", "lattice", "duplicates"]), st.integers(1, 40)),
                     min_size=1, max_size=6),
            st.integers(1, 50), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from(["ties", "normal"]),
-           st.sampled_from([None, 1, 40, 100]), st.integers(0, 2**32 - 1))
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_ragged_batch_matches_reference(self, shapes, k, lam, feature_kind, budget, seed):
+    def test_ragged_batch_matches_reference(self, shapes, k, lam, feature_kind, seed):
         rng = np.random.default_rng(seed)
         clouds = [_fps_cloud(kind, n, rng) for kind, n in shapes]
         width = int(rng.integers(1, 9))
         feats = [_fps_features(feature_kind, len(pts), width, rng) for pts in clouds]
         for dtype in FPS_DTYPES:
-            with compute_dtype(dtype) as m:
-                if budget is not None:  # blocks of one or a few clouds
-                    m.setattr(pointenc, "_BLOCK_FEATURE_VALUES", budget * width)
+            with compute_dtype(dtype):
                 got = fps_feature(clouds, feats, k, lam)
                 assert got.shape == (len(clouds), k)
                 for row, pts, f in zip(got, clouds, feats):
@@ -415,7 +413,6 @@ class TestLockstepFeatureFPS:
         clouds = [generated_clouds[0][:512], rng.normal(size=(1, 3)), generated_clouds[1][:3],
                   generated_clouds[2][:37]]
         feats = [np.maximum(rng.normal(size=(len(c), 64)), 0.0) for c in clouds]
-        assert len(pointenc._blocks([len(c) * 64 for c in clouds], pointenc._BLOCK_FEATURE_VALUES)) == 1
         for dtype in FPS_DTYPES:
             with compute_dtype(dtype):
                 got = fps_feature(clouds, feats, 128, 1.0)
@@ -423,15 +420,17 @@ class TestLockstepFeatureFPS:
                     assert np.array_equal(row, oracles.fps_feature(pts, f, 128, 1.0))
 
     def test_blocks_split_the_batch_without_changing_it(self, generated_clouds):
+        """`PointEncoder.forward`'s blocks are separate calls: splitting the
+        batch, or reversing it, moves no row's picks."""
         rng = np.random.default_rng(31)
         clouds = [c[:300] for c in generated_clouds]
         feats = [np.maximum(rng.normal(size=(len(c), 16)), 0.0) for c in clouds]
+        half = len(clouds) // 2
         for dtype in FPS_DTYPES:
-            with compute_dtype(dtype) as m:
+            with compute_dtype(dtype):
                 whole = fps_feature(clouds, feats, 100, 1.0)
-                m.setattr(pointenc, "_BLOCK_FEATURE_VALUES", 2 * 300 * 16)
-                assert len(pointenc._blocks([len(c) * 16 for c in clouds], pointenc._BLOCK_FEATURE_VALUES)) == 2
-                assert np.array_equal(fps_feature(clouds, feats, 100, 1.0), whole)
+                split = [fps_feature(clouds[part], feats[part], 100, 1.0) for part in (slice(half), slice(half, None))]
+                assert np.array_equal(np.concatenate(split), whole)
                 assert np.array_equal(fps_feature(clouds[::-1], feats[::-1], 100, 1.0), whole[::-1])
 
     def test_every_feature_distance_vector(self, generated_clouds):

@@ -198,3 +198,21 @@ def test_only_pointenc_blocks_scenes():
         or (isinstance(node, ast.Constant) and node.value in blocking)
     )
     assert not naming, f"modules other than pointenc.py that name a block budget: {sorted(set(naming))}"
+
+
+def test_only_evalbench_spells_the_report_rows():
+    """The report is one JSON document whose shape `evalbench` alone knows:
+    `evaluate` builds it, `check_report_invariants` validates it fresh or
+    read back, and `render_report` prints it. So no other module in src has
+    a row key of it as a string constant."""
+    keys = {"subsets", "acc25", "acc50"}
+    trees = source_trees()
+    assert keys <= {n.value for n in ast.walk(trees["evalbench.py"]) if isinstance(n, ast.Constant)}
+    naming = sorted(
+        module
+        for module, tree in trees.items()
+        if module != "evalbench.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in keys
+    )
+    assert not naming, f"modules other than evalbench.py that spell a report row key: {sorted(set(naming))}"
