@@ -107,7 +107,7 @@ def _schema_entry(owner, name: str, *index: int) -> tuple:
     return (_parse_int_tuple if isinstance(default, tuple) else type(default), default)
 
 
-# key -> (parser, default) for every RunConfig key. The parser is the type
+# key -> (parser, default) for every config key. The parser is the type
 # of the default; keys outside the config dataclasses (paths and command
 # choices) are listed here with their defaults.
 SCHEMA: dict = {
@@ -120,20 +120,10 @@ SCHEMA: dict = {
 }
 
 
-class RunConfig:
-    """Flat, schema-validated settings with file and flag overrides."""
-
-    def __init__(self, values: dict):
-        self.values = values
-
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key)
-
-    def echo(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(self.values.items())}
+def config_echo(cfg: dict) -> dict:
+    """The settings as written to config.json and to a report: sorted by
+    key, with tuples as lists."""
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())}
 
 
 def load_config_file(path: str) -> dict:
@@ -156,7 +146,9 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def build_config(file_values: dict, flag_values: dict) -> RunConfig:
+def build_config(file_values: dict, flag_values: dict) -> dict:
+    """Every SCHEMA key's value: its default, overridden by the file's
+    value, then by the flag's."""
     values = {key: default for key, (_, default) in SCHEMA.items()}
     for source in (file_values, flag_values):
         for key, raw in source.items():
@@ -169,10 +161,10 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
                 raise UsageError(f"bad value for {key!r}: {raw!r} ({exc})")
     if not values["dataset_dir"]:
         values["dataset_dir"] = os.environ.get(ENV_DATA_DIR, "data")
-    return RunConfig(values)
+    return values
 
 
-def _build(owner, cfg: RunConfig, **nested):
+def _build(owner, cfg: dict, **nested):
     """`owner` constructed from cfg's keys for its fields (see CONFIG_FIELDS)
     plus the `nested` config objects; an invalid value is a UsageError.
 
@@ -182,7 +174,7 @@ def _build(owner, cfg: RunConfig, **nested):
     kwargs: dict = dict(nested)
     for key, (target, name, *index) in CONFIG_FIELDS.items():
         if target is owner:
-            value = cfg.values[key]
+            value = cfg[key]
             kwargs[name] = (kwargs.get(name, ()) + (value,)) if index else value
     try:
         return owner(**kwargs)
@@ -207,19 +199,19 @@ def _split_samples(dataset: synthdata.Dataset, split_name: str):
     return samples
 
 
-def _evaluate_and_report(cfg: RunConfig, dataset: synthdata.Dataset, samples, predictor,
+def _evaluate_and_report(cfg: dict, dataset: synthdata.Dataset, samples, predictor,
                          predictor_id: str, checkpoint_hash: str, default_path: str, out) -> int:
     """Evaluate, check, write and print a report: the shared tail of eval and baseline."""
     meta = {
-        "split": cfg.split,
-        "seed": cfg.seed,
+        "split": cfg["split"],
+        "seed": cfg["seed"],
         "predictor-id": predictor_id,
         "checkpoint-hash": checkpoint_hash,
-        "config": cfg.echo(),
+        "config": config_echo(cfg),
     }
-    report = evalbench.evaluate(predictor, dataset.scenes, samples, cfg.seed, meta)
+    report = evalbench.evaluate(predictor, dataset.scenes, samples, cfg["seed"], meta)
     evalbench.check_report_invariants(report)
-    path = cfg.report_out or default_path
+    path = cfg["report_out"] or default_path
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     synthdata.write_json(path, report)
     print(evalbench.render_report(report), file=out)
@@ -232,22 +224,22 @@ def _evaluate_and_report(cfg: RunConfig, dataset: synthdata.Dataset, samples, pr
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(cfg: RunConfig, out) -> int:
+def cmd_gen(cfg: dict, out) -> int:
     config = _build(GenConfig, cfg)
-    dataset = synthdata.gen_dataset(cfg.seed, config)
-    synthdata.write_dataset(cfg.dataset_dir, dataset)
+    dataset = synthdata.gen_dataset(cfg["seed"], config)
+    synthdata.write_dataset(cfg["dataset_dir"], dataset)
     splits = dataset.manifest["splits"]
     counts = {name: sum(1 for v in splits.values() if v == name) for name in synthdata.SPLIT_NAMES}
     print(
-        f"wrote {len(dataset.scenes)} scenes / {len(dataset.samples)} samples to {cfg.dataset_dir} "
+        f"wrote {len(dataset.scenes)} scenes / {len(dataset.samples)} samples to {cfg['dataset_dir']} "
         f"(scene splits: {counts['train']} train, {counts['val']} val, {counts['test']} test)",
         file=out,
     )
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig, out) -> int:
-    dataset = synthdata.read_dataset(cfg.dataset_dir)
+def cmd_train(cfg: dict, out) -> int:
+    dataset = synthdata.read_dataset(cfg["dataset_dir"])
     samples = _split_samples(dataset, "train")
     result = train_model(
         dataset.scenes, samples,
@@ -257,8 +249,8 @@ def cmd_train(cfg: RunConfig, out) -> int:
             f"epoch {row['epoch']:3d} lr {row['lr']:.1e} total {row['total']:.4f}", file=out
         ),
     )
-    run_dir = cfg.run_dir
-    ckpt = save_model(run_dir, result.model, {"run_config": cfg.echo()})
+    run_dir = cfg["run_dir"]
+    ckpt = save_model(run_dir, result.model, {"run_config": config_echo(cfg)})
     curve = io.StringIO()
     writer = csv.DictWriter(curve, fieldnames=list(result.curve[0]))
     writer.writeheader()
@@ -272,27 +264,28 @@ def cmd_train(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, out) -> int:
-    dataset = synthdata.read_dataset(cfg.dataset_dir)
-    samples = _split_samples(dataset, cfg.split)
-    model = load_model(cfg.run_dir)
-    ckpt_hash = _sha256_file(os.path.join(cfg.run_dir, "checkpoint.bin"))
+def cmd_eval(cfg: dict, out) -> int:
+    dataset = synthdata.read_dataset(cfg["dataset_dir"])
+    samples = _split_samples(dataset, cfg["split"])
+    model = load_model(cfg["run_dir"])
+    ckpt_hash = _sha256_file(os.path.join(cfg["run_dir"], "checkpoint.bin"))
     return _evaluate_and_report(cfg, dataset, samples, model_predictor(model),
                                 f"model:{model.config.modality}", ckpt_hash,
-                                os.path.join(cfg.run_dir, f"report_{cfg.split}.json"), out)
+                                os.path.join(cfg["run_dir"], f"report_{cfg['split']}.json"), out)
 
 
-def cmd_baseline(cfg: RunConfig, out) -> int:
-    dataset = synthdata.read_dataset(cfg.dataset_dir)
-    samples = _split_samples(dataset, cfg.split)
-    if cfg.which not in evalbench.BASELINES:
-        raise UsageError(f"unknown baseline {cfg.which!r} ({', '.join(evalbench.BASELINES)})")
-    predictor = evalbench.baseline_predictor(cfg.which, _build(NoiseConfig, cfg), cfg.seed)
-    return _evaluate_and_report(cfg, dataset, samples, predictor, f"baseline:{cfg.which}", "none",
-                                os.path.join(cfg.dataset_dir, f"baseline_{cfg.which}_{cfg.split}.json"), out)
+def cmd_baseline(cfg: dict, out) -> int:
+    which, split = cfg["which"], cfg["split"]
+    dataset = synthdata.read_dataset(cfg["dataset_dir"])
+    samples = _split_samples(dataset, split)
+    if which not in evalbench.BASELINES:
+        raise UsageError(f"unknown baseline {which!r} ({', '.join(evalbench.BASELINES)})")
+    predictor = evalbench.baseline_predictor(which, _build(NoiseConfig, cfg), cfg["seed"])
+    return _evaluate_and_report(cfg, dataset, samples, predictor, f"baseline:{which}", "none",
+                                os.path.join(cfg["dataset_dir"], f"baseline_{which}_{split}.json"), out)
 
 
-def cmd_report(cfg: RunConfig, report_path: str, out) -> int:
+def cmd_report(report_path: str, out) -> int:
     try:
         if not os.path.isfile(report_path):
             raise DatasetIOError(f"report file not found: {report_path}")
@@ -387,7 +380,7 @@ def main(argv=None, out=None) -> int:
         }
         cfg = build_config(file_values, flag_values)
         if args.command == "report":
-            return cmd_report(cfg, args.report, out)
+            return cmd_report(args.report, out)
         commands = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "baseline": cmd_baseline}
         return commands[args.command](cfg, out)
     except UsageError as exc:

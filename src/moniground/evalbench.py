@@ -60,7 +60,6 @@ class NoiseConfig:
 class Proposal:
     box: Box7
     category: str
-    score: float
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
@@ -107,9 +106,8 @@ def make_oracle_proposals(scene: Scene, rng: np.random.Generator, noise: NoiseCo
             1.0 + rng.normal(0.0, noise.size_sigma, size=3), 0.05
         )
         yaw = normalize_angle(box.yaw + rng.normal(0.0, noise.yaw_sigma))
-        proposals.append(
-            Proposal(Box7(center, sizes[0], sizes[1], sizes[2], yaw), obj.category, float(rng.uniform()))
-        )
+        rng.uniform()  # a score that nothing reads, still drawn so that every later draw keeps its value
+        proposals.append(Proposal(Box7(center, sizes[0], sizes[1], sizes[2], yaw), obj.category))
     return proposals
 
 

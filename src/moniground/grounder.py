@@ -52,7 +52,7 @@ import math
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -156,12 +156,12 @@ class ModelOutput:
 
 @dataclass
 class Targets:
+    """A scene's supervision, shared by each of its expressions."""
+
     cls: np.ndarray           # (M,) binary: candidate inside any box
     reg: np.ndarray           # (M, 8) residual targets, zero where not positive
     shift: np.ndarray         # (M, 3) seed-to-center targets, zero where unmasked
     shift_mask: np.ndarray    # (M,) seeds inside any box
-    ref_index: int
-    lang_index: int
 
 
 def encode_box_residual(box: Box7, anchor: np.ndarray, category: str) -> np.ndarray:
@@ -191,15 +191,12 @@ def decode_box_residual(residual: np.ndarray, anchor: np.ndarray, category: str)
     return Box7(center, sizes[0], sizes[1], sizes[2], yaw)
 
 
-def assign_targets(candidates: np.ndarray, seeds: np.ndarray, scene: Scene, target_id: str) -> Targets:
-    """Supervision for one sample.
+def assign_targets(candidates: np.ndarray, seeds: np.ndarray, scene: Scene) -> Targets:
+    """Supervision for one scene's candidates, shared by its expressions.
 
     A candidate is positive when its shifted position lies inside any
     ground-truth box; its regression target encodes the containing box. A
     seed inside an object is supervised to shift to that object's center.
-    These depend only on the scene. The reference target is the candidate
-    nearest the referred center (lowest index on ties); it and the language
-    category are the only per-expression fields (see `_expression_targets`).
     The candidates, the model's float32 positions, are read as float64.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
@@ -219,15 +216,17 @@ def assign_targets(candidates: np.ndarray, seeds: np.ndarray, scene: Scene, targ
         if np.any(inside_s):
             shift_mask[inside_s] = 1.0
             shift[inside_s] = obj.box.center - seeds[inside_s]
-    return Targets(cls=cls, reg=reg, shift=shift, shift_mask=shift_mask,
-                   **_expression_targets(candidates, scene, target_id))
+    return Targets(cls=cls, reg=reg, shift=shift, shift_mask=shift_mask)
 
 
-def _expression_targets(candidates: np.ndarray, scene: Scene, target_id: str) -> dict:
-    """The per-expression fields of Targets: `ref_index` and `lang_index`."""
+def _expression_targets(candidates: np.ndarray, scene: Scene, target_id: str) -> tuple[int, int]:
+    """One expression's supervision: the reference index, the candidate
+    nearest the referred object's center (lowest index on ties), and the
+    index of its category. Float32 candidates are promoted to float64 by
+    the subtraction, so the distances are those of float64 candidates."""
     target = scene.object_by_id(target_id)
     dists = np.linalg.norm(candidates - target.box.center, axis=1)
-    return {"ref_index": int(np.argmin(dists)), "lang_index": CATEGORY_INDEX[target.category]}
+    return int(np.argmin(dists)), CATEGORY_INDEX[target.category]
 
 
 def _head_layout(config: ModelConfig) -> T.Layout:
@@ -313,7 +312,7 @@ class GroundingModel:
         output equals expression b grounded alone, bit for bit.
         """
         f_w = langenc.embed(token_ids, self.params)
-        f_l = langenc.bigru_encode(f_w, lengths, self.params, self.config.lang)
+        f_l = langenc.bigru_encode(f_w, lengths, self.params)
         f_m = self.fuse(cand.features, f_l)
         raw = self.localize(f_m)
         cls_logits = T.linear(f_m, self.params["head.cls.w"], self.params["head.cls.b"])
@@ -393,14 +392,17 @@ def _masked_smooth_l1(pred: T.Tensor, target: np.ndarray, row_mask: np.ndarray) 
     return T.scale(T.tensor_sum(T.mul(per_elem, T.constant(mask))), 1.0 / (width * n))
 
 
-def compute_loss(output: ModelOutput, targets: Targets, weights: LossWeights) -> tuple[T.Tensor, dict[str, float]]:
-    """Weighted training loss of one expression (B = 1); also returns each
-    of LOSS_TERMS' values and the total, by name."""
+def compute_loss(output: ModelOutput, targets: Targets, ref_index: int, lang_index: int,
+                 weights: LossWeights) -> tuple[T.Tensor, dict[str, float]]:
+    """Weighted training loss of one expression (B = 1), against its scene's
+    `targets` and its own reference and category indices (see
+    `_expression_targets`); also returns each of LOSS_TERMS' values and the
+    total, by name."""
     l_cls = T.mean(T.bce_with_logits(output.cls_logits, T.constant(targets.cls.reshape(output.cls_logits.shape))))
     l_reg = _masked_smooth_l1(output.residuals, targets.reg, targets.cls)
     l_shift = _masked_smooth_l1(output.candidates.shifts, targets.shift, targets.shift_mask)
-    l_lang = T.cross_entropy(output.lang_logits, targets.lang_index)
-    l_ref = T.cross_entropy(output.raw_scores, targets.ref_index)
+    l_lang = T.cross_entropy(output.lang_logits, lang_index)
+    l_ref = T.cross_entropy(output.raw_scores, ref_index)
 
     terms = (l_cls, l_reg, l_shift, l_lang, l_ref)
     total = None
@@ -447,8 +449,9 @@ def _minibatch_gradients(model: GroundingModel, scenes: dict[str, Scene], plans:
     The batch is split into one group per scene, in order of first
     appearance. One `forward` takes every group's plan and expressions and
     yields the groups' outputs in turn (the encoder stages its layers over
-    the scenes, see `PointEncoder.forward`). A group computes the
-    scene-level targets once. Each expression gets its own B = 1 loss,
+    the scenes, see `PointEncoder.forward`). A group's `Targets` are
+    computed once, and each expression's reference and category by
+    `_expression_targets`. Each expression gets its own B = 1 loss,
     whose values equal those of that sample run alone, bit for bit. One
     backward per group runs on the sum of its losses scaled by
     1 / len(batch) before the next group's SA1 is built, so a group of one
@@ -470,7 +473,6 @@ def _minibatch_gradients(model: GroundingModel, scenes: dict[str, Scene], plans:
                             [[batch[pos].tokens for pos in positions] for positions in groups.values()])
     for scene_id, positions in groups.items():
         scene = scenes[scene_id]
-        members = [batch[pos] for pos in positions]
         try:
             out = next(outputs)
         except ValueError as exc:
@@ -478,16 +480,16 @@ def _minibatch_gradients(model: GroundingModel, scenes: dict[str, Scene], plans:
             # without bound: F-FPS rejects the non-finite features they make
             raise TrainingDivergedError(f"{exc} at epoch {epoch} (scene {scene_id!r})") from exc
         cand_xyz = out.candidates.positions.data
-        targets = assign_targets(cand_xyz, out.candidates.seeds, scene, members[0].target_id)
+        targets = assign_targets(cand_xyz, out.candidates.seeds, scene)
         total = None
-        for row, (pos, member) in enumerate(zip(positions, members)):
-            if row:
-                targets = replace(targets, **_expression_targets(cand_xyz, scene, member.target_id))
-            loss, comps[pos] = compute_loss(_output_row(out, row), targets, weights)
+        for row, pos in enumerate(positions):
+            target_id = batch[pos].target_id
+            ref_index, lang_index = _expression_targets(cand_xyz, scene, target_id)
+            loss, comps[pos] = compute_loss(_output_row(out, row), targets, ref_index, lang_index, weights)
             if not np.isfinite(loss.data):
                 raise TrainingDivergedError(
                     f"loss {float(loss.data)} at epoch {epoch} "
-                    f"(scene {scene_id!r}, target {member.target_id!r})"
+                    f"(scene {scene_id!r}, target {target_id!r})"
                 )
             piece = T.scale(loss, inv)
             total = piece if total is None else T.add(total, piece)

@@ -111,12 +111,7 @@ def embed(token_ids: np.ndarray, params: dict[str, T.Tensor]) -> T.Tensor:
     return T.reshape(T.gather_rows(emb, token_ids), (*np.shape(token_ids), emb.shape[1]))
 
 
-def bigru_encode(
-    token_embeddings: T.Tensor,
-    lengths,
-    params: dict[str, T.Tensor],
-    cfg: LangConfig,
-) -> T.Tensor:
+def bigru_encode(token_embeddings: T.Tensor, lengths, params: dict[str, T.Tensor]) -> T.Tensor:
     """Run both GRU directions over each expression's first `length` rows.
 
     `token_embeddings` is one expression, (L, E) with an int length, or a

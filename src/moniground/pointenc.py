@@ -471,15 +471,6 @@ def _mlp_layout(name: str, widths: tuple[int, ...], in_dim: int) -> T.Layout:
     return layout
 
 
-def _mlp_forward(x: T.Tensor, params: dict[str, T.Tensor], name: str, depth: int) -> T.Tensor:
-    """`depth` linear layers with a ReLU between them, none after the last."""
-    for i in range(depth):
-        x = T.linear(x, params[f"{name}.w{i}"], params[f"{name}.b{i}"])
-        if i < depth - 1:
-            x = T.relu(x)
-    return x
-
-
 def _pooled_mlp(x: T.Tensor, params: dict[str, T.Tensor], name: str, depth: int, group: int) -> T.Tensor:
     """The MLP with a final ReLU, max-pooled over each `group` rows, as one
     `tensor.pooled_mlp` node; the pooling comes first (see the module
@@ -593,14 +584,16 @@ class PointEncoder:
         pick = np.arange(cfg.m_candidates, dtype=np.intp)
         seeds = seed_positions[pick]
         feats_m = T.gather_rows(seed_features, pick)
-        shifts = _mlp_forward(feats_m, self.params, "enc.shift", 2)
+        p = self.params
+        hidden = T.relu(T.linear(feats_m, p["enc.shift.w0"], p["enc.shift.b0"]))
+        shifts = T.linear(hidden, p["enc.shift.w1"], p["enc.shift.b1"])
         candidates = T.add(T.constant(seeds), shifts)
 
         groups = ball_group(candidates.data, seed_positions, cfg.cg_radius, cfg.cg_cap)
         flat = groups.reshape(-1)
         rel = T.sub(T.gather_rows(T.constant(seed_positions), flat), T.repeat_rows(candidates, cfg.cg_cap))
         grouped = T.concat([rel, T.gather_rows(seed_features, flat)])
-        f_v = _pooled_mlp(grouped, self.params, "enc.cg", 2, cfg.cg_cap)
+        f_v = _pooled_mlp(grouped, p, "enc.cg", 2, cfg.cg_cap)
         return CandidateSet(candidates, shifts, f_v, seeds)
 
 

@@ -652,11 +652,18 @@ def _box_to_json(box: Box7) -> dict:
 def _box_from_json(d: dict) -> Box7:
     """The box of a scene file's box record; ValueError for a field that is
     not a number, a bool included, which `Box7`'s range checks would read as
-    1.0 or 0.0."""
+    1.0 or 0.0, or for a box too large for `iou_3d`'s arithmetic."""
     values = [d[k] for k in ("x", "y", "z", "l", "w", "h", "yaw")]
     if not T.are_reals(*values):
         raise ValueError(f"box fields must be numbers, got {values}")
-    return Box7(np.array(values[:3]), *values[3:])
+    box = Box7(np.array(values[:3]), *values[3:])
+    # `iou_3d` sums two products of BEV coordinate differences, each at most
+    # 2 * reach since no corner coordinate is farther than reach from 0, and
+    # forms the volume.
+    reach = max(abs(float(box.center[0])), abs(float(box.center[1]))) + 0.5 * math.hypot(box.l, box.w)
+    if not (math.isfinite(8 * reach * reach) and math.isfinite(box.volume)):
+        raise ValueError(f"box {values} is too large for a finite IoU")
+    return box
 
 
 def atomic_write(path: str, data: bytes | str) -> None:
@@ -719,14 +726,15 @@ def read_dataset(root: str) -> Dataset:
     A missing file, unparsable JSON, a schema version other than the
     integer SCHEMA_VERSION, a record without a field it needs, a manifest
     split outside SPLIT_NAMES, a scene file of another scene id, an object
-    id repeated within a scene, an object of an unknown category or with a
-    box field that is not a finite number (a bool is not one), an
-    expression whose ids, text or tokens are not strings, one with no token
-    or with tokens other than `tokenize` of its text, one whose uniqueness
-    or distance bin is not a subset tag, or a point file that is empty,
-    ends in a partial point, holds a NaN or infinite value or holds two
-    points whose squared distance overflows `tensor.DTYPE` raises
-    DatasetIOError.
+    id repeated within a scene, an object of an unknown category, with a
+    box field that is not a finite number (a bool is not one) or with a box
+    too large for a finite IoU, an expression whose ids, text or tokens are
+    not strings, one with no token or with tokens other than `tokenize` of
+    its text, one whose uniqueness or distance bin is not a subset tag, or
+    a point file that is empty,
+    ends in a partial point, holds a NaN or infinite value, holds two
+    points whose squared distance overflows `tensor.DTYPE` or holds a
+    colour or intensity value outside [0, 1] raises DatasetIOError.
     """
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -775,18 +783,23 @@ def read_dataset(root: str) -> Dataset:
             blob = f.read()
         if not blob or len(blob) % 28:  # 7 float32 values per point
             raise DatasetIOError(f"corrupt point file for {sid}: {len(blob)} bytes is not a positive multiple of 28")
-        flat = np.frombuffer(blob, dtype=_POINT_VALUE).reshape(-1, 7).astype(np.float64)
-        if not np.isfinite(flat).all():
+        points = np.frombuffer(blob, dtype=_POINT_VALUE).reshape(-1, 7)
+        # one (7, n) plane per value: numpy reduces their contiguous rows
+        # about 9x faster than the columns of the (n, 7) points
+        planes = points.T.astype(T.DTYPE, order="C")
+        if not np.isfinite(planes).all():
             raise DatasetIOError(f"corrupt point file for {sid}: a value is NaN or infinite")
         # FPS's squared distance in tensor.DTYPE, over the cloud's extent: no
         # pair of its points is farther apart, so no FPS distance overflows.
-        # numpy reduces the contiguous rows of (3, n) planes about 9x faster
-        # than the columns of the (n, 3) points.
         with np.errstate(over="ignore"):
-            dx, dy, dz = np.ptp(flat[:, :3].T.astype(T.DTYPE, order="C"), axis=1)
+            dx, dy, dz = np.ptp(planes[:3], axis=1)
             sq_extent = (dx * dx + dy * dy) + dz * dz
         if not np.isfinite(sq_extent):
             raise DatasetIOError(f"corrupt point file for {sid}: points too far apart for a finite squared distance")
+        # the generator clips colour and intensity to [0, 1]
+        if planes[3:].min() < 0 or planes[3:].max() > 1:
+            raise DatasetIOError(f"{points_path!r} holds a colour or intensity value outside [0, 1]")
+        flat = points.astype(np.float64)
         pc = PointCloud(flat[:, :3], flat[:, 3:6], flat[:, 6])
         scenes[sid] = Scene(scene_id, metadata, objects, pc)
     expressions_path = os.path.join(root, "expressions.jsonl")

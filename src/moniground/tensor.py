@@ -139,9 +139,8 @@ def backward(loss: Tensor) -> None:
                 heapq.heappush(pending, (-p._order, p))
 
 
-def zero_grads(tensors) -> None:
-    it = tensors.values() if isinstance(tensors, dict) else tensors
-    for t in it:
+def zero_grads(params: dict[str, Tensor]) -> None:
+    for t in params.values():
         t.zero_grad()
 
 

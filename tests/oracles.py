@@ -160,8 +160,10 @@ def per_sample_gradients(model, scenes, plans, batch, weights) -> list[dict[str,
     for item in batch:
         (out,) = model.forward([plans[item.scene_id]], [[item.tokens]])
         cand = out.candidates
-        targets = G.assign_targets(cand.positions.data, cand.seeds, scenes[item.scene_id], item.target_id)
-        loss, sample_comps = G.compute_loss(out, targets, weights)
+        scene = scenes[item.scene_id]
+        targets = G.assign_targets(cand.positions.data, cand.seeds, scene)
+        indices = G._expression_targets(cand.positions.data, scene, item.target_id)
+        loss, sample_comps = G.compute_loss(out, targets, *indices, weights)
         T.backward(T.scale(loss, inv))
         comps.append(sample_comps)
     return comps
@@ -247,7 +249,7 @@ def pooled_mlp_chain(x: T.Tensor, layers, group: int) -> T.Tensor:
     return T.relu(max_pool_node(x, group))
 
 
-def bigru_chain(token_embeddings: T.Tensor, lengths, params: dict, cfg) -> T.Tensor:
+def bigru_chain(token_embeddings: T.Tensor, lengths, params: dict) -> T.Tensor:
     """`langenc.bigru_encode` as a chain of per-step graph nodes, as it was
     before `tensor.gru` fused each direction into one node: per step one
     `gather_rows` of the step's rows and a cell of `matmul`, `add`,
@@ -256,7 +258,7 @@ def bigru_chain(token_embeddings: T.Tensor, lengths, params: dict, cfg) -> T.Ten
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
     *lead, length, width = token_embeddings.shape
     rows = T.reshape(token_embeddings, (math.prod(lead) * length, width))
-    state = (*lead, 1, cfg.hidden_dim)
+    state = (*lead, 1, params["lang.gru.fwd.uz"].shape[0])
     steps = int(lengths.max())
 
     def cell(x, h, prefix, t):

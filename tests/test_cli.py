@@ -27,7 +27,7 @@ GEN_ARGS = ["--scenes", "6", "--objects-min", "2", "--objects-max", "4", "--seed
 # before the writers were merged into synthdata.atomic_write
 GEN_TREE_SHA256 = "c21a34df01a07545a77486a854cb712308058e48f58187e4c851804735b03979"
 
-# build_config({}, {}).echo() with MONIGROUND_DATA unset: every user-facing
+# config_echo(build_config({}, {})) with MONIGROUND_DATA unset: every user-facing
 # key name and default
 DEFAULT_ECHO = {
     "batch_size": 10, "color_noise": 0.05, "dataset_dir": "data", "decay_epochs": [35, 45],
@@ -159,7 +159,7 @@ class TestGen:
 
     def test_default_config_echo_pinned(self, monkeypatch):
         monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
-        assert cli.build_config({}, {}).echo() == DEFAULT_ECHO
+        assert cli.config_echo(cli.build_config({}, {})) == DEFAULT_ECHO
 
     def test_env_var_sets_default_dataset_dir(self, tmp_path, monkeypatch):
         target = str(tmp_path / "envds")
@@ -574,6 +574,10 @@ class TestDatasetFaults:
             """The scene file of the split's first scene, which the command reads as part of it."""
             return os.path.join("scenes", f"{min(sid for sid, name in splits.items() if name == split)}.json")
 
+        def split_points(split):
+            """The point file of the split's first scene."""
+            return os.path.join("points", f"{min(sid for sid, name in splits.items() if name == split)}.bin")
+
         first_scene = os.path.join("scenes", f"{sorted(splits)[0]}.json")
         first_points = os.path.join("points", f"{sorted(splits)[0]}.bin")
 
@@ -586,10 +590,10 @@ class TestDatasetFaults:
             with open(path, "wb") as f:
                 f.write(blob[:-5])
 
-        def put_value(value):
+        def put_value(value, column=1):
             def corrupt(path):
                 flat = np.fromfile(path, dtype="<f4")
-                flat[7 * 3 + 1] = value     # y of the fourth point
+                flat[7 * 3 + column] = value     # of the fourth point: x, y, z, r, g, b, intensity
                 flat.tofile(path)
 
             return corrupt
@@ -645,7 +649,17 @@ class TestDatasetFaults:
             ("baseline", "bool_schema_version", "manifest.json", bool_schema_version),
             ("baseline", "bool_box_fields", split_scene("val"), bool_box_fields),
             ("baseline", "bool_yaw", split_scene("val"), set_box("yaw", False)),
+            # finite, but outside the [0, 1] that the generator clips colour and intensity to
+            ("train", "huge_colour", split_points("train"), put_value(1e30, 3)),
+            ("eval", "huge_colour", split_points("val"), put_value(1e30, 3)),
+            ("eval", "colour_above_1", split_points("val"), put_value(5.0, 4)),
+            ("eval", "negative_intensity", split_points("val"), put_value(-0.5, 6)),
+            # finite, but iou_3d's products of its corner coordinates overflow
+            ("eval", "huge_length", split_scene("val"), set_box("l", 1e300)),
+            ("baseline", "huge_length", split_scene("val"), set_box("l", 1e300)),
         ]
+        # these errors name the file at fault
+        named = {"huge_colour", "colour_above_1", "negative_intensity", "huge_length"}
         for command, label, name, corrupt in cases:
             broken = str(tmp_path / f"{command}-{label}")
             shutil.copytree(dataset_dir, broken)
@@ -653,7 +667,8 @@ class TestDatasetFaults:
             capsys.readouterr()
             code, _ = run_cli(command, "--data", broken, *commands[command])
             assert code == 3, (command, label)
-            assert_one_line_error(capsys)
+            err = assert_one_line_error(capsys)
+            assert label not in named or name in err, (command, label, err)
 
 
 class TestBaseline:

@@ -168,18 +168,16 @@ class TestAssignTargets:
     def test_candidate_at_center_is_ref_target(self):
         scene = self._scene()
         cands = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.75], [9.0, 9.0, 0.0]])
-        tg = G.assign_targets(cands, cands, scene, "obj_00")
-        assert tg.ref_index == 1
-        assert tg.lang_index == S.CATEGORY_INDEX["car"]
+        assert G._expression_targets(cands, scene, "obj_00") == (1, S.CATEGORY_INDEX["car"])
 
     def test_no_candidate_inside_any_box(self):
         scene = self._scene()
         cands = np.array([[30.0, 30.0, 0.0], [-30.0, -30.0, 5.0]])
-        tg = G.assign_targets(cands, cands, scene, "obj_00")
+        tg = G.assign_targets(cands, cands, scene)
         assert tg.cls.sum() == 0 and tg.shift_mask.sum() == 0
         out = manual_output([0.0, 1.0], [0.0, 0.0], np.zeros((2, 8)), np.zeros((2, 3)),
                             np.zeros(12), cands)
-        _, comps = G.compute_loss(out, tg, G.LossWeights())
+        _, comps = G.compute_loss(out, tg, *G._expression_targets(cands, scene, "obj_00"), G.LossWeights())
         assert comps["reg"] == 0.0 and comps["shift"] == 0.0
 
     def test_ref_matches_brute_force_scan(self):
@@ -188,16 +186,16 @@ class TestAssignTargets:
         target = scene.object_by_id("obj_01")
         for _ in range(100):
             cands = rng.uniform(-15, 15, size=(6, 3))
-            tg = G.assign_targets(cands, cands, scene, "obj_01")
+            ref_index, _ = G._expression_targets(cands, scene, "obj_01")
             dists = [float(np.linalg.norm(c - target.box.center)) for c in cands]
-            assert tg.ref_index == dists.index(min(dists))
+            assert ref_index == dists.index(min(dists))
 
     def test_positive_targets_and_shift_vectors(self):
         scene = self._scene()
         car = scene.object_by_id("obj_00")
         cands = np.array([[5.5, 0.2, 0.8], [20.0, 0.0, 0.0]])
         seeds = np.array([[4.8, -0.3, 0.6], [20.0, 0.0, 0.0]])
-        tg = G.assign_targets(cands, seeds, scene, "obj_00")
+        tg = G.assign_targets(cands, seeds, scene)
         np.testing.assert_array_equal(tg.cls, [1.0, 0.0])
         np.testing.assert_allclose(tg.reg[0], G.encode_box_residual(car.box, cands[0], "car"))
         np.testing.assert_array_equal(tg.shift_mask, [1.0, 0.0])
@@ -221,15 +219,16 @@ class TestComputeLoss:
         scene = S.Scene("s", {}, [S.ObjectSpec("obj_00", "car", scene_box, attrs)])
         cands = np.array([[2.0, 1.0, 0.75], [9.0, 9.0, 9.0]])
         seeds = np.array([[2.4, 0.7, 0.8], [9.0, 9.0, 9.0]])
-        tg = G.assign_targets(cands, seeds, scene, "obj_00")
+        tg = G.assign_targets(cands, seeds, scene)
+        ref_index, lang_index = G._expression_targets(cands, scene, "obj_00")
         residuals = tg.reg.copy()
         shifts = tg.shift.copy()
         lang = np.full(12, -40.0)
-        lang[tg.lang_index] = 40.0
-        raw = np.array([40.0, -40.0]) if tg.ref_index == 0 else np.array([-40.0, 40.0])
+        lang[lang_index] = 40.0
+        raw = np.array([40.0, -40.0]) if ref_index == 0 else np.array([-40.0, 40.0])
         cls_logits = np.where(tg.cls > 0, 40.0, -40.0)
         out = manual_output(raw, cls_logits, residuals, shifts, lang, cands, seeds)
-        total, comps = G.compute_loss(out, tg, G.LossWeights())
+        total, comps = G.compute_loss(out, tg, ref_index, lang_index, G.LossWeights())
         assert comps["reg"] == 0.0 and comps["shift"] == 0.0
         for name in ("cls", "lang", "ref"):
             assert comps[name] < 1e-12
@@ -249,12 +248,10 @@ class TestComputeLoss:
             reg=np.full((3, 8), 0.5) * np.array([1.0, 0.0, 1.0])[:, None],
             shift=np.array([[0.0, 0.1, 0.2], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
             shift_mask=np.array([1.0, 0.0, 0.0]),
-            ref_index=2,
-            lang_index=4,
         )
         out = manual_output(raw, cls_logits, residuals, shifts, lang, cands)
         weights = G.LossWeights(cls=10, reg=10, shift=10, lang=1, ref=1)
-        total, comps = G.compute_loss(out, tg, weights)
+        total, comps = G.compute_loss(out, tg, 2, 4, weights)
 
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         ref_cls = -np.mean(
@@ -281,9 +278,10 @@ class TestComputeLoss:
         model = tiny_model(vocab=_vocab_for(samples))
         item = samples[0]
         out = _forward_sample(model, scene, item)
-        tg = G.assign_targets(out.candidates.positions.data, out.candidates.seeds, scene, item.target_id)
+        tg = G.assign_targets(out.candidates.positions.data, out.candidates.seeds, scene)
+        indices = G._expression_targets(out.candidates.positions.data, scene, item.target_id)
         weights = G.LossWeights(cls=3.0, reg=2.0, shift=5.0, lang=0.5, ref=7.0)
-        total, comps = G.compute_loss(out, tg, weights)
+        total, comps = G.compute_loss(out, tg, *indices, weights)
         dot = (
             3.0 * comps["cls"] + 2.0 * comps["reg"] + 5.0 * comps["shift"]
             + 0.5 * comps["lang"] + 7.0 * comps["ref"]
@@ -311,10 +309,11 @@ class TestGradientFlow:
         scene, samples = tiny_scene(5)
         model = tiny_model(vocab=_vocab_for(samples))
         out = _forward_sample(model, scene, samples[0])
-        tg = G.assign_targets(out.candidates.positions.data, out.candidates.seeds, scene, samples[0].target_id)
+        tg = G.assign_targets(out.candidates.positions.data, out.candidates.seeds, scene)
+        indices = G._expression_targets(out.candidates.positions.data, scene, samples[0].target_id)
         ref_only = G.LossWeights(cls=0.0, reg=0.0, shift=0.0, lang=0.0, ref=1.0)
         T.zero_grads(model.params)
-        total, _ = G.compute_loss(out, tg, ref_only)
+        total, _ = G.compute_loss(out, tg, *indices, ref_only)
         T.backward(total)
 
         def grad_norm(name):
@@ -332,12 +331,13 @@ class TestGradientFlow:
         model = tiny_model(seed=2, vocab=_vocab_for(samples))
         sample = samples[0]
         out0 = _forward_sample(model, scene, sample)
-        tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene, sample.target_id)
+        tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene)
+        indices = G._expression_targets(out0.candidates.positions.data, scene, sample.target_id)
         ref_only = G.LossWeights(cls=0.0, reg=0.0, shift=0.0, lang=0.0, ref=1.0)
 
         def loss():
             out = _forward_sample(model, scene, sample)
-            return G.compute_loss(out, tg, ref_only)[0]
+            return G.compute_loss(out, tg, *indices, ref_only)[0]
 
         finite_diff_check(loss, [model.params["head.loc.w"]], max_coords=4, rng=np.random.default_rng(0))
 
@@ -359,13 +359,14 @@ class TestGradientFlow:
         plans = G.scene_inputs(model, [scene])
         tokens = [[["w0", "w1"]]]  # ids 2 and 3
         (out0,) = model.forward(plans, tokens)
-        tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene, "obj_00")
+        tg = G.assign_targets(out0.candidates.positions.data, out0.candidates.seeds, scene)
+        indices = G._expression_targets(out0.candidates.positions.data, scene, "obj_00")
         assert tg.cls.sum() >= 1 and tg.shift_mask.sum() >= 1
         weights = G.LossWeights()
 
         def loss():
             (out,) = model.forward(plans, tokens)
-            return G.compute_loss(out, tg, weights)[0]
+            return G.compute_loss(out, tg, *indices, weights)[0]
 
         worst = finite_diff_check(loss, model.params.values(), max_coords=3,
                                   rng=np.random.default_rng(1))

@@ -118,7 +118,7 @@ class TestBiGRU:
         for p in params.values():
             p.data[:] = 0.0
         f_w = T.constant(np.random.default_rng(1).normal(size=(4, CFG.embed_dim)))
-        out = bigru_encode(f_w, 3, params, CFG)
+        out = bigru_encode(f_w, 3, params)
         np.testing.assert_array_equal(out.data, np.zeros((1, 2 * CFG.hidden_dim)))
 
     def test_padding_beyond_length_has_no_influence(self):
@@ -128,8 +128,8 @@ class TestBiGRU:
         a = rows.copy()
         b = rows.copy()
         b[4:] = rng.normal(size=(2, CFG.embed_dim)) * 100  # garbage past the mask
-        out_a = bigru_encode(T.constant(a), 4, params, CFG)
-        out_b = bigru_encode(T.constant(b), 4, params, CFG)
+        out_a = bigru_encode(T.constant(a), 4, params)
+        out_b = bigru_encode(T.constant(b), 4, params)
         np.testing.assert_array_equal(out_a.data, out_b.data)
 
     def test_appending_padding_tokens_identical(self):
@@ -137,9 +137,8 @@ class TestBiGRU:
         vocab = Vocabulary({"car": 2, "red": 3, "the": 4})
         (short,), (l_short,) = encode_expressions(vocab, [["the", "red", "car"]], 5)
         (long,), (l_long,) = encode_expressions(vocab, [["the", "red", "car"]], 10)
-        cfg_short = LangConfig(CFG.embed_dim, CFG.hidden_dim, 5)
-        out_a = bigru_encode(embed(short, params), l_short, params, cfg_short)
-        out_b = bigru_encode(embed(long, params), l_long, params, CFG)
+        out_a = bigru_encode(embed(short, params), l_short, params)
+        out_b = bigru_encode(embed(long, params), l_long, params)
         np.testing.assert_array_equal(out_a.data, out_b.data)
 
     @pytest.mark.usefixtures("float64")
@@ -147,7 +146,7 @@ class TestBiGRU:
         params = make_params(seed=5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, CFG.embed_dim))
-        out = bigru_encode(T.constant(x), 1, params, CFG)
+        out = bigru_encode(T.constant(x), 1, params)
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -170,8 +169,8 @@ class TestBiGRU:
                 params[f"lang.gru.bwd.{kind}{gate}"].data[:] = params[f"lang.gru.fwd.{kind}{gate}"].data
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(5, CFG.embed_dim))
-        fwd = bigru_encode(T.constant(rows), 5, params, CFG)
-        rev = bigru_encode(T.constant(rows[::-1].copy()), 5, params, CFG)
+        fwd = bigru_encode(T.constant(rows), 5, params)
+        rev = bigru_encode(T.constant(rows[::-1].copy()), 5, params)
         h = CFG.hidden_dim
         np.testing.assert_array_equal(fwd.data[0, :h], rev.data[0, h:])
         np.testing.assert_array_equal(fwd.data[0, h:], rev.data[0, :h])
@@ -179,7 +178,7 @@ class TestBiGRU:
     def test_zero_length_rejected(self):
         params = make_params()
         with pytest.raises(ValueError):
-            bigru_encode(T.constant(np.zeros((3, CFG.embed_dim))), 0, params, CFG)
+            bigru_encode(T.constant(np.zeros((3, CFG.embed_dim))), 0, params)
 
     @pytest.mark.usefixtures("float64")
     def test_gradients_three_token_sequence(self):
@@ -188,7 +187,7 @@ class TestBiGRU:
         ids = np.array([2, 7, 4])
 
         def loss():
-            return T.mean(bigru_encode(embed(ids, params), 3, params, CFG))
+            return T.mean(bigru_encode(embed(ids, params), 3, params))
 
         finite_diff_check(loss, params.values(), max_coords=5, rng=rng)
 
@@ -209,10 +208,10 @@ class TestBatchedBiGRU:
         cfg = LangConfig()  # the model's dimensions, so the BLAS calls are the real ones
         lengths = [1, 7, cfg.max_len, 3, 1, 12]
         params, ids = self.batch(11, lengths, cfg)
-        out = bigru_encode(embed(ids, params), lengths, params, cfg)
+        out = bigru_encode(embed(ids, params), lengths, params)
         assert out.shape == (len(lengths), 1, 2 * cfg.hidden_dim)
         for row, length in enumerate(lengths):
-            alone = bigru_encode(embed(ids[row], params), length, params, cfg)
+            alone = bigru_encode(embed(ids[row], params), length, params)
             assert np.array_equal(out.data[row], alone.data), row
 
     def test_rows_bit_identical_to_the_per_step_chain(self):
@@ -220,11 +219,11 @@ class TestBatchedBiGRU:
         cfg = LangConfig()
         lengths = [1, 7, cfg.max_len, 3, 1, 12]
         params, ids = self.batch(17, lengths, cfg)
-        fused = bigru_encode(embed(ids, params), lengths, params, cfg)
-        chain = oracles.bigru_chain(embed(ids, params), lengths, params, cfg)
+        fused = bigru_encode(embed(ids, params), lengths, params)
+        chain = oracles.bigru_chain(embed(ids, params), lengths, params)
         assert np.array_equal(fused.data, chain.data)
-        alone = bigru_encode(embed(ids[1], params), lengths[1], params, cfg)
-        assert np.array_equal(alone.data, oracles.bigru_chain(embed(ids[1], params), lengths[1], params, cfg).data)
+        alone = bigru_encode(embed(ids[1], params), lengths[1], params)
+        assert np.array_equal(alone.data, oracles.bigru_chain(embed(ids[1], params), lengths[1], params).data)
 
     def test_gradients_match_the_per_step_chain(self):
         """The fused backward against the chain's, in float32 at the model's
@@ -248,7 +247,7 @@ class TestBatchedBiGRU:
         grads = []
         for encode in (bigru_encode, oracles.bigru_chain):
             params, ids = self.batch(17, lengths, cfg)
-            T.backward(T.tensor_sum(T.mul(encode(embed(ids, params), lengths, params, cfg), up)))
+            T.backward(T.tensor_sum(T.mul(encode(embed(ids, params), lengths, params), up)))
             grads.append({name: p.grad for name, p in params.items()})
         for name, want in grads[1].items():
             got = grads[0][name]
@@ -260,7 +259,7 @@ class TestBatchedBiGRU:
         f_w = embed(ids, params)
         for lengths in ([2], [2, 3, 4], [0, 3], [2, CFG.max_len + 1]):
             with pytest.raises(ValueError):
-                bigru_encode(f_w, lengths, params, CFG)
+                bigru_encode(f_w, lengths, params)
 
     @pytest.mark.usefixtures("float64")
     def test_gradients_mixed_lengths(self):
@@ -268,7 +267,7 @@ class TestBatchedBiGRU:
         w = T.constant(np.random.default_rng(15).normal(size=(2, 1, 2 * CFG.hidden_dim)))
 
         def loss():
-            return T.tensor_sum(T.mul(bigru_encode(embed(ids, params), [2, 5], params, CFG), w))
+            return T.tensor_sum(T.mul(bigru_encode(embed(ids, params), [2, 5], params), w))
 
         finite_diff_check(loss, params.values(), max_coords=5, rng=np.random.default_rng(16))
 
@@ -279,7 +278,7 @@ class TestEncodeText:
     @staticmethod
     def encode(tokens, vocab, params):
         (ids,), (length,) = encode_expressions(vocab, [tokens], CFG.max_len)
-        return bigru_encode(embed(ids, params), length, params, CFG)
+        return bigru_encode(embed(ids, params), length, params)
 
     def test_shape_and_determinism(self):
         params = make_params()

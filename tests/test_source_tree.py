@@ -216,3 +216,36 @@ def test_only_evalbench_spells_the_report_rows():
         if isinstance(node, ast.Constant) and node.value in keys
     )
     assert not naming, f"modules other than evalbench.py that spell a report row key: {sorted(set(naming))}"
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function's body never reads is a pass-through
+    that callers must fill for nothing: delete it. Every parameter of every
+    function in src, nested ones, lambdas, `*args` and `**kwargs`
+    included, is read (loaded by name) somewhere in its body, a nested
+    function's body included. `self` and `cls` are exempt."""
+
+    def unread(node: ast.AST, qualified: str):
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        return [f"{qualified}({p.arg})" for p in params if p.arg not in ("self", "cls") and p.arg not in loaded]
+
+    def visit(node: ast.AST, scope: str, module: str):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{scope}{getattr(child, 'name', '<lambda>')}"
+                found.extend(f"{module}:{entry}" for entry in unread(child, name))
+                name += "."
+            elif isinstance(child, ast.ClassDef):
+                name = f"{scope}{child.name}."
+            visit(child, name, module)
+
+    found: list[str] = []
+    trees = source_trees()
+    for module, tree in trees.items():
+        visit(tree, "", module)
+    assert len(trees) > 1 and not found, f"parameters that their function never reads: {found}"
