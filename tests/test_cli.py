@@ -52,6 +52,11 @@ TRAINED_CHECKPOINT_SHA256 = "9562f6a322db8ba288fe57946b8bfe00f9baff2c250b1fe0e23
 # the trained_run fixture (see predictions_sha256); recorded with the
 # checkpoint pin above
 VAL_PREDICTIONS_SHA256 = "f29daf459a450c76ad1faab73ed810a1dd2e5387eb1a0f304f6b29d17478e51c"
+# sha256 over the `subsets` and `warnings` of the ten reports that
+# test_reports_pinned writes: `eval` of the trained_run fixture and each
+# baseline on the dataset_dir fixture, each on the train and val splits;
+# recorded before evaluation tallied every subset in one pass
+REPORTS_SHA256 = "88b62cae5df3d3beb5c7de7addedfc71342d66a9372eb8dc4f6f44e1cb63646f"
 
 
 def tree_sha256(root):
@@ -316,6 +321,20 @@ class TestEval:
         digest = predictions_sha256(monkeypatch, "eval", "--data", dataset_dir, "--checkpoint", trained_run,
                                     "--split", "val", "--report-out", str(tmp_path / "r.json"), "--seed", "5")
         assert digest == VAL_PREDICTIONS_SHA256
+
+    def test_reports_pinned(self, dataset_dir, trained_run, tmp_path):
+        digest = hashlib.sha256()
+        commands = [("eval", "--checkpoint", trained_run)]
+        commands += [("baseline", "--which", which) for which in cli.evalbench.BASELINES]
+        for command in commands:
+            for split in ("train", "val"):
+                path = tmp_path / "r.json"
+                code, out = run_cli(*command, "--data", dataset_dir, "--split", split,
+                                    "--report-out", str(path), "--seed", "5")
+                assert code == 0, out
+                doc = json.loads(path.read_text())
+                digest.update(json.dumps([doc["subsets"], doc["warnings"]], sort_keys=True).encode())
+        assert digest.hexdigest() == REPORTS_SHA256
 
     def test_incompatible_checkpoint_is_exit_3(self, dataset_dir, trained_run, tmp_path, capsys):
         def json_edit(edit):
