@@ -292,7 +292,7 @@ def cmd_report(report_path: str, out) -> int:
         with open(report_path, encoding="utf-8") as f:
             report = json.load(f)
         evalbench.check_report_invariants(report)
-    except (ValueError, KeyError, TypeError, evalbench.ReportInvariantError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, evalbench.ReportInvariantError) as exc:
         raise DatasetIOError(f"malformed report {report_path!r} ({type(exc).__name__}: {exc})") from exc
     print(evalbench.render_report(report), file=out)
     return EXIT_OK
@@ -383,7 +383,7 @@ def main(argv=None, out=None) -> int:
             return cmd_report(args.report, out)
         commands = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "baseline": cmd_baseline}
         return commands[args.command](cfg, out)
-    except UsageError as exc:
+    except (UsageError, evalbench.ProposalNoiseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DatasetIOError, CheckpointCompatError) as exc:

@@ -2,7 +2,9 @@
 
 Accuracy counts predictions whose 3D IoU with the ground truth strictly
 exceeds the threshold. A report partitions samples by the stored subset
-tags (Unique/Multiple and Near/Medium/Far) plus Overall. It has one form,
+tags (Unique/Multiple and Near/Medium/Far) plus Overall: `evaluate` takes
+one IoU per sample and counts it in its two tags' tallies and Overall's,
+so every row comes out of one pass. A report has one form,
 its JSON document: `evaluate` returns it, the CLI writes and reads it back
 as is, `check_report_invariants` validates it on both paths and
 `render_report` prints it as a fixed-width text table. Baselines:
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .geom3d import Box7, iou_3d, normalize_angle
 from .seeding import substream
-from .synthdata import CATEGORIES, DISTANCE_BINS, UNIQUENESS_TAGS, GroundingSample, Scene, tag_subsets
+from .synthdata import DISTANCE_BINS, UNIQUENESS_TAGS, GroundingSample, Scene, tag_subsets
 
 SUBSET_ORDER = (*UNIQUENESS_TAGS, *DISTANCE_BINS, "Overall")
 BASELINES = ("catrandgt", "detrand", "detbest")
@@ -32,15 +34,8 @@ class ReportInvariantError(RuntimeError):
     """A report whose subset counts or accuracies contradict each other."""
 
 
-@dataclass
-class EvalSample:
-    sample: GroundingSample
-    predicted: Box7
-    ground_truth: Box7
-    iou: float = field(init=False)  # IoU(predicted, ground truth), computed once
-
-    def __post_init__(self):
-        self.iou = iou_3d(self.predicted, self.ground_truth)
+class ProposalNoiseError(ValueError):
+    """Noise settings that make a proposal no finite box `iou_3d` can score."""
 
 
 @dataclass(frozen=True)
@@ -60,23 +55,6 @@ class NoiseConfig:
 class Proposal:
     box: Box7
     category: str
-
-    def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise ValueError(f"proposal category {self.category!r} is not a known class")
-
-
-def acc_at_k(samples: list[EvalSample], k: float) -> float:
-    """Fraction of samples with IoU(predicted, ground truth) > k.
-
-    Empty input reports 0.0; callers flag the empty subset separately.
-    """
-    if not 0.0 < k < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    if not samples:
-        return 0.0
-    hits = sum(1 for s in samples if s.iou > k)
-    return hits / len(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -102,29 +80,31 @@ def make_oracle_proposals(scene: Scene, rng: np.random.Generator, noise: NoiseCo
         obj = scene.objects[i]
         box = obj.box
         center = box.center + rng.normal(0.0, noise.center_sigma, size=3)
-        sizes = np.array([box.l, box.w, box.h]) * np.maximum(
-            1.0 + rng.normal(0.0, noise.size_sigma, size=3), 0.05
-        )
-        yaw = normalize_angle(box.yaw + rng.normal(0.0, noise.yaw_sigma))
+        with np.errstate(over="ignore"):  # an overflowed size is reported as the error below
+            sizes = np.array([box.l, box.w, box.h]) * np.maximum(
+                1.0 + rng.normal(0.0, noise.size_sigma, size=3), 0.05
+            )
+        yaw = box.yaw + rng.normal(0.0, noise.yaw_sigma)
         rng.uniform()  # a score that nothing reads, still drawn so that every later draw keeps its value
-        proposals.append(Proposal(Box7(center, sizes[0], sizes[1], sizes[2], yaw), obj.category))
+        try:  # an infinite yaw skips `normalize_angle`, which cannot wrap it, for Box7 to reject
+            noisy = Box7(center, sizes[0], sizes[1], sizes[2], normalize_angle(yaw) if math.isfinite(yaw) else yaw)
+        except ValueError as exc:
+            raise ProposalNoiseError(f"{noise} gives scene {scene.scene_id} a proposal box "
+                                     f"that cannot be scored: {exc}") from exc
+        proposals.append(Proposal(noisy, obj.category))
     return proposals
 
 
 def baseline_detrand(sample: GroundingSample, scene: Scene, proposals: list[Proposal],
                      rng: np.random.Generator) -> Box7:
-    """Uniform pick among correct-class proposals (any proposal as fallback)."""
-    if not proposals:
-        raise ValueError(f"empty proposal set for scene {sample.scene_id}")
+    """Uniform pick among correct-class proposals, which hold the target's own clone."""
     category = scene.object_by_id(sample.target_id).category
-    pool = [p for p in proposals if p.category == category] or proposals
+    pool = [p for p in proposals if p.category == category]
     return pool[int(rng.integers(len(pool)))].box
 
 
 def baseline_detbest(sample: GroundingSample, scene: Scene, proposals: list[Proposal]) -> Box7:
     """Proposal with the highest IoU against the ground truth (lowest index on ties)."""
-    if not proposals:
-        raise ValueError(f"empty proposal set for scene {sample.scene_id}")
     gt = scene.object_by_id(sample.target_id).box
     ious = [iou_3d(p.box, gt) for p in proposals]
     return proposals[int(np.argmax(ious))].box
@@ -204,25 +184,21 @@ def evaluate(
                 )
         rngs = [substream(seed, "eval", s.scene_id, s.target_id, position) for position, s in group]
         groups.append((scene, scene_samples, rngs))
-    evaluated: list[EvalSample] = []
+    tallies = {name: [0, 0, 0] for name in SUBSET_ORDER}  # samples, hits at IoU > 0.25, at IoU > 0.5
     for (scene, scene_samples, _), boxes in zip(groups, predictor(groups), strict=True):
         for sample, box in zip(scene_samples, boxes, strict=True):
-            evaluated.append(EvalSample(sample, box, scene.object_by_id(sample.target_id).box))
-
-    def members(name: str) -> list[EvalSample]:
-        if name == "Overall":
-            return evaluated
-        if name in UNIQUENESS_TAGS:
-            return [e for e in evaluated if e.sample.uniqueness == name]
-        return [e for e in evaluated if e.sample.distance_bin == name]
-
+            iou = iou_3d(box, scene.object_by_id(sample.target_id).box)
+            for name in (sample.uniqueness, sample.distance_bin, "Overall"):
+                tally = tallies[name]
+                tally[0] += 1
+                tally[1] += int(iou > 0.25)
+                tally[2] += int(iou > 0.5)
     subsets = {}
-    for name in SUBSET_ORDER:
-        part = members(name)
-        if not part:
+    for name, (count, hits25, hits50) in tallies.items():
+        if not count:
             warnings.append(f"subset {name} is empty; accuracy reported as 0")
-        subsets[name] = {"count": len(part), "acc25": 100.0 * acc_at_k(part, 0.25),
-                         "acc50": 100.0 * acc_at_k(part, 0.5)}
+        subsets[name] = {"count": count, "acc25": 100.0 * (hits25 / count) if count else 0.0,
+                         "acc50": 100.0 * (hits50 / count) if count else 0.0}
     return {**(meta or {}), "subsets": subsets, "warnings": warnings}
 
 
@@ -242,24 +218,35 @@ def check_report_invariants(report: dict) -> None:
     """Raise ReportInvariantError unless every subset of SUBSET_ORDER has a
     count that is an int >= 0 (not a bool) and accuracies that are reals in
     [0, 100], `warnings` (absent: none) is a list of strings, no subset has
-    Acc@0.25 < Acc@0.5 and each partition's counts sum to Overall's.
+    Acc@0.25 < Acc@0.5, each accuracy is 100 * hits / count for a whole
+    number of hits (0 for an empty subset) and each partition's counts and
+    hits at each threshold sum to Overall's. The two accuracy rules allow
+    1e-9 of rounding.
 
     A fresh report from `evaluate` and one read back from disk take the
-    same check. A missing key raises KeyError, and a document or row that
-    is not a dict TypeError, as reading it does.
+    same check. A missing key raises KeyError, a document or row that is
+    not a dict TypeError, as reading it does, and a count too large for a
+    float OverflowError.
     """
     rows = {name: report["subsets"][name] for name in SUBSET_ORDER}
+    tallies = {}  # subset -> [count, hits at 0.25, hits at 0.5], the hits its accuracies give
     for name, row in rows.items():
         count, accuracies = row["count"], (row["acc25"], row["acc50"])
         if type(count) is not int or count < 0 or not all(T.are_reals(a) and 0 <= a <= 100 for a in accuracies):
             raise ReportInvariantError(f"subset {name} needs a count >= 0 and accuracies in [0, 100], got {row}")
         if accuracies[0] < accuracies[1] - 1e-9:
             raise ReportInvariantError(f"Acc@0.25 < Acc@0.5 in subset {name}")
+        tallies[name] = [count, *(round(a * count / 100) for a in accuracies)]
     warnings = report.get("warnings", [])
     if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
         raise ReportInvariantError(f"warnings must be a list of strings, got {warnings!r}")
-    overall = rows["Overall"]["count"]
     for parts in (UNIQUENESS_TAGS, DISTANCE_BINS):
-        total = sum(rows[p]["count"] for p in parts)
-        if total != overall:
-            raise ReportInvariantError(f"{' + '.join(parts)} counts sum to {total}, Overall has {overall}")
+        sums = [sum(column) for column in zip(*(tallies[p] for p in parts))]
+        if sums != tallies["Overall"]:
+            raise ReportInvariantError(f"{' + '.join(parts)} counts and hits at 0.25 and 0.5 sum to {sums}, "
+                                       f"Overall has {tallies['Overall']}")
+    for name, (count, *hits) in tallies.items():
+        accuracies = (rows[name]["acc25"], rows[name]["acc50"])
+        if any(abs(100.0 * h / max(count, 1) - a) > 1e-9 for h, a in zip(hits, accuracies)):
+            raise ReportInvariantError(f"subset {name}'s accuracies {accuracies} are no whole number of hits "
+                                       f"out of {count} samples")

@@ -36,7 +36,8 @@ class Box7:
     """Oriented cuboid: center (m), sizes l/w/h (m), yaw about z (rad).
 
     Yaw is normalized to [-pi, pi) at construction so equal boxes have equal
-    field values.
+    field values. A box too large for `iou_3d`'s arithmetic to stay finite
+    raises ValueError.
     """
 
     center: np.ndarray
@@ -53,10 +54,17 @@ class Box7:
             raise ValueError(f"box sizes must be positive and finite, got {(self.l, self.w, self.h)}")
         if not math.isfinite(self.yaw):
             raise ValueError(f"non-finite box yaw {self.yaw}")
+        l, w, h = float(self.l), float(self.w), float(self.h)
+        # `iou_3d` sums two products of BEV coordinate differences, each at
+        # most 2 * reach since no corner coordinate is farther than reach
+        # from 0, and forms the volume.
+        reach = max(abs(float(center[0])), abs(float(center[1]))) + 0.5 * math.hypot(l, w)
+        if not (math.isfinite(8 * reach * reach) and math.isfinite(l * w * h)):
+            raise ValueError(f"box at {center} with sizes {(l, w, h)} is too large for a finite IoU")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "l", float(self.l))
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "yaw", normalize_angle(float(self.yaw)))
 
     @property

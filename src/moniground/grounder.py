@@ -7,10 +7,10 @@ box from each candidate's residuals. Training optimizes the weighted sum of
 candidate classification, box regression, center-shift, language category,
 and reference losses; the reference loss is a cross-entropy over the raw
 scores that favours the candidate nearest the referred object's center.
-Only inference reads confidences: `predict` takes a numpy softmax of the
-scores, outside the autodiff graph, and `ground` picks the most confident
-candidate. `LOSS_TERMS` names the terms once, for the loss, the epoch
-curve and the CLI.
+Only inference reads confidences: `predict` takes a numpy softmax of a
+scene's (B, M) scores, outside the autodiff graph, and decodes each row's
+most confident candidate, all B rows at once. `LOSS_TERMS` names the terms
+once, for the loss, the epoch curve and the CLI.
 
 Training and inference take one path, `GroundingModel.forward`, on each
 scene's `pointenc.ScenePlan` (its cloud, input features and sampling
@@ -148,7 +148,7 @@ class ModelOutput:
     """B expressions grounded against one scene's candidates."""
 
     candidates: CandidateSet
-    raw_scores: T.Tensor      # (B, M) localization scores; `softmax` gives confidences
+    raw_scores: T.Tensor      # (B, M) localization scores; `predict` softmaxes each row
     cls_logits: T.Tensor      # (B, M, 1) candidate objectness
     residuals: T.Tensor       # (B, M, 8) box residuals per candidate
     lang_logits: T.Tensor     # (B, 1, 12) category prediction from text
@@ -357,28 +357,6 @@ def scene_inputs(model: GroundingModel, scenes: list[Scene]) -> list[ScenePlan]:
     )
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Confidences: the softmax of each row of a (B, M) score matrix."""
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def ground(output: ModelOutput, confidences: np.ndarray, row: int = 0) -> tuple[int, Box7]:
-    """Pick expression `row`'s highest-confidence candidate and decode its box.
-
-    `confidences` is `softmax` of the output's scores. The argmax is taken
-    over it rather than over the scores, since two scores can round to the
-    same confidence; ties break to the lowest index. Sizes decode against
-    the prior of the category predicted from the expression.
-    """
-    m = confidences.shape[1]
-    idx = int(np.argmax(confidences[row]))
-    category = CATEGORIES[int(np.argmax(output.lang_logits.data[row]))]
-    anchor = output.candidates.positions.data[idx]
-    residual = output.residuals.data.reshape(-1, m, RESIDUAL_DIM)[row, idx]
-    return idx, decode_box_residual(residual, anchor, category)
-
-
 def _masked_smooth_l1(pred: T.Tensor, target: np.ndarray, row_mask: np.ndarray) -> T.Tensor:
     """Mean smooth L1 over the rows whose 0/1 `row_mask` entry is 1, or a
     constant 0 when none is. `target` is (M, C); `pred` holds M x C values
@@ -558,18 +536,27 @@ def train_model(
 
 def predict(out: ModelOutput) -> list[tuple[Box7, np.ndarray, int]]:
     """Decode one scene's output: (box, confidences, candidate index) per
-    expression, in row order, each by `ground` on the softmax of the scores.
-    Scores that are not finite, from weights whose products overflow,
-    raise ValueError: their softmax is NaN, and its argmax would pick
-    candidate 0 for every expression."""
-    if not np.isfinite(out.raw_scores.data).all():
+    expression, in row order.
+
+    A row's confidences are the softmax of its scores, and its pick is the
+    most confident candidate. The argmax is taken over the confidences
+    rather than over the scores, since two scores can round to the same
+    confidence; ties break to the lowest index. Its box decodes against the
+    size prior of the category predicted from its expression. Scores that
+    are not finite, from weights whose products overflow, raise ValueError:
+    their softmax is NaN, and its argmax would pick candidate 0 for every
+    expression."""
+    scores = out.raw_scores.data
+    if not np.isfinite(scores).all():
         raise ValueError("non-finite candidate scores")
-    confidences = softmax(out.raw_scores.data)
-    results = []
-    for row in range(len(confidences)):
-        idx, box = ground(out, confidences, row)
-        results.append((box, confidences[row], idx))
-    return results
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    confidences = e / e.sum(axis=1, keepdims=True)
+    picks = confidences.argmax(axis=1)
+    categories = out.lang_logits.data.argmax(axis=-1).ravel()
+    residuals = out.residuals.data[np.arange(len(picks)), picks]
+    anchors = out.candidates.positions.data[picks]
+    return [(decode_box_residual(residual, anchor, CATEGORIES[category]), confidence, int(idx))
+            for residual, anchor, category, confidence, idx in zip(residuals, anchors, categories, confidences, picks)]
 
 
 def model_predictor(model: GroundingModel) -> Predictor:
@@ -583,7 +570,7 @@ def model_predictor(model: GroundingModel) -> Predictor:
     kept between calls. Each box equals that of the sample's expression
     grounded alone, bit for bit. Weights that make the encoder's features
     non-finite, so that F-FPS cannot sample them, that make a score
-    non-finite or that decode a non-finite box, raise
+    non-finite or that decode a box `Box7` rejects, raise
     CheckpointCompatError.
     """
 

@@ -652,18 +652,11 @@ def _box_to_json(box: Box7) -> dict:
 def _box_from_json(d: dict) -> Box7:
     """The box of a scene file's box record; ValueError for a field that is
     not a number, a bool included, which `Box7`'s range checks would read as
-    1.0 or 0.0, or for a box too large for `iou_3d`'s arithmetic."""
+    1.0 or 0.0, or for a box that `Box7` rejects."""
     values = [d[k] for k in ("x", "y", "z", "l", "w", "h", "yaw")]
     if not T.are_reals(*values):
         raise ValueError(f"box fields must be numbers, got {values}")
-    box = Box7(np.array(values[:3]), *values[3:])
-    # `iou_3d` sums two products of BEV coordinate differences, each at most
-    # 2 * reach since no corner coordinate is farther than reach from 0, and
-    # forms the volume.
-    reach = max(abs(float(box.center[0])), abs(float(box.center[1]))) + 0.5 * math.hypot(box.l, box.w)
-    if not (math.isfinite(8 * reach * reach) and math.isfinite(box.volume)):
-        raise ValueError(f"box {values} is too large for a finite IoU")
-    return box
+    return Box7(np.array(values[:3]), *values[3:])
 
 
 def atomic_write(path: str, data: bytes | str) -> None:

@@ -21,7 +21,7 @@ graph. The op set is exactly what the grounding model's training loss
 needs, nothing more; each op's gradient is checked against central finite
 differences in the test suite. Values that only inference reads, such as
 the softmax confidences over candidate scores, are plain numpy outside the
-graph (see `grounder.softmax`).
+graph (see `grounder.predict`).
 
 Two ops fuse what would be long chains of nodes. `pooled_mlp` is a set
 abstraction's shared MLP with its max-pooling and final ReLU: bit for bit

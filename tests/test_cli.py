@@ -711,15 +711,25 @@ class TestBaseline:
         assert code == 2  # argparse choices
 
     def test_bad_noise_is_exit_2(self, dataset_dir, tmp_path, capsys):
+        """Invalid noise settings, and noise so large that a proposal box
+        overflows, which is a `Box7` error, a non-finite yaw or overflow
+        warnings in `iou_3d` when left unchecked."""
         report = tmp_path / "b.json"
-        for flags in (("--noise-center", "nan"), ("--noise-center", "inf"), ("--noise-yaw", "nan"),
-                      ("--noise-size", "-0.1")):
+        cases = [("detbest", "val", flags) for flags in (
+            ("--noise-center", "nan"), ("--noise-center", "inf"), ("--noise-yaw", "nan"), ("--noise-size", "-0.1"))]
+        for which in ("detrand", "detbest"):
+            for split in ("train", "val"):
+                cases += [(which, split, flags) for flags in (
+                    ("--noise-size", "1e308"), ("--noise-center", "1.7e308"), ("--noise-yaw", "1.7e308"))]
+            cases += [(which, "train", ("--noise-center", "1e308")), (which, "train", ("--noise-yaw", "1e308")),
+                      (which, "val", ("--noise-center", "1e308"))]
+        for which, split, flags in cases:
             capsys.readouterr()
-            code, _ = run_cli("baseline", "--data", dataset_dir, "--which", "detbest", "--split", "val",
+            code, _ = run_cli("baseline", "--data", dataset_dir, "--which", which, "--split", split,
                               "--report-out", str(report), *flags)
-            assert code == 2, flags
+            assert code == 2, (which, split, flags)
             assert_one_line_error(capsys)
-            assert not report.exists(), flags
+            assert not report.exists(), (which, split, flags)
 
     def test_detbest_runs(self, dataset_dir, tmp_path):
         report = str(tmp_path / "db.json")
@@ -767,6 +777,13 @@ class TestReport:
         def overall(field, value):
             return edited(lambda doc: doc["subsets"]["Overall"].__setitem__(field, value))
 
+        def golden(**rows):
+            """The golden report with some subsets' accuracies replaced."""
+            doc = json.loads((Path(__file__).parent / "data" / "golden_report.json").read_text())
+            for name, accuracies in rows.items():
+                doc["subsets"][name].update(accuracies)
+            return json.dumps(doc)
+
         documents = {
             "partitions_do_not_sum": edited(lambda doc: doc["subsets"]["Unique"].__setitem__("count", 999)),
             "accuracy_string": overall("acc25", "nan"),
@@ -775,6 +792,11 @@ class TestReport:
             "count_bool": overall("count", True),
             "count_float": overall("count", 2.7),
             "count_negative": overall("count", -1),
+            "count_huge": overall("count", 10**400),
+            "empty_subset_not_0": golden(Far={"acc25": 50.0}),
+            "no_whole_number_of_hits": golden(**{name: {"acc25": 37.5, "acc50": 0.0}
+                                                 for name in ("Overall", "Unique", "Near")}),
+            "partition_hits_do_not_sum": golden(Overall={"acc50": 0.0}),
             "warnings_not_strings": edited(lambda doc: doc.__setitem__("warnings", [1, {"a": 2}])),
             "garbled": '{"subsets": {"Overall": ',
             "no_subsets": '{"split": "val"}',

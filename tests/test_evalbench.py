@@ -36,21 +36,30 @@ def make_sample(scene, target_id):
     return S.GroundingSample(scene.scene_id, target_id, "t", ["t"], uniq, dbin)
 
 
+def report_for(ground_truth, predicted):
+    """`evaluate`'s report on one sample per predicted box, each referring
+    to the one object of a scene, whose box is `ground_truth`."""
+    scene = S.Scene("s0", {}, [S.ObjectSpec("obj_00", "car", ground_truth, dict.fromkeys(S.ATTRIBUTE_NAMES, "x"))])
+    samples = [make_sample(scene, "obj_00") for _ in predicted]
+    report = E.evaluate(lambda groups: [list(predicted)], {"s0": scene}, samples, seed=0)
+    E.check_report_invariants(report)
+    return report
+
+
 class TestAccAtK:
+    """Acc@0.25 and Acc@0.5 as `evaluate` reports them, in percent."""
+
     def test_perfect_predictions(self):
         scene = make_scene(["car", "bus"], [5.0, 20.0])
-        samples = [
-            E.EvalSample(make_sample(scene, o.object_id), o.box, o.box) for o in scene.objects
-        ]
-        assert E.acc_at_k(samples, 0.25) == 1.0
-        assert E.acc_at_k(samples, 0.5) == 1.0
+        samples = [make_sample(scene, o.object_id) for o in scene.objects]
+        oracle = lambda groups: [[o.box for o in scene.objects]]
+        report = E.evaluate(oracle, {scene.scene_id: scene}, samples, seed=0)
+        assert report["subsets"]["Overall"] == {"count": 2, "acc25": 100.0, "acc50": 100.0}
 
     def test_all_disjoint(self):
-        scene = make_scene(["car"], [5.0])
-        gt = scene.objects[0].box
+        gt = make_scene(["car"], [5.0]).objects[0].box
         off = Box7(gt.center + np.array([50.0, 0, 0]), gt.l, gt.w, gt.h, gt.yaw)
-        samples = [E.EvalSample(make_sample(scene, "obj_00"), off, gt)]
-        assert E.acc_at_k(samples, 0.25) == 0.0
+        assert report_for(gt, [off])["subsets"]["Overall"]["acc25"] == 0.0
 
     def test_hand_built_iou_ladder(self):
         # axis-aligned offsets produce IoUs {1/39, ~0.29, ~0.54, ~0.9}
@@ -62,18 +71,15 @@ class TestAccAtK:
         # IoU(dx) = (2-dx)/(2+dx) for unit-height overlap: pick dx giving .1/.3/.6/.9
         targets = [0.1, 0.3, 0.6, 0.9]
         preds = [shifted(2 * (1 - t) / (1 + t)) for t in targets]
-        scene = make_scene(["car"], [5.0])
-        sample = make_sample(scene, "obj_00")
-        evaluated = [E.EvalSample(sample, p, gt) for p in preds]
-        for e, t in zip(evaluated, targets):
-            assert iou_3d(e.predicted, e.ground_truth) == pytest.approx(t, abs=1e-9)
-        assert E.acc_at_k(evaluated, 0.25) == 0.75
-        assert E.acc_at_k(evaluated, 0.5) == 0.5
+        for p, t in zip(preds, targets):
+            assert iou_3d(p, gt) == pytest.approx(t, abs=1e-9)
+        assert report_for(gt, preds)["subsets"]["Overall"] == {"count": 4, "acc25": 75.0, "acc50": 50.0}
 
-    def test_threshold_validation_and_empty(self):
-        with pytest.raises(ValueError):
-            E.acc_at_k([], 0.0)
-        assert E.acc_at_k([], 0.3) == 0.0
+    def test_empty_subset_reads_0(self):
+        gt = Box7(np.zeros(3), 2.0, 2.0, 2.0, 0.0)
+        report = report_for(gt, [gt])  # one Near sample
+        assert report["subsets"]["Far"] == {"count": 0, "acc25": 0.0, "acc50": 0.0}
+        assert "subset Far is empty; accuracy reported as 0" in report["warnings"]
 
     def test_strictly_greater_than_threshold(self):
         # unit cube fully inside a 1x1x2 box: IoU = 1/2 exactly in floats;
@@ -81,10 +87,7 @@ class TestAccAtK:
         gt = Box7(np.zeros(3), 1.0, 1.0, 1.0, 0.0)
         pred = Box7(np.array([0.0, 0.0, 0.5]), 1.0, 1.0, 2.0, 0.0)
         assert iou_3d(pred, gt) == 0.5
-        scene = make_scene(["car"], [5.0])
-        samples = [E.EvalSample(make_sample(scene, "obj_00"), pred, gt)]
-        assert E.acc_at_k(samples, 0.5) == 0.0
-        assert E.acc_at_k(samples, 0.25) == 1.0
+        assert report_for(gt, [pred])["subsets"]["Overall"] == {"count": 1, "acc25": 100.0, "acc50": 0.0}
 
 
 class TestCatRandGT:
@@ -308,11 +311,11 @@ class TestEvaluateAndReport:
 class TestModelPredictor:
     @staticmethod
     def full_forward(model, scene, tokens):
-        """The per-sample reference: ground one expression in its scene alone."""
+        """The per-sample reference: `predict`'s row for one expression
+        grounded in its scene alone."""
         (out,) = model.forward(G.scene_inputs(model, [scene]), [[tokens]])
-        confidences = G.softmax(out.raw_scores.data)
-        idx, box = G.ground(out, confidences)
-        return box, confidences[0], idx
+        (row,) = G.predict(out)
+        return row
 
     def test_batched_predictions_match_each_text_alone(self, monkeypatch):
         config = S.GenConfig(scene_count=3, objects_min=2, objects_max=3, expressions_per_object=3)

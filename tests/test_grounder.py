@@ -55,6 +55,17 @@ def manual_output(raw, cls_logits, residuals, shifts, lang_logits, cand_pos, see
     )
 
 
+def predicted_confidences(scores):
+    """The confidences `predict` gives each row of a (B, M) score matrix, for
+    candidates at the origin with zero residuals and language logits."""
+    b, m = np.shape(scores)
+    zeros = lambda *shape: T.constant(np.zeros(shape))
+    cand = CandidateSet(positions=zeros(m, 3), shifts=zeros(m, 3), features=zeros(m, 4), seeds=np.zeros((m, 3)))
+    out = G.ModelOutput(cand, T.constant(scores), zeros(b, m, 1), zeros(b, m, G.RESIDUAL_DIM),
+                        zeros(b, 1, len(S.CATEGORIES)))
+    return np.array([confidences for _, confidences, _ in G.predict(out)])
+
+
 class TestFuse:
     def test_zero_final_layer_gives_zero(self):
         model = tiny_model()
@@ -87,49 +98,62 @@ class TestFuse:
 
 
 class TestLocalize:
-    """`localize` scores and their confidences, `G.softmax`."""
+    """`localize` scores and the confidences `predict` gives them, their
+    row-wise softmax."""
 
     def test_identical_rows_uniform(self):
         model = tiny_model()
         f_m = T.constant(np.ones((5, model.config.fused_dim)) * 0.3)
-        conf = G.softmax(model.localize(f_m).data)
+        conf = predicted_confidences(model.localize(f_m).data)
         np.testing.assert_allclose(conf, np.full((1, 5), 0.2), atol=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     def test_sums_to_one(self):
         model = tiny_model()
         rng = np.random.default_rng(4)
         f_m = T.constant(rng.normal(size=(3, 7, model.config.fused_dim)))
-        conf = G.softmax(model.localize(f_m).data)
+        conf = predicted_confidences(model.localize(f_m).data)
         assert conf.shape == (3, 7)
         np.testing.assert_allclose(conf.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(conf > 0)
         # large scores do not overflow
-        conf = G.softmax(rng.normal(size=(7, 11)) * 800)
+        conf = predicted_confidences(rng.normal(size=(7, 11)) * 800)
         np.testing.assert_allclose(conf.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     def test_shift_invariance_of_softmax(self):
         raw = np.array([[0.3, -1.2, 2.0]])
-        np.testing.assert_allclose(G.softmax(raw), G.softmax(raw + 17.5), atol=1e-12)
+        np.testing.assert_allclose(predicted_confidences(raw), predicted_confidences(raw + 17.5), atol=1e-12)
+
+    @pytest.mark.usefixtures("float64")
+    def test_row_softmax_uniform(self):
+        np.testing.assert_allclose(predicted_confidences(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
+
+    @pytest.mark.usefixtures("float64")
+    def test_row_softmax_rows_sum_to_one(self):
+        rng = np.random.default_rng(0)
+        out = predicted_confidences(rng.normal(size=(7, 11)) * 10)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(out > 0)
 
 
 class TestGround:
     def test_tie_breaks_to_lowest_index(self):
         out = manual_output(
-            raw=[0.0, 0.0], cls_logits=[0.0, 0.0], residuals=np.zeros((2, 8)),
+            raw=[0.0, 0.0], cls_logits=[0.0, 0.0], residuals=np.zeros((1, 2, 8)),
             shifts=np.zeros((2, 3)), lang_logits=np.zeros(12),
             cand_pos=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
         )
-        conf = G.softmax(out.raw_scores.data)
-        np.testing.assert_allclose(conf, [[0.5, 0.5]])
-        idx, _ = G.ground(out, conf)
+        ((_, conf, idx),) = G.predict(out)
+        np.testing.assert_allclose(conf, [0.5, 0.5])
         assert idx == 0
 
     def test_zero_residuals_decode_prior_box(self):
         lang = np.zeros(12)
         lang[S.CATEGORY_INDEX["bus"]] = 9.0
         pos = np.array([[3.0, -2.0, 1.0]])
-        out = manual_output([1.0], [0.0], np.zeros((1, 8)), np.zeros((1, 3)), lang, pos)
-        _, box = G.ground(out, G.softmax(out.raw_scores.data))
+        out = manual_output([1.0], [0.0], np.zeros((1, 1, 8)), np.zeros((1, 3)), lang, pos)
+        ((box, _, _),) = G.predict(out)
         np.testing.assert_allclose(box.center, pos[0])
         assert (box.l, box.w, box.h) == S.SIZE_PRIORS["bus"]
         assert box.yaw == 0.0
@@ -390,13 +414,14 @@ class TestBatchedTextHalf:
         tokens = [[f"w{i - 2}" for i in ids[row, :length]] for row, length in enumerate(lengths)]
         (batch,) = model.forward(G.scene_inputs(model, [scene]), [tokens])
         cand = batch.candidates
+        rows = G.predict(batch)
         for row, length in enumerate(lengths):
             alone = model.ground_text(cand, ids[row : row + 1], [length])
             for name in ("raw_scores", "cls_logits", "residuals", "lang_logits"):
                 assert np.array_equal(getattr(batch, name).data[row], getattr(alone, name).data[0]), (row, name)
-            conf, conf_alone = G.softmax(batch.raw_scores.data), G.softmax(alone.raw_scores.data)
-            assert np.array_equal(conf[row], conf_alone[0])
-            assert G.ground(batch, conf, row)[0] == G.ground(alone, conf_alone)[0]
+            (box_alone, conf_alone, idx_alone), (box, conf, idx) = G.predict(alone)[0], rows[row]
+            assert np.array_equal(conf, conf_alone) and idx == idx_alone
+            assert astuple(box)[1:] == astuple(box_alone)[1:] and np.array_equal(box.center, box_alone.center)
 
     @pytest.mark.usefixtures("float64")
     def test_batch_gradients_mixed_lengths(self):

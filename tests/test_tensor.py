@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from gradcheck import finite_diff_check
-from moniground import grounder as G
 from moniground import tensor as T
 
 
@@ -26,15 +25,6 @@ def mlp_layers(rng, widths):
 
 
 class TestForwardValues:
-    def test_row_softmax_uniform(self):
-        np.testing.assert_allclose(G.softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
-
-    def test_row_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        out = G.softmax(rng.normal(size=(7, 11)) * 10)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(out > 0)
-
     def test_smooth_l1_zero_at_equal(self):
         x = T.constant([[1.0, -2.0, 3.0]])
         assert T.smooth_l1(x, x.data).data.max() == 0.0
